@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Iterable, Mapping, Sequence
 
+from ._util import content_lines, union_classes
 from .errors import DomainError, NotARackError, ParseError
 
 NOT_A_RACK = "not-a-rack"
@@ -113,23 +114,9 @@ class RackTable:
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         """Orbit partition under all right translations and their inverses."""
         self.require_rack()
-        parent = list(range(self.size))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a in range(self.size):
-            for b in range(self.size):
-                ra, rb = find(a), find(self.table[a][b])
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-        groups: dict[int, list[int]] = {}
-        for x in range(self.size):
-            groups.setdefault(find(x), []).append(x)
-        return tuple(tuple(sorted(g)) for g in sorted(groups.values()))
+        n = self.size
+        moves = ((a, self.table[a][b]) for a in range(n) for b in range(n))
+        return union_classes(n, moves)
 
     @property
     def label(self) -> str:
@@ -557,11 +544,7 @@ def find_isomorphism(X: RackTable, Y: RackTable) -> tuple[int, ...] | None:
 
 def parse_rack_table(text: str, name: str | None = None) -> RackTable:
     """Parse the plain table format: a 'rack <n>' header then n rows of n ints."""
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
+    lines = content_lines(text)
     if not lines:
         raise ParseError("empty rack table")
     head = lines[0].split()

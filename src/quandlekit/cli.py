@@ -25,6 +25,7 @@ from .coloring import (
 from .diagram import Diagram, SurfaceDiagramData
 from .errors import BudgetError, ParseError, QuandleKitError
 from .homology import (
+    _is_prime,
     cohomology,
     homology,
     homology_mod,
@@ -71,7 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shadow", action="store_true", help="shadow colorings instead")
     p.add_argument("--surjective", action="store_true",
                    help="restrict to colorings using every element")
-    p.add_argument("--jobs", type=int, default=1, help="parallel seed partitions")
     p.add_argument("--file", action="store_true", help="force specs to be paths")
 
     p = sub.add_parser("invariant", help="cocycle state-sum invariants")
@@ -83,7 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--braid", help="inline braid diagram, e.g. '2: 1 1 1'")
     p.add_argument("--unsafe-no-cocycle-check", action="store_true",
                    help="skip cocycle validation (output is NOT an invariant)")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--file", action="store_true")
 
     p = sub.add_parser("homology", help="rack/degeneration/quandle homology")
@@ -121,13 +120,13 @@ def _cmd_color(args: argparse.Namespace) -> int:
     if isinstance(target, SurfaceDiagramData):
         if args.shadow:
             raise ParseError("--shadow needs a classical diagram, not surface data")
-        colorings = enumerate_surface_colorings(target, X, jobs=args.jobs)
+        colorings = enumerate_surface_colorings(target, X)
         label = "surface-colorings"
     elif args.shadow:
-        colorings = enumerate_shadow_colorings(target, X, jobs=args.jobs)
+        colorings = enumerate_shadow_colorings(target, X)
         label = "shadow-colorings"
     else:
-        colorings = enumerate_colorings(target, X, jobs=args.jobs)
+        colorings = enumerate_colorings(target, X)
         label = "colorings"
         if X.is_rack and not X.is_quandle:
             print("note: rack colorings are framed-diagram data only")
@@ -167,15 +166,15 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
     if mode == "surface":
         if not isinstance(target, SurfaceDiagramData):
             raise ParseError("--mode surface needs surface data")
-        value = state_sum_surface(target, X, phi, check=check, jobs=args.jobs)
+        value = state_sum_surface(target, X, phi, check=check)
     elif mode == "shadow":
         if isinstance(target, SurfaceDiagramData):
             raise ParseError("--mode shadow needs a classical diagram")
-        value = state_sum_shadow(target, X, phi, check=check, jobs=args.jobs)
+        value = state_sum_shadow(target, X, phi, check=check)
     else:
         if isinstance(target, SurfaceDiagramData):
             raise ParseError("--mode 2 needs a classical diagram")
-        value = state_sum_2(target, X, phi, check=check, jobs=args.jobs)
+        value = state_sum_2(target, X, phi, check=check)
     if not check:
         print("warning: cocycle check skipped; this value is not a knot invariant")
     print(value.render())
@@ -206,17 +205,6 @@ def _cmd_homology(args: argparse.Namespace) -> int:
         factors = " ".join(map(str, group.invariant_factors))
         print(f"#data homology {group.rank}{(' ' + factors) if factors else ''}")
     return 0
-
-
-def _is_prime(d: int) -> bool:
-    if d < 2:
-        return False
-    f = 2
-    while f * f <= d:
-        if d % f == 0:
-            return False
-        f += 1
-    return True
 
 
 def _cmd_cocycles(args: argparse.Namespace) -> int:

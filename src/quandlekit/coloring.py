@@ -9,11 +9,11 @@ computations and golden files are reproducible.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import RackTable, abelian_extension
+from .algebra import RackTable
 from .diagram import Diagram, SurfaceDiagramData
 from .errors import DomainError, NonCocycleError
 from .homology import Cochain, is_cocycle
@@ -48,14 +48,15 @@ def _solve_relations(
     relations: Sequence[tuple[int, int, int]],
     X: RackTable,
     *,
-    jobs: int = 1,
     count_only: bool = False,
 ):
     """All assignments with colors[j] = colors[i] * colors[k] per relation.
 
-    Returns a sorted list of tuples, or a count when count_only is set.  The
-    seed space (the first branch) may be partitioned across workers; results
-    are merged and sorted, so the output is independent of ``jobs``.
+    Returns a list of tuples in lexicographic order, or a count when
+    count_only is set.  The search always branches on the least unassigned
+    variable and tries colors in increasing order, so solutions come out
+    sorted.  It keeps its own stack of branch points, so its depth is not
+    bounded by the interpreter's recursion limit.
     """
     X.require_rack()
     n = X.size
@@ -67,97 +68,81 @@ def _solve_relations(
         for v in {i, j, k}:
             rels_of[v].append(idx)
 
-    def run(first_colors: Sequence[int]):
-        found: list[tuple[int, ...]] = []
-        count = 0
-        assign: list[int | None] = [None] * n_vars
-        trail: list[int] = []
+    found: list[tuple[int, ...]] = []
+    count = 0
+    assign: list[int | None] = [None] * n_vars
+    trail: list[int] = []
 
-        def set_var(v: int, c: int, work: list[int]) -> None:
-            assign[v] = c
-            trail.append(v)
-            work.extend(rels_of[v])
+    def set_var(v: int, c: int, work: list[int]) -> None:
+        assign[v] = c
+        trail.append(v)
+        work.extend(rels_of[v])
 
-        def propagate(start: int, color: int) -> bool:
-            work: list[int] = []
-            set_var(start, color, work)
-            qi = 0
-            while qi < len(work):
-                i, j, k = relations[work[qi]]
-                qi += 1
-                ci, cj, ck = assign[i], assign[j], assign[k]
-                if ck is not None:
-                    if ci is not None:
-                        want = table[ci][ck]
-                        if cj is None:
-                            set_var(j, want, work)
-                        elif cj != want:
-                            return False
-                    elif cj is not None:
-                        set_var(i, X.op_inv(cj, ck), work)
-                elif ci is not None and cj is not None:
-                    cands = [b for b in range(n) if table[ci][b] == cj]
-                    if not cands:
+    def propagate(start: int, color: int) -> bool:
+        work: list[int] = []
+        set_var(start, color, work)
+        qi = 0
+        while qi < len(work):
+            i, j, k = relations[work[qi]]
+            qi += 1
+            ci, cj, ck = assign[i], assign[j], assign[k]
+            if ck is not None:
+                if ci is not None:
+                    want = table[ci][ck]
+                    if cj is None:
+                        set_var(j, want, work)
+                    elif cj != want:
                         return False
-                    if len(cands) == 1:
-                        if assign[k] is None:
-                            set_var(k, cands[0], work)
-            return True
+                elif cj is not None:
+                    set_var(i, X.op_inv(cj, ck), work)
+            elif ci is not None and cj is not None:
+                cands = [b for b in range(n) if table[ci][b] == cj]
+                if not cands:
+                    return False
+                if len(cands) == 1:
+                    if assign[k] is None:
+                        set_var(k, cands[0], work)
+        return True
 
-        def undo(mark: int) -> None:
-            while len(trail) > mark:
-                assign[trail.pop()] = None
-
-        def dfs(colors_here: Sequence[int] | None) -> None:
-            nonlocal count
-            var = next((v for v in range(n_vars) if assign[v] is None), None)
-            if var is None:
-                if count_only:
-                    count += 1
-                else:
-                    found.append(tuple(assign))  # type: ignore[arg-type]
-                return
-            for c in colors_here if colors_here is not None else range(n):
-                mark = len(trail)
-                if propagate(var, c):
-                    dfs(None)
-                undo(mark)
-
-        dfs(first_colors)
-        return count if count_only else found
-
-    if jobs <= 1:
-        out = run(range(n))
-    else:
-        chunks = [list(range(n))[w::jobs] for w in range(jobs)]
-        chunks = [c for c in chunks if c]
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(run, chunks))
-        out = sum(parts) if count_only else [t for part in parts for t in part]
-    if count_only:
-        return out
-    out.sort()
-    return out
+    # Branch points [variable, next color to try, trail length on entry].
+    stack = [[0, 0, 0]]
+    while stack:
+        frame = stack[-1]
+        var, color, mark = frame
+        while len(trail) > mark:
+            assign[trail.pop()] = None
+        if color == n:
+            stack.pop()
+            continue
+        frame[1] = color + 1
+        if not propagate(var, color):
+            continue
+        nxt = next((v for v in range(var + 1, n_vars) if assign[v] is None), None)
+        if nxt is not None:
+            stack.append([nxt, 0, len(trail)])
+        elif count_only:
+            count += 1
+        else:
+            found.append(tuple(assign))  # type: ignore[arg-type]
+    return count if count_only else found
 
 
 def _diagram_relations(D: Diagram) -> list[tuple[int, int, int]]:
     return [(r.from_under, r.to_under, r.over) for r in D.relations]
 
 
-def enumerate_colorings(D: Diagram, X: RackTable, jobs: int = 1) -> list[Coloring]:
+def enumerate_colorings(D: Diagram, X: RackTable) -> list[Coloring]:
     """All colorings of the diagram's arcs by X, in lexicographic order.
 
     X must be at least a rack; if it is not a quandle the results are data of
     the blackboard-framed diagram only.
     """
-    sols = _solve_relations(D.n_arcs, _diagram_relations(D), X, jobs=jobs)
+    sols = _solve_relations(D.n_arcs, _diagram_relations(D), X)
     return [Coloring(t) for t in sols]
 
 
-def count_colorings(D: Diagram, X: RackTable, jobs: int = 1) -> int:
-    return _solve_relations(
-        D.n_arcs, _diagram_relations(D), X, jobs=jobs, count_only=True
-    )
+def count_colorings(D: Diagram, X: RackTable) -> int:
+    return _solve_relations(D.n_arcs, _diagram_relations(D), X, count_only=True)
 
 
 def _region_adjacency(D: Diagram) -> list[list[tuple[int, int, bool]]]:
@@ -191,9 +176,7 @@ def _fill_regions(
     return tuple(region)  # type: ignore[return-value]
 
 
-def enumerate_shadow_colorings(
-    D: Diagram, X: RackTable, jobs: int = 1
-) -> list[ShadowColoring]:
+def enumerate_shadow_colorings(D: Diagram, X: RackTable) -> list[ShadowColoring]:
     """All shadow colorings: arc colorings extended over the regions.
 
     For each coloring every element of X is tried as the color of region 0
@@ -203,7 +186,7 @@ def enumerate_shadow_colorings(
     X.require_quandle()
     adj = _region_adjacency(D)
     out = []
-    for col in enumerate_colorings(D, X, jobs=jobs):
+    for col in enumerate_colorings(D, X):
         for seed in range(X.size):
             filled = _fill_regions(D, X, col.colors, seed, adj)
             if filled is not None:
@@ -212,17 +195,12 @@ def enumerate_shadow_colorings(
 
 
 def enumerate_surface_colorings(
-    SD: SurfaceDiagramData, X: RackTable, jobs: int = 1
+    SD: SurfaceDiagramData, X: RackTable
 ) -> list[SurfaceColoring]:
     """All sheet colorings satisfying every double-curve relation."""
     X.require_quandle()
-    sols = _solve_relations(SD.n_sheets, SD.relations, X, jobs=jobs)
+    sols = _solve_relations(SD.n_sheets, SD.relations, X)
     return [SurfaceColoring(t) for t in sols]
-
-
-def count_surface_colorings(SD: SurfaceDiagramData, X: RackTable) -> int:
-    X.require_quandle()
-    return _solve_relations(SD.n_sheets, SD.relations, X, count_only=True)
 
 
 def lift_coloring(
@@ -243,7 +221,6 @@ def lift_coloring(
         raise DomainError("cochain modulus does not match the extension modulus")
     if len(rho.colors) != D.n_arcs:
         raise DomainError("coloring does not match the diagram")
-    abelian_extension(X, d, phi)  # validates d; table itself not needed below
     n = X.size
     offsets: list[list[tuple[int, int]]] = [[] for _ in range(D.n_arcs)]
     for rel in D.relations:
@@ -274,21 +251,16 @@ def lift_coloring(
             return []
         classes.append(members)
 
-    lifts: list[Coloring] = []
-
-    def build(idx: int, shift: list[int]) -> None:
-        if idx == len(classes):
-            colors = tuple(
-                (base[a] + shift[a]) % d * n + rho.colors[a]  # type: ignore[operator]
-                for a in range(D.n_arcs)
-            )
-            lifts.append(Coloring(colors))
-            return
-        for g in range(d):
-            for a in classes[idx]:
-                shift[a] = g
-            build(idx + 1, shift)
-
-    build(0, [0] * D.n_arcs)
+    class_of = [0] * D.n_arcs
+    for ci, members in enumerate(classes):
+        for a in members:
+            class_of[a] = ci
+    lifts = [
+        Coloring(tuple(
+            (base[a] + shift[class_of[a]]) % d * n + rho.colors[a]  # type: ignore[operator]
+            for a in range(D.n_arcs)
+        ))
+        for shift in itertools.product(range(d), repeat=len(classes))
+    ]
     lifts.sort(key=lambda c: c.colors)
     return lifts

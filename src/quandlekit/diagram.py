@@ -12,9 +12,8 @@ input this reproduces the usual table convention (over-strand from the d-end
 to the b-end means positive).
 
 Co-orientation convention: the normal of an arc is its direction rotated a
-quarter turn; the rotation sense is the build-time constant
-COORIENTATION_CCW, fixed once by calibrating the shadow state sum of the
-right-handed trefoil to 9 + 18t rather than its conjugate.
+quarter turn counterclockwise.  This sense makes the shadow state sum of the
+right-handed trefoil 9 + 18t rather than its conjugate.
 """
 
 from __future__ import annotations
@@ -22,10 +21,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from ._util import content_lines, union_classes
 from .errors import DomainError, NonplanarError, ParseError
-
-# Build-time calibration constant; see the module docstring.
-COORIENTATION_CCW = True
 
 
 @dataclass(frozen=True)
@@ -102,21 +99,8 @@ class Diagram:
                     f"edge {e} must enter one crossing and leave one crossing"
                 )
         # Reject split projections: all edges must be connected via crossings.
-        parent = list(range(self.n_edges))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for c in self.crossings:
-            base = find(c.quad[0])
-            for e in c.quad[1:]:
-                r = find(e)
-                if r != base:
-                    parent[r] = base
-        if len({find(e) for e in range(self.n_edges)}) != 1:
+        links = ((c.quad[0], e) for c in self.crossings for e in c.quad[1:])
+        if len(union_classes(self.n_edges, links)) != 1:
             raise ParseError("split diagrams (disconnected projections) are unsupported")
 
     @property
@@ -130,48 +114,18 @@ class Diagram:
         """Partition of edges into link components."""
         if not self.crossings:
             return ((0,),)
-        parent = list(range(self.n_edges))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a: int, b: int) -> None:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-
-        for c in self.crossings:
-            union(c.under_in, c.under_out)
-            union(c.over_in, c.over_out)
-        groups: dict[int, list[int]] = {}
-        for e in range(self.n_edges):
-            groups.setdefault(find(e), []).append(e)
-        return tuple(tuple(sorted(g)) for g in sorted(groups.values()))
+        strands = [(c.under_in, c.under_out) for c in self.crossings]
+        strands += [(c.over_in, c.over_out) for c in self.crossings]
+        return union_classes(self.n_edges, strands)
 
     @cached_property
     def arcs(self) -> tuple[tuple[int, ...], ...]:
         """Arcs: maximal runs of edges joined through over-passages."""
         if not self.crossings:
             return ((0,),)
-        parent = list(range(self.n_edges))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for c in self.crossings:
-            ra, rb = find(c.over_in), find(c.over_out)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        groups: dict[int, list[int]] = {}
-        for e in range(self.n_edges):
-            groups.setdefault(find(e), []).append(e)
-        return tuple(tuple(sorted(g)) for g in sorted(groups.values()))
+        return union_classes(
+            self.n_edges, ((c.over_in, c.over_out) for c in self.crossings)
+        )
 
     @cached_property
     def arc_of_edge(self) -> tuple[int, ...]:
@@ -261,38 +215,24 @@ class Diagram:
     def relations(self) -> tuple[CrossingRelation, ...]:
         """One crossing relation per crossing, on arc ids.
 
-        With the counterclockwise co-orientation the source under-arc of a
-        positive crossing is the incoming one; flipping the convention swaps
-        source and target everywhere.
+        The source under-arc of a positive crossing is the incoming one, of
+        a negative crossing the outgoing one.
         """
         arc = self.arc_of_edge
         out = []
         for c in self.crossings:
             into, outof = arc[c.under_in], arc[c.under_out]
-            if (c.sign == 1) == COORIENTATION_CCW:
-                src, dst = into, outof
-            else:
-                src, dst = outof, into
+            src, dst = (into, outof) if c.sign == 1 else (outof, into)
             out.append(CrossingRelation(arc[c.over_in], src, dst, c.sign))
         return tuple(out)
 
     @cached_property
     def shadow_weight_regions(self) -> tuple[int, ...]:
         """Per crossing, the face on the source side of both co-orientations."""
-        out = []
-        for c in self.crossings:
-            if COORIENTATION_CCW:
-                if c.sign == 1:
-                    f = self.face_of_dart(c.under_in, -1)
-                else:
-                    f = self.face_of_dart(c.over_in, -1)
-            else:
-                if c.sign == 1:
-                    f = self.face_of_dart(c.under_out, 1)
-                else:
-                    f = self.face_of_dart(c.over_out, 1)
-            out.append(f)
-        return tuple(out)
+        return tuple(
+            self.face_of_dart(c.under_in if c.sign == 1 else c.over_in, -1)
+            for c in self.crossings
+        )
 
     def face_transitions(self) -> tuple[tuple[int, int, int], ...]:
         """Per edge: (source face, target face, arc) across that edge.
@@ -300,14 +240,10 @@ class Diagram:
         The co-orientation points from the source face into the target face,
         so region colors satisfy target = source * arc-color.
         """
-        out = []
-        for e in range(self.n_edges):
-            left, right = self.left_face(e), self.right_face(e)
-            if COORIENTATION_CCW:
-                out.append((right, left, self.arc_of_edge[e]))
-            else:
-                out.append((left, right, self.arc_of_edge[e]))
-        return tuple(out)
+        return tuple(
+            (self.right_face(e), self.left_face(e), self.arc_of_edge[e])
+            for e in range(self.n_edges)
+        )
 
     def writhe(self) -> int:
         return sum(c.sign for c in self.crossings)
@@ -397,7 +333,7 @@ def parse_pd(text: str, name: str | None = None) -> Diagram:
     under-edge, so the under-strand runs a -> c and the over-strand direction
     follows from the edge numbering.
     """
-    body = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    body = "\n".join(content_lines(text))
     quads = [tuple(int(g) for g in m.groups()) for m in _PD_TERM.finditer(body)]
     leftover = _PD_TERM.sub("", body)
     leftover = re.sub(r"\bpd\b", "", leftover)
@@ -421,35 +357,17 @@ def parse_pd(text: str, name: str | None = None) -> Diagram:
 
     # Components from the strand structure; labels must be contiguous per
     # component so the successor along the orientation is well defined.
-    parent = list(range(n_edges + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for a, b, c, d in quads:
-        union(a, c)
-        union(b, d)
-    comps: dict[int, list[int]] = {}
-    for e in range(1, n_edges + 1):
-        comps.setdefault(find(e), []).append(e)
+    strands = [(a - 1, c - 1) for a, _, c, _ in quads]
+    strands += [(b - 1, d - 1) for _, b, _, d in quads]
     succ: dict[int, int] = {}
-    for group in comps.values():
-        group.sort()
-        lo, hi = group[0], group[-1]
+    for group in union_classes(n_edges, strands):
+        lo, hi = group[0] + 1, group[-1] + 1
         if hi - lo + 1 != len(group):
             raise ParseError(
                 "component edge labels are not contiguous; renumber each "
                 "component 1..2m along its orientation"
             )
-        for e in group:
+        for e in range(lo, hi + 1):
             succ[e] = lo if e == hi else e + 1
 
     crossings = []
@@ -552,19 +470,7 @@ def braid_closure(braid: BraidWord, name: str | None = None) -> Diagram:
             return Diagram(1, (), name=name or "unknot")
         raise DomainError("closure of an empty braid on several strands is split")
     # All strand positions must interact, else the closure is a split diagram.
-    parent = list(range(s + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, _ in braid.letters:
-        ra, rb = find(i), find(i + 1)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    if len({find(p) for p in range(1, s + 1)}) != 1:
+    if len(union_classes(s, ((i - 1, i) for i, _ in braid.letters))) != 1:
         raise DomainError(
             "some strands never cross the others; the closure would be a "
             "split diagram, which is unsupported"
@@ -656,11 +562,7 @@ class SurfaceDiagramData:
 
 def parse_surface(text: str, name: str | None = None) -> SurfaceDiagramData:
     """Parse the surface format: 'surface', 'sheets <n>', 'dc i j k', 'tp i j k s'."""
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
+    lines = content_lines(text)
     if not lines or lines[0].split() != ["surface"]:
         raise ParseError("expected 'surface' header")
     if len(lines) < 2 or lines[1].split()[0] != "sheets":

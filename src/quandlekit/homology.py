@@ -13,11 +13,12 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import gcd, prod
 from typing import Iterable, Mapping, Sequence
 
 from . import snf
+from ._util import content_lines
 from .algebra import RackTable
 from .errors import BudgetError, DomainError, ParseError
 
@@ -35,6 +36,27 @@ def basis_budget() -> int:
         return int(raw)
     except ValueError:
         raise ParseError(f"bad {_BUDGET_ENV} value {raw!r}") from None
+
+
+def _budget_cache(fn):
+    """Cache ``fn`` per value of the budget variable as well as per argument.
+
+    A result stored under one budget is never handed out under another, so
+    every call raises BudgetError exactly when a call on an empty cache
+    would.  The key is the raw string, so the lookup cannot raise; ``fn``
+    parses it after its theory check.
+    """
+    cached = lru_cache(maxsize=None)(
+        lambda budget, *args, **kwargs: fn(*args, **kwargs)
+    )
+
+    @wraps(fn)
+    def wrapper(*args, **kwargs):
+        return cached(os.environ.get(_BUDGET_ENV), *args, **kwargs)
+
+    wrapper.cache_clear = cached.cache_clear
+    wrapper.cache_info = cached.cache_info
+    return wrapper
 
 
 def _is_degenerate(t: tuple[int, ...]) -> bool:
@@ -63,7 +85,7 @@ def _check_theory(X: RackTable, theory: str) -> None:
         raise DomainError(f"theory {theory} needs a quandle; {X.label} is only a rack")
 
 
-@lru_cache(maxsize=None)
+@_budget_cache
 def chain_basis(X: RackTable, n: int, theory: str) -> ChainBasis:
     """Canonical (lexicographic) basis of C_n for the given theory."""
     _check_theory(X, theory)
@@ -121,7 +143,7 @@ class BoundaryMatrix:
         return [list(r) for r in self.rows]
 
 
-@lru_cache(maxsize=None)
+@_budget_cache
 def boundary_matrix(X: RackTable, n: int, theory: str = "R") -> BoundaryMatrix:
     """The boundary C_n -> C_{n-1}; zero for n <= 1 by convention."""
     _check_theory(X, theory)
@@ -250,7 +272,7 @@ def _factorint(n: int) -> dict[int, int]:
 # --- homology -------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@_budget_cache
 def homology(X: RackTable, n: int, theory: str = "R") -> AbelianGroup:
     """Integral homology H_n = ker d_n / im d_{n+1} via Smith normal form.
 
@@ -276,7 +298,7 @@ def homology(X: RackTable, n: int, theory: str = "R") -> AbelianGroup:
     return AbelianGroup(free, tuple(torsion))
 
 
-@lru_cache(maxsize=None)
+@_budget_cache
 def homology_mod(X: RackTable, n: int, theory: str, p: int) -> int:
     """Direct dimension of H_n(X; Z_p) for prime p, via GF(p) ranks."""
     if not _is_prime(p):
@@ -599,11 +621,7 @@ def structure_report(X: RackTable, n_max: int) -> StructureReport:
 
 def parse_cochain(text: str) -> Cochain:
     """Parse the cochain format: 'cochain <degree> <modulus>' then value lines."""
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
+    lines = content_lines(text)
     if not lines:
         raise ParseError("empty cochain file")
     head = lines[0].split()

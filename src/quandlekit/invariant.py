@@ -156,37 +156,36 @@ def per_coloring_weight(target, X: RackTable, cochain: Cochain, coloring) -> int
 
 
 def state_sum_2(
-    D: Diagram, X: RackTable, phi: Cochain, *, check: bool = True, jobs: int = 1
+    D: Diagram, X: RackTable, phi: Cochain, *, check: bool = True
 ) -> GroupRingElement:
     """The 2-cocycle state sum over all colorings of D by X."""
     _require_cocycle(X, phi, 2, check)
     d = phi.modulus
     coeffs = [0] * d
-    for rho in enumerate_colorings(D, X, jobs=jobs):
+    for rho in enumerate_colorings(D, X):
         coeffs[coloring_weight(D, X, phi, rho)] += 1
     return GroupRingElement(d, tuple(coeffs))
 
 
 def state_sum_shadow(
-    D: Diagram, X: RackTable, theta: Cochain, *, check: bool = True, jobs: int = 1
+    D: Diagram, X: RackTable, theta: Cochain, *, check: bool = True
 ) -> GroupRingElement:
     """The 3-cocycle state sum over all shadow colorings of D by X."""
     _require_cocycle(X, theta, 3, check)
     d = theta.modulus
     coeffs = [0] * d
-    for shadow in enumerate_shadow_colorings(D, X, jobs=jobs):
+    for shadow in enumerate_shadow_colorings(D, X):
         coeffs[shadow_weight(D, X, theta, shadow)] += 1
     return GroupRingElement(d, tuple(coeffs))
 
 
 def state_sum_surface(
-    SD: SurfaceDiagramData, X: RackTable, theta: Cochain, *, check: bool = True,
-    jobs: int = 1,
+    SD: SurfaceDiagramData, X: RackTable, theta: Cochain, *, check: bool = True
 ) -> GroupRingElement:
     """The triple-point state sum over all colorings of the surface data."""
     _require_cocycle(X, theta, 3, check)
     d = theta.modulus
     coeffs = [0] * d
-    for rho in enumerate_surface_colorings(SD, X, jobs=jobs):
+    for rho in enumerate_surface_colorings(SD, X):
         coeffs[surface_weight(SD, theta, rho)] += 1
     return GroupRingElement(d, tuple(coeffs))

@@ -300,15 +300,3 @@ def mod_nullspace(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
             vec[pj] = (-rref[r][j]) % p
         basis.append(vec)
     return basis
-
-
-def mod_reduce_against(
-    rref: list[list[int]], pivots: list[int], vec: list[int], p: int
-) -> list[int]:
-    """Reduce vec modulo the row space spanned by an rref basis."""
-    out = [v % p for v in vec]
-    for row, j in zip(rref, pivots):
-        if out[j]:
-            f = out[j]
-            out = [(a - f * b) % p for a, b in zip(out, row)]
-    return out

@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 from importlib import resources
 
+from ._util import content_lines
 from .algebra import RackTable, make_alexander, make_dihedral, make_trivial, parse_rack_table
 from .diagram import (
     BraidWord,
@@ -120,11 +121,7 @@ def resolve_diagram(
 
 
 def parse_diagram_text(text: str, name: str | None = None) -> Diagram | SurfaceDiagramData:
-    stripped = [
-        line.split("#", 1)[0].strip()
-        for line in text.splitlines()
-        if line.split("#", 1)[0].strip()
-    ]
+    stripped = content_lines(text)
     if not stripped:
         raise ParseError("empty diagram file")
     head = stripped[0].split()[0]

@@ -4,6 +4,7 @@ from quandlekit import (
     Cochain,
     DomainError,
     NonCocycleError,
+    SurfaceDiagramData,
     braid_closure,
     coboundary,
     count_colorings,
@@ -56,7 +57,6 @@ def test_count_matches_enumerate(small_diagrams, small_quandles):
 def test_deterministic_lexicographic_order(trefoil, r3):
     cols = [c.colors for c in enumerate_colorings(trefoil, r3)]
     assert cols == sorted(cols)
-    assert enumerate_colorings(trefoil, r3, jobs=4) == enumerate_colorings(trefoil, r3)
 
 
 def test_enumeration_matches_brute_force(small_diagrams, small_quandles):
@@ -137,6 +137,12 @@ def test_surface_trivial_quandle_components():
     data = parse_surface("surface\nsheets 4\ndc 1 2 3\ndc 2 1 4\n")
     T3 = make_trivial(3)
     assert len(enumerate_surface_colorings(data, T3)) == 27  # {1,2} fused, 3, 4
+
+
+def test_search_depth_is_not_bounded_by_recursion():
+    # one branch point per free sheet, far beyond the interpreter's recursion limit
+    cols = enumerate_surface_colorings(SurfaceDiagramData(3000, (), ()), make_trivial(1))
+    assert [c.colors for c in cols] == [(0,) * 3000]
 
 
 # --- lifting to extensions ----------------------------------------------------------

@@ -262,6 +262,11 @@ def test_parse_surface_examples():
     assert sphere.n_sheets == 1
     data = parse_surface("surface\nsheets 3\ndc 1 3 2\n")
     assert data.relations == ((0, 2, 1),)
+    # comments and blank lines are fine
+    commented = parse_surface(
+        "# a chain\nsurface  # header\n\nsheets 3\n  \ndc 1 3 2 # j = i * k\n# end\n"
+    )
+    assert commented == data
     with pytest.raises(ParseError, match="undeclared"):
         parse_surface("surface\nsheets 3\ntp 1 2 9 +\n")
     with pytest.raises(ParseError):

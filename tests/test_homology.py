@@ -173,6 +173,39 @@ def test_budget_guard():
         del os.environ["QUANDLEKIT_BUDGET"]
 
 
+def test_budget_guard_ignores_warm_cache(monkeypatch, r3):
+    cached = (chain_basis, boundary_matrix, homology, homology_mod)
+    calls = [
+        (chain_basis, (r3, 6, "Q")),
+        (boundary_matrix, (r3, 5, "Q")),
+        (homology, (r3, 4, "Q")),
+        (homology_mod, (r3, 4, "Q", 3)),
+        (homology, (r3, 0, "Q")),
+    ]
+
+    def outcomes():
+        out = []
+        for fn, args in calls:
+            try:
+                out.append(fn(*args))
+            except BudgetError:
+                out.append(BudgetError)
+        return out
+
+    monkeypatch.setenv("QUANDLEKIT_BUDGET", "100000")
+    warm = outcomes()
+    assert BudgetError not in warm
+    for budget in ("10", "100000"):
+        monkeypatch.setenv("QUANDLEKIT_BUDGET", budget)
+        on_warm_cache = outcomes()
+        for fn in cached:
+            fn.cache_clear()
+        assert on_warm_cache == outcomes(), budget
+    assert on_warm_cache == warm
+    monkeypatch.setenv("QUANDLEKIT_BUDGET", "10")
+    assert outcomes()[:4] == [BudgetError] * 4
+
+
 # --- abelian group values ---------------------------------------------------------------
 
 
