@@ -126,10 +126,15 @@ def _cmd_color(args: argparse.Namespace) -> int:
         colorings = enumerate_shadow_colorings(target, X)
         label = "shadow-colorings"
     else:
-        colorings = enumerate_colorings(target, X)
         label = "colorings"
         if X.is_rack and not X.is_quandle:
             print("note: rack colorings are framed-diagram data only")
+        if not (args.list or args.surjective):
+            count = count_colorings(target, X)
+            print(f"{label}: {count}")
+            print(f"#data {label} {count}")
+            return 0
+        colorings = enumerate_colorings(target, X)
     if args.surjective:
         colorings = [c for c in colorings if set(c.colors) == set(range(X.size))]
     print(f"{label}: {len(colorings)}")

@@ -3,9 +3,12 @@
 Three theories share one boundary formula: R uses all n-tuples, D the
 degenerate ones (some adjacent repeat), and Q the quotient R/D, realized here
 on the complement basis of non-degenerate tuples with degenerate terms
-projected away.  Integral homology goes through exact Smith normal form;
-cohomology with coefficients in Z_d goes through prime-field elimination when
-d is prime and through integer lifts otherwise.
+projected away.  Integral homology is read off the Smith diagonals of the two
+boundary maps at each degree: ker d_n is a direct summand of C_n, so H_n has
+the torsion of coker d_{n+1} and free rank dim C_n - rank d_n - rank d_{n+1}.
+Cocycle generators with coefficients in Z_d come from prime-field elimination
+when d is prime and from integer lifts otherwise; coboundary membership mod d
+compares the orders of two cokernels tensored with Z_d, for every d.
 """
 
 from __future__ import annotations
@@ -139,9 +142,6 @@ class BoundaryMatrix:
     def ncols(self) -> int:
         return len(self.domain)
 
-    def as_lists(self) -> list[list[int]]:
-        return [list(r) for r in self.rows]
-
 
 @_budget_cache
 def boundary_matrix(X: RackTable, n: int, theory: str = "R") -> BoundaryMatrix:
@@ -274,10 +274,11 @@ def _factorint(n: int) -> dict[int, int]:
 
 @_budget_cache
 def homology(X: RackTable, n: int, theory: str = "R") -> AbelianGroup:
-    """Integral homology H_n = ker d_n / im d_{n+1} via Smith normal form.
+    """Integral homology H_n = ker d_n / im d_{n+1} from two Smith diagonals.
 
-    The quotient is computed as the cokernel of [d_{n+1} | complement of
-    ker d_n], which avoids rewriting image vectors in a kernel basis.
+    C_n / ker d_n is isomorphic to im d_n, which is free, so ker d_n is a
+    direct summand of C_n.  Hence H_n has the torsion of coker d_{n+1} and
+    free rank dim C_n - rank d_n - rank d_{n+1}; no kernel basis is built.
     """
     _check_theory(X, theory)
     basis_n = chain_basis(X, n, theory)
@@ -286,16 +287,10 @@ def homology(X: RackTable, n: int, theory: str = "R") -> AbelianGroup:
         return AbelianGroup(0)
     lower = boundary_matrix(X, n, theory)
     upper = boundary_matrix(X, n + 1, theory)
-    _, complement = snf.kernel_complement(lower.as_lists(), lower.nrows, lower.ncols)
-    cols: list[list[int]] = []
-    for j in range(upper.ncols):
-        col = [upper.rows[i][j] for i in range(dim)]
-        if any(col):
-            cols.append(col)
-    cols.extend(complement)
-    mat = [[col[i] for col in cols] for i in range(dim)]
-    free, torsion = snf.cokernel_invariants(mat, dim, len(cols))
-    return AbelianGroup(free, tuple(torsion))
+    lower_free, _ = snf.cokernel_invariants(lower.rows, lower.nrows, dim)
+    rank_lower = lower.nrows - lower_free
+    upper_free, torsion = snf.cokernel_invariants(upper.rows, dim, upper.ncols)
+    return AbelianGroup(upper_free - rank_lower, tuple(torsion))
 
 
 @_budget_cache
@@ -309,8 +304,8 @@ def homology_mod(X: RackTable, n: int, theory: str, p: int) -> int:
         return 0
     lower = boundary_matrix(X, n, theory)
     upper = boundary_matrix(X, n + 1, theory)
-    rank_lower = snf.mod_rank(lower.as_lists(), lower.ncols, p) if lower.nrows else 0
-    rank_upper = snf.mod_rank(upper.as_lists(), upper.ncols, p) if upper.ncols else 0
+    rank_lower = snf.mod_rank(lower.rows, lower.ncols, p) if lower.nrows else 0
+    rank_upper = snf.mod_rank(upper.rows, upper.ncols, p) if upper.ncols else 0
     return len(basis_n) - rank_lower - rank_upper
 
 
@@ -411,8 +406,15 @@ class CocycleCheck:
 
 
 def is_cocycle(X: RackTable, phi: Cochain, theory: str = "Q") -> CocycleCheck:
-    """Does phi vanish on boundaries (and, for theory Q, on degenerate tuples)?"""
+    """Does phi vanish on boundaries (and, for theory Q, on degenerate tuples)?
+
+    A cochain with a nonzero value on a tuple that names an element outside
+    X is not a cochain of X, so it is rejected before any other check.
+    """
     _check_theory(X, theory)
+    for t in phi.values:
+        if not all(0 <= x < X.size for x in t):
+            return CocycleCheck(False, "entry outside the quandle", t)
     if theory == "Q":
         bad = phi.vanishes_on_degenerate()
         if bad is not None:
@@ -482,21 +484,21 @@ class CochainSpaces:
         ]
 
     def contains_coboundary(self, phi: Cochain) -> bool:
-        """Is phi a coboundary mod d?  Exact for every modulus."""
+        """Is phi a coboundary mod d?  Exact for every modulus.
+
+        The coboundaries are rowspan(d_n) mod d.  With rank r and invariant
+        factors e_i of d_n, (Z^dim / rowspan(d_n)) (x) Z_d has order
+        d^(dim - r) * prod gcd(e_i, d); phi lies in rowspan(d_n) + d Z^dim
+        exactly when appending phi as a row leaves that order unchanged.
+        """
         down = boundary_matrix(self.X, self.degree, self.theory)
-        # Solve delta(mu) + d*z = phi over the integers: the matrix has one
-        # column per degree-(n-1) basis tuple (transposed boundary) plus d*I.
-        dim = len(self.basis)
-        cols: list[list[int]] = []
-        for i in range(down.nrows):
-            cols.append([down.rows[i][j] for j in range(dim)])
-        for j in range(dim):
-            col = [0] * dim
-            col[j] = self.modulus
-            cols.append(col)
-        mat = [[col[i] for col in cols] for i in range(dim)]
-        target = phi.vector(self.basis)
-        return snf.solve(mat, dim, len(cols), target) is not None
+        dim, d = len(self.basis), self.modulus
+        orders = []
+        for rows in (down.rows, down.rows + (phi.vector(self.basis),)):
+            free, torsion = snf.cokernel_invariants(rows, len(rows), dim)
+            rank = len(rows) - free
+            orders.append(d ** (dim - rank) * prod(gcd(e, d) for e in torsion))
+        return orders[0] == orders[1]
 
 
 def _is_prime(d: int) -> bool:
@@ -523,13 +525,13 @@ def cohomology(X: RackTable, n: int, theory: str, d: int) -> CochainSpaces:
     if prime:
         # delta_n is the transpose of the boundary below; its kernel mod d is
         # the cocycle space, and the row space of d_n is the coboundary space.
-        delta = snf.transpose(up.as_lists(), up.nrows, up.ncols)
+        delta = snf.transpose(up.rows, up.nrows, up.ncols)
         cocycles = snf.mod_nullspace(delta, dim, d) if dim else []
-        _, _, rref = snf.mod_rref(down.as_lists(), down.ncols, d)
+        _, _, rref = snf.mod_rref(down.rows, down.ncols, d)
         coboundaries = [row for row in rref if any(row)]
     else:
         # Integer lift: kernel of [delta | d*I] projected to cochain coords.
-        delta = snf.transpose(up.as_lists(), up.nrows, up.ncols)
+        delta = snf.transpose(up.rows, up.nrows, up.ncols)
         nrows = len(delta)
         if nrows == 0:
             cocycles = [[int(i == j) for i in range(dim)] for j in range(dim)]

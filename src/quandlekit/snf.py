@@ -1,15 +1,21 @@
 """Exact integer matrix routines: Smith normal form, kernels, GF(p) elimination.
 
-Matrices are dense lists of row lists of Python ints, so everything is exact
-and overflow-free.  The matrices that show up here are chain boundary maps of
-small quandles (a few hundred rows/columns at most), so clarity wins over
-asymptotics; pivots are chosen by minimal absolute value to keep entry growth
-down.
+Matrices are dense sequences of row sequences of Python ints, so everything is
+exact and overflow-free.  The matrices that show up here are chain boundary
+maps of small quandles (a few hundred rows/columns at most), so clarity wins
+over asymptotics; pivots are chosen by minimal absolute value to keep entry
+growth down.
+
+Integral homology and coboundary membership need only the Smith diagonal of
+each boundary map (its rank and invariant factors), which
+``cokernel_invariants`` returns; the column transform is carried only when a
+kernel basis is asked for, by ``kernel_complement``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -33,8 +39,7 @@ class SmithForm:
     rank: int
     nrows: int
     ncols: int
-    row_ops: list[list[int]] | None  # S with S @ A @ T diagonal
-    col_ops: list[list[int]] | None  # T
+    col_ops: list[list[int]] | None  # T with S @ A @ T diagonal for some unimodular S
 
 
 def _identity(n: int) -> list[list[int]]:
@@ -42,26 +47,24 @@ def _identity(n: int) -> list[list[int]]:
 
 
 def smith_normal_form(
-    rows: list[list[int]],
+    rows: Sequence[Sequence[int]],
     nrows: int,
     ncols: int,
     *,
-    want_row_ops: bool = False,
     want_col_ops: bool = False,
 ) -> SmithForm:
     """Diagonalize an integer matrix by unimodular row/column operations.
 
     Returns the diagonal with the divisibility chain enforced, plus the
-    accumulated transforms when requested (S @ A @ T equals the diagonal
-    matrix).
+    accumulated column transform T when requested (S @ A @ T equals the
+    diagonal matrix for some unimodular S, which is not kept).
     """
-    d = [row[:] for row in rows]
+    d = [list(row) for row in rows]
     for row in d:
         if len(row) != ncols:
             raise ValueError("ragged matrix")
     if len(d) != nrows:
         raise ValueError("row count mismatch")
-    s = _identity(nrows) if want_row_ops else None
     t = _identity(ncols) if want_col_ops else None
 
     def row_combine(k: int, i: int, j: int) -> None:
@@ -73,19 +76,12 @@ def smith_normal_form(
             q = b // a
             rk, ri = d[k], d[i]
             d[i] = [x - q * y for x, y in zip(ri, rk)]
-            if s is not None:
-                sk, si = s[k], s[i]
-                s[i] = [x - q * y for x, y in zip(si, sk)]
             return
         g, x, y = xgcd(a, b)
         ag, bg = a // g, b // g
         rk, ri = d[k], d[i]
         d[k] = [x * u + y * v for u, v in zip(rk, ri)]
         d[i] = [-bg * u + ag * v for u, v in zip(rk, ri)]
-        if s is not None:
-            sk, si = s[k], s[i]
-            s[k] = [x * u + y * v for u, v in zip(sk, si)]
-            s[i] = [-bg * u + ag * v for u, v in zip(sk, si)]
 
     def col_combine(k: int, j: int, i: int) -> None:
         # Zero d[i][j] against pivot column k.
@@ -115,8 +111,6 @@ def smith_normal_form(
     def swap_rows(i: int, j: int) -> None:
         if i != j:
             d[i], d[j] = d[j], d[i]
-            if s is not None:
-                s[i], s[j] = s[j], s[i]
 
     def swap_cols(i: int, j: int) -> None:
         if i != j:
@@ -163,8 +157,6 @@ def smith_normal_form(
     for i in range(rank):
         if d[i][i] < 0:
             d[i] = [-x for x in d[i]]
-            if s is not None:
-                s[i] = [-x for x in s[i]]
 
     # Enforce the divisibility chain d[i] | d[i+1].
     i = 0
@@ -184,20 +176,16 @@ def smith_normal_form(
         row_combine(i, i + 1, i)
         if d[i][i] < 0:
             d[i] = [-x for x in d[i]]
-            if s is not None:
-                s[i] = [-x for x in s[i]]
         if d[i + 1][i + 1] < 0:
             d[i + 1] = [-x for x in d[i + 1]]
-            if s is not None:
-                s[i + 1] = [-x for x in s[i + 1]]
         i = max(i - 1, 0)
 
     diag = [d[i][i] for i in range(min(nrows, ncols))]
-    return SmithForm(diag=diag, rank=rank, nrows=nrows, ncols=ncols, row_ops=s, col_ops=t)
+    return SmithForm(diag=diag, rank=rank, nrows=nrows, ncols=ncols, col_ops=t)
 
 
 def kernel_complement(
-    rows: list[list[int]], nrows: int, ncols: int
+    rows: Sequence[Sequence[int]], nrows: int, ncols: int
 ) -> tuple[list[list[int]], list[list[int]]]:
     """Integer kernel basis of A, plus columns completing it to a basis of Z^ncols.
 
@@ -217,9 +205,13 @@ def kernel_complement(
 
 
 def cokernel_invariants(
-    rows: list[list[int]], nrows: int, ncols: int
+    rows: Sequence[Sequence[int]], nrows: int, ncols: int
 ) -> tuple[int, list[int]]:
-    """Free rank and invariant factors (> 1) of Z^nrows / colspan(A)."""
+    """Free rank and invariant factors (> 1) of Z^nrows / colspan(A).
+
+    The rank of A is nrows minus the free rank.  A and its transpose share
+    the Smith diagonal, so the same factors describe Z^ncols / rowspan(A).
+    """
     if ncols == 0:
         return nrows, []
     sf = smith_normal_form(rows, nrows, ncols)
@@ -227,30 +219,7 @@ def cokernel_invariants(
     return nrows - sf.rank, torsion
 
 
-def solve(
-    rows: list[list[int]], nrows: int, ncols: int, target: list[int]
-) -> list[int] | None:
-    """One integer solution z of A z = target, or None if there is none."""
-    if len(target) != nrows:
-        raise ValueError("target length mismatch")
-    if nrows == 0:
-        return [0] * ncols
-    sf = smith_normal_form(rows, nrows, ncols, want_row_ops=True, want_col_ops=True)
-    assert sf.row_ops is not None and sf.col_ops is not None
-    c = [sum(srow[i] * target[i] for i in range(nrows)) for srow in sf.row_ops]
-    w = [0] * ncols
-    for i in range(nrows):
-        if i < sf.rank:
-            if c[i] % sf.diag[i]:
-                return None
-            w[i] = c[i] // sf.diag[i]
-        elif c[i] != 0:
-            return None
-    t = sf.col_ops
-    return [sum(t[i][j] * w[j] for j in range(ncols)) for i in range(ncols)]
-
-
-def transpose(rows: list[list[int]], nrows: int, ncols: int) -> list[list[int]]:
+def transpose(rows: Sequence[Sequence[int]], nrows: int, ncols: int) -> list[list[int]]:
     return [[rows[i][j] for i in range(nrows)] for j in range(ncols)]
 
 
@@ -258,7 +227,7 @@ def transpose(rows: list[list[int]], nrows: int, ncols: int) -> list[list[int]]:
 
 
 def mod_rref(
-    rows: list[list[int]], ncols: int, p: int
+    rows: Sequence[Sequence[int]], ncols: int, p: int
 ) -> tuple[int, list[int], list[list[int]]]:
     """Reduced row echelon form over GF(p): (rank, pivot columns, rows)."""
     mat = [[v % p for v in row] for row in rows]
@@ -282,11 +251,11 @@ def mod_rref(
     return r, pivots, mat[:r]
 
 
-def mod_rank(rows: list[list[int]], ncols: int, p: int) -> int:
+def mod_rank(rows: Sequence[Sequence[int]], ncols: int, p: int) -> int:
     return mod_rref(rows, ncols, p)[0]
 
 
-def mod_nullspace(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
+def mod_nullspace(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list[list[int]]:
     """Basis of the right nullspace over GF(p), as vectors of length ncols."""
     rank, pivots, rref = mod_rref(rows, ncols, p)
     pivot_set = set(pivots)

@@ -2,8 +2,9 @@ import os
 
 import pytest
 
+from quandlekit import cli
 from quandlekit.cli import main
-from quandlekit.specs import bundled_path
+from quandlekit.specs import bundled_path, read_data_file
 
 
 def run(capsys, *argv):
@@ -78,6 +79,17 @@ def test_color_unknot(capsys):
     code, out, _ = run(capsys, "color", "unknot.pd", "dihedral:5", "--count")
     assert code == 0
     assert "colorings: 5" in out
+
+
+def test_color_count_does_not_enumerate(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("a count must not build the coloring list")
+
+    monkeypatch.setattr(cli, "enumerate_colorings", refuse)
+    code, out, _ = run(capsys, "color", "trefoil.pd", "dihedral:3")
+    assert code == 0
+    assert payload(out) == ["colorings: 9"]
+    assert "#data colorings 9" in out
 
 
 def test_color_list_and_surjective(capsys):
@@ -175,6 +187,21 @@ def test_invariant_non_cocycle(tmp_path, capsys):
     assert "not a knot invariant" in out
 
 
+def test_invariant_rejects_entry_outside_quandle(tmp_path, capsys):
+    bad = tmp_path / "bad.cochain"
+    bad.write_text("cochain 2 3\n0 -1 1\n")
+    code, out, err = run(capsys, "invariant", "trefoil.pd", "dihedral:3", str(bad))
+    assert code == 1
+    assert "entry outside the quandle" in err
+    assert "#data invariant" not in out
+    code, out, _ = run(
+        capsys, "invariant", "trefoil.pd", "dihedral:3", str(bad),
+        "--unsafe-no-cocycle-check",
+    )
+    assert code == 0
+    assert "not a knot invariant" in out
+
+
 def test_invariant_needs_some_diagram(capsys):
     code, _, err = run(capsys, "invariant", "dihedral:3", "theta_R3.cochain")
     assert code == 2
@@ -261,6 +288,17 @@ def test_cocycles_verify_non_cocycle(tmp_path, capsys):
     )
     assert code == 1
     assert "cocycle: no" in out
+
+
+def test_cocycles_verify_rejects_entry_outside_quandle(tmp_path, capsys):
+    bad = tmp_path / "bad.cochain"
+    bad.write_text(read_data_file("theta_R3.cochain") + "7 8 9 1\n")
+    code, out, _ = run(
+        capsys, "cocycles", "dihedral:3", "--degree", "3", "--mod", "3", "--verify", str(bad)
+    )
+    assert code == 1
+    assert "cocycle: no (entry outside the quandle at (7,8,9))" in out
+    assert "#data verify 0 -" in out
 
 
 def test_cocycles_dimensions(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import os
 
 import pytest
@@ -8,6 +9,9 @@ from quandlekit import (
     BudgetError,
     Cochain,
     DomainError,
+    enumerate_colorings,
+    lift_coloring,
+    NonCocycleError,
     ParseError,
     boundary_matrix,
     chain_basis,
@@ -21,11 +25,13 @@ from quandlekit import (
     make_dihedral,
     make_trivial,
     parse_cochain,
+    state_sum_2,
+    state_sum_shadow,
     structure_report,
     uct_mod_dimension,
 )
 from quandlekit.homology import format_cochain
-from quandlekit.specs import read_data_file
+from quandlekit.specs import read_data_file, resolve_rack
 
 from conftest import THETA_VALUES
 
@@ -334,6 +340,50 @@ def test_composite_modulus_cohomology():
         assert is_cocycle(T2, phi, "Q").ok
     with pytest.raises(DomainError):
         spaces.cocycle_dimension
+
+
+@pytest.mark.parametrize(
+    "spec, n, d",
+    [
+        ("dihedral:3", 2, 3),
+        ("dihedral:3", 2, 6),
+        ("dihedral:4", 2, 4),
+        ("alexander:2:1,1,1:0,1", 2, 4),
+        ("dihedral:3", 3, 3),
+    ],
+)
+def test_contains_coboundary_matches_brute_force(spec, n, d):
+    # Oracle: delta(mu) for every mu in Z_d^{C_{n-1}^Q}.
+    X = resolve_rack(spec)
+    lower = chain_basis(X, n - 1, "Q")
+    basis = chain_basis(X, n, "Q")
+    coboundaries = {
+        tuple(coboundary(X, Cochain.from_vector(n - 1, d, lower, mu), "Q").vector(basis))
+        for mu in itertools.product(range(d), repeat=len(lower))
+    }
+    spaces = cohomology(X, n, "Q", d)
+    listed = spaces.cocycles()
+    sums = [a + b for a, b in itertools.combinations_with_replacement(listed, 2)]
+    for phi in listed + sums:
+        assert spaces.contains_coboundary(phi) == (tuple(phi.vector(basis)) in coboundaries)
+
+
+def test_cochain_outside_the_quandle_is_rejected(r3, trefoil, theta):
+    bad = Cochain(3, 3, {**THETA_VALUES, (7, 8, 9): 1})
+    chk = is_cocycle(r3, bad, "Q")
+    assert not chk.ok
+    assert (chk.reason, chk.witness) == ("entry outside the quandle", (7, 8, 9))
+    outside = Cochain(2, 3, {(0, -1): 1})
+    assert not is_cocycle(r3, outside, "R").ok
+    with pytest.raises(NonCocycleError):
+        state_sum_2(trefoil, r3, outside)
+    with pytest.raises(NonCocycleError):
+        lift_coloring(trefoil, r3, enumerate_colorings(trefoil, r3)[0], 3, outside)
+    with pytest.raises(NonCocycleError):
+        state_sum_shadow(trefoil, r3, bad)
+    assert state_sum_shadow(trefoil, r3, bad, check=False) == state_sum_shadow(
+        trefoil, r3, theta
+    )
 
 
 # --- cochain file format ------------------------------------------------------------------

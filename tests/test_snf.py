@@ -1,3 +1,6 @@
+import itertools
+from math import gcd, prod
+
 from hypothesis import given, settings, strategies as st
 
 from quandlekit.snf import (
@@ -7,7 +10,6 @@ from quandlekit.snf import (
     mod_rank,
     mod_rref,
     smith_normal_form,
-    solve,
     xgcd,
 )
 
@@ -17,6 +19,43 @@ def matmul(a, b):
         [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
         for i in range(len(a))
     ]
+
+
+def det(m):
+    """Leibniz determinant; the test matrices are at most 4x4."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        total += (-1) ** inversions * prod(m[i][p] for i, p in enumerate(perm))
+    return total
+
+
+def determinantal_divisors(a, m, n):
+    """D_k = gcd of all k x k minors of a, for k = 1 .. min(m, n)."""
+    out = []
+    for k in range(1, min(m, n) + 1):
+        g = 0
+        for rows in itertools.combinations(range(m), k):
+            for cols in itertools.combinations(range(n), k):
+                g = gcd(g, det([[a[i][j] for j in cols] for i in rows]))
+        out.append(g)
+    return out
+
+
+def check_smith_form(a, m, n):
+    """diag against the determinantal divisors; T unimodular, last columns of A T zero."""
+    sf = smith_normal_form(a, m, n, want_col_ops=True)
+    assert len(sf.diag) == min(m, n)
+    assert all(v >= 0 for v in sf.diag)
+    for k, divisor in enumerate(determinantal_divisors(a, m, n)):
+        assert prod(sf.diag[: k + 1]) == divisor
+    assert sf.rank == sum(1 for v in sf.diag if v)
+    chain = sf.diag[: sf.rank]
+    assert all(b % a2 == 0 for a2, b in zip(chain, chain[1:]))
+    t = sf.col_ops
+    assert abs(det(t)) == 1
+    for row in matmul(a, t):
+        assert not any(row[sf.rank :])
 
 
 def test_xgcd():
@@ -36,13 +75,9 @@ def test_smith_form_known_matrix():
 
 def test_smith_transforms_diagonalize():
     a = [[6, 4, 2], [2, 8, 4]]
-    sf = smith_normal_form(a, 2, 3, want_row_ops=True, want_col_ops=True)
-    d = matmul(matmul(sf.row_ops, a), sf.col_ops)
-    for i in range(2):
-        for j in range(3):
-            assert d[i][j] == (sf.diag[i] if i == j else 0)
-    for i in range(sf.rank - 1):
-        assert sf.diag[i + 1] % sf.diag[i] == 0
+    assert smith_normal_form(a, 2, 3).diag == [2, 10]
+    check_smith_form(a, 2, 3)
+    check_smith_form(((2, 4), (6, 8)), 2, 2)  # tuple rows are accepted
 
 
 @settings(max_examples=60, deadline=None)
@@ -56,13 +91,7 @@ def test_smith_form_random(m, n, data):
         [data.draw(st.integers(-6, 6)) for _ in range(n)]
         for _ in range(m)
     ]
-    sf = smith_normal_form(a, m, n, want_row_ops=True, want_col_ops=True)
-    d = matmul(matmul(sf.row_ops, a), sf.col_ops)
-    for i in range(m):
-        for j in range(n):
-            assert d[i][j] == (sf.diag[i] if i == j and i < len(sf.diag) else 0)
-    chain = [v for v in sf.diag if v]
-    assert all(b % a2 == 0 for a2, b in zip(chain, chain[1:]))
+    check_smith_form(a, m, n)
 
 
 def test_kernel_complement():
@@ -84,15 +113,6 @@ def test_cokernel_invariants():
     assert free == 1 and torsion == [2]
     free, torsion = cokernel_invariants([], 0, 0)
     assert free == 0 and torsion == []
-
-
-def test_solve():
-    a = [[2, 0], [0, 3]]
-    assert solve(a, 2, 2, [4, 9]) == [2, 3]
-    assert solve(a, 2, 2, [1, 0]) is None
-    assert solve([[1, 1]], 1, 2, [5]) in ([5, 0], [0, 5], [2, 3], [3, 2], [4, 1], [1, 4])
-    z = solve([[1, 1]], 1, 2, [5])
-    assert z[0] + z[1] == 5
 
 
 def test_mod_elimination():
