@@ -3,12 +3,16 @@
 Three theories share one boundary formula: R uses all n-tuples, D the
 degenerate ones (some adjacent repeat), and Q the quotient R/D, realized here
 on the complement basis of non-degenerate tuples with degenerate terms
-projected away.  Integral homology is read off the Smith diagonals of the two
-boundary maps at each degree: ker d_n is a direct summand of C_n, so H_n has
-the torsion of coker d_{n+1} and free rank dim C_n - rank d_n - rank d_{n+1}.
-Cocycle generators with coefficients in Z_d come from prime-field elimination
-when d is prime and from integer lifts otherwise; coboundary membership mod d
-compares the orders of two cokernels tensored with Z_d, for every d.
+projected away.  Boundary maps are built as sparse columns straight from the
+boundary formula.  Integral homology is read off the Smith diagonals of the
+two boundary maps at each degree: ker d_n is a direct summand of C_n, so H_n
+has the torsion of coker d_{n+1} and free rank dim C_n - rank d_n -
+rank d_{n+1}.  Those diagonals, the GF(p) ranks of ``homology_mod`` and
+coboundary membership mod d (which compares the orders of two cokernels
+tensored with Z_d, for every d) all go through the one sparse elimination in
+``snf``.  Cocycle and coboundary generators with coefficients in Z_d come
+from dense prime-field elimination when d is prime and from integer lifts
+otherwise.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache, wraps
+from functools import cached_property, lru_cache, wraps
 from math import gcd, prod
 from typing import Iterable, Mapping, Sequence
 
@@ -122,17 +126,23 @@ def _boundary_terms(X: RackTable, t: tuple[int, ...]) -> dict[tuple[int, ...], i
 
 @dataclass(frozen=True)
 class BoundaryMatrix:
-    """Matrix of the degree-n boundary in canonical bases.
+    """Matrix of the degree-n boundary in canonical bases, kept by columns.
 
-    Rows are indexed by the degree-(n-1) basis, columns by the degree-n basis.
+    Rows are indexed by the degree-(n-1) basis, columns by the degree-n basis;
+    column j maps row indices to the nonzero coefficients of d(domain tuple j).
     """
 
     X: RackTable = field(repr=False)
     degree: int
     theory: str
-    rows: tuple[tuple[int, ...], ...]
+    columns: tuple[dict[int, int], ...] = field(compare=False)  # fixed by the rest
     domain: ChainBasis
     codomain: ChainBasis
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The dense rows, derived from the columns on first use."""
+        return tuple(map(tuple, snf.dense_rows(self.columns, self.nrows)))
 
     @property
     def nrows(self) -> int:
@@ -151,27 +161,20 @@ def boundary_matrix(X: RackTable, n: int, theory: str = "R") -> BoundaryMatrix:
     codomain = chain_basis(X, n - 1, theory)
     _check_budget(len(domain), len(codomain))
     row_index = codomain.index
-    cols: list[dict[int, int]] = []
+    columns: list[dict[int, int]] = []
     for t in domain.tuples:
         col: dict[int, int] = {}
-        if n >= 2:
-            for term, coeff in _boundary_terms(X, t).items():
-                idx = row_index.get(term)
-                if idx is None:
-                    # Theory Q projects degenerate terms away; theory D must
-                    # never produce non-degenerate residue for a quandle.
-                    if theory == "D" and not _is_degenerate(term):
-                        raise DomainError(
-                            "degenerate subcomplex is not closed; not a quandle?"
-                        )
-                    continue
-                col[idx] = coeff
-        cols.append(col)
-    rows = tuple(
-        tuple(cols[j].get(i, 0) for j in range(len(domain)))
-        for i in range(len(codomain))
-    )
-    return BoundaryMatrix(X, n, theory, rows, domain, codomain)
+        for term, coeff in _boundary_terms(X, t).items():
+            idx = row_index.get(term)
+            if idx is None:
+                # Theory Q projects degenerate terms away; theory D must
+                # never produce non-degenerate residue for a quandle.
+                if theory == "D" and not _is_degenerate(term):
+                    raise DomainError("degenerate subcomplex is not closed; not a quandle?")
+                continue
+            col[idx] = coeff
+        columns.append(col)
+    return BoundaryMatrix(X, n, theory, tuple(columns), domain, codomain)
 
 
 def _check_budget(*sizes: int) -> None:
@@ -287,9 +290,9 @@ def homology(X: RackTable, n: int, theory: str = "R") -> AbelianGroup:
         return AbelianGroup(0)
     lower = boundary_matrix(X, n, theory)
     upper = boundary_matrix(X, n + 1, theory)
-    lower_free, _ = snf.cokernel_invariants(lower.rows, lower.nrows, dim)
+    lower_free, _ = snf.cokernel_invariants(lower.columns, lower.nrows)
     rank_lower = lower.nrows - lower_free
-    upper_free, torsion = snf.cokernel_invariants(upper.rows, dim, upper.ncols)
+    upper_free, torsion = snf.cokernel_invariants(upper.columns, dim)
     return AbelianGroup(upper_free - rank_lower, tuple(torsion))
 
 
@@ -304,8 +307,8 @@ def homology_mod(X: RackTable, n: int, theory: str, p: int) -> int:
         return 0
     lower = boundary_matrix(X, n, theory)
     upper = boundary_matrix(X, n + 1, theory)
-    rank_lower = snf.mod_rank(lower.rows, lower.ncols, p) if lower.nrows else 0
-    rank_upper = snf.mod_rank(upper.rows, upper.ncols, p) if upper.ncols else 0
+    rank_lower = snf.mod_rank(lower.columns, lower.nrows, p)
+    rank_upper = snf.mod_rank(upper.columns, upper.nrows, p)
     return len(basis_n) - rank_lower - rank_upper
 
 
@@ -490,26 +493,36 @@ class CochainSpaces:
         factors e_i of d_n, (Z^dim / rowspan(d_n)) (x) Z_d has order
         d^(dim - r) * prod gcd(e_i, d); phi lies in rowspan(d_n) + d Z^dim
         exactly when appending phi as a row leaves that order unchanged.
+        A phi of another degree or modulus, or nonzero off the basis (outside
+        the quandle, or degenerate in theory Q), raises DomainError.
         """
+        if (phi.degree, phi.modulus) != (self.degree, self.modulus):
+            raise DomainError(f"expected a cochain of degree {self.degree} mod {self.modulus}")
+        index = self.basis.index
+        outside = next((t for t in phi.values if t not in index), None)
+        if outside is not None:
+            raise DomainError(f"cochain is nonzero on {outside}, outside the chain basis")
         down = boundary_matrix(self.X, self.degree, self.theory)
-        dim, d = len(self.basis), self.modulus
+        dim, d, m = len(self.basis), self.modulus, down.nrows
+        appended = list(down.columns)
+        for t, v in phi.values.items():
+            appended[index[t]] = {**appended[index[t]], m: v}
         orders = []
-        for rows in (down.rows, down.rows + (phi.vector(self.basis),)):
-            free, torsion = snf.cokernel_invariants(rows, len(rows), dim)
-            rank = len(rows) - free
+        for columns, nrows in ((down.columns, m), (appended, m + 1)):
+            free, torsion = snf.cokernel_invariants(columns, nrows)
+            rank = nrows - free
             orders.append(d ** (dim - rank) * prod(gcd(e, d) for e in torsion))
         return orders[0] == orders[1]
 
 
 def _is_prime(d: int) -> bool:
-    if d < 2:
-        return False
-    f = 2
-    while f * f <= d:
-        if d % f == 0:
-            return False
-        f += 1
-    return True
+    return d >= 2 and _factorint(d) == {d: 1}
+
+
+def _distinct_nonzero(vectors: Iterable[Sequence[int]], d: int) -> list[tuple[int, ...]]:
+    """The distinct nonzero reductions mod d of the vectors, in first-seen order."""
+    reduced = (tuple(v % d for v in vec) for vec in vectors)
+    return list(dict.fromkeys(vec for vec in reduced if any(vec)))
 
 
 def cohomology(X: RackTable, n: int, theory: str, d: int) -> CochainSpaces:
@@ -522,51 +535,23 @@ def cohomology(X: RackTable, n: int, theory: str, d: int) -> CochainSpaces:
     down = boundary_matrix(X, n, theory)
     dim = len(basis)
     prime = _is_prime(d)
+    # delta_n is the transpose of d_{n+1}: row j of delta_n is column j of d_{n+1}.
+    delta = [[col.get(i, 0) for i in range(dim)] for col in up.columns]
     if prime:
-        # delta_n is the transpose of the boundary below; its kernel mod d is
-        # the cocycle space, and the row space of d_n is the coboundary space.
-        delta = snf.transpose(up.rows, up.nrows, up.ncols)
+        # The kernel of delta_n mod d is the cocycle space, and the row space
+        # of d_n is the coboundary space.
         cocycles = snf.mod_nullspace(delta, dim, d) if dim else []
-        _, _, rref = snf.mod_rref(down.rows, down.ncols, d)
+        _, _, rref = snf.mod_rref(snf.dense_rows(down.columns, down.nrows), dim, d)
         coboundaries = [row for row in rref if any(row)]
     else:
         # Integer lift: kernel of [delta | d*I] projected to cochain coords.
-        delta = snf.transpose(up.rows, up.nrows, up.ncols)
-        nrows = len(delta)
-        if nrows == 0:
-            cocycles = [[int(i == j) for i in range(dim)] for j in range(dim)]
-        else:
-            aug = [
-                row + [d if j == i else 0 for j in range(nrows)]
-                for i, row in enumerate(delta)
-            ]
-            kernel, _ = snf.kernel_complement(aug, nrows, dim + nrows)
-            seen = set()
-            cocycles = []
-            for vec in kernel:
-                proj = tuple(v % d for v in vec[:dim])
-                if any(proj) and proj not in seen:
-                    seen.add(proj)
-                    cocycles.append(list(proj))
-        rows = [
-            [down.rows[i][j] for j in range(dim)] for i in range(down.nrows)
-        ]
-        seen = set()
-        coboundaries = []
-        for row in rows:
-            proj = tuple(v % d for v in row)
-            if any(proj) and proj not in seen:
-                seen.add(proj)
-                coboundaries.append(list(proj))
+        m = len(delta)
+        aug = [row + [d if j == i else 0 for j in range(m)] for i, row in enumerate(delta)]
+        kernel, _ = snf.kernel_complement(aug, m, dim + m)
+        cocycles = _distinct_nonzero((vec[:dim] for vec in kernel), d)
+        coboundaries = _distinct_nonzero(snf.dense_rows(down.columns, down.nrows), d)
     return CochainSpaces(
-        X,
-        n,
-        d,
-        theory,
-        basis,
-        tuple(tuple(v) for v in cocycles),
-        tuple(tuple(v) for v in coboundaries),
-        prime,
+        X, n, d, theory, basis, tuple(map(tuple, cocycles)), tuple(map(tuple, coboundaries)), prime
     )
 
 

@@ -1,21 +1,23 @@
-"""Exact integer matrix routines: Smith normal form, kernels, GF(p) elimination.
+"""Exact integer matrix routines: one sparse elimination core and a dense SNF.
 
-Matrices are dense sequences of row sequences of Python ints, so everything is
-exact and overflow-free.  The matrices that show up here are chain boundary
-maps of small quandles (a few hundred rows/columns at most), so clarity wins
-over asymptotics; pivots are chosen by minimal absolute value to keep entry
-growth down.
-
-Integral homology and coboundary membership need only the Smith diagonal of
-each boundary map (its rank and invariant factors), which
-``cokernel_invariants`` returns; the column transform is carried only when a
-kernel basis is asked for, by ``kernel_complement``.
+Boundary maps are stored as sparse columns ({row: coefficient} dicts) with at
+most 2(n-1) entries each.  ``_eliminate`` pivots them down: over Z only on
++-1 entries, so every step is unimodular, the Schur complement stays integral
+and Smith(A) = I_k (+) Smith(residual); over GF(p) on any nonzero entry, which
+leaves nothing.  The pivot is an entry of the shortest live column, in the
+shortest row among its unit entries (Dumas, Saunders and Villard, J. Symb.
+Comput. 32, 2001).  ``cokernel_invariants`` and ``mod_rank`` read ranks and
+invariant factors off this core; the dense ``smith_normal_form``, with
+entries as Python ints so everything stays exact, runs only on the small
+residual, and carries a column transform when ``kernel_complement`` asks.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -37,13 +39,7 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 class SmithForm:
     diag: list[int]  # nonnegative; diag[i] divides diag[i+1]
     rank: int
-    nrows: int
-    ncols: int
     col_ops: list[list[int]] | None  # T with S @ A @ T diagonal for some unimodular S
-
-
-def _identity(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def smith_normal_form(
@@ -53,33 +49,32 @@ def smith_normal_form(
     *,
     want_col_ops: bool = False,
 ) -> SmithForm:
-    """Diagonalize an integer matrix by unimodular row/column operations.
+    """Diagonalize a dense integer matrix by unimodular row/column operations.
 
     Returns the diagonal with the divisibility chain enforced, plus the
     accumulated column transform T when requested (S @ A @ T equals the
     diagonal matrix for some unimodular S, which is not kept).
     """
     d = [list(row) for row in rows]
-    for row in d:
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
+    if any(len(row) != ncols for row in d):
+        raise ValueError("ragged matrix")
     if len(d) != nrows:
         raise ValueError("row count mismatch")
-    t = _identity(ncols) if want_col_ops else None
+    # Column operations act on the rows of d and of t alike.
+    t = [[int(i == j) for j in range(ncols)] for i in range(ncols)] if want_col_ops else []
 
     def row_combine(k: int, i: int, j: int) -> None:
         # Zero d[i][j] against pivot row k using a unimodular 2x2 transform.
         a, b = d[k][j], d[i][j]
         if b == 0:
             return
+        rk, ri = d[k], d[i]
         if a != 0 and b % a == 0:
             q = b // a
-            rk, ri = d[k], d[i]
             d[i] = [x - q * y for x, y in zip(ri, rk)]
             return
         g, x, y = xgcd(a, b)
         ag, bg = a // g, b // g
-        rk, ri = d[k], d[i]
         d[k] = [x * u + y * v for u, v in zip(rk, ri)]
         d[i] = [-bg * u + ag * v for u, v in zip(rk, ri)]
 
@@ -90,57 +85,34 @@ def smith_normal_form(
             return
         if a != 0 and b % a == 0:
             q = b // a
-            for row in d:
+            for row in itertools.chain(d, t):
                 row[j] -= q * row[k]
-            if t is not None:
-                for row in t:
-                    row[j] -= q * row[k]
             return
         g, x, y = xgcd(a, b)
         ag, bg = a // g, b // g
-        for row in d:
+        for row in itertools.chain(d, t):
             u, v = row[k], row[j]
             row[k] = x * u + y * v
             row[j] = -bg * u + ag * v
-        if t is not None:
-            for row in t:
-                u, v = row[k], row[j]
-                row[k] = x * u + y * v
-                row[j] = -bg * u + ag * v
 
-    def swap_rows(i: int, j: int) -> None:
-        if i != j:
-            d[i], d[j] = d[j], d[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        if i != j:
-            for row in d:
-                row[i], row[j] = row[j], row[i]
-            if t is not None:
-                for row in t:
-                    row[i], row[j] = row[j], row[i]
-
-    limit = min(nrows, ncols)
     k = 0
-    while k < limit:
-        # Min-abs pivot in the trailing submatrix.
+    while k < min(nrows, ncols):
+        # The first min-abs pivot, in row order, of the trailing submatrix.
         best = None
-        best_abs = None
         for i in range(k, nrows):
-            row = d[i]
             for j in range(k, ncols):
-                v = row[j]
-                if v and (best_abs is None or abs(v) < best_abs):
-                    best = (i, j)
-                    best_abs = abs(v)
-                    if best_abs == 1:
-                        break
-            if best_abs == 1:
+                v = d[i][j]
+                if v and (best is None or abs(v) < best[0]):
+                    best = (abs(v), i, j)
+            if best is not None and best[0] == 1:
                 break
         if best is None:
             break
-        swap_rows(k, best[0])
-        swap_cols(k, best[1])
+        _, i, j = best
+        d[k], d[i] = d[i], d[k]
+        if j != k:
+            for row in itertools.chain(d, t):
+                row[k], row[j] = row[j], row[k]
         while True:
             for i in range(k + 1, nrows):
                 row_combine(k, i, k)
@@ -153,11 +125,12 @@ def smith_normal_form(
         k += 1
     rank = k
 
-    # Make the diagonal nonnegative.
-    for i in range(rank):
-        if d[i][i] < 0:
-            d[i] = [-x for x in d[i]]
+    def make_nonnegative(*indices: int) -> None:
+        for i in indices:
+            if d[i][i] < 0:
+                d[i] = [-x for x in d[i]]
 
+    make_nonnegative(*range(rank))
     # Enforce the divisibility chain d[i] | d[i+1].
     i = 0
     while i < rank - 1:
@@ -166,22 +139,16 @@ def smith_normal_form(
             i += 1
             continue
         # Fold column i+1 into column i, then re-diagonalize the 2x2 block.
-        for row in d:
+        for row in itertools.chain(d, t):
             row[i] += row[i + 1]
-        if t is not None:
-            for row in t:
-                row[i] += row[i + 1]
         row_combine(i, i + 1, i)
         col_combine(i, i + 1, i)
         row_combine(i, i + 1, i)
-        if d[i][i] < 0:
-            d[i] = [-x for x in d[i]]
-        if d[i + 1][i + 1] < 0:
-            d[i + 1] = [-x for x in d[i + 1]]
+        make_nonnegative(i, i + 1)
         i = max(i - 1, 0)
 
     diag = [d[i][i] for i in range(min(nrows, ncols))]
-    return SmithForm(diag=diag, rank=rank, nrows=nrows, ncols=ncols, col_ops=t)
+    return SmithForm(diag=diag, rank=rank, col_ops=t if want_col_ops else None)
 
 
 def kernel_complement(
@@ -193,34 +160,89 @@ def kernel_complement(
     the Smith column transform are a genuine complement.  Both are returned as
     lists of column vectors of length ncols.
     """
-    if nrows == 0:
-        ident = _identity(ncols)
-        return [list(col) for col in ident], []
     sf = smith_normal_form(rows, nrows, ncols, want_col_ops=True)
-    t = sf.col_ops
-    assert t is not None
-    kernel = [[t[i][j] for i in range(ncols)] for j in range(sf.rank, ncols)]
-    complement = [[t[i][j] for i in range(ncols)] for j in range(sf.rank)]
-    return kernel, complement
+    columns = [list(col) for col in zip(*sf.col_ops)]
+    return columns[sf.rank :], columns[: sf.rank]
+
+
+def dense_rows(columns: Sequence[Mapping[int, int]], nrows: int) -> list[list[int]]:
+    """The rows of the nrows x len(columns) matrix with these sparse columns."""
+    rows = [[0] * len(columns) for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for i, v in col.items():
+            rows[i][j] = v
+    return rows
+
+
+def _eliminate(
+    columns: Sequence[Mapping[int, int]], nrows: int, p: int = 0
+) -> tuple[int, list[list[int]]]:
+    """Pivot away the unit entries of a sparse matrix (units of Z, or of GF(p)).
+
+    Returns the number k of pivots and the residual as dense rows, with its
+    zero rows and columns dropped.  The input columns are not modified.
+    """
+    cols = {j: {i: w for i, v in col.items() if (w := v % p if p else v)}
+            for j, col in enumerate(columns)}
+    rows: list[set[int]] = [set() for _ in range(nrows)]
+    for j, col in cols.items():
+        for i in col:
+            rows[i].add(j)
+    heap = [(len(col), j) for j, col in cols.items()]
+    heapq.heapify(heap)
+    while heap:
+        length, c = heapq.heappop(heap)
+        col = cols.get(c, {})
+        units = [i for i, v in col.items() if p or v in (1, -1)] if len(col) == length else []
+        if not units:
+            continue  # stale, or no unit yet: every update pushes the column again
+        r = min(units, key=lambda i: (len(rows[i]), i))
+        del cols[c]
+        for i in col:
+            rows[i].discard(c)
+        u = col.pop(r)
+        inv = pow(u, -1, p) if p else u  # u = +-1 is its own inverse over Z
+        for j in rows[r]:
+            target = cols[j]
+            f = target.pop(r) * inv
+            for i, v in col.items():
+                if i not in target:
+                    target[i] = -f * v % p if p else -f * v
+                    rows[i].add(j)
+                    continue
+                w = target[i] - f * v
+                if p:
+                    w %= p
+                if w:
+                    target[i] = w
+                else:
+                    del target[i]
+                    rows[i].discard(j)
+            heapq.heappush(heap, (len(target), j))
+    left = [col for col in cols.values() if col]
+    position = {i: k for k, i in enumerate(sorted({i for col in left for i in col}))}
+    left = [{position[i]: v for i, v in col.items()} for col in left]
+    return len(columns) - len(cols), dense_rows(left, len(position))
 
 
 def cokernel_invariants(
-    rows: Sequence[Sequence[int]], nrows: int, ncols: int
+    columns: Sequence[Mapping[int, int]], nrows: int
 ) -> tuple[int, list[int]]:
     """Free rank and invariant factors (> 1) of Z^nrows / colspan(A).
 
-    The rank of A is nrows minus the free rank.  A and its transpose share
-    the Smith diagonal, so the same factors describe Z^ncols / rowspan(A).
+    A is given by its sparse columns.  The rank of A is nrows minus the free
+    rank.  A and its transpose share the Smith diagonal, so the same factors
+    describe Z^ncols / rowspan(A).
     """
-    if ncols == 0:
-        return nrows, []
-    sf = smith_normal_form(rows, nrows, ncols)
+    units, residual = _eliminate(columns, nrows)
+    sf = smith_normal_form(residual, len(residual), len(residual[0]) if residual else 0)
     torsion = [v for v in sf.diag[: sf.rank] if v > 1]
-    return nrows - sf.rank, torsion
+    return nrows - units - sf.rank, torsion
 
 
-def transpose(rows: Sequence[Sequence[int]], nrows: int, ncols: int) -> list[list[int]]:
-    return [[rows[i][j] for i in range(nrows)] for j in range(ncols)]
+def mod_rank(columns: Sequence[Mapping[int, int]], nrows: int, p: int) -> int:
+    """Rank over GF(p), p prime, of the matrix with these sparse columns."""
+    return _eliminate(columns, nrows, p)[0]
 
 
 # --- prime-field elimination -------------------------------------------------
@@ -251,18 +273,11 @@ def mod_rref(
     return r, pivots, mat[:r]
 
 
-def mod_rank(rows: Sequence[Sequence[int]], ncols: int, p: int) -> int:
-    return mod_rref(rows, ncols, p)[0]
-
-
 def mod_nullspace(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list[list[int]]:
     """Basis of the right nullspace over GF(p), as vectors of length ncols."""
     rank, pivots, rref = mod_rref(rows, ncols, p)
-    pivot_set = set(pivots)
     basis = []
-    for j in range(ncols):
-        if j in pivot_set:
-            continue
+    for j in sorted(set(range(ncols)) - set(pivots)):
         vec = [0] * ncols
         vec[j] = 1
         for r, pj in enumerate(pivots):

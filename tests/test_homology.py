@@ -170,6 +170,35 @@ def test_homology_with_coefficients(r3):
         homology_mod(r3, 2, "Q", 6)
 
 
+# f_n = f_(n-1) + f_(n-3): the delta-Fibonacci exponents of H_n^Q(R3), n = 1, 2, ...
+DELTA_FIB = (0, 0, 1, 1, 1, 2, 3, 4, 6)
+
+
+def test_dihedral3_quandle_homology_published(r3):
+    # Niebrzydowski and Przytycki, JPAA 213 (2009): H_n^Q(R3) = Z^[n=1] + Z_3^(f_n).
+    for n in range(1, 9):
+        assert homology(r3, n, "Q") == AbelianGroup(int(n == 1), (3,) * DELTA_FIB[n - 1]), n
+    assert homology_mod(r3, 8, "Q", 3) == uct_mod_dimension(r3, 8, "Q", 3) == 7
+
+
+def test_dihedral4_quandle_free_rank(r4):
+    # Free rank of H_n^Q is o(o-1)^(n-1) for o orbits (Litherland and Nelson, JPAA 178).
+    o = len(r4.orbits)
+    for n in range(1, 6):
+        assert homology(r4, n, "Q").rank == o * (o - 1) ** (n - 1), n
+
+
+@pytest.mark.slow
+def test_dihedral3_quandle_homology_degree_9(monkeypatch, r3):
+    monkeypatch.setenv("QUANDLEKIT_BUDGET", "100000")  # 3^10 tuples before the Q filter
+    assert homology(r3, 9, "Q") == AbelianGroup(0, (3,) * DELTA_FIB[8])
+
+
+@pytest.mark.slow
+def test_dihedral5_quandle_homology_degree_5():
+    assert homology(make_dihedral(5), 5, "Q").rank == 0
+
+
 def test_budget_guard():
     os.environ["QUANDLEKIT_BUDGET"] = "100"
     try:
@@ -366,6 +395,20 @@ def test_contains_coboundary_matches_brute_force(spec, n, d):
     sums = [a + b for a, b in itertools.combinations_with_replacement(listed, 2)]
     for phi in listed + sums:
         assert spaces.contains_coboundary(phi) == (tuple(phi.vector(basis)) in coboundaries)
+
+
+def test_contains_coboundary_rejects_foreign_cochains(r3, theta):
+    spaces = cohomology(r3, 3, "Q", 3)
+    foreign = [
+        Cochain(2, 3, {(0, 1): 1}),  # wrong degree
+        Cochain(3, 3, {(7, 8, 9): 1}),  # outside the quandle
+        Cochain(3, 3, {(0, 0, 1): 1}),  # degenerate, so not in the Q basis
+        Cochain(3, 6, dict(theta.values)),  # wrong modulus
+    ]
+    for phi in foreign:
+        with pytest.raises(DomainError):
+            spaces.contains_coboundary(phi)
+    assert not spaces.contains_coboundary(theta)
 
 
 def test_cochain_outside_the_quandle_is_rejected(r3, trefoil, theta):

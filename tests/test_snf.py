@@ -107,17 +107,18 @@ def test_kernel_complement():
 
 
 def test_cokernel_invariants():
-    free, torsion = cokernel_invariants([[2, 0], [0, 3]], 2, 2)
+    # Matrices by sparse columns {row: entry}.
+    free, torsion = cokernel_invariants([{0: 2}, {1: 3}], 2)
     assert free == 0 and torsion == [6]  # Z^2/(2Z x 3Z) = Z_6
-    free, torsion = cokernel_invariants([[2], [0]], 2, 1)
+    free, torsion = cokernel_invariants([{0: 2}], 2)
     assert free == 1 and torsion == [2]
-    free, torsion = cokernel_invariants([], 0, 0)
+    free, torsion = cokernel_invariants([], 0)
     assert free == 0 and torsion == []
 
 
 def test_mod_elimination():
     a = [[1, 2, 0], [2, 4, 1]]
-    assert mod_rank(a, 3, 5) == 2
+    assert mod_rank([{0: 1, 1: 2}, {0: 2, 1: 4}, {1: 1}], 2, 5) == 2  # a by columns
     null = mod_nullspace(a, 3, 5)
     assert len(null) == 1
     for vec in null:
@@ -125,3 +126,46 @@ def test_mod_elimination():
             assert sum(r * v for r, v in zip(row, vec)) % 5 == 0
     rank, pivots, rows = mod_rref([[2, 4], [1, 2]], 2, 3)
     assert rank == 1 and pivots == [0]
+
+
+def columns_of(a, m, n):
+    return [{i: a[i][j] for i in range(m) if a[i][j]} for j in range(n)]
+
+
+def check_sparse_core(a, m, n, columns):
+    """The sparse core against the dense SNF and the GF(p) row reduction."""
+    sf = smith_normal_form(a, m, n)
+    assert cokernel_invariants(columns, m) == (m - sf.rank, [v for v in sf.diag if v > 1])
+    for p in (2, 3, 5):
+        assert mod_rank(columns, m, p) == mod_rref(a, n, p)[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_sparse_core_matches_dense(data):
+    m = data.draw(st.integers(0, 7), label="rows")
+    n = data.draw(st.integers(0, 7), label="cols")
+    entry = st.one_of(st.just(0), st.integers(-4, 4))
+    a = [[data.draw(entry) for _ in range(n)] for _ in range(m)]
+    if data.draw(st.booleans(), label="no units"):
+        a = [[2 * v if abs(v) == 1 else v for v in row] for row in a]
+    for i in data.draw(st.sets(st.integers(0, max(m - 1, 0))), label="zero rows"):
+        if i < m:
+            a[i] = [0] * n
+    for j in data.draw(st.sets(st.integers(0, max(n - 1, 0))), label="zero cols"):
+        for row in a:
+            if j < n:
+                row[j] = 0
+    columns = columns_of(a, m, n)
+    check_sparse_core(a, m, n, columns)
+    # One more row, appended to the columns as coboundary membership does.
+    extra = [data.draw(entry) for _ in range(n)]
+    appended = [{**col, m: v} if v else col for col, v in zip(columns, extra)]
+    check_sparse_core(a + [extra], m + 1, n, appended)
+    assert columns == columns_of(a, m, n)  # the input is left alone
+
+
+def test_sparse_core_shapes():
+    check_sparse_core([], 0, 3, [{}, {}, {}])
+    check_sparse_core([[], [], []], 3, 0, [])
+    check_sparse_core([[2, 4], [4, 2]], 2, 2, [{0: 2, 1: 4}, {0: 4, 1: 2}])  # no unit entry
