@@ -6,13 +6,7 @@ and the small torus families.
 
 from __future__ import annotations
 
-from quandlekit import (
-    count_colorings,
-    enumerate_shadow_colorings,
-    make_dihedral,
-    state_sum_shadow,
-    torus_diagram,
-)
+from quandlekit import count_colorings, make_dihedral, state_sum_shadow, torus_diagram
 from quandlekit.specs import parse_diagram_text, read_data_file, resolve_cochain
 
 KNOTS = ["unknot", "trefoil", "fig8", "6_1", "7_4", "7_7"]
@@ -27,9 +21,9 @@ def main() -> None:
 
     def row(label, D):
         cols = count_colorings(D, r3)
-        shadows = len(enumerate_shadow_colorings(D, r3))
-        psi = state_sum_shadow(D, r3, theta).render()
-        print(f"{label:<12} {len(D.crossings):>9} {cols:>11} {shadows:>8}  {psi}")
+        psi = state_sum_shadow(D, r3, theta)
+        shadows = psi.augmentation()
+        print(f"{label:<12} {len(D.crossings):>9} {cols:>11} {shadows:>8}  {psi.render()}")
 
     for name in KNOTS:
         row(name, parse_diagram_text(read_data_file(f"{name}.pd"), name=name))

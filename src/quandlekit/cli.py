@@ -17,7 +17,8 @@ import time
 from typing import Sequence
 
 from .coloring import (
-    count_colorings,
+    _seeded_regions,
+    _solve_relations,
     enumerate_colorings,
     enumerate_shadow_colorings,
     enumerate_surface_colorings,
@@ -114,39 +115,52 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
+def _count_colorings(target, X, shadow: bool, surjective: bool) -> int:
+    """The number of (shadow/surface) colorings, from the streamed search."""
+
+    def keep(colors: tuple[int, ...]) -> bool:
+        return not surjective or len(set(colors)) == X.size
+
+    if shadow:
+        return sum(len(seeds) for colors, _, seeds in _seeded_regions(target, X) if keep(colors))
+    if surjective:
+        return sum(1 for colors in _solve_relations(target, X) if keep(colors))
+    return _solve_relations(target, X, count_only=True)
+
+
 def _cmd_color(args: argparse.Namespace) -> int:
     target = resolve_diagram(args.diagram, force_file=args.file)
     X = resolve_rack(args.rack, force_file=args.file)
     if isinstance(target, SurfaceDiagramData):
         if args.shadow:
             raise ParseError("--shadow needs a classical diagram, not surface data")
-        colorings = enumerate_surface_colorings(target, X)
         label = "surface-colorings"
+        enumerate_all = enumerate_surface_colorings
     elif args.shadow:
-        colorings = enumerate_shadow_colorings(target, X)
         label = "shadow-colorings"
+        enumerate_all = enumerate_shadow_colorings
     else:
         label = "colorings"
+        enumerate_all = enumerate_colorings
         if X.is_rack and not X.is_quandle:
             print("note: rack colorings are framed-diagram data only")
-        if not (args.list or args.surjective):
-            count = count_colorings(target, X)
-            print(f"{label}: {count}")
-            print(f"#data {label} {count}")
-            return 0
-        colorings = enumerate_colorings(target, X)
+    if not args.list:
+        count = _count_colorings(target, X, args.shadow, args.surjective)
+        print(f"{label}: {count}")
+        print(f"#data {label} {count}")
+        return 0
+    colorings = enumerate_all(target, X)
     if args.surjective:
         colorings = [c for c in colorings if set(c.colors) == set(range(X.size))]
     print(f"{label}: {len(colorings)}")
     print(f"#data {label} {len(colorings)}")
-    if args.list:
-        for i, c in enumerate(colorings):
-            arc_part = " ".join(map(str, c.colors))
-            if hasattr(c, "region_colors"):
-                region_part = " ".join(map(str, c.region_colors))
-                print(f"{i}: {arc_part} | {region_part}")
-            else:
-                print(f"{i}: {arc_part}")
+    for i, c in enumerate(colorings):
+        arc_part = " ".join(map(str, c.colors))
+        if hasattr(c, "region_colors"):
+            region_part = " ".join(map(str, c.region_colors))
+            print(f"{i}: {arc_part} | {region_part}")
+        else:
+            print(f"{i}: {arc_part}")
     return 0
 
 

@@ -3,15 +3,23 @@
 The solver assigns colors to a seed variable, then lets the crossing relations
 force everything they can (two known colors at a crossing determine the third
 through the operation or its inverse), branching only where nothing is forced.
-Output order is always lexicographic in (arc id, element index) so invariant
-computations and golden files are reproducible.
+It streams its solutions in lexicographic order in (arc id, element index), so
+invariant computations and golden files are reproducible, and counts and
+state sums never hold more than one coloring.
+
+Shadow colorings come from one region core.  Per diagram it plans a spanning
+tree of the dual graph from region 0; per arc coloring it carries the region
+colors for all |X| choices of the region-0 color at once, one list per region,
+each got from its parent's list by one right translation.  The transitions off
+the tree are checked as whole lists, which drops exactly the inconsistent
+choices.  Listings, counts and the shadow state sum all read that core.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .algebra import RackTable
 from .diagram import Diagram, SurfaceDiagramData
@@ -44,32 +52,34 @@ class SurfaceColoring:
 
 
 def _solve_relations(
-    n_vars: int,
-    relations: Sequence[tuple[int, int, int]],
-    X: RackTable,
-    *,
-    count_only: bool = False,
+    target: Diagram | SurfaceDiagramData, X: RackTable, *, count_only: bool = False
 ):
-    """All assignments with colors[j] = colors[i] * colors[k] per relation.
+    """Colorings of a diagram's arcs, or of surface data's sheets (by a quandle).
 
-    Returns a list of tuples in lexicographic order, or a count when
-    count_only is set.  The search always branches on the least unassigned
-    variable and tries colors in increasing order, so solutions come out
-    sorted.  It keeps its own stack of branch points, so its depth is not
-    bounded by the interpreter's recursion limit.
+    They are the assignments with colors[j] = colors[i] * colors[k] for every
+    relation (i, j, k).  Returns an iterator over the color tuples in
+    lexicographic order, or their number when count_only is set.  The search
+    always branches on the least unassigned variable and tries colors in
+    increasing order, so solutions come out sorted and one at a time.  It
+    keeps its own stack of branch points, so its depth is not bounded by the
+    interpreter's recursion limit.
     """
-    X.require_rack()
+    if isinstance(target, SurfaceDiagramData):
+        X.require_quandle()
+        n_vars, relations = target.n_sheets, target.relations
+    else:
+        X.require_rack()
+        n_vars = target.n_arcs
+        relations = tuple((r.from_under, r.to_under, r.over) for r in target.relations)
     n = X.size
     if n_vars == 0:
-        return 1 if count_only else [()]
+        return 1 if count_only else iter([()])
     table = X.table
     rels_of: list[list[int]] = [[] for _ in range(n_vars)]
     for idx, (i, j, k) in enumerate(relations):
         for v in {i, j, k}:
             rels_of[v].append(idx)
 
-    found: list[tuple[int, ...]] = []
-    count = 0
     assign: list[int | None] = [None] * n_vars
     trail: list[int] = []
 
@@ -104,31 +114,27 @@ def _solve_relations(
                         set_var(k, cands[0], work)
         return True
 
-    # Branch points [variable, next color to try, trail length on entry].
-    stack = [[0, 0, 0]]
-    while stack:
-        frame = stack[-1]
-        var, color, mark = frame
-        while len(trail) > mark:
-            assign[trail.pop()] = None
-        if color == n:
-            stack.pop()
-            continue
-        frame[1] = color + 1
-        if not propagate(var, color):
-            continue
-        nxt = next((v for v in range(var + 1, n_vars) if assign[v] is None), None)
-        if nxt is not None:
-            stack.append([nxt, 0, len(trail)])
-        elif count_only:
-            count += 1
-        else:
-            found.append(tuple(assign))  # type: ignore[arg-type]
-    return count if count_only else found
+    def solutions() -> Iterator[tuple[int, ...]]:
+        # Branch points [variable, next color to try, trail length on entry].
+        stack = [[0, 0, 0]]
+        while stack:
+            frame = stack[-1]
+            var, color, mark = frame
+            while len(trail) > mark:
+                assign[trail.pop()] = None
+            if color == n:
+                stack.pop()
+                continue
+            frame[1] = color + 1
+            if not propagate(var, color):
+                continue
+            nxt = next((v for v in range(var + 1, n_vars) if assign[v] is None), None)
+            if nxt is not None:
+                stack.append([nxt, 0, len(trail)])
+            else:
+                yield tuple(assign)  # type: ignore[arg-type]
 
-
-def _diagram_relations(D: Diagram) -> list[tuple[int, int, int]]:
-    return [(r.from_under, r.to_under, r.over) for r in D.relations]
+    return sum(1 for _ in solutions()) if count_only else solutions()
 
 
 def enumerate_colorings(D: Diagram, X: RackTable) -> list[Coloring]:
@@ -137,60 +143,90 @@ def enumerate_colorings(D: Diagram, X: RackTable) -> list[Coloring]:
     X must be at least a rack; if it is not a quandle the results are data of
     the blackboard-framed diagram only.
     """
-    sols = _solve_relations(D.n_arcs, _diagram_relations(D), X)
-    return [Coloring(t) for t in sols]
+    return [Coloring(t) for t in _solve_relations(D, X)]
 
 
 def count_colorings(D: Diagram, X: RackTable) -> int:
-    return _solve_relations(D.n_arcs, _diagram_relations(D), X, count_only=True)
+    return _solve_relations(D, X, count_only=True)
 
 
-def _region_adjacency(D: Diagram) -> list[list[tuple[int, int, bool]]]:
-    adj: list[list[tuple[int, int, bool]]] = [[] for _ in range(D.n_faces)]
-    for src, dst, arc in D.face_transitions():
-        adj[src].append((dst, arc, True))
-        adj[dst].append((src, arc, False))
-    return adj
+def _region_plan(D: Diagram):
+    """A BFS spanning tree of the dual graph from face 0, and the other edges.
+
+    Returns (tree, checks).  tree lists (face, parent, arc, forward) in BFS
+    order: across that arc, face = parent * color if forward, else
+    parent = face * color.  checks lists the (source, target, arc)
+    transitions off the tree.  The diagram is a connected plane graph (the
+    face trace checks it), so its dual is connected and the tree spans it.
+    """
+    transitions = D.face_transitions()
+    adj: list[list[tuple[int, int, int, bool]]] = [[] for _ in range(D.n_faces)]
+    for e, (src, dst, arc) in enumerate(transitions):
+        adj[src].append((dst, arc, e, True))
+        adj[dst].append((src, arc, e, False))
+    reached = [True] + [False] * (D.n_faces - 1)
+    tree: list[tuple[int, int, int, bool]] = []
+    on_tree: set[int] = set()
+    queue = [0]
+    for f in queue:
+        for g, arc, e, forward in adj[f]:
+            if not reached[g]:
+                reached[g] = True
+                tree.append((g, f, arc, forward))
+                on_tree.add(e)
+                queue.append(g)
+    assert all(reached), "the dual graph of a plane diagram is connected"
+    checks = [t for e, t in enumerate(transitions) if e not in on_tree]
+    return tree, checks
 
 
-def _fill_regions(
-    D: Diagram, X: RackTable, colors: Sequence[int], seed: int,
-    adj: list[list[tuple[int, int, bool]]],
-) -> tuple[int, ...] | None:
-    region: list[int | None] = [None] * D.n_faces
-    region[0] = seed
-    stack = [0]
-    while stack:
-        f = stack.pop()
-        rf = region[f]
-        assert rf is not None
-        for g, arc, forward in adj[f]:
-            val = X.table[rf][colors[arc]] if forward else X.op_inv(rf, colors[arc])
-            if region[g] is None:
-                region[g] = val
-                stack.append(g)
-            elif region[g] != val:
-                return None
-    if any(v is None for v in region):
-        return None
-    return tuple(region)  # type: ignore[return-value]
+def _seeded_regions(
+    D: Diagram, X: RackTable
+) -> Iterator[tuple[tuple[int, ...], list[list[int]], Sequence[int]]]:
+    """The region core: every arc coloring with its regions for all seeds.
+
+    Yields (colors, perms, seeds) per arc coloring, in lexicographic order.
+    perms[f][s] is the color of face f when face 0 has color s (the seed):
+    perms[0] is the identity, and each tree face applies one right
+    translation x -> x * c, or its inverse, to its parent's list.  Every
+    off-tree transition is compared as a whole list; seeds lists, in
+    increasing order, the seeds on which all of them hold.
+    """
+    X.require_quandle()
+    tree, checks = _region_plan(D)
+    n = X.size
+    right = [[X.table[x][c] for x in range(n)] for c in range(n)]
+    left = [[X.op_inv(x, c) for x in range(n)] for c in range(n)]
+    steps = [(f, parent, arc, right if forward else left) for f, parent, arc, forward in tree]
+    identity = list(range(n))
+    for colors in _solve_relations(D, X):
+        perms: list[list[int]] = [identity] * D.n_faces
+        for f, parent, arc, cols in steps:
+            col = cols[colors[arc]]
+            perms[f] = [col[x] for x in perms[parent]]
+        seeds: Sequence[int] = identity
+        for src, dst, arc in checks:
+            col = right[colors[arc]]
+            want = [col[x] for x in perms[src]]
+            got = perms[dst]
+            if want != got:
+                seeds = [s for s in seeds if want[s] == got[s]]
+        yield colors, perms, seeds
 
 
 def enumerate_shadow_colorings(D: Diagram, X: RackTable) -> list[ShadowColoring]:
     """All shadow colorings: arc colorings extended over the regions.
 
-    For each coloring every element of X is tried as the color of region 0
-    and propagated across arcs by the face condition; inconsistent seeds are
-    dropped.
+    Ordered by arc coloring (lexicographic), then by the color of region 0.
+    The region colors for every choice of region 0 come from one pass of
+    the region core per arc coloring; a choice survives only if every
+    transition between regions holds (for a quandle all of them do, so a
+    diagram has |X| shadow colorings per arc coloring).
     """
-    X.require_quandle()
-    adj = _region_adjacency(D)
     out = []
-    for col in enumerate_colorings(D, X):
-        for seed in range(X.size):
-            filled = _fill_regions(D, X, col.colors, seed, adj)
-            if filled is not None:
-                out.append(ShadowColoring(col.colors, filled))
+    for colors, perms, seeds in _seeded_regions(D, X):
+        regions = list(zip(*perms))
+        out.extend(ShadowColoring(colors, regions[s]) for s in seeds)
     return out
 
 
@@ -198,9 +234,7 @@ def enumerate_surface_colorings(
     SD: SurfaceDiagramData, X: RackTable
 ) -> list[SurfaceColoring]:
     """All sheet colorings satisfying every double-curve relation."""
-    X.require_quandle()
-    sols = _solve_relations(SD.n_sheets, SD.relations, X)
-    return [SurfaceColoring(t) for t in sols]
+    return [SurfaceColoring(t) for t in _solve_relations(SD, X)]
 
 
 def lift_coloring(

@@ -276,6 +276,24 @@ def _factorint(n: int) -> dict[int, int]:
 
 
 @_budget_cache
+def _boundary_invariants(X: RackTable, n: int, theory: str) -> tuple[int, tuple[int, ...]]:
+    """Rank and torsion (invariant factors > 1) of d_n, eliminated once.
+
+    A degree sweep shares it: d_{n+1} serves H_n and H_{n+1}.
+    """
+    d = boundary_matrix(X, n, theory)
+    free, torsion = snf.cokernel_invariants(d.columns, d.nrows)
+    return d.nrows - free, tuple(torsion)
+
+
+@_budget_cache
+def _boundary_mod_rank(X: RackTable, n: int, theory: str, p: int) -> int:
+    """Rank of d_n over GF(p), eliminated once per degree sweep."""
+    d = boundary_matrix(X, n, theory)
+    return snf.mod_rank(d.columns, d.nrows, p)
+
+
+@_budget_cache
 def homology(X: RackTable, n: int, theory: str = "R") -> AbelianGroup:
     """Integral homology H_n = ker d_n / im d_{n+1} from two Smith diagonals.
 
@@ -284,16 +302,12 @@ def homology(X: RackTable, n: int, theory: str = "R") -> AbelianGroup:
     free rank dim C_n - rank d_n - rank d_{n+1}; no kernel basis is built.
     """
     _check_theory(X, theory)
-    basis_n = chain_basis(X, n, theory)
-    dim = len(basis_n)
+    dim = len(chain_basis(X, n, theory))
     if dim == 0:
         return AbelianGroup(0)
-    lower = boundary_matrix(X, n, theory)
-    upper = boundary_matrix(X, n + 1, theory)
-    lower_free, _ = snf.cokernel_invariants(lower.columns, lower.nrows)
-    rank_lower = lower.nrows - lower_free
-    upper_free, torsion = snf.cokernel_invariants(upper.columns, dim)
-    return AbelianGroup(upper_free - rank_lower, tuple(torsion))
+    rank_lower, _ = _boundary_invariants(X, n, theory)
+    rank_upper, torsion = _boundary_invariants(X, n + 1, theory)
+    return AbelianGroup(dim - rank_lower - rank_upper, torsion)
 
 
 @_budget_cache
@@ -302,14 +316,10 @@ def homology_mod(X: RackTable, n: int, theory: str, p: int) -> int:
     if not _is_prime(p):
         raise DomainError(f"{p} is not prime; use homology_with_coefficients")
     _check_theory(X, theory)
-    basis_n = chain_basis(X, n, theory)
-    if len(basis_n) == 0:
+    dim = len(chain_basis(X, n, theory))
+    if dim == 0:
         return 0
-    lower = boundary_matrix(X, n, theory)
-    upper = boundary_matrix(X, n + 1, theory)
-    rank_lower = snf.mod_rank(lower.columns, lower.nrows, p)
-    rank_upper = snf.mod_rank(upper.columns, upper.nrows, p)
-    return len(basis_n) - rank_lower - rank_upper
+    return dim - _boundary_mod_rank(X, n, theory, p) - _boundary_mod_rank(X, n + 1, theory, p)
 
 
 def homology_with_coefficients(X: RackTable, n: int, theory: str, d: int) -> AbelianGroup:

@@ -1,9 +1,12 @@
 """State-sum invariants from quandle cocycles.
 
 Weights accumulate additively in Z_d per (shadow) coloring and are folded
-into the group ring Z[t]/(t^d - 1) once per coloring.  Cocycle validity is
-enforced before any sum is taken: without it the result is not an invariant
-(an explicit escape hatch exists for experiments).
+into the group ring Z[t]/(t^d - 1) once per coloring.  The state sums fold
+straight from the coloring search as it streams solutions, without building
+coloring objects; a shadow sum folds one weight per region-0 seed at once.
+The per-coloring weights below are the reference they are tested against.
+Cocycle validity is enforced before any sum is taken: without it the result
+is not an invariant (an explicit escape hatch exists for experiments).
 """
 
 from __future__ import annotations
@@ -15,9 +18,8 @@ from .coloring import (
     Coloring,
     ShadowColoring,
     SurfaceColoring,
-    enumerate_colorings,
-    enumerate_shadow_colorings,
-    enumerate_surface_colorings,
+    _seeded_regions,
+    _solve_relations,
 )
 from .diagram import Diagram, SurfaceDiagramData
 from .errors import DomainError, NonCocycleError
@@ -161,21 +163,48 @@ def state_sum_2(
     """The 2-cocycle state sum over all colorings of D by X."""
     _require_cocycle(X, phi, 2, check)
     d = phi.modulus
+    n = X.size
+    weight = [[phi.value((u, o)) for o in range(n)] for u in range(n)]
+    crossings = [(rel.from_under, rel.over, rel.sign) for rel in D.relations]
     coeffs = [0] * d
-    for rho in enumerate_colorings(D, X):
-        coeffs[coloring_weight(D, X, phi, rho)] += 1
+    for colors in _solve_relations(D, X):
+        total = 0
+        for under, over, sign in crossings:
+            total += sign * weight[colors[under]][colors[over]]
+        coeffs[total % d] += 1
     return GroupRingElement(d, tuple(coeffs))
 
 
 def state_sum_shadow(
     D: Diagram, X: RackTable, theta: Cochain, *, check: bool = True
 ) -> GroupRingElement:
-    """The 3-cocycle state sum over all shadow colorings of D by X."""
+    """The 3-cocycle state sum over all shadow colorings of D by X.
+
+    Per arc coloring each crossing adds the vector theta(perms[region][s],
+    under, over) over the seeds s, the theta row for its (under, over) colors
+    read through the region's seed list; the consistent seeds' totals are
+    then counted into the histogram.
+    """
     _require_cocycle(X, theta, 3, check)
     d = theta.modulus
+    n = X.size
+    rows: dict[tuple[int, int], list[int]] = {}  # (under, over) -> theta(., under, over)
+    for (x, u, o), v in theta.values.items():
+        if 0 <= min(x, u, o) and max(x, u, o) < n:
+            rows.setdefault((u, o), [0] * n)[x] = v
+    crossings = [
+        (y, rel.from_under, rel.over, rel.sign)
+        for rel, y in zip(D.relations, D.shadow_weight_regions)
+    ]
     coeffs = [0] * d
-    for shadow in enumerate_shadow_colorings(D, X):
-        coeffs[shadow_weight(D, X, theta, shadow)] += 1
+    for colors, perms, seeds in _seeded_regions(D, X):
+        totals = [0] * n
+        for y, under, over, sign in crossings:
+            row = rows.get((colors[under], colors[over]))
+            if row is not None:
+                totals = [t + sign * row[x] for t, x in zip(totals, perms[y])]
+        for s in seeds:
+            coeffs[totals[s] % d] += 1
     return GroupRingElement(d, tuple(coeffs))
 
 
@@ -185,7 +214,11 @@ def state_sum_surface(
     """The triple-point state sum over all colorings of the surface data."""
     _require_cocycle(X, theta, 3, check)
     d = theta.modulus
+    value = theta.value
     coeffs = [0] * d
-    for rho in enumerate_surface_colorings(SD, X):
-        coeffs[surface_weight(SD, theta, rho)] += 1
+    for colors in _solve_relations(SD, X):
+        total = 0
+        for lo, mid, up, sign in SD.triple_points:
+            total += sign * value((colors[lo], colors[mid], colors[up]))
+        coeffs[total % d] += 1
     return GroupRingElement(d, tuple(coeffs))

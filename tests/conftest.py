@@ -97,11 +97,30 @@ def brute_force_colorings(D, X):
 
 
 def brute_force_shadows(D, X):
-    """Oracle: scan every (arc, region) assignment against both conditions."""
+    """Oracle: scan every (arc, region) assignment against both conditions.
+
+    Regions are assigned in face order, every color in turn, and a partial
+    assignment is dropped as soon as a transition between two assigned faces
+    fails; that prunes the scan without skipping any full assignment.  The
+    output is in the order of itertools.product over the regions.
+    """
     trans = D.face_transitions()
+    # Transitions to check once face f is assigned: both ends among faces 0..f.
+    due = [[] for _ in range(D.n_faces)]
+    for s, t, a in trans:
+        due[max(s, t)].append((s, t, a))
     out = []
     for colors in brute_force_colorings(D, X):
-        for reg in itertools.product(range(X.size), repeat=D.n_faces):
-            if all(X.table[reg[s]][colors[a]] == reg[t] for s, t, a in trans):
-                out.append((colors, reg))
+        reg = [0] * D.n_faces
+
+        def extend(f):
+            if f == D.n_faces:
+                out.append((colors, tuple(reg)))
+                return
+            for x in range(X.size):
+                reg[f] = x
+                if all(X.table[reg[s]][colors[a]] == reg[t] for s, t, a in due[f]):
+                    extend(f + 1)
+
+        extend(0)
     return out

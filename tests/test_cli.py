@@ -82,14 +82,29 @@ def test_color_unknot(capsys):
 
 
 def test_color_count_does_not_enumerate(monkeypatch, capsys):
+    from quandlekit import coloring
+
     def refuse(*args):
         raise AssertionError("a count must not build the coloring list")
 
-    monkeypatch.setattr(cli, "enumerate_colorings", refuse)
-    code, out, _ = run(capsys, "color", "trefoil.pd", "dihedral:3")
-    assert code == 0
-    assert payload(out) == ["colorings: 9"]
-    assert "#data colorings 9" in out
+    for module in (cli, coloring):
+        for name in ("enumerate_colorings", "enumerate_shadow_colorings",
+                     "enumerate_surface_colorings"):
+            monkeypatch.setattr(module, name, refuse)
+    cases = [
+        (("trefoil.pd", "dihedral:3"), "colorings", 9),
+        (("trefoil.pd", "dihedral:3", "--shadow"), "shadow-colorings", 27),
+        (("trefoil.pd", "dihedral:3", "--shadow", "--surjective"), "shadow-colorings", 18),
+        (("trefoil.pd", "dihedral:3", "--surjective"), "colorings", 6),
+        (("sphere.surf", "dihedral:3", "--count"), "surface-colorings", 3),
+        (("sphere.surf", "dihedral:3", "--surjective"), "surface-colorings", 0),
+        (("trefoil_shadow.surf", "dihedral:3", "--surjective"), "surface-colorings", 24),
+    ]
+    for argv, label, count in cases:
+        code, out, _ = run(capsys, "color", *argv)
+        assert code == 0, argv
+        assert payload(out) == [f"{label}: {count}"], argv
+        assert f"#data {label} {count}" in out, argv
 
 
 def test_color_list_and_surjective(capsys):

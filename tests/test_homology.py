@@ -188,6 +188,31 @@ def test_dihedral4_quandle_free_rank(r4):
         assert homology(r4, n, "Q").rank == o * (o - 1) ** (n - 1), n
 
 
+def test_degree_sweep_eliminates_each_boundary_once(monkeypatch):
+    # H_n and H_{n+1} share d_{n+1}: the sweep n = 2..7 touches d_2..d_8 once each.
+    from quandlekit import snf
+    from quandlekit.homology import _boundary_invariants, _boundary_mod_rank
+
+    X = make_dihedral(3)
+    for fn in (homology, homology_mod, _boundary_invariants, _boundary_mod_rank):
+        fn.cache_clear()
+    calls = []
+
+    def counted(real):
+        def wrapper(columns, nrows, *rest):
+            calls.append(real.__name__)
+            return real(columns, nrows, *rest)
+        return wrapper
+
+    monkeypatch.setattr(snf, "cokernel_invariants", counted(snf.cokernel_invariants))
+    monkeypatch.setattr(snf, "mod_rank", counted(snf.mod_rank))
+    for n in range(2, 8):
+        assert homology(X, n, "Q") == AbelianGroup(0, (3,) * DELTA_FIB[n - 1]), n
+        assert homology_mod(X, n, "Q", 3) == DELTA_FIB[n - 1] + DELTA_FIB[n - 2], n
+    assert calls.count("cokernel_invariants") == 7
+    assert calls.count("mod_rank") == 7
+
+
 @pytest.mark.slow
 def test_dihedral3_quandle_homology_degree_9(monkeypatch, r3):
     monkeypatch.setenv("QUANDLEKIT_BUDGET", "100000")  # 3^10 tuples before the Q filter

@@ -1,8 +1,11 @@
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quandlekit import (
     Cochain,
+    Coloring,
     DomainError,
     GroupRingElement,
     NonCocycleError,
@@ -21,13 +24,18 @@ from quandlekit import (
     per_coloring_weight,
     render,
     shadow_surface_data,
+    ShadowColoring,
     state_sum_2,
     state_sum_shadow,
     state_sum_surface,
+    SurfaceColoring,
     torus_diagram,
 )
 from quandlekit.diagram import parse_braid_word
 from quandlekit.invariant import coloring_weight, shadow_weight, surface_weight
+from quandlekit.specs import resolve_rack
+
+from conftest import THETA_VALUES, brute_force_colorings, brute_force_shadows
 
 
 # --- group ring ---------------------------------------------------------------
@@ -281,3 +289,75 @@ def test_two_cocycle_sum_reidemeister_robust(trefoil, r3, r4):
         counts = {count_colorings(D, X) for D in encodings}
         assert len(values) == 1
         assert len(counts) == 1
+
+
+# --- differential: streamed folds against per-coloring weights over brute force -------
+
+
+def _histogram(d, weights):
+    coeffs = [0] * d
+    for w in weights:
+        coeffs[w] += 1
+    return GroupRingElement(d, tuple(coeffs))
+
+
+@lru_cache(maxsize=None)
+def _cocycle_pairs():
+    """(quandle, cocycle) pairs: R3 with theta, R5 and S4 with non-coboundaries."""
+
+    def nontrivial(X, n, d):
+        spaces = cohomology(X, n, "Q", d)
+        return next(c for c in spaces.cocycles() if not spaces.contains_coboundary(c))
+
+    r5 = make_dihedral(5)
+    s4 = resolve_rack("alexander:2:1,1,1:0,1")
+    return (
+        (make_dihedral(3), Cochain(3, 3, THETA_VALUES)),
+        (r5, nontrivial(r5, 3, 5)),
+        (s4, nontrivial(s4, 2, 2)),
+    )
+
+
+def _assert_sums_match_oracle(D, X, cochain, check=True):
+    """The state sums of D equal histograms of the reference weights."""
+    d = cochain.modulus
+    if cochain.degree == 2:
+        weights = [coloring_weight(D, X, cochain, Coloring(c)) for c in brute_force_colorings(D, X)]
+        assert state_sum_2(D, X, cochain, check=check) == _histogram(d, weights)
+        return
+    shadows = brute_force_shadows(D, X)
+    weights = [shadow_weight(D, X, cochain, ShadowColoring(c, r)) for c, r in shadows]
+    assert state_sum_shadow(D, X, cochain, check=check) == _histogram(d, weights)
+    # Sheets of the shadow surface data are the arcs, then the regions.
+    sd = shadow_surface_data(D)
+    weights = [surface_weight(sd, cochain, SurfaceColoring(c + r)) for c, r in shadows]
+    assert state_sum_surface(sd, X, cochain, check=check) == _histogram(d, weights)
+
+
+def test_state_sums_match_brute_force_oracle(small_diagrams):
+    for name, D in small_diagrams.items():
+        for E in (D, mirror(D)):
+            for X, cochain in _cocycle_pairs():
+                _assert_sums_match_oracle(E, X, cochain)
+
+
+@settings(max_examples=25, deadline=None)
+@given(word=st.lists(st.sampled_from([1, -1, 2, -2]), min_size=2, max_size=6).filter(
+    lambda w: {abs(x) for x in w} == {1, 2}
+))
+def test_state_sums_match_oracle_on_random_braids(word):
+    D = braid_closure(parse_braid_word(3, " ".join(map(str, word))))
+    for X, cochain in _cocycle_pairs():
+        _assert_sums_match_oracle(D, X, cochain)
+
+
+def test_non_cocycle_sums_match_oracle_unchecked(small_diagrams):
+    r3 = make_dihedral(3)
+    # Not cocycles; the tuples outside R3 never weigh a coloring.
+    bad3 = Cochain(3, 3, {(0, 1, 2): 1, (1, 1, 0): 2, (2, 7, 1): 1, (-1, 0, 1): 2})
+    bad2 = Cochain(2, 3, {(0, 1): 1, (2, 2): 1, (0, -2): 1})
+    for cochain in (bad3, bad2):
+        for D in small_diagrams.values():
+            with pytest.raises(NonCocycleError):
+                _assert_sums_match_oracle(D, r3, cochain)
+            _assert_sums_match_oracle(D, r3, cochain, check=False)

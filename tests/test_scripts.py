@@ -1,0 +1,29 @@
+"""Smoke tests: the scripts in scripts/ run and print their known values."""
+
+import os
+import runpy
+import sys
+
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+
+
+def run_script(monkeypatch, capsys, name, *argv):
+    monkeypatch.setattr(sys, "argv", [name, *argv])
+    runpy.run_path(os.path.join(SCRIPTS, name), run_name="__main__")
+    return capsys.readouterr().out.splitlines()
+
+
+def test_knot_table_runs(monkeypatch, capsys):
+    lines = run_script(monkeypatch, capsys, "knot_table.py")
+    rows = {line.split()[0]: line.split(None, 4)[1:] for line in lines[2:] if line[:1].isalnum()}
+    # trefoil: 3 crossings, 9 colorings by R3, 27 shadow colorings, 9 + 18t
+    assert rows["trefoil"] == ["3", "9", "27", "9 + 18t"]
+    assert rows["T(2,-3)"] == ["3", "9", "27", "9 + 18t^2"]
+
+
+def test_homology_survey_runs(monkeypatch, capsys):
+    lines = run_script(monkeypatch, capsys, "homology_survey.py", "3")
+    at = lines.index("== R3 (orbits: 1)")
+    assert lines[at + 3].split() == ["H_3^R", "=", "Z", "+", "Z_3", "H_3^D", "=", "Z",
+                                     "H_3^Q", "=", "Z_3"]
+    assert lines[at + 4].strip() == "splitting checks: all pass"
