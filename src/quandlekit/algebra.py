@@ -496,10 +496,12 @@ def _profile(X: RackTable, a: int) -> tuple:
 
 
 def find_isomorphism(X: RackTable, Y: RackTable) -> tuple[int, ...] | None:
-    """Brute-force isomorphism X -> Y with degree-invariant pruning.
+    """Backtracking isomorphism X -> Y with degree-invariant pruning.
 
-    Intended for tables with at most ~8 elements; returns the image tuple or
-    None.
+    Elements of X get their images in order 0, 1, ...; each pair (x, y) is
+    checked once, when the last of x, y and x*y is mapped.  The search keeps
+    its own stack, so its depth is not bounded by the recursion limit.
+    Returns the image tuple or None.
     """
     if X.size != Y.size:
         return None
@@ -508,35 +510,37 @@ def find_isomorphism(X: RackTable, Y: RackTable) -> tuple[int, ...] | None:
     py = [_profile(Y, a) for a in range(n)]
     if sorted(px) != sorted(py):
         return None
-    candidates = [[b for b in range(n) if py[b] == px[a]] for a in range(n)]
-
-    def extend(mapping: list[int], used: set[int]) -> tuple[int, ...] | None:
-        a = len(mapping)
-        if a == n:
-            return tuple(mapping)
-        for b in candidates[a]:
-            if b in used:
-                continue
-            mapping.append(b)
-            used.add(b)
-            ok = True
-            for x in range(a + 1):
-                if not ok:
-                    break
-                for y in range(a + 1):
-                    xy = X.table[x][y]
-                    if xy <= a and Y.table[mapping[x]][mapping[y]] != mapping[xy]:
-                        ok = False
-                        break
-            if ok:
-                result = extend(mapping, used)
-                if result is not None:
-                    return result
-            mapping.pop()
-            used.remove(b)
-        return None
-
-    return extend([], set())
+    elements = list(range(n))  # shared int objects keep the lists below small
+    candidates = [[b for b in elements if py[b] == px[a]] for a in elements]
+    xt, yt = X.table, Y.table
+    # checks[a] lists x0, y0, x1, y1, ...: the pairs with max(x, y, x*y) = a.
+    checks: list[list[int]] = [[] for _ in elements]
+    for x in elements:
+        for y in elements:
+            checks[max(x, y, xt[x][y])] += (x, y)
+    mapping: list[int] = []
+    used = [False] * n
+    stack = [0]  # per mapped level, the index of the next candidate to try
+    while stack:
+        a = len(stack) - 1
+        if len(mapping) > a:
+            used[mapping.pop()] = False
+        i = stack[a]
+        if i == len(candidates[a]):
+            stack.pop()
+            continue
+        stack[a] = i + 1
+        b = candidates[a][i]
+        if used[b]:
+            continue
+        mapping.append(b)
+        used[b] = True
+        pairs = iter(checks[a])
+        if all(yt[mapping[x]][mapping[y]] == mapping[xt[x][y]] for x, y in zip(pairs, pairs)):
+            if a + 1 == n:
+                return tuple(mapping)
+            stack.append(0)
+    return None
 
 
 # --- text format ---------------------------------------------------------------

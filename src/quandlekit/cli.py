@@ -123,9 +123,7 @@ def _count_colorings(target, X, shadow: bool, surjective: bool) -> int:
 
     if shadow:
         return sum(len(seeds) for colors, _, seeds in _seeded_regions(target, X) if keep(colors))
-    if surjective:
-        return sum(1 for colors in _solve_relations(target, X) if keep(colors))
-    return _solve_relations(target, X, count_only=True)
+    return sum(1 for colors in _solve_relations(target, X) if keep(colors))
 
 
 def _cmd_color(args: argparse.Namespace) -> int:

@@ -52,13 +52,13 @@ class SurfaceColoring:
 
 
 def _solve_relations(
-    target: Diagram | SurfaceDiagramData, X: RackTable, *, count_only: bool = False
-):
+    target: Diagram | SurfaceDiagramData, X: RackTable
+) -> Iterator[tuple[int, ...]]:
     """Colorings of a diagram's arcs, or of surface data's sheets (by a quandle).
 
     They are the assignments with colors[j] = colors[i] * colors[k] for every
     relation (i, j, k).  Returns an iterator over the color tuples in
-    lexicographic order, or their number when count_only is set.  The search
+    lexicographic order; the input is checked before it returns.  The search
     always branches on the least unassigned variable and tries colors in
     increasing order, so solutions come out sorted and one at a time.  It
     keeps its own stack of branch points, so its depth is not bounded by the
@@ -72,8 +72,6 @@ def _solve_relations(
         n_vars = target.n_arcs
         relations = tuple((r.from_under, r.to_under, r.over) for r in target.relations)
     n = X.size
-    if n_vars == 0:
-        return 1 if count_only else iter([()])
     table = X.table
     rels_of: list[list[int]] = [[] for _ in range(n_vars)]
     for idx, (i, j, k) in enumerate(relations):
@@ -134,7 +132,7 @@ def _solve_relations(
             else:
                 yield tuple(assign)  # type: ignore[arg-type]
 
-    return sum(1 for _ in solutions()) if count_only else solutions()
+    return solutions()
 
 
 def enumerate_colorings(D: Diagram, X: RackTable) -> list[Coloring]:
@@ -147,7 +145,7 @@ def enumerate_colorings(D: Diagram, X: RackTable) -> list[Coloring]:
 
 
 def count_colorings(D: Diagram, X: RackTable) -> int:
-    return _solve_relations(D, X, count_only=True)
+    return sum(1 for _ in _solve_relations(D, X))
 
 
 def _region_plan(D: Diagram):

@@ -22,7 +22,7 @@ import os
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, wraps
 from math import gcd, prod
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import snf
 from ._util import content_lines
@@ -159,7 +159,6 @@ def boundary_matrix(X: RackTable, n: int, theory: str = "R") -> BoundaryMatrix:
     _check_theory(X, theory)
     domain = chain_basis(X, n, theory)
     codomain = chain_basis(X, n - 1, theory)
-    _check_budget(len(domain), len(codomain))
     row_index = codomain.index
     columns: list[dict[int, int]] = []
     for t in domain.tuples:
@@ -177,14 +176,13 @@ def boundary_matrix(X: RackTable, n: int, theory: str = "R") -> BoundaryMatrix:
     return BoundaryMatrix(X, n, theory, tuple(columns), domain, codomain)
 
 
-def _check_budget(*sizes: int) -> None:
+def _check_budget(size: int) -> None:
     budget = basis_budget()
-    for s in sizes:
-        if s > budget:
-            raise BudgetError(
-                f"chain basis of size {s} exceeds the budget of {budget} "
-                f"(override with {_BUDGET_ENV})"
-            )
+    if size > budget:
+        raise BudgetError(
+            f"chain basis of size {size} exceeds the budget of {budget} "
+            f"(override with {_BUDGET_ENV})"
+        )
 
 
 # --- abelian group values ------------------------------------------------------
@@ -209,24 +207,10 @@ class AbelianGroup:
 
     @classmethod
     def from_divisors(cls, rank: int, divisors: Iterable[int]) -> "AbelianGroup":
-        """Build from any list of cyclic orders, recombining canonically."""
-        primary: dict[int, list[int]] = {}
-        for d in divisors:
-            if d in (0,):
-                rank += 1
-                continue
-            d = abs(d)
-            if d <= 1:
-                continue
-            for p, e in _factorint(d).items():
-                primary.setdefault(p, []).append(e)
-        items = sorted((p, sorted(es, reverse=True)) for p, es in primary.items())
-        width = max((len(es) for _, es in items), default=0)
-        factors = []
-        for i in range(width):
-            factors.append(prod(p ** es[i] for p, es in items if i < len(es)))
-        factors.sort()
-        return cls(rank, tuple(factors))
+        """Build from any list of cyclic orders (0 for Z), recombining canonically."""
+        orders = [abs(d) for d in divisors]
+        factors = snf.invariant_factors([d for d in orders if d])
+        return cls(rank + orders.count(0), tuple(d for d in factors if d > 1))
 
     def elementary_divisors(self) -> tuple[int, ...]:
         out: list[int] = []
@@ -293,7 +277,6 @@ def _boundary_mod_rank(X: RackTable, n: int, theory: str, p: int) -> int:
     return snf.mod_rank(d.columns, d.nrows, p)
 
 
-@_budget_cache
 def homology(X: RackTable, n: int, theory: str = "R") -> AbelianGroup:
     """Integral homology H_n = ker d_n / im d_{n+1} from two Smith diagonals.
 
@@ -310,7 +293,6 @@ def homology(X: RackTable, n: int, theory: str = "R") -> AbelianGroup:
     return AbelianGroup(dim - rank_lower - rank_upper, torsion)
 
 
-@_budget_cache
 def homology_mod(X: RackTable, n: int, theory: str, p: int) -> int:
     """Direct dimension of H_n(X; Z_p) for prime p, via GF(p) ranks."""
     if not _is_prime(p):
@@ -418,6 +400,16 @@ class CocycleCheck:
         return self.ok
 
 
+def _coboundary_values(
+    X: RackTable, mu: Cochain, theory: str
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The nonzero values (delta mu)(w) = mu(boundary w), w in basis order."""
+    for t in chain_basis(X, mu.degree + 1, theory).tuples:
+        total = sum(c * mu.value(term) for term, c in _boundary_terms(X, t).items())
+        if total % mu.modulus:
+            yield t, total
+
+
 def is_cocycle(X: RackTable, phi: Cochain, theory: str = "Q") -> CocycleCheck:
     """Does phi vanish on boundaries (and, for theory Q, on degenerate tuples)?
 
@@ -432,26 +424,15 @@ def is_cocycle(X: RackTable, phi: Cochain, theory: str = "Q") -> CocycleCheck:
         bad = phi.vanishes_on_degenerate()
         if bad is not None:
             return CocycleCheck(False, "nonzero on degenerate tuple", bad)
-    upper = chain_basis(X, phi.degree + 1, theory)
-    for t in upper.tuples:
-        total = 0
-        for term, coeff in _boundary_terms(X, t).items():
-            total += coeff * phi.value(term)
-        if total % phi.modulus:
-            return CocycleCheck(False, "coboundary is nonzero", t)
+    for t, _ in _coboundary_values(X, phi, theory):
+        return CocycleCheck(False, "coboundary is nonzero", t)
     return CocycleCheck(True)
 
 
 def coboundary(X: RackTable, mu: Cochain, theory: str = "Q") -> Cochain:
     """The degree-(n+1) cochain (delta mu)(w) = mu(boundary w)."""
     _check_theory(X, theory)
-    upper = chain_basis(X, mu.degree + 1, theory)
-    values = {}
-    for t in upper.tuples:
-        total = sum(c * mu.value(term) for term, c in _boundary_terms(X, t).items())
-        if total % mu.modulus:
-            values[t] = total
-    return Cochain(mu.degree + 1, mu.modulus, values)
+    return Cochain(mu.degree + 1, mu.modulus, dict(_coboundary_values(X, mu, theory)))
 
 
 @dataclass(frozen=True)

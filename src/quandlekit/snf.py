@@ -9,7 +9,10 @@ shortest row among its unit entries (Dumas, Saunders and Villard, J. Symb.
 Comput. 32, 2001).  ``cokernel_invariants`` and ``mod_rank`` read ranks and
 invariant factors off this core; the dense ``smith_normal_form``, with
 entries as Python ints so everything stays exact, runs only on the small
-residual, and carries a column transform when ``kernel_complement`` asks.
+residual.  It diagonalizes by unimodular row and column operations, carrying
+the column transform when ``kernel_complement`` asks, and reads the
+divisibility chain off that diagonal with ``invariant_factors``, the same
+rule that makes ``AbelianGroup.from_divisors`` canonical.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
+from math import gcd
 from typing import Mapping, Sequence
 
 
@@ -35,11 +39,34 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
+def invariant_factors(values: Sequence[int]) -> list[int]:
+    """The divisibility chain of diag(values), for positive integers.
+
+    Replacing a pair (a, b) by (gcd(a, b), lcm(a, b)) keeps Z_a + Z_b up to
+    isomorphism and sorts the exponent of every prime; doing it for all
+    pairs i < j sorts them along the whole list, so entry i divides entry
+    i+1.  The length is kept, 1s included; a leading 1 changes nothing.
+    """
+    out = list(values)
+    for i in range(len(out)):
+        a = out[i]
+        if a == 1:
+            continue
+        for j in range(i + 1, len(out)):
+            g = gcd(a, out[j])
+            out[j] = a // g * out[j]
+            a = g
+        out[i] = a
+    return out
+
+
 @dataclass
 class SmithForm:
     diag: list[int]  # nonnegative; diag[i] divides diag[i+1]
     rank: int
-    col_ops: list[list[int]] | None  # T with S @ A @ T diagonal for some unimodular S
+    # T with S @ A @ T diagonal for some unimodular S; diag is the divisibility
+    # chain of that diagonal's absolute values, not the diagonal itself.
+    col_ops: list[list[int]] | None
 
 
 def smith_normal_form(
@@ -51,9 +78,10 @@ def smith_normal_form(
 ) -> SmithForm:
     """Diagonalize a dense integer matrix by unimodular row/column operations.
 
-    Returns the diagonal with the divisibility chain enforced, plus the
-    accumulated column transform T when requested (S @ A @ T equals the
-    diagonal matrix for some unimodular S, which is not kept).
+    Returns the invariant factors of the diagonal reached (zeros last), plus
+    the accumulated column transform T when requested: S @ A @ T is that
+    diagonal for some unimodular S, which is not kept.  Columns rank.. of T
+    span the kernel of A.
     """
     d = [list(row) for row in rows]
     if any(len(row) != ncols for row in d):
@@ -125,29 +153,8 @@ def smith_normal_form(
         k += 1
     rank = k
 
-    def make_nonnegative(*indices: int) -> None:
-        for i in indices:
-            if d[i][i] < 0:
-                d[i] = [-x for x in d[i]]
-
-    make_nonnegative(*range(rank))
-    # Enforce the divisibility chain d[i] | d[i+1].
-    i = 0
-    while i < rank - 1:
-        a, b = d[i][i], d[i + 1][i + 1]
-        if b % a == 0:
-            i += 1
-            continue
-        # Fold column i+1 into column i, then re-diagonalize the 2x2 block.
-        for row in itertools.chain(d, t):
-            row[i] += row[i + 1]
-        row_combine(i, i + 1, i)
-        col_combine(i, i + 1, i)
-        row_combine(i, i + 1, i)
-        make_nonnegative(i, i + 1)
-        i = max(i - 1, 0)
-
-    diag = [d[i][i] for i in range(min(nrows, ncols))]
+    diag = invariant_factors([abs(d[i][i]) for i in range(rank)])
+    diag += [0] * (min(nrows, ncols) - rank)
     return SmithForm(diag=diag, rank=rank, col_ops=t if want_col_ops else None)
 
 

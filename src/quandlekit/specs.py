@@ -77,19 +77,19 @@ def resolve_rack(spec: str, *, force_file: bool = False) -> RackTable:
     """A rack table from a builtin name or a table file."""
     if not force_file and ":" in spec:
         head, *rest = spec.split(":")
-        if head == "trivial" and len(rest) == 1:
-            return make_trivial(_parse_int(rest[0], "size"))
-        if head == "dihedral" and len(rest) == 1:
-            return make_dihedral(_parse_int(rest[0], "size"))
-        if head == "alexander" and len(rest) == 3:
-            try:
+        try:
+            if head == "trivial" and len(rest) == 1:
+                return make_trivial(_parse_int(rest[0], "size"))
+            if head == "dihedral" and len(rest) == 1:
+                return make_dihedral(_parse_int(rest[0], "size"))
+            if head == "alexander" and len(rest) == 3:
                 return make_alexander(
                     _parse_int(rest[0], "modulus"),
                     _parse_poly(rest[1], "quotient polynomial"),
                     _parse_poly(rest[2], "T polynomial"),
                 )
-            except DomainError as exc:
-                raise ParseError(f"bad alexander spec {spec!r}: {exc}") from None
+        except DomainError as exc:
+            raise ParseError(f"bad {head} spec {spec!r}: {exc}") from None
         if head in _RACK_BUILTINS:
             raise ParseError(f"malformed builtin rack spec {spec!r}")
     return parse_rack_table(_read_spec_text(spec), name=spec)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +26,12 @@ from quandlekit import (
     make_trivial,
     parse_rack_table,
 )
-from quandlekit.algebra import evaluate_rack_word, format_rack_table, symmetric_group_table
+from quandlekit.algebra import (
+    RackTable,
+    evaluate_rack_word,
+    format_rack_table,
+    symmetric_group_table,
+)
 
 
 # --- constructors -----------------------------------------------------------
@@ -351,6 +357,54 @@ def test_rack_table_parse_errors():
     # comments and blank lines are fine
     X = parse_rack_table("# a kei\nrack 2\n\n0 0  # row\n1 1\n")
     assert X.size == 2
+
+
+def test_isomorphism_search_is_not_bounded_by_recursion():
+    X = make_trivial(1100)
+    assert find_isomorphism(X, X) == tuple(range(1100))
+
+
+def test_isomorphism_finds_relabelled_tables():
+    rng = random.Random(5)
+    for X in (
+        make_dihedral(6),
+        make_alexander(2, [1, 0, 1], [0, 1]),
+        make_conjugation(symmetric_group_table(3), 1),
+    ):
+        n = X.size
+        perm = rng.sample(range(n), n)
+        back = [perm.index(a) for a in range(n)]
+        Y = type(X)(n, tuple(
+            tuple(perm[X.op(back[a], back[b])] for b in range(n)) for a in range(n)
+        ))
+        iso = find_isomorphism(X, Y)
+        assert iso is not None and sorted(iso) == list(range(n))
+        for a in range(n):
+            for b in range(n):
+                assert Y.op(iso[a], iso[b]) == iso[X.op(a, b)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_isomorphism_is_least_of_brute_force(data):
+    # Random tables, not only racks; Y is a relabelled X with maybe one entry changed.
+    n = data.draw(st.integers(1, 4))
+    X = RackTable(n, tuple(
+        tuple(data.draw(st.integers(0, n - 1)) for _ in range(n)) for _ in range(n)
+    ))
+    perm = data.draw(st.permutations(range(n)))
+    rows = [[0] * n for _ in range(n)]
+    for a, b in itertools.product(range(n), repeat=2):
+        rows[perm[a]][perm[b]] = perm[X.op(a, b)]
+    if data.draw(st.booleans()):
+        a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        rows[a][b] = data.draw(st.integers(0, n - 1))
+    Y = RackTable(n, tuple(map(tuple, rows)))
+    isos = [
+        p for p in itertools.permutations(range(n))
+        if all(Y.op(p[a], p[b]) == p[X.op(a, b)] for a in range(n) for b in range(n))
+    ]
+    assert find_isomorphism(X, Y) == (min(isos) if isos else None)
 
 
 def test_isomorphism_rejects_different_structures():

@@ -1,4 +1,6 @@
 import os
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -356,6 +358,34 @@ def test_force_file_flag(tmp_path, capsys):
     code, out, _ = run(capsys, "check", str(weird), "--file")
     assert code == 0
     assert "order 1" in out
+
+
+def test_malformed_builtin_rack_specs_exit_2(capsys):
+    for spec in ("dihedral:0", "trivial:0", "dihedral:-2"):
+        code, _, err = run(capsys, "check", spec)
+        assert code == 2, spec
+        assert f"error: bad {spec.split(':')[0]} spec {spec!r}: " in err, spec
+    code, _, err = run(capsys, "check", "alexander:0:1,1:1")
+    assert code == 2
+    assert "error: bad alexander spec 'alexander:0:1,1:1': modulus must be positive" in err
+    code, _, _ = run(capsys, "color", "torus:3:0", "dihedral:3", "--count")
+    assert code == 2
+
+
+def readme_commands():
+    """The ``quandlekit ...`` lines of the README "Command line" block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("quandlekit ")]
+
+
+def test_readme_commands_run(capsys):
+    lines = readme_commands()
+    assert lines
+    for line in lines:
+        code, out, _ = run(capsys, *shlex.split(line)[1:])
+        assert code == 0, line
+        assert sum(row.startswith("#data ") for row in out.splitlines()) == 1, line
 
 
 def test_usage_error_exit_code(capsys):

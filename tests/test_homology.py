@@ -30,7 +30,12 @@ from quandlekit import (
     structure_report,
     uct_mod_dimension,
 )
-from quandlekit.homology import format_cochain
+from quandlekit.homology import (
+    _boundary_invariants,
+    _boundary_mod_rank,
+    _factorint,
+    format_cochain,
+)
 from quandlekit.specs import read_data_file, resolve_rack
 
 from conftest import THETA_VALUES
@@ -191,10 +196,9 @@ def test_dihedral4_quandle_free_rank(r4):
 def test_degree_sweep_eliminates_each_boundary_once(monkeypatch):
     # H_n and H_{n+1} share d_{n+1}: the sweep n = 2..7 touches d_2..d_8 once each.
     from quandlekit import snf
-    from quandlekit.homology import _boundary_invariants, _boundary_mod_rank
 
     X = make_dihedral(3)
-    for fn in (homology, homology_mod, _boundary_invariants, _boundary_mod_rank):
+    for fn in (_boundary_invariants, _boundary_mod_rank):
         fn.cache_clear()
     calls = []
 
@@ -234,7 +238,7 @@ def test_budget_guard():
 
 
 def test_budget_guard_ignores_warm_cache(monkeypatch, r3):
-    cached = (chain_basis, boundary_matrix, homology, homology_mod)
+    cached = (chain_basis, boundary_matrix, _boundary_invariants, _boundary_mod_rank)
     calls = [
         (chain_basis, (r3, 6, "Q")),
         (boundary_matrix, (r3, 5, "Q")),
@@ -278,6 +282,15 @@ def test_abelian_group_canonicalization():
         AbelianGroup(0, (4, 2))
     with pytest.raises(ValueError):
         AbelianGroup(0, (1,))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 3), st.lists(st.integers(-400, 400), max_size=8))
+def test_from_divisors_keeps_prime_powers(rank, divisors):
+    group = AbelianGroup.from_divisors(rank, divisors)
+    powers = sorted(p**e for d in divisors if d for p, e in _factorint(abs(d)).items())
+    assert group.elementary_divisors() == tuple(powers)
+    assert group.rank == rank + divisors.count(0)
 
 
 def test_abelian_group_direct_sum_and_render():
@@ -345,6 +358,24 @@ def test_coboundary_of_anything_is_cocycle(entries):
     entries = {k: v for k, v in entries.items() if k[0] != k[1]}
     mu = Cochain(2, 3, entries)
     assert is_cocycle(r3, coboundary(r3, mu, "Q"), "Q").ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_is_cocycle_witness_is_first_coboundary_value(data):
+    X = data.draw(st.sampled_from([make_dihedral(3), make_dihedral(4), make_trivial(2)]))
+    theory = data.draw(st.sampled_from(["R", "Q"]))
+    degree = data.draw(st.integers(1, 3))
+    basis = chain_basis(X, degree, theory).tuples
+    values = data.draw(st.dictionaries(st.sampled_from(basis), st.integers(1, 2), max_size=5))
+    phi = Cochain(degree, 3, values)
+    check = is_cocycle(X, phi, theory)
+    delta = coboundary(X, phi, theory)
+    assert check.ok == (not delta.values)
+    assert list(delta.values) == sorted(delta.values)  # basis order is lexicographic
+    if not check.ok:
+        assert check.reason == "coboundary is nonzero"
+        assert check.witness == next(iter(delta.values))
 
 
 # --- cohomology spaces ------------------------------------------------------------------

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from quandlekit.snf import (
     cokernel_invariants,
+    invariant_factors,
     kernel_complement,
     mod_nullspace,
     mod_rank,
@@ -92,6 +93,16 @@ def test_smith_form_random(m, n, data):
         for _ in range(m)
     ]
     check_smith_form(a, m, n)
+
+
+def test_smith_recombines_diagonal_entries():
+    assert invariant_factors([]) == []
+    assert invariant_factors([1, 4, 6, 10]) == [1, 2, 2, 60]
+    assert smith_normal_form([[2, 0], [0, 3]], 2, 2).diag == [1, 6]
+    assert smith_normal_form([[4, 0, 0], [0, 6, 0], [0, 0, 10]], 3, 3).diag == [2, 2, 60]
+    # The kernel columns of the transform still annihilate A.
+    check_smith_form([[2, 0, 2], [0, 3, 3]], 2, 3)
+    check_smith_form([[4, 0, 0, 4], [0, 6, 0, 6], [0, 0, 10, 10]], 3, 4)
 
 
 def test_kernel_complement():
