@@ -16,13 +16,7 @@ import sys
 import time
 from typing import Sequence
 
-from .coloring import (
-    _seeded_regions,
-    _solve_relations,
-    enumerate_colorings,
-    enumerate_shadow_colorings,
-    enumerate_surface_colorings,
-)
+from .coloring import _orbit_fibers, _seeded_regions, _solve_relations
 from .diagram import Diagram, SurfaceDiagramData
 from .errors import BudgetError, ParseError, QuandleKitError
 from .homology import (
@@ -115,15 +109,33 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _count_colorings(target, X, shadow: bool, surjective: bool) -> int:
-    """The number of (shadow/surface) colorings, from the streamed search."""
+def _colorings(target, X, shadow: bool, surjective: bool, roots=None):
+    """(colors, perms, seeds) per (surjective) arc or sheet coloring, streamed.
 
-    def keep(colors: tuple[int, ...]) -> bool:
-        return not surjective or len(set(colors)) == X.size
-
+    With shadow, perms and seeds are those of _seeded_regions: the region
+    colors per region-0 color, and the region-0 colors that extend the
+    coloring.  Without it both are None.
+    """
     if shadow:
-        return sum(len(seeds) for colors, _, seeds in _seeded_regions(target, X) if keep(colors))
-    return sum(1 for colors in _solve_relations(target, X) if keep(colors))
+        found = _seeded_regions(target, X, roots)
+    else:
+        found = ((colors, None, None) for colors in _solve_relations(target, X, roots))
+    for colors, perms, seeds in found:
+        if not surjective or len(set(colors)) == X.size:
+            yield colors, perms, seeds
+
+
+def _count_colorings(target, X, shadow: bool, surjective: bool) -> int:
+    """The number of (shadow/surface) colorings, from one fiber per orbit.
+
+    An automorphism maps surjective colorings to surjective ones, so the
+    orbit weights of _orbit_fibers count --surjective colorings too.
+    """
+    roots, mult = _orbit_fibers(X)
+    return sum(
+        mult[colors[0]] * (1 if seeds is None else len(seeds))
+        for colors, _, seeds in _colorings(target, X, shadow, surjective, roots)
+    )
 
 
 def _cmd_color(args: argparse.Namespace) -> int:
@@ -133,32 +145,29 @@ def _cmd_color(args: argparse.Namespace) -> int:
         if args.shadow:
             raise ParseError("--shadow needs a classical diagram, not surface data")
         label = "surface-colorings"
-        enumerate_all = enumerate_surface_colorings
     elif args.shadow:
         label = "shadow-colorings"
-        enumerate_all = enumerate_shadow_colorings
     else:
         label = "colorings"
-        enumerate_all = enumerate_colorings
         if X.is_rack and not X.is_quandle:
             print("note: rack colorings are framed-diagram data only")
+    count = _count_colorings(target, X, args.shadow, args.surjective)
+    print(f"{label}: {count}")
+    print(f"#data {label} {count}")
     if not args.list:
-        count = _count_colorings(target, X, args.shadow, args.surjective)
-        print(f"{label}: {count}")
-        print(f"#data {label} {count}")
         return 0
-    colorings = enumerate_all(target, X)
-    if args.surjective:
-        colorings = [c for c in colorings if set(c.colors) == set(range(X.size))]
-    print(f"{label}: {len(colorings)}")
-    print(f"#data {label} {len(colorings)}")
-    for i, c in enumerate(colorings):
-        arc_part = " ".join(map(str, c.colors))
-        if hasattr(c, "region_colors"):
-            region_part = " ".join(map(str, c.region_colors))
-            print(f"{i}: {arc_part} | {region_part}")
-        else:
+    # The rows come from the full search, in its lexicographic order.
+    i = 0
+    for colors, perms, seeds in _colorings(target, X, args.shadow, args.surjective):
+        arc_part = " ".join(map(str, colors))
+        if seeds is None:
             print(f"{i}: {arc_part}")
+            i += 1
+            continue
+        regions = list(zip(*perms))
+        for s in seeds:
+            print(f"{i}: {arc_part} | {' '.join(map(str, regions[s]))}")
+            i += 1
     return 0
 
 

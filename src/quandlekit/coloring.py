@@ -13,6 +13,16 @@ colors for all |X| choices of the region-0 color at once, one list per region,
 each got from its parent's list by one right translation.  The transitions off
 the tree are checked as whole lists, which drops exactly the inconsistent
 choices.  Listings, counts and the shadow state sum all read that core.
+
+Counts search one fiber per orbit.  Each right translation x -> x * y of a
+rack is an automorphism, so it maps the colorings with arc 0 (or sheet 0)
+colored x one-to-one onto those colored x * y; fibers over one Inn(X) orbit
+are equally large.  count_colorings and the command line's counts (shadow,
+surjective and surface counts too) try only the least color of each orbit
+for variable 0 and weight each fiber by its orbit size (_orbit_fibers).  The
+checked 2- and 3-cocycle state sums do the same, since a cocycle's weight is
+constant on those orbits; unchecked sums, the surface state sum and every
+listing keep the full search.
 """
 
 from __future__ import annotations
@@ -52,7 +62,7 @@ class SurfaceColoring:
 
 
 def _solve_relations(
-    target: Diagram | SurfaceDiagramData, X: RackTable
+    target: Diagram | SurfaceDiagramData, X: RackTable, roots: Sequence[int] | None = None
 ) -> Iterator[tuple[int, ...]]:
     """Colorings of a diagram's arcs, or of surface data's sheets (by a quandle).
 
@@ -62,7 +72,8 @@ def _solve_relations(
     always branches on the least unassigned variable and tries colors in
     increasing order, so solutions come out sorted and one at a time.  It
     keeps its own stack of branch points, so its depth is not bounded by the
-    interpreter's recursion limit.
+    interpreter's recursion limit.  Given roots (increasing), variable 0
+    tries only those colors: the search covers just their fibers.
     """
     if isinstance(target, SurfaceDiagramData):
         X.require_quandle()
@@ -112,23 +123,26 @@ def _solve_relations(
                         set_var(k, cands[0], work)
         return True
 
+    all_colors = range(n)
+
     def solutions() -> Iterator[tuple[int, ...]]:
-        # Branch points [variable, next color to try, trail length on entry].
-        stack = [[0, 0, 0]]
+        # Branch points [variable, colors to try, index of the next, trail
+        # length on entry].
+        stack = [[0, all_colors if roots is None else roots, 0, 0]]
         while stack:
             frame = stack[-1]
-            var, color, mark = frame
+            var, colors, at, mark = frame
             while len(trail) > mark:
                 assign[trail.pop()] = None
-            if color == n:
+            if at == len(colors):
                 stack.pop()
                 continue
-            frame[1] = color + 1
-            if not propagate(var, color):
+            frame[2] = at + 1
+            if not propagate(var, colors[at]):
                 continue
             nxt = next((v for v in range(var + 1, n_vars) if assign[v] is None), None)
             if nxt is not None:
-                stack.append([nxt, 0, len(trail)])
+                stack.append([nxt, all_colors, 0, len(trail)])
             else:
                 yield tuple(assign)  # type: ignore[arg-type]
 
@@ -144,8 +158,27 @@ def enumerate_colorings(D: Diagram, X: RackTable) -> list[Coloring]:
     return [Coloring(t) for t in _solve_relations(D, X)]
 
 
+def _orbit_fibers(X: RackTable) -> tuple[list[int], list[int]]:
+    """One root color per Inn(X) orbit, and the weight of each root's fiber.
+
+    Returns (roots, mult): roots holds the least element of each orbit, in
+    increasing order; mult[x] is the size of x's orbit when x is a root (0
+    otherwise).  Right translations map the fiber of a root one-to-one onto
+    the fiber of every other color in its orbit (see the module docstring),
+    so the fibers of the roots, each counted mult times, stand for all
+    colorings, and for every quantity the translations preserve, such as
+    surjectivity or a cocycle's weight.
+    """
+    mult = [0] * X.size
+    for orbit in X.orbits:
+        mult[min(orbit)] = len(orbit)
+    return [x for x in range(X.size) if mult[x]], mult
+
+
 def count_colorings(D: Diagram, X: RackTable) -> int:
-    return sum(1 for _ in _solve_relations(D, X))
+    """The number of colorings of D by X, from one fiber per Inn(X) orbit."""
+    roots, mult = _orbit_fibers(X)
+    return sum(mult[colors[0]] for colors in _solve_relations(D, X, roots))
 
 
 def _region_plan(D: Diagram):
@@ -179,11 +212,12 @@ def _region_plan(D: Diagram):
 
 
 def _seeded_regions(
-    D: Diagram, X: RackTable
+    D: Diagram, X: RackTable, roots: Sequence[int] | None = None
 ) -> Iterator[tuple[tuple[int, ...], list[list[int]], Sequence[int]]]:
     """The region core: every arc coloring with its regions for all seeds.
 
-    Yields (colors, perms, seeds) per arc coloring, in lexicographic order.
+    Yields (colors, perms, seeds) per arc coloring, in lexicographic order;
+    roots, if given, restricts the color of arc 0 as in _solve_relations.
     perms[f][s] is the color of face f when face 0 has color s (the seed):
     perms[0] is the identity, and each tree face applies one right
     translation x -> x * c, or its inverse, to its parent's list.  Every
@@ -197,7 +231,7 @@ def _seeded_regions(
     left = [[X.op_inv(x, c) for x in range(n)] for c in range(n)]
     steps = [(f, parent, arc, right if forward else left) for f, parent, arc, forward in tree]
     identity = list(range(n))
-    for colors in _solve_relations(D, X):
+    for colors in _solve_relations(D, X, roots):
         perms: list[list[int]] = [identity] * D.n_faces
         for f, parent, arc, cols in steps:
             col = cols[colors[arc]]
@@ -244,15 +278,15 @@ def lift_coloring(
     under-strands; it is solvable for all seeds or for none, so the result
     has either 0 or d^(free classes) elements.
     """
-    check = is_cocycle(X, phi, "Q")
-    if not check:
-        raise NonCocycleError(f"lift needs a 2-cocycle: {check.reason} at {check.witness}")
     if phi.degree != 2:
         raise DomainError("lift needs a degree-2 cochain")
     if phi.modulus != d:
         raise DomainError("cochain modulus does not match the extension modulus")
     if len(rho.colors) != D.n_arcs:
         raise DomainError("coloring does not match the diagram")
+    check = is_cocycle(X, phi, "Q")
+    if not check:
+        raise NonCocycleError(f"lift needs a 2-cocycle: {check.reason} at {check.witness}")
     n = X.size
     offsets: list[list[tuple[int, int]]] = [[] for _ in range(D.n_arcs)]
     for rel in D.relations:

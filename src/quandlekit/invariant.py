@@ -4,6 +4,8 @@ Weights accumulate additively in Z_d per (shadow) coloring and are folded
 into the group ring Z[t]/(t^d - 1) once per coloring.  The state sums fold
 straight from the coloring search as it streams solutions, without building
 coloring objects; a shadow sum folds one weight per region-0 seed at once.
+Once the cocycle check has passed, the 2-cocycle and shadow sums read one
+fiber of arc 0 per Inn(X) orbit, weighted by the orbit size.
 The per-coloring weights below are the reference they are tested against.
 Cocycle validity is enforced before any sum is taken: without it the result
 is not an invariant (an explicit escape hatch exists for experiments).
@@ -18,6 +20,7 @@ from .coloring import (
     Coloring,
     ShadowColoring,
     SurfaceColoring,
+    _orbit_fibers,
     _seeded_regions,
     _solve_relations,
 )
@@ -160,18 +163,27 @@ def per_coloring_weight(target, X: RackTable, cochain: Cochain, coloring) -> int
 def state_sum_2(
     D: Diagram, X: RackTable, phi: Cochain, *, check: bool = True
 ) -> GroupRingElement:
-    """The 2-cocycle state sum over all colorings of D by X."""
+    """The 2-cocycle state sum over all colorings of D by X.
+
+    Once phi has passed the cocycle check, a coloring and its image under a
+    right translation have the same weight: the cocycle condition at
+    (under, over, y) turns the change at each crossing into a difference
+    that telescopes along each component.  So the sum reads one fiber of
+    arc 0 per Inn(X) orbit, weighted by the orbit size.  With check=False
+    that argument does not hold and every coloring is weighed.
+    """
     _require_cocycle(X, phi, 2, check)
     d = phi.modulus
     n = X.size
+    roots, mult = _orbit_fibers(X) if check else (None, [1] * n)
     weight = [[phi.value((u, o)) for o in range(n)] for u in range(n)]
     crossings = [(rel.from_under, rel.over, rel.sign) for rel in D.relations]
     coeffs = [0] * d
-    for colors in _solve_relations(D, X):
+    for colors in _solve_relations(D, X, roots):
         total = 0
         for under, over, sign in crossings:
             total += sign * weight[colors[under]][colors[over]]
-        coeffs[total % d] += 1
+        coeffs[total % d] += mult[colors[0]]
     return GroupRingElement(d, tuple(coeffs))
 
 
@@ -184,10 +196,16 @@ def state_sum_shadow(
     under, over) over the seeds s, the theta row for its (under, over) colors
     read through the region's seed list; the consistent seeds' totals are
     then counted into the histogram.
+
+    Once theta has passed the cocycle check, the weight is constant on the
+    orbits of Inn(X) acting on shadow colorings, so, as in state_sum_2, the
+    sum reads one fiber of arc 0 per orbit, weighted by the orbit size.
+    With check=False every arc coloring is weighed.
     """
     _require_cocycle(X, theta, 3, check)
     d = theta.modulus
     n = X.size
+    roots, mult = _orbit_fibers(X) if check else (None, [1] * n)
     rows: dict[tuple[int, int], list[int]] = {}  # (under, over) -> theta(., under, over)
     for (x, u, o), v in theta.values.items():
         if 0 <= min(x, u, o) and max(x, u, o) < n:
@@ -197,21 +215,27 @@ def state_sum_shadow(
         for rel, y in zip(D.relations, D.shadow_weight_regions)
     ]
     coeffs = [0] * d
-    for colors, perms, seeds in _seeded_regions(D, X):
+    for colors, perms, seeds in _seeded_regions(D, X, roots):
         totals = [0] * n
         for y, under, over, sign in crossings:
             row = rows.get((colors[under], colors[over]))
             if row is not None:
                 totals = [t + sign * row[x] for t, x in zip(totals, perms[y])]
+        weight = mult[colors[0]]
         for s in seeds:
-            coeffs[totals[s] % d] += 1
+            coeffs[totals[s] % d] += weight
     return GroupRingElement(d, tuple(coeffs))
 
 
 def state_sum_surface(
     SD: SurfaceDiagramData, X: RackTable, theta: Cochain, *, check: bool = True
 ) -> GroupRingElement:
-    """The triple-point state sum over all colorings of the surface data."""
+    """The triple-point state sum over all colorings of the surface data.
+
+    Every coloring is weighed, even after the cocycle check: surface data is
+    not checked to close up into a surface, so the orbit argument of
+    state_sum_2 and state_sum_shadow does not cover arbitrary input.
+    """
     _require_cocycle(X, theta, 3, check)
     d = theta.modulus
     value = theta.value

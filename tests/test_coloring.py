@@ -2,6 +2,7 @@ import pytest
 
 from quandlekit import (
     Cochain,
+    Coloring,
     DomainError,
     NonCocycleError,
     SurfaceDiagramData,
@@ -16,9 +17,12 @@ from quandlekit import (
     make_trivial,
     parse_pd,
     parse_surface,
+    shadow_surface_data,
     torus_diagram,
 )
 from quandlekit.algebra import RackTable
+from quandlekit.cli import _count_colorings
+from quandlekit.coloring import _orbit_fibers, _solve_relations
 from quandlekit.diagram import BraidWord
 from quandlekit.specs import resolve_rack
 
@@ -85,6 +89,75 @@ def test_not_a_rack_rejected(trefoil):
     bad = RackTable(2, ((0, 0), (0, 1)))
     with pytest.raises(DomainError):
         enumerate_colorings(trefoil, bad)
+
+
+# --- orbit-reduced counts ----------------------------------------------------------
+
+
+def _orbit_cases():
+    """Quandles and racks with their Inn(X) orbit sizes.
+
+    Connected quandles, quandles with several orbits, and two racks that are
+    not quandles: x*y = x+1 (one orbit) and x*y = s(x) for the permutation
+    s = (0 1)(3 4 5) (three orbits).
+    """
+    s = (1, 0, 2, 4, 5, 3)
+    return {
+        "R3": (make_dihedral(3), [3]),
+        "R5": (make_dihedral(5), [5]),
+        "A9": (resolve_rack("alexander:3:1,0,1:2"), [9]),
+        "S4": (resolve_rack("alexander:2:1,1,1:0,1"), [4]),
+        "R4": (make_dihedral(4), [2, 2]),
+        "alexander-R4": (resolve_rack("alexander:2:1,0,1:0,1"), [2, 2]),
+        "trivial:3": (make_trivial(3), [1, 1, 1]),
+        "cycle rack": (RackTable(3, tuple(((a + 1) % 3,) * 3 for a in range(3))), [3]),
+        "permutation rack": (RackTable(6, tuple((s[a],) * 6 for a in range(6))), [2, 1, 3]),
+    }
+
+
+def test_orbit_fibers_weigh_each_orbit_once():
+    for name, (X, sizes) in _orbit_cases().items():
+        roots, mult = _orbit_fibers(X)
+        assert roots == sorted(min(o) for o in X.orbits), name
+        assert [mult[r] for r in roots] == sizes, name
+        assert sum(mult) == X.size, name
+
+
+def test_orbit_reduced_counts_match_full_search_and_brute_force(small_diagrams):
+    """Counts from one fiber per orbit equal the full search and the brute force.
+
+    Covers count_colorings and the CLI's counts: classical, --surjective,
+    --shadow (with and without --surjective) and surface data.
+    """
+    for dn, D in small_diagrams.items():
+        if len(D.crossings) > 4:
+            continue
+        for qn, (X, _) in _orbit_cases().items():
+            full = list(_solve_relations(D, X))
+            assert full == sorted(brute_force_colorings(D, X)), (dn, qn)
+            surjective = [c for c in full if len(set(c)) == X.size]
+            assert count_colorings(D, X) == len(full), (dn, qn)
+            assert _count_colorings(D, X, False, False) == len(full), (dn, qn)
+            assert _count_colorings(D, X, False, True) == len(surjective), (dn, qn)
+            if not X.is_quandle:
+                continue
+            # Sheets of the shadow surface data are the arcs, then the regions.
+            sheets = [c + r for c, r in brute_force_shadows(D, X)]
+            arcs_onto = [t for t in sheets if len(set(t[:D.n_arcs])) == X.size]
+            sheets_onto = [t for t in sheets if len(set(t)) == X.size]
+            assert _count_colorings(D, X, True, False) == len(sheets), (dn, qn)
+            assert _count_colorings(D, X, True, True) == len(arcs_onto), (dn, qn)
+            SD = shadow_surface_data(D)
+            assert sorted(_solve_relations(SD, X)) == sorted(sheets), (dn, qn)
+            assert _count_colorings(SD, X, False, False) == len(sheets), (dn, qn)
+            assert _count_colorings(SD, X, False, True) == len(sheets_onto), (dn, qn)
+
+
+def test_root_colors_restrict_arc_zero(trefoil, r4):
+    # The fibers of the given roots, in the full search's order.
+    full = list(_solve_relations(trefoil, r4))
+    assert list(_solve_relations(trefoil, r4, [1, 2])) == [c for c in full if c[0] in (1, 2)]
+    assert list(_solve_relations(trefoil, r4, [])) == []
 
 
 # --- shadow colorings ----------------------------------------------------------
@@ -166,6 +239,28 @@ def test_lift_rejects_non_cocycle(trefoil, r3):
     bad = Cochain(2, 3, {(0, 1): 1})
     with pytest.raises(NonCocycleError):
         lift_coloring(trefoil, r3, enumerate_colorings(trefoil, r3)[0], 3, bad)
+
+
+def test_lift_checks_shape_before_the_cocycle_condition(monkeypatch, trefoil, r3):
+    # Degree, modulus and length are checked before the costly cocycle check,
+    # so a degree-3 non-cocycle is reported as the wrong degree.
+    from quandlekit import coloring
+
+    def refuse(*args):
+        raise AssertionError("is_cocycle ran before the cheap checks")
+
+    monkeypatch.setattr(coloring, "is_cocycle", refuse)
+    rho = enumerate_colorings(trefoil, r3)[0]
+    not_cocycle = Cochain(3, 3, {(0, 1, 0): 1})
+    cases = [
+        (rho, 3, not_cocycle, "degree-2"),
+        (rho, 2, Cochain(2, 3, {(0, 1): 1}), "modulus"),
+        (Coloring(rho.colors[:-1]), 3, Cochain(2, 3, {(0, 1): 1}), "does not match the diagram"),
+    ]
+    for given, d, phi, message in cases:
+        with pytest.raises(DomainError, match=message) as info:
+            lift_coloring(trefoil, r3, given, d, phi)
+        assert not isinstance(info.value, NonCocycleError)
 
 
 def test_lift_matches_extension_colorings(trefoil, r3):

@@ -16,8 +16,10 @@ from quandlekit import (
     enumerate_colorings,
     enumerate_shadow_colorings,
     enumerate_surface_colorings,
+    is_cocycle,
     lift_coloring,
     make_dihedral,
+    make_trivial,
     mirror,
     parse_pd,
     parse_surface,
@@ -361,3 +363,97 @@ def test_non_cocycle_sums_match_oracle_unchecked(small_diagrams):
             with pytest.raises(NonCocycleError):
                 _assert_sums_match_oracle(D, r3, cochain)
             _assert_sums_match_oracle(D, r3, cochain, check=False)
+
+
+# --- orbit reduction: checked sums read one fiber per orbit, unchecked sums all ---------
+
+
+@lru_cache(maxsize=None)
+def _orbit_cocycle_pairs():
+    """(quandle, cocycle) pairs beyond _cocycle_pairs, with several orbits too.
+
+    A9 takes a non-coboundary 2-cocycle and the pullback of theta along the
+    homomorphism i -> i mod 3 onto R3; R4 (orbits {0, 2}, {1, 3}) takes
+    non-coboundaries of degrees 2 and 3; on trivial:3 every cochain that
+    vanishes on degenerate tuples is a cocycle.
+    """
+
+    def nontrivial(X, n, d):
+        spaces = cohomology(X, n, "Q", d)
+        return next(c for c in spaces.cocycles() if not spaces.contains_coboundary(c))
+
+    a9 = resolve_rack("alexander:3:1,0,1:2")
+    pullback = Cochain(3, 3, {
+        (x, u, o): THETA_VALUES.get((x % 3, u % 3, o % 3), 0)
+        for x in range(9) for u in range(9) for o in range(9)
+    })
+    r4 = make_dihedral(4)
+    t3 = make_trivial(3)
+    return (
+        (a9, nontrivial(a9, 2, 3)),
+        (a9, pullback),
+        (r4, nontrivial(r4, 2, 2)),
+        (r4, nontrivial(r4, 3, 2)),
+        (t3, Cochain(2, 3, {(0, 1): 1, (1, 2): 2, (2, 0): 1})),
+        (t3, Cochain(3, 3, {(0, 1, 0): 1, (1, 2, 0): 2, (2, 1, 2): 1})),
+    )
+
+
+def test_checked_sums_match_full_search_and_oracle(small_diagrams):
+    """The orbit-reduced checked sums equal the full search and brute force."""
+    pairs = _cocycle_pairs() + _orbit_cocycle_pairs()
+    for name, D in small_diagrams.items():
+        if len(D.crossings) > 4:
+            continue
+        for X, cochain in pairs:
+            assert is_cocycle(X, cochain, "Q"), (X.label, cochain.degree)
+            _assert_sums_match_oracle(D, X, cochain)
+            state_sum = state_sum_2 if cochain.degree == 2 else state_sum_shadow
+            assert state_sum(D, X, cochain) == state_sum(D, X, cochain, check=False), name
+
+
+def test_unchecked_sums_weigh_every_fiber(r3):
+    # A non-cocycle's weight is not constant on the orbits: on T(3,2) with R3,
+    # the fiber of arc 0 colored 0, times |X|, gives 6 + 3t and 24 + 3t where
+    # the true sums are 5 + 4t and 23 + 4t.  So check=False must search all.
+    D = torus_diagram(3, 2)
+    phi = Cochain(2, 3, {(2, 1): 1})
+    theta = Cochain(3, 3, {(1, 0, 2): 1})
+    colorings = [Coloring(c) for c in brute_force_colorings(D, r3)]
+    shadows = [ShadowColoring(c, r) for c, r in brute_force_shadows(D, r3)]
+    cases = (
+        (state_sum_2, phi, colorings, coloring_weight, (5, 4, 0), (6, 3, 0)),
+        (state_sum_shadow, theta, shadows, shadow_weight, (23, 4, 0), (24, 3, 0)),
+    )
+    for state_sum, cochain, found, weigh, full, one_fiber in cases:
+        assert not is_cocycle(r3, cochain, "Q")
+        weights = [weigh(D, r3, cochain, c) for c in found]
+        assert _histogram(3, weights).coeffs == full
+        fiber = [w for w, c in zip(weights, found) if c.colors[0] == 0]
+        assert _histogram(3, fiber * 3).coeffs == one_fiber
+        assert state_sum(D, r3, cochain, check=False).coeffs == full
+
+
+def _mochizuki(p):
+    """Mochizuki's 3-cocycle of R_p (JPAA 179, 2003).
+
+    theta_p(x, y, z) = (x - y) ((2z - y)^p + y^p - 2z^p) / p mod p; the
+    numerator is divisible by p by Fermat's little theorem.
+    """
+    values = {}
+    for x in range(p):
+        for y in range(p):
+            for z in range(p):
+                v = (x - y) * (((2 * z - y) ** p + y ** p - 2 * z ** p) // p) % p
+                if v:
+                    values[(x, y, z)] = v
+    return Cochain(3, p, values)
+
+
+def test_mochizuki_cocycle_published_values(trefoil):
+    r3, r5 = make_dihedral(3), make_dihedral(5)
+    theta3, theta5 = _mochizuki(3), _mochizuki(5)
+    assert is_cocycle(r3, theta3, "Q")
+    assert is_cocycle(r5, theta5, "Q")
+    assert render(state_sum_shadow(torus_diagram(2, 5), r5, theta5)) == "25 + 50t + 50t^4"
+    assert render(state_sum_shadow(trefoil, r3, theta3)) == "9 + 18t^2"
