@@ -16,7 +16,12 @@ import sys
 import time
 from typing import Sequence
 
-from .coloring import _orbit_fibers, _seeded_regions, _solve_relations
+from .coloring import (
+    _orbit_fibers,
+    _seeded_regions,
+    _solve_relations,
+    enumerate_shadow_colorings,
+)
 from .diagram import Diagram, SurfaceDiagramData
 from .errors import BudgetError, ParseError, QuandleKitError
 from .homology import (
@@ -110,19 +115,18 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _colorings(target, X, shadow: bool, surjective: bool, roots=None):
-    """(colors, perms, seeds) per (surjective) arc or sheet coloring, streamed.
+    """(colors, seeds) per (surjective) arc or sheet coloring, streamed.
 
-    With shadow, perms and seeds are those of _seeded_regions: the region
-    colors per region-0 color, and the region-0 colors that extend the
-    coloring.  Without it both are None.
+    With shadow, seeds lists the region-0 colors that extend the coloring
+    (see _seeded_regions); without it, seeds is None.
     """
     if shadow:
-        found = _seeded_regions(target, X, roots)
+        found = ((colors, seeds) for colors, _, seeds in _seeded_regions(target, X, roots))
     else:
-        found = ((colors, None, None) for colors in _solve_relations(target, X, roots))
-    for colors, perms, seeds in found:
+        found = ((colors, None) for colors in _solve_relations(target, X, roots))
+    for colors, seeds in found:
         if not surjective or len(set(colors)) == X.size:
-            yield colors, perms, seeds
+            yield colors, seeds
 
 
 def _count_colorings(target, X, shadow: bool, surjective: bool) -> int:
@@ -134,7 +138,7 @@ def _count_colorings(target, X, shadow: bool, surjective: bool) -> int:
     roots, mult = _orbit_fibers(X)
     return sum(
         mult[colors[0]] * (1 if seeds is None else len(seeds))
-        for colors, _, seeds in _colorings(target, X, shadow, surjective, roots)
+        for colors, seeds in _colorings(target, X, shadow, surjective, roots)
     )
 
 
@@ -151,23 +155,27 @@ def _cmd_color(args: argparse.Namespace) -> int:
         label = "colorings"
         if X.is_rack and not X.is_quandle:
             print("note: rack colorings are framed-diagram data only")
-    count = _count_colorings(target, X, args.shadow, args.surjective)
-    print(f"{label}: {count}")
-    print(f"#data {label} {count}")
     if not args.list:
+        count = _count_colorings(target, X, args.shadow, args.surjective)
+        print(f"{label}: {count}")
+        print(f"#data {label} {count}")
         return 0
-    # The rows come from the full search, in its lexicographic order.
-    i = 0
-    for colors, perms, seeds in _colorings(target, X, args.shadow, args.surjective):
-        arc_part = " ".join(map(str, colors))
-        if seeds is None:
-            print(f"{i}: {arc_part}")
-            i += 1
-            continue
-        regions = list(zip(*perms))
-        for s in seeds:
-            print(f"{i}: {arc_part} | {' '.join(map(str, regions[s]))}")
-            i += 1
+    # A listing reads the full search once, in its lexicographic order, and
+    # its length is the count.  Arc and sheet rows are formatted straight
+    # from the search, without Coloring objects.
+    if args.shadow:
+        rows = [
+            f"{' '.join(map(str, c.colors))} | {' '.join(map(str, c.region_colors))}"
+            for c in enumerate_shadow_colorings(target, X)
+            if not args.surjective or len(set(c.colors)) == X.size
+        ]
+    else:
+        found = _colorings(target, X, False, args.surjective)
+        rows = [" ".join(map(str, colors)) for colors, _ in found]
+    print(f"{label}: {len(rows)}")
+    print(f"#data {label} {len(rows)}")
+    for i, row in enumerate(rows):
+        print(f"{i}: {row}")
     return 0
 
 
