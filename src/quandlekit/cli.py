@@ -160,15 +160,21 @@ def _cmd_color(args: argparse.Namespace) -> int:
         print(f"{label}: {count}")
         print(f"#data {label} {count}")
         return 0
-    # A listing reads the full search once, in its lexicographic order, and
-    # its length is the count.  Arc and sheet rows are formatted straight
-    # from the search, without Coloring objects.
+    # A listing reads the full stream of colorings once, in its lexicographic
+    # order, and its length is the count.  Arc and sheet rows are formatted
+    # straight from the stream, without Coloring objects.
     if args.shadow:
-        rows = [
-            f"{' '.join(map(str, c.colors))} | {' '.join(map(str, c.region_colors))}"
-            for c in enumerate_shadow_colorings(target, X)
-            if not args.surjective or len(set(c.colors)) == X.size
-        ]
+        # Consecutive shadow colorings of one arc coloring share its colors
+        # tuple, so the arc half of their rows is formatted once.
+        rows = []
+        arcs = None
+        for c in enumerate_shadow_colorings(target, X):
+            if c.colors is not arcs:
+                arcs = c.colors
+                keep = not args.surjective or len(set(arcs)) == X.size
+                head = " ".join(map(str, arcs)) + " | "
+            if keep:
+                rows.append(head + " ".join(map(str, c.region_colors)))
     else:
         found = _colorings(target, X, False, args.surjective)
         rows = [" ".join(map(str, colors)) for colors, _ in found]

@@ -14,22 +14,27 @@ each got from its parent's list by one right translation.  The transitions off
 the tree are checked as whole lists, which drops exactly the inconsistent
 choices.  Listings, counts and the shadow state sum all read that core.
 
-Counts search one fiber per orbit.  Each right translation x -> x * y of a
-rack is an automorphism, so it maps the colorings with arc 0 (or sheet 0)
-colored x one-to-one onto those colored x * y; fibers over one Inn(X) orbit
-are equally large.  count_colorings and the command line's counts (shadow,
-surjective and surface counts too) try only the least color of each orbit
-for variable 0 and weight each fiber by its orbit size (_orbit_fibers).  The
-checked 2- and 3-cocycle state sums do the same, since a cocycle's weight is
-constant on those orbits; unchecked sums, the surface state sum and every
-listing keep the full search.
+Every search runs one fiber per orbit.  Each right translation x -> x * y
+of a rack is an automorphism, so it maps the colorings with arc 0 (or sheet
+0) colored x one-to-one onto those colored x * y; fibers over one Inn(X)
+orbit are equally large.  count_colorings and the command line's counts
+(shadow, surjective and surface counts too) try only the least color of each
+orbit for variable 0 and weight each fiber by its orbit size
+(_orbit_fibers).  The checked 2- and 3-cocycle state sums do the same, since
+a cocycle's weight is constant on those orbits.  Everything that needs every
+coloring (the enumerations, every listing, the region core's full stream,
+the unchecked sums and the surface state sum) reads the full stream of
+_solve_relations: it searches the same root fibers and maps each onto the
+other fibers of its orbit by inner automorphisms (_orbit_maps), sorting each
+mapped fiber, so the stream keeps its lexicographic order.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .algebra import RackTable
 from .diagram import Diagram, SurfaceDiagramData
@@ -68,12 +73,12 @@ def _solve_relations(
 
     They are the assignments with colors[j] = colors[i] * colors[k] for every
     relation (i, j, k).  Returns an iterator over the color tuples in
-    lexicographic order; the input is checked before it returns.  The search
-    always branches on the least unassigned variable and tries colors in
-    increasing order, so solutions come out sorted and one at a time.  It
-    keeps its own stack of branch points, so its depth is not bounded by the
-    interpreter's recursion limit.  Given roots (increasing), variable 0
-    tries only those colors: the search covers just their fibers.
+    lexicographic order; the input is checked before it returns.  Given
+    roots (increasing), variable 0 tries only those colors: the search
+    (_search) covers just their fibers.  Without roots the stream holds every
+    coloring, but the search still runs only at the least color of each
+    Inn(X) orbit; the other fibers are that fiber mapped by inner
+    automorphisms (_transported).
     """
     if isinstance(target, SurfaceDiagramData):
         X.require_quandle()
@@ -82,13 +87,32 @@ def _solve_relations(
         X.require_rack()
         n_vars = target.n_arcs
         relations = tuple((r.from_under, r.to_under, r.over) for r in target.relations)
-    n = X.size
-    table = X.table
     rels_of: list[list[int]] = [[] for _ in range(n_vars)]
     for idx, (i, j, k) in enumerate(relations):
         for v in {i, j, k}:
             rels_of[v].append(idx)
 
+    search = functools.partial(_search, X, relations, rels_of)
+    return search(roots) if roots is not None else _transported(X, search)
+
+
+def _search(
+    X: RackTable,
+    relations: Sequence[tuple[int, int, int]],
+    rels_of: list[list[int]],
+    roots: Sequence[int],
+) -> Iterator[tuple[int, ...]]:
+    """The solutions with variable 0 in roots, in lexicographic order.
+
+    rels_of[v] lists the relations that mention variable v.  The search
+    always branches on the least unassigned variable and tries colors in
+    increasing order, so solutions come out sorted and one at a time.  It
+    keeps its own stack of branch points, so its depth is not bounded by the
+    interpreter's recursion limit.
+    """
+    n_vars = len(rels_of)
+    n = X.size
+    table = X.table
     assign: list[int | None] = [None] * n_vars
     trail: list[int] = []
 
@@ -124,29 +148,81 @@ def _solve_relations(
         return True
 
     all_colors = range(n)
+    # Branch points [variable, colors to try, index of the next, trail
+    # length on entry].
+    stack = [[0, roots, 0, 0]]
+    while stack:
+        frame = stack[-1]
+        var, colors, at, mark = frame
+        while len(trail) > mark:
+            assign[trail.pop()] = None
+        if at == len(colors):
+            stack.pop()
+            continue
+        frame[2] = at + 1
+        if not propagate(var, colors[at]):
+            continue
+        nxt = next((v for v in range(var + 1, n_vars) if assign[v] is None), None)
+        if nxt is not None:
+            stack.append([nxt, all_colors, 0, len(trail)])
+        else:
+            yield tuple(assign)  # type: ignore[arg-type]
 
-    def solutions() -> Iterator[tuple[int, ...]]:
-        # Branch points [variable, colors to try, index of the next, trail
-        # length on entry].
-        stack = [[0, all_colors if roots is None else roots, 0, 0]]
-        while stack:
-            frame = stack[-1]
-            var, colors, at, mark = frame
-            while len(trail) > mark:
-                assign[trail.pop()] = None
-            if at == len(colors):
-                stack.pop()
-                continue
-            frame[2] = at + 1
-            if not propagate(var, colors[at]):
-                continue
-            nxt = next((v for v in range(var + 1, n_vars) if assign[v] is None), None)
-            if nxt is not None:
-                stack.append([nxt, all_colors, 0, len(trail)])
-            else:
-                yield tuple(assign)  # type: ignore[arg-type]
 
-    return solutions()
+def _orbit_maps(X: RackTable) -> list[tuple[int, Sequence[int]]]:
+    """Per color c, the root r of its Inn(X) orbit and a map g with g[r] = c.
+
+    r is the least element of the orbit, as in _orbit_fibers, and g (x ->
+    g[x]) is a product of right translations, so it is an automorphism of
+    X; at a root it is the identity, range(|X|).  The maps come from a BFS
+    from each root over the translations.  Each translation permutes the
+    finite set X, so the forward search reaches the whole orbit, for racks
+    that are not quandles too.  O(|X|^2) steps, like X.orbits.
+    """
+    n = X.size
+    table = X.table
+    identity = range(n)
+    maps: list[tuple[int, Sequence[int]] | None] = [None] * n
+    for r in range(n):
+        if maps[r] is not None:
+            continue
+        maps[r] = (r, identity)
+        queue = [r]
+        for x in queue:
+            g = maps[x][1]  # type: ignore[index]
+            for y in range(n):
+                z = table[x][y]
+                if maps[z] is None:
+                    maps[z] = (r, [table[v][y] for v in g])
+                    queue.append(z)
+    return maps  # type: ignore[return-value]
+
+
+def _transported(
+    X: RackTable, search: Callable[[Sequence[int]], Iterator[tuple[int, ...]]]
+) -> Iterator[tuple[int, ...]]:
+    """Every coloring, in order, from one search per Inn(X) orbit.
+
+    search(colors) yields the solutions with variable 0 in colors.  Colors
+    are visited in increasing order.  A root's fiber comes from the search;
+    it is kept (while its orbit has colors left) only if the orbit has other
+    colors.  The fiber of any other color c is the root's fiber mapped by
+    c's automorphism g (see _orbit_maps), which sends colorings to colorings
+    one-to-one, and then sorted.  A quandle with one orbit per element runs
+    the plain search, one root after the other.
+    """
+    maps = _orbit_maps(X)
+    last = {r: c for c, (r, _) in enumerate(maps)}
+    fibers: dict[int, list[tuple[int, ...]]] = {}
+    for c, (r, g) in enumerate(maps):
+        if r != c:
+            fiber = fibers[r] if c < last[r] else fibers.pop(r)
+            yield from sorted([tuple(map(g.__getitem__, t)) for t in fiber])
+        elif last[c] == c:
+            yield from search([c])
+        else:
+            fibers[c] = list(search([c]))
+            yield from fibers[c]
 
 
 def enumerate_colorings(D: Diagram, X: RackTable) -> list[Coloring]:

@@ -5,7 +5,10 @@ into the group ring Z[t]/(t^d - 1) once per coloring.  The state sums fold
 straight from the coloring search as it streams solutions, without building
 coloring objects; a shadow sum folds one weight per region-0 seed at once.
 Once the cocycle check has passed, the 2-cocycle and shadow sums read one
-fiber of arc 0 per Inn(X) orbit, weighted by the orbit size.
+fiber of arc 0 per Inn(X) orbit, weighted by the orbit size.  Unchecked sums
+and the surface sum weigh every coloring; the search still runs one fiber
+per orbit, and the other fibers are mapped from it by inner automorphisms
+(see coloring._solve_relations).
 The per-coloring weights below are the reference they are tested against.
 Cocycle validity is enforced before any sum is taken: without it the result
 is not an invariant (an explicit escape hatch exists for experiments).
@@ -170,7 +173,8 @@ def state_sum_2(
     (under, over, y) turns the change at each crossing into a difference
     that telescopes along each component.  So the sum reads one fiber of
     arc 0 per Inn(X) orbit, weighted by the orbit size.  With check=False
-    that argument does not hold and every coloring is weighed.
+    that argument does not hold and every coloring is weighed, read from the
+    full stream of _solve_relations (searched fibers mapped onto the rest).
     """
     _require_cocycle(X, phi, 2, check)
     d = phi.modulus
@@ -200,7 +204,8 @@ def state_sum_shadow(
     Once theta has passed the cocycle check, the weight is constant on the
     orbits of Inn(X) acting on shadow colorings, so, as in state_sum_2, the
     sum reads one fiber of arc 0 per orbit, weighted by the orbit size.
-    With check=False every arc coloring is weighed.
+    With check=False every arc coloring is weighed, read from the full
+    stream (searched fibers mapped onto the rest).
     """
     _require_cocycle(X, theta, 3, check)
     d = theta.modulus
@@ -234,7 +239,9 @@ def state_sum_surface(
 
     Every coloring is weighed, even after the cocycle check: surface data is
     not checked to close up into a surface, so the orbit argument of
-    state_sum_2 and state_sum_shadow does not cover arbitrary input.
+    state_sum_2 and state_sum_shadow does not cover arbitrary input.  The
+    colorings come from the full stream, whose mapped fibers need only the
+    relations to be colorings.
     """
     _require_cocycle(X, theta, 3, check)
     d = theta.modulus

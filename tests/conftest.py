@@ -86,14 +86,23 @@ def small_quandles():
     }
 
 
-def brute_force_colorings(D, X):
-    """Oracle: scan every arc assignment against every crossing relation."""
-    rels = [(r.from_under, r.to_under, r.over) for r in D.relations]
+def _brute_force(n_vars, relations, X):
+    """Every assignment with colors[j] = colors[i] * colors[k] per (i, j, k)."""
     out = []
-    for colors in itertools.product(range(X.size), repeat=D.n_arcs):
-        if all(X.table[colors[i]][colors[k]] == colors[j] for i, j, k in rels):
+    for colors in itertools.product(range(X.size), repeat=n_vars):
+        if all(X.table[colors[i]][colors[k]] == colors[j] for i, j, k in relations):
             out.append(colors)
     return out
+
+
+def brute_force_colorings(D, X):
+    """Oracle: scan every arc assignment against every crossing relation."""
+    return _brute_force(D.n_arcs, [(r.from_under, r.to_under, r.over) for r in D.relations], X)
+
+
+def brute_force_sheets(SD, X):
+    """Oracle: scan every sheet assignment against every double-curve relation."""
+    return _brute_force(SD.n_sheets, SD.relations, X)
 
 
 def brute_force_shadows(D, X):

@@ -6,7 +6,9 @@ import pytest
 
 from quandlekit import cli
 from quandlekit.cli import main
-from quandlekit.specs import bundled_path, read_data_file
+from quandlekit.specs import bundled_path, read_data_file, resolve_diagram, resolve_rack
+
+from conftest import brute_force_colorings, brute_force_sheets, brute_force_shadows
 
 
 def run(capsys, *argv):
@@ -121,6 +123,41 @@ def test_color_list_and_surjective(capsys):
     assert "colorings: 6" in out
     listed = [l for l in payload(out) if ":" in l and not l.startswith("colorings")]
     assert len(listed) == 6
+
+
+def test_color_list_rows_match_brute_force(tmp_path, capsys):
+    """Every --list form prints the brute force's rows, in order.
+
+    Arc, shadow and sheet rows, with and without --surjective, by connected
+    and multi-orbit quandles and by a rack that is not a quandle.
+    """
+    cycle = tmp_path / "cycle.txt"
+    cycle.write_text("rack 3\n1 1 1\n2 2 2\n0 0 0\n")
+    quandles = ["dihedral:3", "dihedral:4", "trivial:3", "alexander:2:1,0,1:0,1",
+                "alexander:2:1,1,1:0,1"]
+    cases = [("trefoil.pd", q, "colorings", False) for q in quandles + [str(cycle)]]
+    cases += [("torus:2:4", q, "colorings", False) for q in quandles]
+    cases += [("trefoil.pd", q, "shadow-colorings", True) for q in quandles]
+    cases += [("torus:2:4", q, "shadow-colorings", True) for q in ("dihedral:4", "trivial:3")]
+    cases += [("trefoil_shadow.surf", q, "surface-colorings", False)
+              for q in ("dihedral:3", "dihedral:4", "trivial:3")]
+    cases += [("sphere.surf", q, "surface-colorings", False) for q in quandles]
+    for diagram, rack, label, shadow in cases:
+        target, X = resolve_diagram(diagram), resolve_rack(rack)
+        if shadow:
+            found = [(c, " ".join(map(str, c)) + " | " + " ".join(map(str, r)))
+                     for c, r in sorted(brute_force_shadows(target, X))]
+        else:
+            oracle = brute_force_sheets if label == "surface-colorings" else brute_force_colorings
+            found = [(c, " ".join(map(str, c))) for c in sorted(oracle(target, X))]
+        for surjective in (False, True):
+            rows = [row for c, row in found if not surjective or len(set(c)) == X.size]
+            argv = ["color", diagram, rack, "--list"] + ["--shadow"] * shadow
+            code, out, _ = run(capsys, *argv + ["--surjective"] * surjective)
+            assert code == 0, argv
+            body = [line for line in payload(out) if not line.startswith("note:")]
+            want = [f"{label}: {len(rows)}"] + [f"{i}: {row}" for i, row in enumerate(rows)]
+            assert body == want, (argv, surjective)
 
 
 def test_color_torus_builtin(capsys):

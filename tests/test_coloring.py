@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quandlekit import (
     Cochain,
@@ -22,11 +23,12 @@ from quandlekit import (
 )
 from quandlekit.algebra import RackTable
 from quandlekit.cli import _count_colorings
-from quandlekit.coloring import _orbit_fibers, _solve_relations
-from quandlekit.diagram import BraidWord
-from quandlekit.specs import resolve_rack
+from quandlekit import coloring
+from quandlekit.coloring import _orbit_fibers, _orbit_maps, _solve_relations
+from quandlekit.diagram import BraidWord, parse_braid_word
+from quandlekit.specs import read_data_file, resolve_rack
 
-from conftest import brute_force_colorings, brute_force_shadows
+from conftest import brute_force_colorings, brute_force_sheets, brute_force_shadows
 
 
 def test_trefoil_colorings(trefoil, r3):
@@ -65,10 +67,16 @@ def test_deterministic_lexicographic_order(trefoil, r3):
 
 
 def test_enumeration_matches_brute_force(small_diagrams, small_quandles):
+    """The full stream, fibers mapped off the orbit roots, is the brute force in order.
+
+    Besides small_quandles: connected quandles (R3, R5, A9, S4), quandles
+    with several orbits and two racks that are not quandles (_orbit_cases).
+    """
+    quandles = {**small_quandles, **{qn: X for qn, (X, _) in _orbit_cases().items()}}
     for dn, D in small_diagrams.items():
-        if len(D.crossings) > 6:
-            continue
-        for qn, X in small_quandles.items():
+        for qn, X in quandles.items():
+            if X.size ** D.n_arcs > 10 ** 5:
+                continue
             expected = brute_force_colorings(D, X)
             got = [c.colors for c in enumerate_colorings(D, X)]
             assert got == sorted(expected), (dn, qn)
@@ -160,6 +168,95 @@ def test_root_colors_restrict_arc_zero(trefoil, r4):
     assert list(_solve_relations(trefoil, r4, [])) == []
 
 
+# --- transported full enumerations ------------------------------------------------
+
+
+def test_orbit_maps_take_each_root_onto_its_orbit():
+    for name, (X, _) in _orbit_cases().items():
+        roots, _ = _orbit_fibers(X)
+        orbit_of = {x: min(o) for o in X.orbits for x in o}
+        maps = _orbit_maps(X)
+        for c, (r, g) in enumerate(maps):
+            assert r == orbit_of[c] and r in roots, (name, c)
+            assert g[r] == c, (name, c)
+            assert sorted(g) == list(range(X.size)), (name, c)
+            for x in range(X.size):
+                for y in range(X.size):
+                    assert g[X.table[x][y]] == X.table[g[x]][g[y]], (name, c, x, y)
+            if r == c:
+                assert list(g) == list(range(X.size)), (name, c)
+
+
+def test_enumerate_surface_colorings_matches_brute_force_in_order():
+    surfaces = {name: parse_surface(read_data_file(name))
+                for name in ("sphere.surf", "trefoil_shadow.surf")}
+    for sn, SD in surfaces.items():
+        for qn, (X, _) in _orbit_cases().items():
+            if not X.is_quandle or X.size ** SD.n_sheets > 10 ** 5:
+                continue
+            got = [c.colors for c in enumerate_surface_colorings(SD, X)]
+            assert got == sorted(brute_force_sheets(SD, X)), (sn, qn)
+
+
+@settings(max_examples=25, deadline=None)
+@given(word=st.lists(st.sampled_from([1, -1, 2, -2]), min_size=2, max_size=6).filter(
+    lambda w: {abs(x) for x in w} == {1, 2}
+))
+def test_full_enumerations_match_brute_force_on_random_braids(word):
+    D = braid_closure(parse_braid_word(3, " ".join(map(str, word))))
+    for qn in ("R4", "S4", "trivial:3", "cycle rack"):
+        X = _orbit_cases()[qn][0]
+        got = [c.colors for c in enumerate_colorings(D, X)]
+        assert got == sorted(brute_force_colorings(D, X)), qn
+        if X.is_quandle:
+            got = [(s.colors, s.region_colors) for s in enumerate_shadow_colorings(D, X)]
+            assert got == sorted(brute_force_shadows(D, X)), qn
+
+
+def test_full_enumerations_search_only_root_fibers(monkeypatch, capsys):
+    """Every full enumeration searches one fiber per orbit, each root once."""
+    from quandlekit import cli
+    from quandlekit.invariant import state_sum_2, state_sum_shadow, state_sum_surface
+
+    searched = []
+    search = coloring._search
+
+    def spy(X, relations, rels_of, roots):
+        searched.append(list(roots))
+        return search(X, relations, rels_of, roots)
+
+    monkeypatch.setattr(coloring, "_search", spy)
+
+    def roots_of(run):
+        searched.clear()
+        run()
+        return list(searched)
+
+    T36 = torus_diagram(3, 6)
+    a9, t3 = resolve_rack("alexander:3:1,0,1:2"), make_trivial(3)
+    r3 = make_dihedral(3)
+    phi = Cochain(2, 9, {(0, 1): 1})
+    theta = Cochain(3, 9, {(0, 1, 2): 1})
+    SD = shadow_surface_data(T36)
+    runs = {
+        "colorings": lambda X: enumerate_colorings(T36, X),
+        "shadows": lambda X: enumerate_shadow_colorings(T36, X),
+        "sheets": lambda X: enumerate_surface_colorings(SD, X),
+        "unchecked 2": lambda X: state_sum_2(T36, X, phi, check=False),
+        "unchecked shadow": lambda X: state_sum_shadow(T36, X, theta, check=False),
+        "unchecked surface": lambda X: state_sum_surface(SD, X, theta, check=False),
+    }
+    for name, run in runs.items():
+        assert roots_of(lambda: run(a9)) == [[0]], name
+        assert roots_of(lambda: run(t3)) == [[0], [1], [2]], name
+    assert roots_of(lambda: enumerate_colorings(T36, r3)) == [[0]]
+    # A listing by a quandle with one orbit per color runs one search per
+    # root and nothing else: no count first, no second pass.
+    listing = roots_of(lambda: cli.main(["color", "torus:3:6", "trivial:27", "--list"]))
+    assert listing == [[c] for c in range(27)]
+    assert "#data colorings 19683" in capsys.readouterr().out
+
+
 # --- shadow colorings ----------------------------------------------------------
 
 
@@ -180,8 +277,8 @@ def test_shadow_extension_count(small_diagrams, r3):
 
 def test_shadow_matches_brute_force(small_diagrams):
     # S4 = GF(4) with t a generator is not involutory: x -> x * c differs from its inverse.
-    quandles = [make_dihedral(3), make_dihedral(5), resolve_rack("alexander:3:1,0,1:2"),
-                resolve_rack("alexander:2:1,1,1:0,1")]
+    # R4, its Alexander form and trivial:3 have several orbits.
+    quandles = [X for X, _ in _orbit_cases().values() if X.is_quandle]
     for name, D in small_diagrams.items():
         if len(D.crossings) > 4:
             continue

@@ -1,5 +1,6 @@
 """Smoke tests: the scripts in scripts/ run and print their known values."""
 
+import json
 import os
 import runpy
 import sys
@@ -27,3 +28,17 @@ def test_homology_survey_runs(monkeypatch, capsys):
     assert lines[at + 3].split() == ["H_3^R", "=", "Z", "+", "Z_3", "H_3^D", "=", "Z",
                                      "H_3^Q", "=", "Z_3"]
     assert lines[at + 4].strip() == "splitting checks: all pass"
+
+
+def test_sweep_runs_each_tree(monkeypatch, capsys):
+    root = os.path.dirname(SCRIPTS)
+    lines = run_script(monkeypatch, capsys, "sweep.py", "--tree", f"a={root}",
+                       "--tree", f"b={root}", "--runs", "1", "--", "check dihedral:3")
+    result = json.loads("\n".join(lines))
+    assert result["trees"] == ["a", "b"]
+    [row] = result["rows"]
+    assert row["command"] == "quandlekit check dihedral:3"
+    assert row["a"]["exit"] == row["b"]["exit"] == 0
+    assert row["a"]["stdout_sha256"] == row["b"]["stdout_sha256"]
+    for name in "ab":
+        assert row[name]["cpu_s"] > 0 and row[name]["peak_rss_mb"] > 0
