@@ -2,7 +2,7 @@
 
 Usage:
     python3 scripts/sweep.py --tree parent=../old --tree change=. [--runs 5]
-        [--out sweep.json] -- "color torus:3:6 dihedral:3 --list" ...
+        -- "color torus:3:6 dihedral:3 --list" ... > sweep.json
 
 Each run of a command is one fresh `python3 -m quandlekit` process with
 PYTHONPATH=<tree>/src and PYTHONHASHSEED=0.  It is the only child of a small
@@ -80,7 +80,6 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--tree", action="append", required=True, metavar="NAME=PATH",
                         help="a source tree to run (its src/ goes on PYTHONPATH)")
     parser.add_argument("--runs", type=int, default=5, help="runs per tree and command")
-    parser.add_argument("--out", help="write the JSON here instead of stdout")
     parser.add_argument("commands", nargs="+", help="quandlekit arguments, one string each")
     args = parser.parse_args(argv)
     trees = {}
@@ -89,12 +88,7 @@ def main(argv: list[str] | None = None) -> None:
         if not sep or not name or not path:
             parser.error(f"--tree wants NAME=PATH, got {spec!r}")
         trees[name] = os.path.abspath(path)
-    result = json.dumps(sweep(trees, args.commands, args.runs), indent=1)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(result + "\n")
-    else:
-        print(result)
+    print(json.dumps(sweep(trees, args.commands, args.runs), indent=1))
 
 
 if __name__ == "__main__":

@@ -26,7 +26,10 @@ coloring (the enumerations, every listing, the region core's full stream,
 the unchecked sums and the surface state sum) reads the full stream of
 _solve_relations: it searches the same root fibers and maps each onto the
 other fibers of its orbit by inner automorphisms (_orbit_maps), sorting each
-mapped fiber, so the stream keeps its lexicographic order.
+mapped fiber, so the stream keeps its lexicographic order.  The unchecked
+sums and the surface sum only add up weights, so they ask for the stream
+unordered: each solution of a root's search is followed at once by its
+images, and no fiber is kept or sorted.
 """
 
 from __future__ import annotations
@@ -67,7 +70,11 @@ class SurfaceColoring:
 
 
 def _solve_relations(
-    target: Diagram | SurfaceDiagramData, X: RackTable, roots: Sequence[int] | None = None
+    target: Diagram | SurfaceDiagramData,
+    X: RackTable,
+    roots: Sequence[int] | None = None,
+    *,
+    ordered: bool = True,
 ) -> Iterator[tuple[int, ...]]:
     """Colorings of a diagram's arcs, or of surface data's sheets (by a quandle).
 
@@ -78,7 +85,9 @@ def _solve_relations(
     (_search) covers just their fibers.  Without roots the stream holds every
     coloring, but the search still runs only at the least color of each
     Inn(X) orbit; the other fibers are that fiber mapped by inner
-    automorphisms (_transported).
+    automorphisms (_transported).  With ordered=False that full stream comes
+    in no set order, each solution followed by its images, in O(1) memory
+    (for callers that only add up weights).
     """
     if isinstance(target, SurfaceDiagramData):
         X.require_quandle()
@@ -93,7 +102,9 @@ def _solve_relations(
             rels_of[v].append(idx)
 
     search = functools.partial(_search, X, relations, rels_of)
-    return search(roots) if roots is not None else _transported(X, search)
+    if roots is not None:
+        return search(roots)
+    return _transported(X, search) if ordered else _streamed(X, search)
 
 
 def _search(
@@ -172,20 +183,18 @@ def _search(
 def _orbit_maps(X: RackTable) -> list[tuple[int, Sequence[int]]]:
     """Per color c, the root r of its Inn(X) orbit and a map g with g[r] = c.
 
-    r is the least element of the orbit, as in _orbit_fibers, and g (x ->
-    g[x]) is a product of right translations, so it is an automorphism of
-    X; at a root it is the identity, range(|X|).  The maps come from a BFS
-    from each root over the translations.  Each translation permutes the
-    finite set X, so the forward search reaches the whole orbit, for racks
-    that are not quandles too.  O(|X|^2) steps, like X.orbits.
+    The roots are those of _orbit_fibers, and g (x -> g[x]) is a product of
+    right translations, so it is an automorphism of X; at a root it is the
+    identity, range(|X|).  The maps come from a BFS from each root over the
+    translations.  Each translation permutes the finite set X, so the
+    forward search reaches the whole orbit, for racks that are not quandles
+    too.  O(|X|^2) steps, like X.orbits.
     """
     n = X.size
     table = X.table
     identity = range(n)
     maps: list[tuple[int, Sequence[int]] | None] = [None] * n
-    for r in range(n):
-        if maps[r] is not None:
-            continue
+    for r in _orbit_fibers(X)[0]:
         maps[r] = (r, identity)
         queue = [r]
         for x in queue:
@@ -217,12 +226,32 @@ def _transported(
     for c, (r, g) in enumerate(maps):
         if r != c:
             fiber = fibers[r] if c < last[r] else fibers.pop(r)
-            yield from sorted([tuple(map(g.__getitem__, t)) for t in fiber])
+            yield from sorted(tuple(map(g.__getitem__, t)) for t in fiber)
         elif last[c] == c:
             yield from search([c])
         else:
             fibers[c] = list(search([c]))
             yield from fibers[c]
+
+
+def _streamed(
+    X: RackTable, search: Callable[[Sequence[int]], Iterator[tuple[int, ...]]]
+) -> Iterator[tuple[int, ...]]:
+    """Every coloring, in no set order, from one search per Inn(X) orbit.
+
+    As _transported, but each solution t of a root's search is yielded with
+    its images g(t) under the other maps of its orbit straight away, so
+    nothing is kept and nothing is sorted.
+    """
+    others: dict[int, list[Sequence[int]]] = {r: [] for r in _orbit_fibers(X)[0]}
+    for c, (r, g) in enumerate(_orbit_maps(X)):
+        if r != c:
+            others[r].append(g)
+    for r, maps in others.items():
+        for t in search([r]):
+            yield t
+            for g in maps:
+                yield tuple(map(g.__getitem__, t))
 
 
 def enumerate_colorings(D: Diagram, X: RackTable) -> list[Coloring]:
@@ -288,12 +317,13 @@ def _region_plan(D: Diagram):
 
 
 def _seeded_regions(
-    D: Diagram, X: RackTable, roots: Sequence[int] | None = None
+    D: Diagram, X: RackTable, roots: Sequence[int] | None = None, *, ordered: bool = True
 ) -> Iterator[tuple[tuple[int, ...], list[list[int]], Sequence[int]]]:
     """The region core: every arc coloring with its regions for all seeds.
 
     Yields (colors, perms, seeds) per arc coloring, in lexicographic order;
-    roots, if given, restricts the color of arc 0 as in _solve_relations.
+    roots, if given, restricts the color of arc 0, and ordered=False drops
+    the order, as in _solve_relations.
     perms[f][s] is the color of face f when face 0 has color s (the seed):
     perms[0] is the identity, and each tree face applies one right
     translation x -> x * c, or its inverse, to its parent's list.  Every
@@ -307,7 +337,7 @@ def _seeded_regions(
     left = [[X.op_inv(x, c) for x in range(n)] for c in range(n)]
     steps = [(f, parent, arc, right if forward else left) for f, parent, arc, forward in tree]
     identity = list(range(n))
-    for colors in _solve_relations(D, X, roots):
+    for colors in _solve_relations(D, X, roots, ordered=ordered):
         perms: list[list[int]] = [identity] * D.n_faces
         for f, parent, arc, cols in steps:
             col = cols[colors[arc]]

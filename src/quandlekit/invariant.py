@@ -7,8 +7,9 @@ coloring objects; a shadow sum folds one weight per region-0 seed at once.
 Once the cocycle check has passed, the 2-cocycle and shadow sums read one
 fiber of arc 0 per Inn(X) orbit, weighted by the orbit size.  Unchecked sums
 and the surface sum weigh every coloring; the search still runs one fiber
-per orbit, and the other fibers are mapped from it by inner automorphisms
-(see coloring._solve_relations).
+per orbit, and each solution is mapped at once onto the other fibers by
+inner automorphisms (the unordered full stream of coloring._solve_relations),
+so no fiber is held in memory.
 The per-coloring weights below are the reference they are tested against.
 Cocycle validity is enforced before any sum is taken: without it the result
 is not an invariant (an explicit escape hatch exists for experiments).
@@ -174,7 +175,8 @@ def state_sum_2(
     that telescopes along each component.  So the sum reads one fiber of
     arc 0 per Inn(X) orbit, weighted by the orbit size.  With check=False
     that argument does not hold and every coloring is weighed, read from the
-    full stream of _solve_relations (searched fibers mapped onto the rest).
+    unordered full stream of _solve_relations (each searched solution
+    mapped onto the other fibers at once).
     """
     _require_cocycle(X, phi, 2, check)
     d = phi.modulus
@@ -183,7 +185,7 @@ def state_sum_2(
     weight = [[phi.value((u, o)) for o in range(n)] for u in range(n)]
     crossings = [(rel.from_under, rel.over, rel.sign) for rel in D.relations]
     coeffs = [0] * d
-    for colors in _solve_relations(D, X, roots):
+    for colors in _solve_relations(D, X, roots, ordered=False):
         total = 0
         for under, over, sign in crossings:
             total += sign * weight[colors[under]][colors[over]]
@@ -204,8 +206,8 @@ def state_sum_shadow(
     Once theta has passed the cocycle check, the weight is constant on the
     orbits of Inn(X) acting on shadow colorings, so, as in state_sum_2, the
     sum reads one fiber of arc 0 per orbit, weighted by the orbit size.
-    With check=False every arc coloring is weighed, read from the full
-    stream (searched fibers mapped onto the rest).
+    With check=False every arc coloring is weighed, read from the unordered
+    full stream (each searched solution mapped onto the other fibers).
     """
     _require_cocycle(X, theta, 3, check)
     d = theta.modulus
@@ -220,7 +222,7 @@ def state_sum_shadow(
         for rel, y in zip(D.relations, D.shadow_weight_regions)
     ]
     coeffs = [0] * d
-    for colors, perms, seeds in _seeded_regions(D, X, roots):
+    for colors, perms, seeds in _seeded_regions(D, X, roots, ordered=False):
         totals = [0] * n
         for y, under, over, sign in crossings:
             row = rows.get((colors[under], colors[over]))
@@ -240,14 +242,14 @@ def state_sum_surface(
     Every coloring is weighed, even after the cocycle check: surface data is
     not checked to close up into a surface, so the orbit argument of
     state_sum_2 and state_sum_shadow does not cover arbitrary input.  The
-    colorings come from the full stream, whose mapped fibers need only the
-    relations to be colorings.
+    colorings come from the unordered full stream, whose mapped solutions
+    need only the relations to be colorings.
     """
     _require_cocycle(X, theta, 3, check)
     d = theta.modulus
     value = theta.value
     coeffs = [0] * d
-    for colors in _solve_relations(SD, X):
+    for colors in _solve_relations(SD, X, ordered=False):
         total = 0
         for lo, mid, up, sign in SD.triple_points:
             total += sign * value((colors[lo], colors[mid], colors[up]))

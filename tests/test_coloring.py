@@ -173,11 +173,10 @@ def test_root_colors_restrict_arc_zero(trefoil, r4):
 
 def test_orbit_maps_take_each_root_onto_its_orbit():
     for name, (X, _) in _orbit_cases().items():
-        roots, _ = _orbit_fibers(X)
         orbit_of = {x: min(o) for o in X.orbits for x in o}
         maps = _orbit_maps(X)
         for c, (r, g) in enumerate(maps):
-            assert r == orbit_of[c] and r in roots, (name, c)
+            assert r == orbit_of[c], (name, c)
             assert g[r] == c, (name, c)
             assert sorted(g) == list(range(X.size)), (name, c)
             for x in range(X.size):
@@ -185,6 +184,44 @@ def test_orbit_maps_take_each_root_onto_its_orbit():
                     assert g[X.table[x][y]] == X.table[g[x]][g[y]], (name, c, x, y)
             if r == c:
                 assert list(g) == list(range(X.size)), (name, c)
+
+
+def test_unordered_stream_holds_every_coloring_once(small_diagrams):
+    """ordered=False gives the same colorings, each once, in another order."""
+    surfaces = {name: parse_surface(read_data_file(name))
+                for name in ("sphere.surf", "trefoil_shadow.surf")}
+    for qn, (X, _) in _orbit_cases().items():
+        for dn, D in small_diagrams.items():
+            if X.size ** D.n_arcs > 10 ** 5:
+                continue
+            got = sorted(_solve_relations(D, X, ordered=False))
+            assert got == sorted(brute_force_colorings(D, X)), (dn, qn)
+            if X.is_quandle and len(D.crossings) <= 4:
+                got = sorted((c, tuple(f[s] for f in perms)) for c, perms, seeds
+                             in coloring._seeded_regions(D, X, ordered=False) for s in seeds)
+                assert got == sorted(brute_force_shadows(D, X)), (dn, qn)
+        for sn, SD in surfaces.items():
+            if X.is_quandle and X.size ** SD.n_sheets <= 10 ** 5:
+                got = sorted(_solve_relations(SD, X, ordered=False))
+                assert got == sorted(brute_force_sheets(SD, X)), (sn, qn)
+
+
+def test_unordered_stream_keeps_no_fiber(monkeypatch):
+    """Each searched solution comes out with all its images before the next."""
+    yielded = []
+    search = coloring._search
+
+    def spy(X, relations, rels_of, roots):
+        for t in search(X, relations, rels_of, roots):
+            yielded.append(t)
+            yield t
+
+    monkeypatch.setattr(coloring, "_search", spy)
+    a9 = resolve_rack("alexander:3:1,0,1:2")
+    stream = _solve_relations(torus_diagram(3, 6), a9, ordered=False)
+    first = [next(stream) for _ in range(9)]
+    assert len(yielded) == 1
+    assert sorted(t[0] for t in first) == list(range(9))
 
 
 def test_enumerate_surface_colorings_matches_brute_force_in_order():
@@ -208,6 +245,7 @@ def test_full_enumerations_match_brute_force_on_random_braids(word):
         X = _orbit_cases()[qn][0]
         got = [c.colors for c in enumerate_colorings(D, X)]
         assert got == sorted(brute_force_colorings(D, X)), qn
+        assert sorted(_solve_relations(D, X, ordered=False)) == got, qn
         if X.is_quandle:
             got = [(s.colors, s.region_colors) for s in enumerate_shadow_colorings(D, X)]
             assert got == sorted(brute_force_shadows(D, X)), qn
