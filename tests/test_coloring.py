@@ -69,6 +69,8 @@ def test_deterministic_lexicographic_order(trefoil, r3):
 def test_enumeration_matches_brute_force(small_diagrams, small_quandles):
     """The full stream, fibers mapped off the orbit roots, is the brute force in order.
 
+    The unordered stream holds the same colorings, each once.
+
     Besides small_quandles: connected quandles (R3, R5, A9, S4), quandles
     with several orbits and two racks that are not quandles (_orbit_cases).
     """
@@ -80,6 +82,7 @@ def test_enumeration_matches_brute_force(small_diagrams, small_quandles):
             expected = brute_force_colorings(D, X)
             got = [c.colors for c in enumerate_colorings(D, X)]
             assert got == sorted(expected), (dn, qn)
+            assert sorted(_solve_relations(D, X, ordered=False)) == got, (dn, qn)
 
 
 def test_rack_colorings_are_framed_data():
@@ -186,26 +189,6 @@ def test_orbit_maps_take_each_root_onto_its_orbit():
                 assert list(g) == list(range(X.size)), (name, c)
 
 
-def test_unordered_stream_holds_every_coloring_once(small_diagrams):
-    """ordered=False gives the same colorings, each once, in another order."""
-    surfaces = {name: parse_surface(read_data_file(name))
-                for name in ("sphere.surf", "trefoil_shadow.surf")}
-    for qn, (X, _) in _orbit_cases().items():
-        for dn, D in small_diagrams.items():
-            if X.size ** D.n_arcs > 10 ** 5:
-                continue
-            got = sorted(_solve_relations(D, X, ordered=False))
-            assert got == sorted(brute_force_colorings(D, X)), (dn, qn)
-            if X.is_quandle and len(D.crossings) <= 4:
-                got = sorted((c, tuple(f[s] for f in perms)) for c, perms, seeds
-                             in coloring._seeded_regions(D, X, ordered=False) for s in seeds)
-                assert got == sorted(brute_force_shadows(D, X)), (dn, qn)
-        for sn, SD in surfaces.items():
-            if X.is_quandle and X.size ** SD.n_sheets <= 10 ** 5:
-                got = sorted(_solve_relations(SD, X, ordered=False))
-                assert got == sorted(brute_force_sheets(SD, X)), (sn, qn)
-
-
 def test_unordered_stream_keeps_no_fiber(monkeypatch):
     """Each searched solution comes out with all its images before the next."""
     yielded = []
@@ -233,6 +216,7 @@ def test_enumerate_surface_colorings_matches_brute_force_in_order():
                 continue
             got = [c.colors for c in enumerate_surface_colorings(SD, X)]
             assert got == sorted(brute_force_sheets(SD, X)), (sn, qn)
+            assert sorted(_solve_relations(SD, X, ordered=False)) == got, (sn, qn)
 
 
 @settings(max_examples=25, deadline=None)
@@ -324,6 +308,9 @@ def test_shadow_matches_brute_force(small_diagrams):
             expected = brute_force_shadows(D, X)
             got = [(s.colors, s.region_colors) for s in enumerate_shadow_colorings(D, X)]
             assert got == sorted(expected), (name, X.label)
+            unordered = [(c, tuple(f[s] for f in perms)) for c, perms, seeds
+                         in coloring._seeded_regions(D, X, ordered=False) for s in seeds]
+            assert sorted(unordered) == got, (name, X.label)
 
 
 def test_shadow_colorings_satisfy_face_condition(trefoil, r3):
