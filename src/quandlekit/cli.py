@@ -17,12 +17,15 @@ import time
 from typing import Sequence
 
 from .coloring import (
+    _closed,
+    _closure_histogram,
     _orbit_fibers,
     _seeded_regions,
     _solve_relations,
+    _takes_engine,
     enumerate_shadow_colorings,
 )
-from .diagram import Diagram, SurfaceDiagramData
+from .diagram import BraidWord, Diagram, SurfaceDiagramData
 from .errors import BudgetError, ParseError, QuandleKitError
 from .homology import (
     _is_prime,
@@ -133,8 +136,13 @@ def _count_colorings(target, X, shadow: bool, surjective: bool) -> int:
     """The number of (shadow/surface) colorings, from one fiber per orbit.
 
     An automorphism maps surjective colorings to surjective ones, so the
-    orbit weights of _orbit_fibers count --surjective colorings too.
+    orbit weights of _orbit_fibers count --surjective colorings too.  A
+    braid word's colorings (not its surjective ones) are counted as fixed
+    points of its permutation when the path rule admits it.
     """
+    if not surjective and _takes_engine(target, X, shadow=shadow):
+        return _closure_histogram(target, X, shadow=shadow)[0]
+    target = _closed(target)
     roots, mult = _orbit_fibers(X)
     return sum(
         mult[colors[0]] * (1 if seeds is None else len(seeds))
@@ -162,7 +170,10 @@ def _cmd_color(args: argparse.Namespace) -> int:
         return 0
     # A listing reads the full stream of colorings once, in its lexicographic
     # order, and its length is the count.  Arc and sheet rows are formatted
-    # straight from the stream, without Coloring objects.
+    # straight from the stream, without Coloring objects, each color through
+    # one table of names.
+    target = _closed(target)
+    name = [str(x) for x in range(X.size)].__getitem__
     if args.shadow:
         # Consecutive shadow colorings of one arc coloring share its colors
         # tuple, so the arc half of their rows is formatted once.
@@ -172,16 +183,15 @@ def _cmd_color(args: argparse.Namespace) -> int:
             if c.colors is not arcs:
                 arcs = c.colors
                 keep = not args.surjective or len(set(arcs)) == X.size
-                head = " ".join(map(str, arcs)) + " | "
+                head = " ".join(map(name, arcs)) + " | "
             if keep:
-                rows.append(head + " ".join(map(str, c.region_colors)))
+                rows.append(head + " ".join(map(name, c.region_colors)))
     else:
         found = _colorings(target, X, False, args.surjective)
-        rows = [" ".join(map(str, colors)) for colors, _ in found]
+        rows = [" ".join(map(name, colors)) for colors, _ in found]
     print(f"{label}: {len(rows)}")
     print(f"#data {label} {len(rows)}")
-    for i, row in enumerate(rows):
-        print(f"{i}: {row}")
+    sys.stdout.writelines([f"{i}: {row}\n" for i, row in enumerate(rows)])
     return 0
 
 
@@ -189,7 +199,7 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
     if args.braid is not None:
         if args.diagram is not None:
             raise ParseError("give either a diagram spec or --braid, not both")
-        target: Diagram | SurfaceDiagramData = parse_inline_braid(args.braid)
+        target: Diagram | SurfaceDiagramData | BraidWord = parse_inline_braid(args.braid)
     else:
         if args.diagram is None:
             raise ParseError("an invariant needs a diagram spec or --braid")

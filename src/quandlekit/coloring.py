@@ -30,6 +30,19 @@ mapped fiber, so the stream keeps its lexicographic order.  The unchecked
 sums and the surface sum only add up weights, so they ask for the stream
 unordered: each solution of a root's search is followed at once by its
 images, and no fiber is kept or sorted.
+
+Braid closures have a second engine.  The colorings of the closure of a
+braid are the fixed points of the braid's permutation of X^s, and a shadow
+coloring adds the color of the region left of the first strand, so it is a
+fixed point in X^(s+1).  _closure_histogram applies one period of the word
+to every state at once and walks the cycles of the resulting permutation:
+the closure's colorings, with their 2- or 3-cochain weights, follow for any
+power of the period at no extra cost, so torus:3:q takes the same time for
+every q.  count_colorings, the command line's counts (not --surjective) and
+the 2-cocycle and shadow state sums accept a braid word and take that
+engine when its states number at most the chain-basis budget and at most
+|X| times the crossings of the closure (_takes_engine); otherwise they run
+the search on braid_closure of the word.  Listings always run the search.
 """
 
 from __future__ import annotations
@@ -40,9 +53,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .algebra import RackTable
-from .diagram import Diagram, SurfaceDiagramData
+from .diagram import BraidWord, Diagram, SurfaceDiagramData, braid_closure
 from .errors import DomainError, NonCocycleError
-from .homology import Cochain, is_cocycle
+from .homology import Cochain, basis_budget, is_cocycle
 
 
 @dataclass(frozen=True)
@@ -280,10 +293,120 @@ def _orbit_fibers(X: RackTable) -> tuple[list[int], list[int]]:
     return [x for x in range(X.size) if mult[x]], mult
 
 
-def count_colorings(D: Diagram, X: RackTable) -> int:
-    """The number of colorings of D by X, from one fiber per Inn(X) orbit."""
+def count_colorings(D: Diagram | BraidWord, X: RackTable) -> int:
+    """The number of colorings of D by X, from one fiber per Inn(X) orbit.
+
+    D may be a braid word: its closure's colorings are then counted as the
+    fixed points of the braid's permutation when the path rule admits it
+    (_takes_engine), else on the closure.
+    """
+    if _takes_engine(D, X, shadow=False):
+        return _closure_histogram(D, X)[0]
     roots, mult = _orbit_fibers(X)
-    return sum(mult[colors[0]] for colors in _solve_relations(D, X, roots))
+    return sum(mult[colors[0]] for colors in _solve_relations(_closed(D), X, roots))
+
+
+# --- braid closures as fixed points -------------------------------------------
+
+
+def _closed(target: Diagram | BraidWord) -> Diagram:
+    """The diagram itself, or the closure of a braid word."""
+    return braid_closure(target) if isinstance(target, BraidWord) else target
+
+
+def _takes_engine(target, X: RackTable, *, shadow: bool) -> bool:
+    """The path rule: whether _closure_histogram serves this input.
+
+    Only a braid word qualifies, and only when its |X|^k states (k = strands,
+    plus one for the region color of a shadow sum) number at most the
+    chain-basis budget and at most |X| times the crossings of the closure,
+    a measure of the search the closure would need instead.  The rule
+    reads input sizes only.
+    """
+    if not isinstance(target, BraidWord):
+        return False
+    k = target.strands + shadow
+    limit = min(X.size * len(target.letters) * target.power, basis_budget())
+    return k <= limit.bit_length() and X.size**k <= limit
+
+
+def _closure_histogram(
+    word: BraidWord,
+    X: RackTable,
+    d: int = 1,
+    weight: Sequence | None = None,
+    *,
+    shadow: bool = False,
+) -> list[int]:
+    """Per k in Z_d, the (shadow) colorings of the closure of word of weight k.
+
+    A braid acts on X^s by s_i: (a, b) -> (b, a * b) on strands i, i+1, and
+    s_i^-1: (a, b) -> (c, a) with c = b *^-1 a; the colorings of its closure
+    are the fixed points (Fenn and Rourke, JKTR 1, 1992).  The period
+    (word.letters) is applied once to every state at once, one list per
+    strand, which gives its permutation P and a weight per state; each cycle
+    of P of length L is fixed by P^power exactly when L divides power, and
+    then each of its L states has weight (power / L) times the cycle's
+    weight sum.  So the cost does not depend on the power.
+
+    With shadow the states are (y0, x) in X^(s+1), y0 the color of the
+    region left of strand 1; the region left of strand i is
+    r_(i-1) = r_(i-2) * x_(i-1), and a letter on strands i, i+1 changes
+    only r_i.  The weight of s_i is weight[a][b], or weight[r_(i-1)][a][b]
+    with shadow; that of s_i^-1 is -weight[c][a], or -weight[r_(i-1)][c][a]
+    (the source under-arc, then the over-arc, as in the crossing relations
+    of braid_closure).  Without weight every coloring counts in position 0.
+    """
+    if shadow:
+        X.require_quandle()
+    else:
+        X.require_rack()
+    n, table = X.size, X.table
+    under_of = [[X.op_inv(b, a) for b in range(n)] for a in range(n)]  # c * a = b
+    k = word.strands + shadow
+    size = n**k
+    # Column p lists digit p of every state, states numbered base n.
+    cols = [[c for c in range(n) for _ in range(n ** (k - 1 - p))] * n**p for p in range(k)]
+    strands = cols[shadow:]
+    regions = None
+    if shadow and weight is not None:
+        regions = cols[:1]
+        for x in strands[:-1]:
+            regions.append([table[r][c] for r, c in zip(regions[-1], x)])
+    totals = [0] * size
+    for i, sign in word.letters:
+        a, b = strands[i - 1], strands[i]
+        if sign == 1:
+            under, over = a, b
+            strands[i - 1], strands[i] = b, [table[u][v] for u, v in zip(a, b)]
+        else:
+            under, over = [under_of[u][v] for u, v in zip(a, b)], a
+            strands[i - 1], strands[i] = under, a
+        if regions is not None:
+            left = regions[i - 1]
+            totals = [t + sign * weight[r][u][v]
+                      for t, r, u, v in zip(totals, left, under, over)]
+            regions[i] = [table[r][c] for r, c in zip(left, strands[i - 1])]
+        elif weight is not None:
+            totals = [t + sign * weight[u][v] for t, u, v in zip(totals, under, over)]
+    image = [0] * size
+    for col in cols[:shadow] + strands:
+        image = [m * n + c for m, c in zip(image, col)]
+    hist = [0] * d
+    seen = bytearray(size)
+    for start in range(size):
+        if seen[start]:
+            continue
+        length = total = 0
+        j = start
+        while not seen[j]:
+            seen[j] = 1
+            length += 1
+            total += totals[j]
+            j = image[j]
+        if word.power % length == 0:
+            hist[word.power // length * total % d] += length
+    return hist
 
 
 def _region_plan(D: Diagram):

@@ -14,6 +14,12 @@ to the b-end means positive).
 Co-orientation convention: the normal of an arc is its direction rotated a
 quarter turn counterclockwise.  This sense makes the shadow state sum of the
 right-handed trefoil 9 + 18t rather than its conjugate.
+
+Braid words carry a power: torus_braid gives T(p, q) as one period word to
+the power |q|, and braid_closure expands the power when it builds the
+closure.  The word itself is what the coloring engine for braid closures
+reads, and BraidWord.require_nonsplit refuses a split closure without
+building it.
 """
 
 from __future__ import annotations
@@ -427,10 +433,12 @@ def format_pd(D: Diagram, name: str | None = None) -> str:
 
 @dataclass(frozen=True)
 class BraidWord:
-    """A braid word: (generator index, +-1) letters on a fixed strand count."""
+    """A braid word to a power: (generator index, +-1) letters on a fixed
+    strand count, repeated power times (the braid is letters^power)."""
 
     strands: int
     letters: tuple[tuple[int, int], ...]
+    power: int = 1
 
     def __post_init__(self) -> None:
         if self.strands < 1:
@@ -440,6 +448,25 @@ class BraidWord:
                 raise DomainError(f"generator index {i} out of range 1..{self.strands - 1}")
             if e not in (1, -1):
                 raise DomainError("letter exponents must be +1 or -1")
+        if self.power < 1:
+            raise DomainError("a braid power must be positive")
+
+    def require_nonsplit(self) -> None:
+        """Raise DomainError unless the closure is a connected diagram.
+
+        Every strand must meet at least one crossing, except on the empty
+        one-strand braid, which closes to the round unknot; idle strands
+        would close to split diagrams, which are unsupported.
+        """
+        if not self.letters:
+            if self.strands == 1:
+                return
+            raise DomainError("closure of an empty braid on several strands is split")
+        if len(union_classes(self.strands, ((i - 1, i) for i, _ in self.letters))) != 1:
+            raise DomainError(
+                "some strands never cross the others; the closure would be a "
+                "split diagram, which is unsupported"
+            )
 
 
 def parse_braid_word(strands: int, word: str) -> BraidWord:
@@ -457,28 +484,22 @@ def parse_braid_word(strands: int, word: str) -> BraidWord:
 
 
 def braid_closure(braid: BraidWord, name: str | None = None) -> Diagram:
-    """The standard (trace) closure of a braid word.
+    """The standard (trace) closure of a braid word, its power expanded.
 
     A positive generator gives a positive crossing: the strand entering from
-    the right passes over.  Every strand must meet at least one crossing,
-    except the empty one-strand braid, which closes to the round unknot;
-    idle strands would close to split diagrams, which are unsupported.
+    the right passes over.  The closure must be connected
+    (BraidWord.require_nonsplit); the empty one-strand braid closes to the
+    round unknot.
     """
+    braid.require_nonsplit()
     s = braid.strands
     if not braid.letters:
-        if s == 1:
-            return Diagram(1, (), name=name or "unknot")
-        raise DomainError("closure of an empty braid on several strands is split")
-    # All strand positions must interact, else the closure is a split diagram.
-    if len(union_classes(s, ((i - 1, i) for i, _ in braid.letters))) != 1:
-        raise DomainError(
-            "some strands never cross the others; the closure would be a "
-            "split diagram, which is unsupported"
-        )
+        return Diagram(1, (), name=name or "unknot")
+    letters = braid.letters * braid.power
     cur = list(range(s))  # cur[p] = edge currently at position p+1
     next_id = s
     raw: list[tuple[tuple[int, int, int, int], int, int]] = []
-    for i, eps in braid.letters:
+    for i, eps in letters:
         left, right = cur[i - 1], cur[i]
         out_left, out_right = next_id, next_id + 1
         next_id += 2
@@ -506,25 +527,33 @@ def braid_closure(braid: BraidWord, name: str | None = None) -> Diagram:
         )
         for quad, over_in, sign in raw
     )
-    diagram = Diagram(2 * len(braid.letters), crossings, name=name)
+    diagram = Diagram(2 * len(letters), crossings, name=name)
     diagram.faces  # planarity sanity check; closure should always pass
     return diagram
 
 
-def torus_diagram(p: int, q: int) -> Diagram:
-    """The torus knot/link T(p, q) for p in {2, 3}, as a braid closure."""
+def torus_braid(p: int, q: int) -> BraidWord:
+    """T(p, q) for p in {2, 3} as one period word to the power |q|.
+
+    T(2, q) is (s1^+-1)^|q|; T(3, q) is (s1 s2)^q, or (s2^-1 s1^-1)^|q|
+    when q < 0.
+    """
     if p not in (2, 3):
         raise DomainError("only T(2, q) and T(3, q) are generated here")
     if q == 0:
         raise DomainError("q must be nonzero")
-    k = abs(q)
     if p == 2:
-        letters = [(1, 1 if q > 0 else -1)] * k
+        period = ((1, 1 if q > 0 else -1),)
     elif q > 0:
-        letters = [(1, 1), (2, 1)] * k
+        period = ((1, 1), (2, 1))
     else:
-        letters = [(2, -1), (1, -1)] * k
-    return braid_closure(BraidWord(p, tuple(letters)), name=f"T({p},{q})")
+        period = ((2, -1), (1, -1))
+    return BraidWord(p, period, abs(q))
+
+
+def torus_diagram(p: int, q: int) -> Diagram:
+    """The torus knot/link T(p, q) for p in {2, 3}, as a braid closure."""
+    return braid_closure(torus_braid(p, q), name=f"T({p},{q})")
 
 
 # --- knotted-surface data --------------------------------------------------------

@@ -10,6 +10,10 @@ and the surface sum weigh every coloring; the search still runs one fiber
 per orbit, and each solution is mapped at once onto the other fibers by
 inner automorphisms (the unordered full stream of coloring._solve_relations),
 so no fiber is held in memory.
+Given a braid word, the 2-cocycle and shadow sums are read off the fixed
+points of the braid's permutation, in time independent of its power, when
+the state space is small enough (coloring._takes_engine); otherwise they are
+taken on the closure as above.
 The per-coloring weights below are the reference they are tested against.
 Cocycle validity is enforced before any sum is taken: without it the result
 is not an invariant (an explicit escape hatch exists for experiments).
@@ -24,11 +28,14 @@ from .coloring import (
     Coloring,
     ShadowColoring,
     SurfaceColoring,
+    _closed,
+    _closure_histogram,
     _orbit_fibers,
     _seeded_regions,
     _solve_relations,
+    _takes_engine,
 )
-from .diagram import Diagram, SurfaceDiagramData
+from .diagram import BraidWord, Diagram, SurfaceDiagramData
 from .errors import DomainError, NonCocycleError
 from .homology import Cochain, is_cocycle
 
@@ -165,7 +172,7 @@ def per_coloring_weight(target, X: RackTable, cochain: Cochain, coloring) -> int
 
 
 def state_sum_2(
-    D: Diagram, X: RackTable, phi: Cochain, *, check: bool = True
+    D: Diagram | BraidWord, X: RackTable, phi: Cochain, *, check: bool = True
 ) -> GroupRingElement:
     """The 2-cocycle state sum over all colorings of D by X.
 
@@ -177,12 +184,19 @@ def state_sum_2(
     that argument does not hold and every coloring is weighed, read from the
     unordered full stream of _solve_relations (each searched solution
     mapped onto the other fibers at once).
+
+    D may be a braid word: when the path rule admits it (_takes_engine) the
+    sum is read off the fixed points of the braid's permutation, every
+    coloring weighed, checked or not; otherwise it is taken on the closure.
     """
     _require_cocycle(X, phi, 2, check)
     d = phi.modulus
     n = X.size
-    roots, mult = _orbit_fibers(X) if check else (None, [1] * n)
     weight = [[phi.value((u, o)) for o in range(n)] for u in range(n)]
+    if _takes_engine(D, X, shadow=False):
+        return GroupRingElement(d, tuple(_closure_histogram(D, X, d, weight)))
+    D = _closed(D)
+    roots, mult = _orbit_fibers(X) if check else (None, [1] * n)
     crossings = [(rel.from_under, rel.over, rel.sign) for rel in D.relations]
     coeffs = [0] * d
     for colors in _solve_relations(D, X, roots, ordered=False):
@@ -194,7 +208,7 @@ def state_sum_2(
 
 
 def state_sum_shadow(
-    D: Diagram, X: RackTable, theta: Cochain, *, check: bool = True
+    D: Diagram | BraidWord, X: RackTable, theta: Cochain, *, check: bool = True
 ) -> GroupRingElement:
     """The 3-cocycle state sum over all shadow colorings of D by X.
 
@@ -208,10 +222,18 @@ def state_sum_shadow(
     sum reads one fiber of arc 0 per orbit, weighted by the orbit size.
     With check=False every arc coloring is weighed, read from the unordered
     full stream (each searched solution mapped onto the other fibers).
+
+    D may be a braid word, as in state_sum_2; the engine's states then
+    carry the color of the region left of the first strand as well.
     """
     _require_cocycle(X, theta, 3, check)
     d = theta.modulus
     n = X.size
+    if _takes_engine(D, X, shadow=True):
+        weight = [[[theta.value((y, u, o)) for o in range(n)] for u in range(n)]
+                  for y in range(n)]
+        return GroupRingElement(d, tuple(_closure_histogram(D, X, d, weight, shadow=True)))
+    D = _closed(D)
     roots, mult = _orbit_fibers(X) if check else (None, [1] * n)
     rows: dict[tuple[int, int], list[int]] = {}  # (under, over) -> theta(., under, over)
     for (x, u, o), v in theta.values.items():

@@ -5,6 +5,12 @@ A spec is either a builtin name (``trivial:4``, ``dihedral:3``,
 like a builtin, otherwise the filesystem is consulted, and bundled data files
 (``trefoil.pd``, ``theta_R3.cochain``, ...) resolve by bare name as a last
 resort.  ``force_file`` skips the builtin parsing entirely.
+
+Torus specs, ``braid:`` specs and braid files resolve to a braid word, not
+to its closure: ``torus:p:q`` is one period word to the power |q|, and the
+others are their word to the power 1.  A word whose closure would be split
+is refused as it resolves.  Counts and state sums can then read the
+closure's colorings off the braid's permutation without building it.
 """
 
 from __future__ import annotations
@@ -18,11 +24,10 @@ from .diagram import (
     BraidWord,
     Diagram,
     SurfaceDiagramData,
-    braid_closure,
     parse_braid_word,
     parse_pd,
     parse_surface,
-    torus_diagram,
+    torus_braid,
 )
 from .errors import DomainError, ParseError
 from .homology import Cochain, parse_cochain
@@ -97,17 +102,21 @@ def resolve_rack(spec: str, *, force_file: bool = False) -> RackTable:
 
 def resolve_diagram(
     spec: str, *, force_file: bool = False
-) -> Diagram | SurfaceDiagramData:
-    """A diagram (or surface data) from a builtin name or a file.
+) -> Diagram | SurfaceDiagramData | BraidWord:
+    """A diagram, surface data or braid word from a builtin name or a file.
 
     Files declare their own kind through the header line: ``pd``, ``braid``
-    or ``surface``.
+    or ``surface``.  Torus specs, ``braid:`` specs and braid files resolve
+    to their braid word, not its closure (``torus:p:q`` is one period word
+    to the power |q|, see torus_braid); the closure is built only by the
+    callers that need the diagram.  The word is checked to close up to a
+    connected diagram here, so a split braid fails before any output.
     """
     if not force_file and ":" in spec:
         head, *rest = spec.split(":")
         if head == "torus" and len(rest) == 2:
             try:
-                return torus_diagram(
+                return torus_braid(
                     _parse_int(rest[0], "torus p"), _parse_int(rest[1], "torus q")
                 )
             except DomainError as exc:
@@ -120,7 +129,9 @@ def resolve_diagram(
     return parse_diagram_text(text, name=os.path.basename(spec))
 
 
-def parse_diagram_text(text: str, name: str | None = None) -> Diagram | SurfaceDiagramData:
+def parse_diagram_text(
+    text: str, name: str | None = None
+) -> Diagram | SurfaceDiagramData | BraidWord:
     stripped = content_lines(text)
     if not stripped:
         raise ParseError("empty diagram file")
@@ -133,20 +144,25 @@ def parse_diagram_text(text: str, name: str | None = None) -> Diagram | SurfaceD
             raise ParseError("braid file needs 'braid <strands> <letters...>'")
         strands = _parse_int(toks[1], "strand count")
         word = parse_braid_word(strands, " ".join(toks[2:]))
-        return braid_closure(word, name=name)
+        word.require_nonsplit()
+        return word
     if head == "surface":
         return parse_surface(text, name=name)
     raise ParseError(f"unknown diagram header {head!r}; expected pd, braid or surface")
 
 
-def parse_inline_braid(spec: str) -> Diagram:
-    """An inline braid like '2: 1 1 1' (strands, colon, letters)."""
+def parse_inline_braid(spec: str) -> BraidWord:
+    """An inline braid like '2: 1 1 1' (strands, colon, letters).
+
+    Returns the word, checked to close up to a connected diagram.
+    """
     if ":" not in spec:
         raise ParseError("inline braid must look like '<strands>: <letters>'")
     head, word = spec.split(":", 1)
     strands = _parse_int(head.strip(), "strand count")
     braid = parse_braid_word(strands, word)
-    return braid_closure(braid, name=f"braid({spec.strip()})")
+    braid.require_nonsplit()
+    return braid
 
 
 def resolve_cochain(spec: str) -> Cochain:

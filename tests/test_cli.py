@@ -6,6 +6,7 @@ import pytest
 
 from quandlekit import cli
 from quandlekit.cli import main
+from quandlekit.diagram import BraidWord, braid_closure
 from quandlekit.specs import bundled_path, read_data_file, resolve_diagram, resolve_rack
 
 from conftest import brute_force_colorings, brute_force_sheets, brute_force_shadows
@@ -143,7 +144,10 @@ def test_color_list_rows_match_brute_force(tmp_path, capsys):
               for q in ("dihedral:3", "dihedral:4", "trivial:3")]
     cases += [("sphere.surf", q, "surface-colorings", False) for q in quandles]
     for diagram, rack, label, shadow in cases:
+        # Torus specs resolve to their braid word; the oracles need its closure.
         target, X = resolve_diagram(diagram), resolve_rack(rack)
+        if isinstance(target, BraidWord):
+            target = braid_closure(target)
         if shadow:
             found = [(c, " ".join(map(str, c)) + " | " + " ".join(map(str, r)))
                      for c, r in sorted(brute_force_shadows(target, X))]
@@ -420,6 +424,70 @@ def readme_commands():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     return [line for line in block.splitlines() if line.startswith("quandlekit ")]
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (("torus:4:3",), 2, "bad torus spec 'torus:4:3': only T(2, q) and T(3, q) are generated here"),
+    (("torus:3:0",), 2, "bad torus spec 'torus:3:0': q must be nonzero"),
+    (("braid:2:",), 1, "closure of an empty braid on several strands is split"),
+    (("braid:3: 1 -1",), 1, "some strands never cross the others"),
+    (("--braid", "3: 2 2"), 1, "some strands never cross the others"),
+])
+def test_closure_spec_errors_come_before_any_output(capsys, argv, code, message):
+    """A torus or braid spec that has no connected closure fails as it resolves."""
+    runs = [("invariant", *argv, "dihedral:3", "theta_R3.cochain")]
+    if argv[0] != "--braid":
+        runs.append(("color", *argv, "trefoil.pd", "--count"))  # the rack is never read
+    for args in runs:
+        got, out, err = run(capsys, *args)
+        assert got == code, args
+        assert f"error: {message}" in err, args
+        assert out.splitlines() == ["# quandlekit " + " ".join(args)], args
+
+
+def test_torus_million_shadow_sum_within_one_cpu_second(capsys):
+    import time
+
+    started = time.process_time()
+    code, out, _ = run(capsys, "invariant", "torus:3:1000000", "dihedral:3",
+                       "theta_R3.cochain", "--mode", "shadow")
+    assert time.process_time() - started < 1.0
+    assert code == 0
+    assert payload(out) == ["9 + 18t^2"]
+
+
+def test_braid_specs_take_the_engine_by_the_path_rule(monkeypatch, capsys):
+    """Small state spaces skip the closure and the search; large ones keep both."""
+    from quandlekit import coloring, diagram, invariant, specs
+
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, owner in (("braid_closure", diagram), ("_solve_relations", coloring)):
+        wrapped = spy(name, getattr(owner, name))
+        for module in (cli, coloring, diagram, invariant, specs):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapped)
+    code, out, _ = run(capsys, "invariant", "torus:3:1000", "dihedral:3", "theta_R3.cochain")
+    assert code == 0 and payload(out) == ["9 + 18t^2"]
+    code, out, _ = run(capsys, "color", "torus:3:30", "dihedral:3", "--shadow", "--count")
+    assert code == 0 and payload(out) == ["shadow-colorings: 81"]
+    assert calls == []
+    # 27^3 states against 27 x 8 crossings: the closure and the search.
+    code, out, _ = run(capsys, "color", "torus:3:4", "alexander:3:1,0,0,1:2", "--count")
+    assert code == 0 and payload(out) == ["colorings: 729"]
+    assert calls[0] == "braid_closure" and "_solve_relations" in calls
+    # Listings and surjective counts never take the engine.
+    for flag in ("--list", "--surjective"):
+        calls.clear()
+        code, _, _ = run(capsys, "color", "torus:3:6", "dihedral:3", flag)
+        assert code == 0
+        assert calls[0] == "braid_closure" and "_solve_relations" in calls, flag
 
 
 def test_readme_commands_run(capsys):

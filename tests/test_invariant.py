@@ -33,7 +33,8 @@ from quandlekit import (
     SurfaceColoring,
     torus_diagram,
 )
-from quandlekit.diagram import parse_braid_word
+from quandlekit.coloring import _closure_histogram
+from quandlekit.diagram import parse_braid_word, torus_braid
 from quandlekit.invariant import coloring_weight, shadow_weight, surface_weight
 from quandlekit.specs import resolve_rack
 
@@ -457,3 +458,8 @@ def test_mochizuki_cocycle_published_values(trefoil):
     assert is_cocycle(r5, theta5, "Q")
     assert render(state_sum_shadow(torus_diagram(2, 5), r5, theta5)) == "25 + 50t + 50t^4"
     assert render(state_sum_shadow(trefoil, r3, theta3)) == "9 + 18t^2"
+    # The same value as fixed points of the braid action of s1^5.
+    weight = [[[theta5.value((y, u, o)) for o in range(5)] for u in range(5)]
+              for y in range(5)]
+    hist = _closure_histogram(torus_braid(2, 5), r5, 5, weight, shadow=True)
+    assert render(GroupRingElement(5, tuple(hist))) == "25 + 50t + 50t^4"
