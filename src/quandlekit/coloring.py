@@ -331,12 +331,7 @@ def _takes_engine(target, X: RackTable, *, shadow: bool) -> bool:
 
 
 def _closure_histogram(
-    word: BraidWord,
-    X: RackTable,
-    d: int = 1,
-    weight: Sequence | None = None,
-    *,
-    shadow: bool = False,
+    word: BraidWord, X: RackTable, cochain: Cochain | None = None, *, shadow: bool = False
 ) -> list[int]:
     """Per k in Z_d, the (shadow) colorings of the closure of word of weight k.
 
@@ -352,16 +347,24 @@ def _closure_histogram(
     With shadow the states are (y0, x) in X^(s+1), y0 the color of the
     region left of strand 1; the region left of strand i is
     r_(i-1) = r_(i-2) * x_(i-1), and a letter on strands i, i+1 changes
-    only r_i.  The weight of s_i is weight[a][b], or weight[r_(i-1)][a][b]
-    with shadow; that of s_i^-1 is -weight[c][a], or -weight[r_(i-1)][c][a]
-    (the source under-arc, then the over-arc, as in the crossing relations
-    of braid_closure).  Without weight every coloring counts in position 0.
+    only r_i.  The weight of s_i is phi(a, b), or theta(r_(i-1), a, b) with
+    shadow, for the cochain of modulus d; that of s_i^-1 is -phi(c, a), or
+    -theta(r_(i-1), c, a) (the source under-arc, then the over-arc, as in
+    the crossing relations of braid_closure).  Without a cochain every
+    coloring counts, in position 0 (d = 1).
     """
     if shadow:
         X.require_quandle()
     else:
         X.require_rack()
     n, table = X.size, X.table
+    d = 1 if cochain is None else cochain.modulus
+    weight = None
+    if cochain is not None and shadow:
+        weight = [[[cochain.value((y, u, o)) for o in range(n)] for u in range(n)]
+                  for y in range(n)]
+    elif cochain is not None:
+        weight = [[cochain.value((u, o)) for o in range(n)] for u in range(n)]
     under_of = [[X.op_inv(b, a) for b in range(n)] for a in range(n)]  # c * a = b
     k = word.strands + shadow
     size = n**k

@@ -192,11 +192,11 @@ def state_sum_2(
     _require_cocycle(X, phi, 2, check)
     d = phi.modulus
     n = X.size
-    weight = [[phi.value((u, o)) for o in range(n)] for u in range(n)]
     if _takes_engine(D, X, shadow=False):
-        return GroupRingElement(d, tuple(_closure_histogram(D, X, d, weight)))
+        return GroupRingElement(d, tuple(_closure_histogram(D, X, phi)))
     D = _closed(D)
     roots, mult = _orbit_fibers(X) if check else (None, [1] * n)
+    weight = [[phi.value((u, o)) for o in range(n)] for u in range(n)]
     crossings = [(rel.from_under, rel.over, rel.sign) for rel in D.relations]
     coeffs = [0] * d
     for colors in _solve_relations(D, X, roots, ordered=False):
@@ -230,9 +230,7 @@ def state_sum_shadow(
     d = theta.modulus
     n = X.size
     if _takes_engine(D, X, shadow=True):
-        weight = [[[theta.value((y, u, o)) for o in range(n)] for u in range(n)]
-                  for y in range(n)]
-        return GroupRingElement(d, tuple(_closure_histogram(D, X, d, weight, shadow=True)))
+        return GroupRingElement(d, tuple(_closure_histogram(D, X, theta, shadow=True)))
     D = _closed(D)
     roots, mult = _orbit_fibers(X) if check else (None, [1] * n)
     rows: dict[tuple[int, int], list[int]] = {}  # (under, over) -> theta(., under, over)

@@ -49,33 +49,20 @@ def _random_cochain(rng, degree, n):
     return Cochain(degree, MODULUS, values)
 
 
-def _engine(word, X, cochain=None, shadow=False):
-    """The engine's histogram for a count (no cochain) or a cochain's sum."""
-    if cochain is None:
-        return _closure_histogram(word, X, shadow=shadow)
-    n = X.size
-    if shadow:
-        weight = [[[cochain.value((y, u, o)) for o in range(n)] for u in range(n)]
-                  for y in range(n)]
-    else:
-        weight = [[cochain.value((u, o)) for o in range(n)] for u in range(n)]
-    return _closure_histogram(word, X, cochain.modulus, weight, shadow=shadow)
-
-
 def _compare(word, X, rng):
     """Engine against the search on the closure: counts and both sums."""
     D = braid_closure(word)
-    assert _engine(word, X) == [count_colorings(D, X)]
+    assert _closure_histogram(word, X) == [count_colorings(D, X)]
     phi = _random_cochain(rng, 2, X.size)
     want = state_sum_2(D, X, phi, check=False)
-    assert tuple(_engine(word, X, phi)) == want.coeffs
+    assert tuple(_closure_histogram(word, X, phi)) == want.coeffs
     assert state_sum_2(word, X, phi, check=False) == want
     if not X.is_quandle:
         return
-    assert _engine(word, X, shadow=True) == [_count_colorings(D, X, True, False)]
+    assert _closure_histogram(word, X, shadow=True) == [_count_colorings(D, X, True, False)]
     theta = _random_cochain(rng, 3, X.size)
     want = state_sum_shadow(D, X, theta, check=False)
-    assert tuple(_engine(word, X, theta, shadow=True)) == want.coeffs
+    assert tuple(_closure_histogram(word, X, theta, shadow=True)) == want.coeffs
     assert state_sum_shadow(word, X, theta, check=False) == want
 
 

@@ -459,7 +459,5 @@ def test_mochizuki_cocycle_published_values(trefoil):
     assert render(state_sum_shadow(torus_diagram(2, 5), r5, theta5)) == "25 + 50t + 50t^4"
     assert render(state_sum_shadow(trefoil, r3, theta3)) == "9 + 18t^2"
     # The same value as fixed points of the braid action of s1^5.
-    weight = [[[theta5.value((y, u, o)) for o in range(5)] for u in range(5)]
-              for y in range(5)]
-    hist = _closure_histogram(torus_braid(2, 5), r5, 5, weight, shadow=True)
+    hist = _closure_histogram(torus_braid(2, 5), r5, theta5, shadow=True)
     assert render(GroupRingElement(5, tuple(hist))) == "25 + 50t + 50t^4"
