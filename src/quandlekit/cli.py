@@ -18,11 +18,10 @@ from typing import Sequence
 
 from .coloring import (
     _closed,
-    _closure_histogram,
+    _engine_histogram,
     _orbit_fibers,
     _seeded_regions,
     _solve_relations,
-    _takes_engine,
     enumerate_shadow_colorings,
 )
 from .diagram import BraidWord, Diagram, SurfaceDiagramData
@@ -140,8 +139,9 @@ def _count_colorings(target, X, shadow: bool, surjective: bool) -> int:
     braid word's colorings (not its surjective ones) are counted as fixed
     points of its permutation when the path rule admits it.
     """
-    if not surjective and _takes_engine(target, X, shadow=shadow):
-        return _closure_histogram(target, X, shadow=shadow)[0]
+    hist = None if surjective else _engine_histogram(target, X, shadow=shadow)
+    if hist is not None:
+        return hist[0]
     target = _closed(target)
     roots, mult = _orbit_fibers(X)
     return sum(

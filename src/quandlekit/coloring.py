@@ -40,9 +40,9 @@ the closure's colorings, with their 2- or 3-cochain weights, follow for any
 power of the period at no extra cost, so torus:3:q takes the same time for
 every q.  count_colorings, the command line's counts (not --surjective) and
 the 2-cocycle and shadow state sums accept a braid word and take that
-engine when its states number at most the chain-basis budget and at most
-|X| times the crossings of the closure (_takes_engine); otherwise they run
-the search on braid_closure of the word.  Listings always run the search.
+engine when its states number at most |X| times the crossings of the
+closure (_engine_histogram); otherwise they run the search on
+braid_closure of the word.  Listings always run the search.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from typing import Callable, Iterator, Sequence
 from .algebra import RackTable
 from .diagram import BraidWord, Diagram, SurfaceDiagramData, braid_closure
 from .errors import DomainError, NonCocycleError
-from .homology import Cochain, basis_budget, is_cocycle
+from .homology import Cochain, is_cocycle
 
 
 @dataclass(frozen=True)
@@ -298,10 +298,11 @@ def count_colorings(D: Diagram | BraidWord, X: RackTable) -> int:
 
     D may be a braid word: its closure's colorings are then counted as the
     fixed points of the braid's permutation when the path rule admits it
-    (_takes_engine), else on the closure.
+    (_engine_histogram), else on the closure.
     """
-    if _takes_engine(D, X, shadow=False):
-        return _closure_histogram(D, X)[0]
+    hist = _engine_histogram(D, X)
+    if hist is not None:
+        return hist[0]
     roots, mult = _orbit_fibers(X)
     return sum(mult[colors[0]] for colors in _solve_relations(_closed(D), X, roots))
 
@@ -314,20 +315,23 @@ def _closed(target: Diagram | BraidWord) -> Diagram:
     return braid_closure(target) if isinstance(target, BraidWord) else target
 
 
-def _takes_engine(target, X: RackTable, *, shadow: bool) -> bool:
-    """The path rule: whether _closure_histogram serves this input.
+def _engine_histogram(
+    target, X: RackTable, cochain: Cochain | None = None, *, shadow: bool = False
+) -> list[int] | None:
+    """_closure_histogram of target when the path rule admits it, else None.
 
     Only a braid word qualifies, and only when its |X|^k states (k = strands,
-    plus one for the region color of a shadow sum) number at most the
-    chain-basis budget and at most |X| times the crossings of the closure,
-    a measure of the search the closure would need instead.  The rule
-    reads input sizes only.
+    plus one for the region color of a shadow sum) number at most |X| times
+    the crossings of its closure, the closure the search would build and
+    search instead.  The rule reads input sizes only.
     """
     if not isinstance(target, BraidWord):
-        return False
+        return None
     k = target.strands + shadow
-    limit = min(X.size * len(target.letters) * target.power, basis_budget())
-    return k <= limit.bit_length() and X.size**k <= limit
+    limit = X.size * len(target.letters) * target.power
+    if k > limit.bit_length() or X.size**k > limit:
+        return None
+    return _closure_histogram(target, X, cochain, shadow=shadow)
 
 
 def _closure_histogram(

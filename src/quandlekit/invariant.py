@@ -12,8 +12,8 @@ inner automorphisms (the unordered full stream of coloring._solve_relations),
 so no fiber is held in memory.
 Given a braid word, the 2-cocycle and shadow sums are read off the fixed
 points of the braid's permutation, in time independent of its power, when
-the state space is small enough (coloring._takes_engine); otherwise they are
-taken on the closure as above.
+the state space is small enough (coloring._engine_histogram); otherwise
+they are taken on the closure as above.
 The per-coloring weights below are the reference they are tested against.
 Cocycle validity is enforced before any sum is taken: without it the result
 is not an invariant (an explicit escape hatch exists for experiments).
@@ -29,11 +29,10 @@ from .coloring import (
     ShadowColoring,
     SurfaceColoring,
     _closed,
-    _closure_histogram,
+    _engine_histogram,
     _orbit_fibers,
     _seeded_regions,
     _solve_relations,
-    _takes_engine,
 )
 from .diagram import BraidWord, Diagram, SurfaceDiagramData
 from .errors import DomainError, NonCocycleError
@@ -185,15 +184,16 @@ def state_sum_2(
     unordered full stream of _solve_relations (each searched solution
     mapped onto the other fibers at once).
 
-    D may be a braid word: when the path rule admits it (_takes_engine) the
-    sum is read off the fixed points of the braid's permutation, every
+    D may be a braid word: when the path rule admits it (_engine_histogram)
+    the sum is read off the fixed points of the braid's permutation, every
     coloring weighed, checked or not; otherwise it is taken on the closure.
     """
     _require_cocycle(X, phi, 2, check)
     d = phi.modulus
     n = X.size
-    if _takes_engine(D, X, shadow=False):
-        return GroupRingElement(d, tuple(_closure_histogram(D, X, phi)))
+    hist = _engine_histogram(D, X, phi)
+    if hist is not None:
+        return GroupRingElement(d, tuple(hist))
     D = _closed(D)
     roots, mult = _orbit_fibers(X) if check else (None, [1] * n)
     weight = [[phi.value((u, o)) for o in range(n)] for u in range(n)]
@@ -229,8 +229,9 @@ def state_sum_shadow(
     _require_cocycle(X, theta, 3, check)
     d = theta.modulus
     n = X.size
-    if _takes_engine(D, X, shadow=True):
-        return GroupRingElement(d, tuple(_closure_histogram(D, X, theta, shadow=True)))
+    hist = _engine_histogram(D, X, theta, shadow=True)
+    if hist is not None:
+        return GroupRingElement(d, tuple(hist))
     D = _closed(D)
     roots, mult = _orbit_fibers(X) if check else (None, [1] * n)
     rows: dict[tuple[int, int], list[int]] = {}  # (under, over) -> theta(., under, over)

@@ -475,8 +475,14 @@ def test_braid_specs_take_the_engine_by_the_path_rule(monkeypatch, capsys):
                 monkeypatch.setattr(module, name, wrapped)
     code, out, _ = run(capsys, "invariant", "torus:3:1000", "dihedral:3", "theta_R3.cochain")
     assert code == 0 and payload(out) == ["9 + 18t^2"]
+    # The rule reads input sizes only, not the chain-basis budget.
+    monkeypatch.setenv("QUANDLEKIT_BUDGET", "not-a-number")
     code, out, _ = run(capsys, "color", "torus:3:30", "dihedral:3", "--shadow", "--count")
     assert code == 0 and payload(out) == ["shadow-colorings: 81"]
+    monkeypatch.delenv("QUANDLEKIT_BUDGET")
+    # 30^3 = 27000 states, over the default budget, against 30 x 904 crossings.
+    code, out, _ = run(capsys, "color", "torus:3:452", "dihedral:30", "--count")
+    assert code == 0 and payload(out) == ["colorings: 90"]
     assert calls == []
     # 27^3 states against 27 x 8 crossings: the closure and the search.
     code, out, _ = run(capsys, "color", "torus:3:4", "alexander:3:1,0,0,1:2", "--count")
