@@ -16,15 +16,8 @@ import sys
 import time
 from typing import Sequence
 
-from .coloring import (
-    _closed,
-    _engine_histogram,
-    _orbit_fibers,
-    _seeded_regions,
-    _solve_relations,
-    enumerate_shadow_colorings,
-)
-from .diagram import BraidWord, Diagram, SurfaceDiagramData
+from .coloring import _histogram, _solve_relations, enumerate_shadow_colorings
+from .diagram import BraidWord, Diagram, SurfaceDiagramData, braid_closure
 from .errors import BudgetError, ParseError, QuandleKitError
 from .homology import (
     _is_prime,
@@ -49,7 +42,7 @@ def _echo(args: Sequence[str]) -> None:
 
 def _digest_inputs(paths: Sequence[str]) -> None:
     for path in paths:
-        if os.path.exists(path):
+        if os.path.isfile(path):
             with open(path, "rb") as fh:
                 digest = hashlib.sha256(fh.read()).hexdigest()[:12]
             print(f"# input {path} sha256:{digest}")
@@ -116,40 +109,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _colorings(target, X, shadow: bool, surjective: bool, roots=None):
-    """(colors, seeds) per (surjective) arc or sheet coloring, streamed.
-
-    With shadow, seeds lists the region-0 colors that extend the coloring
-    (see _seeded_regions); without it, seeds is None.
-    """
-    if shadow:
-        found = ((colors, seeds) for colors, _, seeds in _seeded_regions(target, X, roots))
-    else:
-        found = ((colors, None) for colors in _solve_relations(target, X, roots))
-    for colors, seeds in found:
-        if not surjective or len(set(colors)) == X.size:
-            yield colors, seeds
-
-
-def _count_colorings(target, X, shadow: bool, surjective: bool) -> int:
-    """The number of (shadow/surface) colorings, from one fiber per orbit.
-
-    An automorphism maps surjective colorings to surjective ones, so the
-    orbit weights of _orbit_fibers count --surjective colorings too.  A
-    braid word's colorings (not its surjective ones) are counted as fixed
-    points of its permutation when the path rule admits it.
-    """
-    hist = None if surjective else _engine_histogram(target, X, shadow=shadow)
-    if hist is not None:
-        return hist[0]
-    target = _closed(target)
-    roots, mult = _orbit_fibers(X)
-    return sum(
-        mult[colors[0]] * (1 if seeds is None else len(seeds))
-        for colors, seeds in _colorings(target, X, shadow, surjective, roots)
-    )
-
-
 def _cmd_color(args: argparse.Namespace) -> int:
     target = resolve_diagram(args.diagram, force_file=args.file)
     X = resolve_rack(args.rack, force_file=args.file)
@@ -164,7 +123,7 @@ def _cmd_color(args: argparse.Namespace) -> int:
         if X.is_rack and not X.is_quandle:
             print("note: rack colorings are framed-diagram data only")
     if not args.list:
-        count = _count_colorings(target, X, args.shadow, args.surjective)
+        count = _histogram(target, X, shadow=args.shadow, surjective=args.surjective)[0]
         print(f"{label}: {count}")
         print(f"#data {label} {count}")
         return 0
@@ -172,7 +131,8 @@ def _cmd_color(args: argparse.Namespace) -> int:
     # order, and its length is the count.  Arc and sheet rows are formatted
     # straight from the stream, without Coloring objects, each color through
     # one table of names.
-    target = _closed(target)
+    if isinstance(target, BraidWord):
+        target = braid_closure(target)
     name = [str(x) for x in range(X.size)].__getitem__
     if args.shadow:
         # Consecutive shadow colorings of one arc coloring share its colors
@@ -187,8 +147,8 @@ def _cmd_color(args: argparse.Namespace) -> int:
             if keep:
                 rows.append(head + " ".join(map(name, c.region_colors)))
     else:
-        found = _colorings(target, X, False, args.surjective)
-        rows = [" ".join(map(name, colors)) for colors, _ in found]
+        rows = [" ".join(map(name, colors)) for colors in _solve_relations(target, X)
+                if not args.surjective or len(set(colors)) == X.size]
     print(f"{label}: {len(rows)}")
     print(f"#data {label} {len(rows)}")
     sys.stdout.writelines([f"{i}: {row}\n" for i, row in enumerate(rows)])
@@ -317,7 +277,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         getattr(args, name, None)
         for name in ("rack", "diagram", "cochain", "verify")
     ]
-    _digest_inputs([a for a in file_args if a and os.path.exists(a)])
+    _digest_inputs([a for a in file_args if a])
     try:
         code = _HANDLERS[args.command](args)
     except ParseError as exc:

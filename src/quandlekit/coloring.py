@@ -17,17 +17,12 @@ choices.  Listings, counts and the shadow state sum all read that core.
 Every search runs one fiber per orbit.  Each right translation x -> x * y
 of a rack is an automorphism, so it maps the colorings with arc 0 (or sheet
 0) colored x one-to-one onto those colored x * y; fibers over one Inn(X)
-orbit are equally large.  count_colorings and the command line's counts
-(shadow, surjective and surface counts too) try only the least color of each
-orbit for variable 0 and weight each fiber by its orbit size
-(_orbit_fibers).  The checked 2- and 3-cocycle state sums do the same, since
-a cocycle's weight is constant on those orbits.  Everything that needs every
-coloring (the enumerations, every listing, the region core's full stream,
-the unchecked sums and the surface state sum) reads the full stream of
-_solve_relations: it searches the same root fibers and maps each onto the
-other fibers of its orbit by inner automorphisms (_orbit_maps), sorting each
-mapped fiber, so the stream keeps its lexicographic order.  The unchecked
-sums and the surface sum only add up weights, so they ask for the stream
+orbit are equally large (_orbit_fibers), and the translations preserve
+surjectivity and a cocycle's weight.  Everything that needs every coloring
+reads the full stream of _solve_relations: it searches the same root
+fibers and maps each onto the other fibers of its orbit by inner
+automorphisms (_orbit_maps), sorting each mapped fiber, so the stream keeps
+its lexicographic order.  Callers that only add up weights ask for it
 unordered: each solution of a root's search is followed at once by its
 images, and no fiber is kept or sorted.
 
@@ -38,11 +33,24 @@ fixed point in X^(s+1).  _closure_histogram applies one period of the word
 to every state at once and walks the cycles of the resulting permutation:
 the closure's colorings, with their 2- or 3-cochain weights, follow for any
 power of the period at no extra cost, so torus:3:q takes the same time for
-every q.  count_colorings, the command line's counts (not --surjective) and
-the 2-cocycle and shadow state sums accept a braid word and take that
-engine when its states number at most |X| times the crossings of the
-closure (_engine_histogram); otherwise they run the search on
-braid_closure of the word.  Listings always run the search.
+every q.
+
+Every count and state sum is one histogram of weights (a count has d = 1),
+taken by _histogram, which alone decides the path:
+
+- A braid word takes the engine when its states number at most |X| times
+  the crossings of its closure, the closure the search would build
+  instead; the rule reads input sizes only.  Counts have the states X^s,
+  shadow counts too: by a quandle the region colors of a diagram follow
+  from the color of region 0, which is free, so a shadow count is |X|
+  times the arc count.  A shadow state sum has the states X^(s+1).
+  --surjective counts never take the engine.
+- Otherwise a braid word is closed (braid_closure) and searched.  Counts,
+  shadow, surjective and surface counts too, and the checked 2-cocycle
+  and shadow sums read one fiber per orbit, each weighted by its orbit
+  size.  Unchecked sums and every surface sum (surface data is not checked
+  to close up) weigh the unordered full stream.
+- Listings always read the ordered full stream.
 """
 
 from __future__ import annotations
@@ -298,46 +306,104 @@ def count_colorings(D: Diagram | BraidWord, X: RackTable) -> int:
 
     D may be a braid word: its closure's colorings are then counted as the
     fixed points of the braid's permutation when the path rule admits it
-    (_engine_histogram), else on the closure.
+    (see the module docstring), else on the closure.
     """
-    hist = _engine_histogram(D, X)
-    if hist is not None:
-        return hist[0]
-    roots, mult = _orbit_fibers(X)
-    return sum(mult[colors[0]] for colors in _solve_relations(_closed(D), X, roots))
+    return _histogram(D, X)[0]
+
+
+def _histogram(
+    target: Diagram | BraidWord | SurfaceDiagramData,
+    X: RackTable,
+    cochain: Cochain | None = None,
+    *,
+    shadow: bool = False,
+    surjective: bool = False,
+    check: bool = True,
+) -> list[int]:
+    """Per k in Z_d, the (shadow or surface) colorings of target of weight k.
+
+    The one entry behind every count and state sum; it takes the path the
+    module docstring describes.  Without a cochain d = 1 and every coloring
+    counts.  A 2-cochain phi weighs each crossing phi(under, over); with
+    shadow, a 3-cochain theta weighs it theta(region, under, over); on
+    surface data theta weighs each triple point theta(lower, middle, upper).
+    Weights are signed.  surjective keeps the colorings that use every
+    element; check says that the cochain passed the cocycle check, so a sum
+    on a diagram may read one fiber per orbit.
+    """
+    n = X.size
+    if isinstance(target, BraidWord):
+        k = target.strands + (shadow and cochain is not None)
+        limit = n * len(target.letters) * target.power
+        if not surjective and k <= limit.bit_length() and n**k <= limit:
+            if shadow:
+                X.require_quandle()
+            hist = _closure_histogram(target, X, cochain)
+            return [n * hist[0]] if shadow and cochain is None else hist
+        target = braid_closure(target)
+    surface = isinstance(target, SurfaceDiagramData)
+    if cochain is None or (check and not surface):
+        roots, mult = _orbit_fibers(X)
+    else:
+        roots, mult = None, [1] * n
+    if shadow:
+        found = _seeded_regions(target, X, roots, ordered=False)
+    else:
+        found = _solve_relations(target, X, roots, ordered=False)
+    if surjective:
+        found = (f for f in found if len(set(f[0] if shadow else f)) == n)
+    d = 1 if cochain is None else cochain.modulus
+    hist = [0] * d
+    if cochain is None and shadow:
+        for colors, _, seeds in found:
+            hist[0] += mult[colors[0]] * len(seeds)
+    elif cochain is None:
+        for colors in found:
+            hist[0] += mult[colors[0]]
+    elif surface:
+        value = cochain.value
+        for colors in found:
+            total = 0
+            for lo, mid, up, sign in target.triple_points:
+                total += sign * value((colors[lo], colors[mid], colors[up]))
+            hist[total % d] += 1
+    elif shadow:
+        # Per arc coloring each crossing adds the vector theta(perms[region][s],
+        # under, over) over the seeds s: the theta row of its (under, over)
+        # colors, read through the region's seed list.
+        rows: dict[tuple[int, int], list[int]] = {}  # (under, over) -> theta(., under, over)
+        for (x, u, o), v in cochain.values.items():
+            if 0 <= min(x, u, o) and max(x, u, o) < n:
+                rows.setdefault((u, o), [0] * n)[x] = v
+        crossings = [(y, rel.from_under, rel.over, rel.sign)
+                     for rel, y in zip(target.relations, target.shadow_weight_regions)]
+        for colors, perms, seeds in found:
+            totals = [0] * n
+            for y, under, over, sign in crossings:
+                row = rows.get((colors[under], colors[over]))
+                if row is not None:
+                    totals = [t + sign * row[x] for t, x in zip(totals, perms[y])]
+            weight = mult[colors[0]]
+            for s in seeds:
+                hist[totals[s] % d] += weight
+    else:
+        weight = [[cochain.value((u, o)) for o in range(n)] for u in range(n)]
+        crossings = [(rel.from_under, rel.over, rel.sign) for rel in target.relations]
+        for colors in found:
+            total = 0
+            for under, over, sign in crossings:
+                total += sign * weight[colors[under]][colors[over]]
+            hist[total % d] += mult[colors[0]]
+    return hist
 
 
 # --- braid closures as fixed points -------------------------------------------
 
 
-def _closed(target: Diagram | BraidWord) -> Diagram:
-    """The diagram itself, or the closure of a braid word."""
-    return braid_closure(target) if isinstance(target, BraidWord) else target
-
-
-def _engine_histogram(
-    target, X: RackTable, cochain: Cochain | None = None, *, shadow: bool = False
-) -> list[int] | None:
-    """_closure_histogram of target when the path rule admits it, else None.
-
-    Only a braid word qualifies, and only when its |X|^k states (k = strands,
-    plus one for the region color of a shadow sum) number at most |X| times
-    the crossings of its closure, the closure the search would build and
-    search instead.  The rule reads input sizes only.
-    """
-    if not isinstance(target, BraidWord):
-        return None
-    k = target.strands + shadow
-    limit = X.size * len(target.letters) * target.power
-    if k > limit.bit_length() or X.size**k > limit:
-        return None
-    return _closure_histogram(target, X, cochain, shadow=shadow)
-
-
 def _closure_histogram(
-    word: BraidWord, X: RackTable, cochain: Cochain | None = None, *, shadow: bool = False
+    word: BraidWord, X: RackTable, cochain: Cochain | None = None
 ) -> list[int]:
-    """Per k in Z_d, the (shadow) colorings of the closure of word of weight k.
+    """Per k in Z_d, the colorings of the closure of word of weight k.
 
     A braid acts on X^s by s_i: (a, b) -> (b, a * b) on strands i, i+1, and
     s_i^-1: (a, b) -> (c, a) with c = b *^-1 a; the colorings of its closure
@@ -348,15 +414,16 @@ def _closure_histogram(
     then each of its L states has weight (power / L) times the cycle's
     weight sum.  So the cost does not depend on the power.
 
-    With shadow the states are (y0, x) in X^(s+1), y0 the color of the
-    region left of strand 1; the region left of strand i is
-    r_(i-1) = r_(i-2) * x_(i-1), and a letter on strands i, i+1 changes
-    only r_i.  The weight of s_i is phi(a, b), or theta(r_(i-1), a, b) with
-    shadow, for the cochain of modulus d; that of s_i^-1 is -phi(c, a), or
-    -theta(r_(i-1), c, a) (the source under-arc, then the over-arc, as in
-    the crossing relations of braid_closure).  Without a cochain every
-    coloring counts, in position 0 (d = 1).
+    A 3-cochain means the shadow sum: the states are then (y0, x) in
+    X^(s+1), y0 the color of the region left of strand 1; the region left
+    of strand i is r_(i-1) = r_(i-2) * x_(i-1), and a letter on strands
+    i, i+1 changes only r_i.  The weight of s_i is phi(a, b) for a
+    2-cochain, theta(r_(i-1), a, b) for a 3-cochain, of modulus d; that of
+    s_i^-1 is -phi(c, a), or -theta(r_(i-1), c, a) (the source under-arc,
+    then the over-arc, as in the crossing relations of braid_closure).
+    Without a cochain every coloring counts, in position 0 (d = 1).
     """
+    shadow = cochain is not None and cochain.degree == 3
     if shadow:
         X.require_quandle()
     else:
@@ -364,7 +431,7 @@ def _closure_histogram(
     n, table = X.size, X.table
     d = 1 if cochain is None else cochain.modulus
     weight = None
-    if cochain is not None and shadow:
+    if shadow:
         weight = [[[cochain.value((y, u, o)) for o in range(n)] for u in range(n)]
                   for y in range(n)]
     elif cochain is not None:
@@ -376,7 +443,7 @@ def _closure_histogram(
     cols = [[c for c in range(n) for _ in range(n ** (k - 1 - p))] * n**p for p in range(k)]
     strands = cols[shadow:]
     regions = None
-    if shadow and weight is not None:
+    if shadow:
         regions = cols[:1]
         for x in strands[:-1]:
             regions.append([table[r][c] for r, c in zip(regions[-1], x)])

@@ -1,19 +1,10 @@
 """State-sum invariants from quandle cocycles.
 
 Weights accumulate additively in Z_d per (shadow) coloring and are folded
-into the group ring Z[t]/(t^d - 1) once per coloring.  The state sums fold
-straight from the coloring search as it streams solutions, without building
-coloring objects; a shadow sum folds one weight per region-0 seed at once.
-Once the cocycle check has passed, the 2-cocycle and shadow sums read one
-fiber of arc 0 per Inn(X) orbit, weighted by the orbit size.  Unchecked sums
-and the surface sum weigh every coloring; the search still runs one fiber
-per orbit, and each solution is mapped at once onto the other fibers by
-inner automorphisms (the unordered full stream of coloring._solve_relations),
-so no fiber is held in memory.
-Given a braid word, the 2-cocycle and shadow sums are read off the fixed
-points of the braid's permutation, in time independent of its power, when
-the state space is small enough (coloring._engine_histogram); otherwise
-they are taken on the closure as above.
+into the group ring Z[t]/(t^d - 1) once per coloring.  Each state sum is
+the weight histogram of coloring._histogram, which takes it off the braid
+engine or folds it from the coloring search without building coloring
+objects; the coloring module's docstring says which path a sum takes.
 The per-coloring weights below are the reference they are tested against.
 Cocycle validity is enforced before any sum is taken: without it the result
 is not an invariant (an explicit escape hatch exists for experiments).
@@ -24,16 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import RackTable
-from .coloring import (
-    Coloring,
-    ShadowColoring,
-    SurfaceColoring,
-    _closed,
-    _engine_histogram,
-    _orbit_fibers,
-    _seeded_regions,
-    _solve_relations,
-)
+from .coloring import Coloring, ShadowColoring, SurfaceColoring, _histogram
 from .diagram import BraidWord, Diagram, SurfaceDiagramData
 from .errors import DomainError, NonCocycleError
 from .homology import Cochain, is_cocycle
@@ -179,32 +161,12 @@ def state_sum_2(
     right translation have the same weight: the cocycle condition at
     (under, over, y) turns the change at each crossing into a difference
     that telescopes along each component.  So the sum reads one fiber of
-    arc 0 per Inn(X) orbit, weighted by the orbit size.  With check=False
-    that argument does not hold and every coloring is weighed, read from the
-    unordered full stream of _solve_relations (each searched solution
-    mapped onto the other fibers at once).
-
-    D may be a braid word: when the path rule admits it (_engine_histogram)
-    the sum is read off the fixed points of the braid's permutation, every
-    coloring weighed, checked or not; otherwise it is taken on the closure.
+    arc 0 per Inn(X) orbit, weighted by the orbit size; with check=False
+    every coloring is weighed.  D may be a braid word, whose sum the path
+    rule may read off the fixed points of its permutation.
     """
     _require_cocycle(X, phi, 2, check)
-    d = phi.modulus
-    n = X.size
-    hist = _engine_histogram(D, X, phi)
-    if hist is not None:
-        return GroupRingElement(d, tuple(hist))
-    D = _closed(D)
-    roots, mult = _orbit_fibers(X) if check else (None, [1] * n)
-    weight = [[phi.value((u, o)) for o in range(n)] for u in range(n)]
-    crossings = [(rel.from_under, rel.over, rel.sign) for rel in D.relations]
-    coeffs = [0] * d
-    for colors in _solve_relations(D, X, roots, ordered=False):
-        total = 0
-        for under, over, sign in crossings:
-            total += sign * weight[colors[under]][colors[over]]
-        coeffs[total % d] += mult[colors[0]]
-    return GroupRingElement(d, tuple(coeffs))
+    return GroupRingElement(phi.modulus, tuple(_histogram(D, X, phi, check=check)))
 
 
 def state_sum_shadow(
@@ -212,47 +174,17 @@ def state_sum_shadow(
 ) -> GroupRingElement:
     """The 3-cocycle state sum over all shadow colorings of D by X.
 
-    Per arc coloring each crossing adds the vector theta(perms[region][s],
-    under, over) over the seeds s, the theta row for its (under, over) colors
-    read through the region's seed list; the consistent seeds' totals are
-    then counted into the histogram.
-
-    Once theta has passed the cocycle check, the weight is constant on the
-    orbits of Inn(X) acting on shadow colorings, so, as in state_sum_2, the
-    sum reads one fiber of arc 0 per orbit, weighted by the orbit size.
-    With check=False every arc coloring is weighed, read from the unordered
-    full stream (each searched solution mapped onto the other fibers).
-
-    D may be a braid word, as in state_sum_2; the engine's states then
-    carry the color of the region left of the first strand as well.
+    Per arc coloring each crossing adds theta(region, under, over) for all
+    region-0 colors at once.  Once theta has passed the cocycle check, the
+    weight is constant on the Inn(X) orbits of shadow colorings, so, as in
+    state_sum_2, the sum reads one fiber of arc 0 per orbit; with
+    check=False every shadow coloring is weighed.  D may be a braid word, as
+    in state_sum_2.
     """
     _require_cocycle(X, theta, 3, check)
-    d = theta.modulus
-    n = X.size
-    hist = _engine_histogram(D, X, theta, shadow=True)
-    if hist is not None:
-        return GroupRingElement(d, tuple(hist))
-    D = _closed(D)
-    roots, mult = _orbit_fibers(X) if check else (None, [1] * n)
-    rows: dict[tuple[int, int], list[int]] = {}  # (under, over) -> theta(., under, over)
-    for (x, u, o), v in theta.values.items():
-        if 0 <= min(x, u, o) and max(x, u, o) < n:
-            rows.setdefault((u, o), [0] * n)[x] = v
-    crossings = [
-        (y, rel.from_under, rel.over, rel.sign)
-        for rel, y in zip(D.relations, D.shadow_weight_regions)
-    ]
-    coeffs = [0] * d
-    for colors, perms, seeds in _seeded_regions(D, X, roots, ordered=False):
-        totals = [0] * n
-        for y, under, over, sign in crossings:
-            row = rows.get((colors[under], colors[over]))
-            if row is not None:
-                totals = [t + sign * row[x] for t, x in zip(totals, perms[y])]
-        weight = mult[colors[0]]
-        for s in seeds:
-            coeffs[totals[s] % d] += weight
-    return GroupRingElement(d, tuple(coeffs))
+    return GroupRingElement(
+        theta.modulus, tuple(_histogram(D, X, theta, shadow=True, check=check))
+    )
 
 
 def state_sum_surface(
@@ -262,17 +194,7 @@ def state_sum_surface(
 
     Every coloring is weighed, even after the cocycle check: surface data is
     not checked to close up into a surface, so the orbit argument of
-    state_sum_2 and state_sum_shadow does not cover arbitrary input.  The
-    colorings come from the unordered full stream, whose mapped solutions
-    need only the relations to be colorings.
+    state_sum_2 and state_sum_shadow does not cover arbitrary input.
     """
     _require_cocycle(X, theta, 3, check)
-    d = theta.modulus
-    value = theta.value
-    coeffs = [0] * d
-    for colors in _solve_relations(SD, X, ordered=False):
-        total = 0
-        for lo, mid, up, sign in SD.triple_points:
-            total += sign * value((colors[lo], colors[mid], colors[up]))
-        coeffs[total % d] += 1
-    return GroupRingElement(d, tuple(coeffs))
+    return GroupRingElement(theta.modulus, tuple(_histogram(SD, X, theta, check=check)))

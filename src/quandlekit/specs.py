@@ -53,8 +53,13 @@ def bundled_path(name: str) -> str:
 
 def _read_spec_text(spec: str) -> str:
     if os.path.exists(spec):
-        with open(spec, "r", encoding="utf-8") as fh:
-            return fh.read()
+        try:
+            with open(spec, "r", encoding="utf-8") as fh:
+                return fh.read()
+        except OSError as exc:
+            raise ParseError(f"cannot read {spec!r}: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{spec!r} is not UTF-8 text (byte {exc.start})") from None
     base = os.path.basename(spec)
     try:
         if base in bundled_data_names():

@@ -4,7 +4,8 @@ coloring._closure_histogram counts the colorings of a braid closure, and
 sums 2- and 3-cochain weights over them, as fixed points of the braid's
 permutation.  These tests call it directly, whatever the path rule says,
 and compare it with the search (the only path a Diagram takes) on
-braid_closure of the expanded word.  Random cochains that are not cocycles,
+braid_closure of the expanded word.  A shadow count on the engine is |X|
+times its arc count; it is compared with the region core on the closure.  Random cochains that are not cocycles,
 checked nowhere, pin the sign of each letter and the region each shadow
 weight reads: an involutory quandle such as R3 cannot tell a letter from
 its inverse.
@@ -26,8 +27,7 @@ from quandlekit import (
     state_sum_2,
     state_sum_shadow,
 )
-from quandlekit.cli import _count_colorings
-from quandlekit.coloring import _closure_histogram
+from quandlekit.coloring import _closure_histogram, _histogram
 from quandlekit.diagram import parse_braid_word, torus_braid
 
 # S4 is not involutory; the cycle rack is not a quandle.
@@ -59,10 +59,12 @@ def _compare(word, X, rng):
     assert state_sum_2(word, X, phi, check=False) == want
     if not X.is_quandle:
         return
-    assert _closure_histogram(word, X, shadow=True) == [_count_colorings(D, X, True, False)]
+    shadows = _histogram(D, X, shadow=True)
+    assert [X.size * _closure_histogram(word, X)[0]] == shadows
+    assert _histogram(word, X, shadow=True) == shadows
     theta = _random_cochain(rng, 3, X.size)
     want = state_sum_shadow(D, X, theta, check=False)
-    assert tuple(_closure_histogram(word, X, theta, shadow=True)) == want.coeffs
+    assert tuple(_closure_histogram(word, X, theta)) == want.coeffs
     assert state_sum_shadow(word, X, theta, check=False) == want
 
 

@@ -59,6 +59,29 @@ def test_check_missing_file(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("kind", ["directory", "not UTF-8"])
+@pytest.mark.parametrize("argv", [
+    ("check", "{spec}"),
+    ("color", "trefoil.pd", "{spec}"),
+    ("color", "{spec}", "dihedral:3"),
+    ("invariant", "torus:3:6", "dihedral:3", "{spec}"),
+    ("cocycles", "dihedral:3", "--degree", "3", "--mod", "3", "--verify", "{spec}"),
+])
+def test_unreadable_spec_path_is_a_parse_error(tmp_path, capsys, argv, kind):
+    """Rack, diagram, cochain and --verify paths that cannot be read as text."""
+    spec = tmp_path
+    if kind == "not UTF-8":
+        spec = tmp_path / "spec.txt"
+        spec.write_bytes(b"\xffrack 3\n")
+    args = [a.format(spec=spec) for a in argv]
+    code, out, err = run(capsys, *args)
+    assert code == 2
+    assert "error: " in err and str(spec) in err
+    assert payload(out) == []
+    # Only regular files are digested.
+    assert (f"# input {spec} sha256:" in out) == (kind == "not UTF-8")
+
+
 def test_check_malformed_builtin(capsys):
     code, _, err = run(capsys, "check", "dihedral:x")
     assert code == 2
@@ -483,6 +506,11 @@ def test_braid_specs_take_the_engine_by_the_path_rule(monkeypatch, capsys):
     # 30^3 = 27000 states, over the default budget, against 30 x 904 crossings.
     code, out, _ = run(capsys, "color", "torus:3:452", "dihedral:30", "--count")
     assert code == 0 and payload(out) == ["colorings: 90"]
+    # A shadow count by a quandle is |X| times the arc count, so it is ruled
+    # on the arc states: 27^3 against 27 x 2000 crossings.
+    code, out, _ = run(capsys, "color", "torus:3:1000", "alexander:3:1,0,0,1:2",
+                       "--shadow", "--count")
+    assert code == 0 and payload(out) == ["shadow-colorings: 19683"]
     assert calls == []
     # 27^3 states against 27 x 8 crossings: the closure and the search.
     code, out, _ = run(capsys, "color", "torus:3:4", "alexander:3:1,0,0,1:2", "--count")
@@ -553,3 +581,89 @@ def test_cli_import_loads_no_thread_pool():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# --- golden stdout of the count and sum paths --------------------------------------
+
+_GOLDEN_FILES = {
+    "phi_S4": "cochain 2 2\n0 1 1\n0 2 1\n1 0 1\n1 2 1\n2 0 1\n2 1 1\n",  # not a coboundary
+    "chi": "cochain 3 3\n0 1 2 1\n",  # not a cocycle
+    "bad2": "cochain 2 3\n0 1 1\n2 2 1\n",  # not a cocycle
+    "cycle": "rack 3\n1 1 1\n2 2 2\n0 0 0\n",  # a rack, not a quandle
+}
+_GOLDEN_RACKS = {"S4": "alexander:2:1,1,1:0,1", "A9": "alexander:3:1,0,1:2",
+                 "A27": "alexander:3:1,0,0,1:2"}
+
+
+@pytest.mark.parametrize("command, code, digest", [
+    # Counts: braid specs on the engine and on the search, pd files.
+    ("color torus:3:30 dihedral:3 --count", 0, "8cf7bae238cdccaf"),
+    ("color torus:2:7 dihedral:7", 0, "df175e213c2897b5"),
+    ('color "braid:3: 1 -2 1 -2" dihedral:5 --count', 0, "3fca74d74273791e"),
+    ("color trefoil.pd dihedral:3 --count", 0, "35547a9a0b69804b"),
+    ("color torus:3:4 {A27} --count", 0, "a62bf66c6a0664e7"),
+    ("color 7_4.pd dihedral:7 --count", 0, "977ac68e63c8cd8a"),
+    # Shadow counts on both sides.
+    ("color torus:3:30 dihedral:3 --shadow --count", 0, "c2bbdbac6721680c"),
+    ("color torus:3:50 {A9} --shadow --count", 0, "e080555f0649f1b4"),
+    ("color fig8.pd dihedral:5 --shadow --count", 0, "694dd8ea008db774"),
+    ("color torus:3:4 {A27} --shadow --count", 0, "205833c408ae3858"),
+    # Surjective counts, with and without --shadow.
+    ("color trefoil.pd dihedral:3 --surjective", 0, "f7caf2aa733e12fb"),
+    ("color torus:3:6 dihedral:3 --surjective", 0, "3e41178625a5da64"),
+    ("color torus:2:5 dihedral:5 --shadow --surjective", 0, "1bfafd84ef44ec75"),
+    ("color 7_4.pd dihedral:7 --shadow --surjective", 0, "4e3471a00a138773"),
+    ("color torus:3:30 dihedral:3 --shadow --surjective", 0, "89f80976edf91011"),
+    # Surface counts.
+    ("color sphere.surf dihedral:3 --count", 0, "9a8f4046b3066162"),
+    ("color trefoil_shadow.surf dihedral:3 --count", 0, "7b9b57666073c335"),
+    ("color trefoil_shadow.surf dihedral:3 --surjective", 0, "ad671253c1e6a31a"),
+    # Checked sums in modes 2, shadow and surface.
+    ("invariant torus:2:3 {S4} {phi_S4}", 0, "727a74222892c81b"),
+    ("invariant torus:2:5 {S4} {phi_S4} --mode 2", 0, "ba41835b638579b3"),
+    ("invariant fig8.pd {S4} {phi_S4} --mode 2", 0, "727a74222892c81b"),
+    ('invariant "braid:3: 1 -2 1 -2" {S4} {phi_S4}', 0, "727a74222892c81b"),
+    ("invariant torus:3:1000 dihedral:3 theta_R3.cochain --mode shadow", 0, "922f896013ffeddb"),
+    ("invariant torus:3:4 dihedral:3 theta_R3.cochain --mode shadow", 0, "922f896013ffeddb"),
+    ("invariant 7_4.pd dihedral:3 theta_R3.cochain --mode shadow", 0, "9613972df9318c75"),
+    ('invariant --braid "3: 1 -2 1 -2" dihedral:3 theta_R3.cochain', 0, "9ba774204e810d6f"),
+    ("invariant trefoil_shadow.surf dihedral:3 theta_R3.cochain --mode surface", 0,
+     "9613972df9318c75"),
+    ("invariant sphere.surf dihedral:3 theta_R3.cochain", 0, "2b5ccc64b9f5f37a"),
+    # Unchecked sums of non-cocycles, and the refused check.
+    ("invariant trefoil.pd dihedral:3 {chi} --mode shadow --unsafe-no-cocycle-check", 0,
+     "c296d77493633fd1"),
+    ("invariant torus:3:2 dihedral:3 {chi} --mode shadow --unsafe-no-cocycle-check", 0,
+     "516d994177fa421b"),
+    ("invariant torus:3:2 dihedral:3 {bad2} --unsafe-no-cocycle-check", 0, "7f57f932bf285874"),
+    ("invariant torus:2:5 dihedral:3 {bad2} --unsafe-no-cocycle-check", 0, "0e489ee4f5d6e0ce"),
+    ("invariant trefoil_shadow.surf dihedral:3 {chi} --unsafe-no-cocycle-check", 0,
+     "c296d77493633fd1"),
+    ("invariant torus:2:5 dihedral:3 {bad2}", 1, "e3b0c44298fc1c14"),
+    # A rack that is not a quandle.
+    ("color torus:2:3 {cycle} --count", 0, "e8db68867e038a4d"),
+    ("color trefoil.pd {cycle} --count", 0, "e8db68867e038a4d"),
+    ("color torus:2:3 {cycle} --surjective", 0, "e8db68867e038a4d"),
+    ("color torus:2:3 {cycle} --shadow --count", 1, "e3b0c44298fc1c14"),
+    ("invariant torus:2:3 {cycle} {bad2} --unsafe-no-cocycle-check", 0, "3138ba66fba0a86b"),
+    ("invariant trefoil.pd {cycle} {bad2} --unsafe-no-cocycle-check", 0, "3138ba66fba0a86b"),
+    # Listings.
+    ("color torus:3:6 dihedral:3 --list --surjective", 0, "92bae781e629f3e2"),
+    ("color torus:2:3 dihedral:3 --shadow --list", 0, "fbf855aae8e318fe"),
+])
+def test_count_and_sum_stdout_is_golden(tmp_path, capsys, command, code, digest):
+    """Exit code and stdout of count and sum commands, whichever path they take.
+
+    digest is the first 16 hex digits of the sha256 of stdout without its
+    '# ' header lines (they name the temporary input files).
+    """
+    import hashlib
+
+    paths = {}
+    for name, text in _GOLDEN_FILES.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text)
+    argv = shlex.split(command.format(**_GOLDEN_RACKS, **paths))
+    got, out, _ = run(capsys, *argv)
+    body = "".join(line for line in out.splitlines(True) if not line.startswith("# "))
+    assert (got, hashlib.sha256(body.encode()).hexdigest()[:16]) == (code, digest)

@@ -22,9 +22,8 @@ from quandlekit import (
     torus_diagram,
 )
 from quandlekit.algebra import RackTable
-from quandlekit.cli import _count_colorings
 from quandlekit import coloring
-from quandlekit.coloring import _orbit_fibers, _orbit_maps, _solve_relations
+from quandlekit.coloring import _histogram, _orbit_fibers, _orbit_maps, _solve_relations
 from quandlekit.diagram import BraidWord, parse_braid_word
 from quandlekit.specs import read_data_file, resolve_rack
 
@@ -137,8 +136,9 @@ def test_orbit_fibers_weigh_each_orbit_once():
 def test_orbit_reduced_counts_match_full_search_and_brute_force(small_diagrams):
     """Counts from one fiber per orbit equal the full search and the brute force.
 
-    Covers count_colorings and the CLI's counts: classical, --surjective,
-    --shadow (with and without --surjective) and surface data.
+    Covers count_colorings and the counts of coloring._histogram that the
+    command line prints: classical, --surjective, --shadow (with and without
+    --surjective) and surface data.
     """
     for dn, D in small_diagrams.items():
         if len(D.crossings) > 4:
@@ -148,20 +148,19 @@ def test_orbit_reduced_counts_match_full_search_and_brute_force(small_diagrams):
             assert full == sorted(brute_force_colorings(D, X)), (dn, qn)
             surjective = [c for c in full if len(set(c)) == X.size]
             assert count_colorings(D, X) == len(full), (dn, qn)
-            assert _count_colorings(D, X, False, False) == len(full), (dn, qn)
-            assert _count_colorings(D, X, False, True) == len(surjective), (dn, qn)
+            assert _histogram(D, X, surjective=True)[0] == len(surjective), (dn, qn)
             if not X.is_quandle:
                 continue
             # Sheets of the shadow surface data are the arcs, then the regions.
             sheets = [c + r for c, r in brute_force_shadows(D, X)]
             arcs_onto = [t for t in sheets if len(set(t[:D.n_arcs])) == X.size]
             sheets_onto = [t for t in sheets if len(set(t)) == X.size]
-            assert _count_colorings(D, X, True, False) == len(sheets), (dn, qn)
-            assert _count_colorings(D, X, True, True) == len(arcs_onto), (dn, qn)
+            assert _histogram(D, X, shadow=True)[0] == len(sheets), (dn, qn)
+            assert _histogram(D, X, shadow=True, surjective=True)[0] == len(arcs_onto), (dn, qn)
             SD = shadow_surface_data(D)
             assert sorted(_solve_relations(SD, X)) == sorted(sheets), (dn, qn)
-            assert _count_colorings(SD, X, False, False) == len(sheets), (dn, qn)
-            assert _count_colorings(SD, X, False, True) == len(sheets_onto), (dn, qn)
+            assert _histogram(SD, X)[0] == len(sheets), (dn, qn)
+            assert _histogram(SD, X, surjective=True)[0] == len(sheets_onto), (dn, qn)
 
 
 def test_root_colors_restrict_arc_zero(trefoil, r4):

@@ -459,5 +459,5 @@ def test_mochizuki_cocycle_published_values(trefoil):
     assert render(state_sum_shadow(torus_diagram(2, 5), r5, theta5)) == "25 + 50t + 50t^4"
     assert render(state_sum_shadow(trefoil, r3, theta3)) == "9 + 18t^2"
     # The same value as fixed points of the braid action of s1^5.
-    hist = _closure_histogram(torus_braid(2, 5), r5, theta5, shadow=True)
+    hist = _closure_histogram(torus_braid(2, 5), r5, theta5)
     assert render(GroupRingElement(5, tuple(hist))) == "25 + 50t + 50t^4"
