@@ -63,7 +63,7 @@ from typing import Callable, Iterator, Sequence
 from .algebra import RackTable
 from .diagram import BraidWord, Diagram, SurfaceDiagramData, braid_closure
 from .errors import DomainError, NonCocycleError
-from .homology import Cochain, is_cocycle
+from .homology import Cochain, CocycleCheck, _budget_cache, is_cocycle
 
 
 @dataclass(frozen=True)
@@ -572,6 +572,18 @@ def enumerate_surface_colorings(
     return [SurfaceColoring(t) for t in _solve_relations(SD, X)]
 
 
+@_budget_cache
+def _lift_verdict(
+    X: RackTable, degree: int, modulus: int, items: tuple[tuple[tuple[int, ...], int], ...]
+) -> CocycleCheck:
+    """``is_cocycle`` in theory Q of the cochain with these values, once per cochain.
+
+    ``items`` is ``tuple(phi.values.items())``: hashable, and in phi's own
+    order, so the witness is the one ``is_cocycle(X, phi)`` reports.
+    """
+    return is_cocycle(X, Cochain(degree, modulus, dict(items)), "Q")
+
+
 def lift_coloring(
     D: Diagram, X: RackTable, rho: Coloring, d: int, phi: Cochain
 ) -> list[Coloring]:
@@ -587,7 +599,7 @@ def lift_coloring(
         raise DomainError("cochain modulus does not match the extension modulus")
     if len(rho.colors) != D.n_arcs:
         raise DomainError("coloring does not match the diagram")
-    check = is_cocycle(X, phi, "Q")
+    check = _lift_verdict(X, phi.degree, phi.modulus, tuple(phi.values.items()))
     if not check:
         raise NonCocycleError(f"lift needs a 2-cocycle: {check.reason} at {check.witness}")
     n = X.size

@@ -3,16 +3,18 @@
 Three theories share one boundary formula: R uses all n-tuples, D the
 degenerate ones (some adjacent repeat), and Q the quotient R/D, realized here
 on the complement basis of non-degenerate tuples with degenerate terms
-projected away.  Boundary maps are built as sparse columns straight from the
-boundary formula.  Integral homology is read off the Smith diagonals of the
-two boundary maps at each degree: ker d_n is a direct summand of C_n, so H_n
-has the torsion of coker d_{n+1} and free rank dim C_n - rank d_n -
-rank d_{n+1}.  Those diagonals, the GF(p) ranks of ``homology_mod`` and
+projected away.  The Q basis is built directly, never forming a degenerate
+tuple; the budget still counts all |X|^n tuples.  Boundary maps are built as
+sparse columns straight from the boundary formula.  Integral homology is read
+off the Smith diagonals of the two boundary maps at each degree: ker d_n is a
+direct summand of C_n, so H_n has the torsion of coker d_{n+1} and free rank
+dim C_n - rank d_n - rank d_{n+1}.  Those diagonals, the GF(p) ranks behind
+``homology_mod`` and the prime cocycle and coboundary dimensions, and
 coboundary membership mod d (which compares the orders of two cokernels
 tensored with Z_d, for every d) all go through the one sparse elimination in
-``snf``.  Cocycle and coboundary generators with coefficients in Z_d come
-from dense prime-field elimination when d is prime and from integer lifts
-otherwise.
+``snf``.  Cocycle and coboundary generators with coefficients in Z_d are
+built only when read: by dense prime-field elimination when d is prime and
+from integer lifts otherwise.
 """
 
 from __future__ import annotations
@@ -99,14 +101,27 @@ def chain_basis(X: RackTable, n: int, theory: str) -> ChainBasis:
     if n <= 0:
         return ChainBasis(n, theory, ())
     _check_budget(X.size**n)
+    if theory == "Q":
+        return ChainBasis(n, theory, _nondegenerate_tuples(X.size, n))
     all_tuples = itertools.product(range(X.size), repeat=n)
     if theory == "R":
         tuples = tuple(all_tuples)
-    elif theory == "D":
-        tuples = tuple(t for t in all_tuples if _is_degenerate(t))
     else:
-        tuples = tuple(t for t in all_tuples if not _is_degenerate(t))
+        tuples = tuple(t for t in all_tuples if _is_degenerate(t))
     return ChainBasis(n, theory, tuples)
+
+
+def _nondegenerate_tuples(m: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """The n-tuples over range(m) with no adjacent repeat, in lexicographic order.
+
+    Built one coordinate at a time, each tuple extended by every entry except
+    its last, so no degenerate tuple is ever formed.
+    """
+    tails = [tuple((y,) for y in range(m) if y != x) for x in range(m)]
+    tuples = [(x,) for x in range(m)] if n else [()]
+    for _ in range(n - 1):
+        tuples = [t + tail for t in tuples for tail in tails[t[-1]]]
+    return tuple(tuples)
 
 
 def _boundary_terms(X: RackTable, t: tuple[int, ...]) -> dict[tuple[int, ...], int]:
@@ -439,9 +454,12 @@ def coboundary(X: RackTable, mu: Cochain, theory: str = "Q") -> Cochain:
 class CochainSpaces:
     """Cocycles and coboundaries of degree n over Z_d in one basis.
 
-    For prime d the generator lists are honest bases and the dimensions are
-    meaningful; for composite d they are generating sets obtained from integer
-    lifts.
+    For prime d the dimensions are GF(d) ranks of the sparse boundary maps,
+    the same cached ranks ``homology_mod`` reads (delta_n is d_{n+1}
+    transposed), and the generator lists are honest bases; for composite d
+    there are no dimensions and the generators are a generating set obtained
+    from integer lifts.  Generators are computed by dense elimination on
+    first read of ``cocycle_vectors`` or ``coboundary_vectors``.
     """
 
     X: RackTable = field(repr=False)
@@ -449,21 +467,49 @@ class CochainSpaces:
     modulus: int
     theory: str
     basis: ChainBasis
-    cocycle_vectors: tuple[tuple[int, ...], ...]
-    coboundary_vectors: tuple[tuple[int, ...], ...]
     prime: bool
 
-    @property
-    def cocycle_dimension(self) -> int:
+    def _require_prime(self) -> None:
         if not self.prime:
             raise DomainError("dimensions need a prime modulus")
-        return len(self.cocycle_vectors)
 
-    @property
+    @cached_property
+    def cocycle_dimension(self) -> int:
+        self._require_prime()
+        rank = _boundary_mod_rank(self.X, self.degree + 1, self.theory, self.modulus)
+        return len(self.basis) - rank
+
+    @cached_property
     def coboundary_dimension(self) -> int:
-        if not self.prime:
-            raise DomainError("dimensions need a prime modulus")
-        return len(self.coboundary_vectors)
+        self._require_prime()
+        return _boundary_mod_rank(self.X, self.degree, self.theory, self.modulus)
+
+    @cached_property
+    def cocycle_vectors(self) -> tuple[tuple[int, ...], ...]:
+        up = boundary_matrix(self.X, self.degree + 1, self.theory)
+        dim, d = len(self.basis), self.modulus
+        # delta_n is the transpose of d_{n+1}: row j of delta_n is column j of d_{n+1}.
+        delta = [[col.get(i, 0) for i in range(dim)] for col in up.columns]
+        if self.prime:
+            # The kernel of delta_n mod d is the cocycle space.
+            cocycles = snf.mod_nullspace(delta, dim, d) if dim else []
+        else:
+            # Integer lift: kernel of [delta | d*I] projected to cochain coords.
+            m = len(delta)
+            aug = [row + [d if j == i else 0 for j in range(m)] for i, row in enumerate(delta)]
+            kernel, _ = snf.kernel_complement(aug, m, dim + m)
+            cocycles = _distinct_nonzero((vec[:dim] for vec in kernel), d)
+        return tuple(map(tuple, cocycles))
+
+    @cached_property
+    def coboundary_vectors(self) -> tuple[tuple[int, ...], ...]:
+        down = boundary_matrix(self.X, self.degree, self.theory)
+        rows = snf.dense_rows(down.columns, down.nrows)
+        if self.prime:
+            # The row space of d_n is the coboundary space.
+            _, _, rref = snf.mod_rref(rows, len(self.basis), self.modulus)
+            return tuple(tuple(row) for row in rref if any(row))
+        return tuple(_distinct_nonzero(rows, self.modulus))
 
     def cocycles(self) -> list[Cochain]:
         return [
@@ -517,33 +563,18 @@ def _distinct_nonzero(vectors: Iterable[Sequence[int]], d: int) -> list[tuple[in
 
 
 def cohomology(X: RackTable, n: int, theory: str, d: int) -> CochainSpaces:
-    """Cocycle and coboundary generators of degree n with coefficients in Z_d."""
+    """Cocycle and coboundary spaces of degree n with coefficients in Z_d.
+
+    The chain basis and both boundary maps are built (and budget-checked)
+    here; dimensions and generators are computed when first read.
+    """
     if d < 2:
         raise DomainError("coefficient modulus must be at least 2")
     _check_theory(X, theory)
     basis = chain_basis(X, n, theory)
-    up = boundary_matrix(X, n + 1, theory)
-    down = boundary_matrix(X, n, theory)
-    dim = len(basis)
-    prime = _is_prime(d)
-    # delta_n is the transpose of d_{n+1}: row j of delta_n is column j of d_{n+1}.
-    delta = [[col.get(i, 0) for i in range(dim)] for col in up.columns]
-    if prime:
-        # The kernel of delta_n mod d is the cocycle space, and the row space
-        # of d_n is the coboundary space.
-        cocycles = snf.mod_nullspace(delta, dim, d) if dim else []
-        _, _, rref = snf.mod_rref(snf.dense_rows(down.columns, down.nrows), dim, d)
-        coboundaries = [row for row in rref if any(row)]
-    else:
-        # Integer lift: kernel of [delta | d*I] projected to cochain coords.
-        m = len(delta)
-        aug = [row + [d if j == i else 0 for j in range(m)] for i, row in enumerate(delta)]
-        kernel, _ = snf.kernel_complement(aug, m, dim + m)
-        cocycles = _distinct_nonzero((vec[:dim] for vec in kernel), d)
-        coboundaries = _distinct_nonzero(snf.dense_rows(down.columns, down.nrows), d)
-    return CochainSpaces(
-        X, n, d, theory, basis, tuple(map(tuple, cocycles)), tuple(map(tuple, coboundaries)), prime
-    )
+    boundary_matrix(X, n + 1, theory)
+    boundary_matrix(X, n, theory)
+    return CochainSpaces(X, n, d, theory, basis, _is_prime(d))
 
 
 # --- structure report -------------------------------------------------------------

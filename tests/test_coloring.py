@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from quandlekit import (
     Cochain,
+    BudgetError,
     Coloring,
     DomainError,
     NonCocycleError,
@@ -13,6 +14,7 @@ from quandlekit import (
     enumerate_colorings,
     enumerate_shadow_colorings,
     enumerate_surface_colorings,
+    is_cocycle,
     lift_coloring,
     make_dihedral,
     make_trivial,
@@ -360,6 +362,35 @@ def test_lift_rejects_non_cocycle(trefoil, r3):
     bad = Cochain(2, 3, {(0, 1): 1})
     with pytest.raises(NonCocycleError):
         lift_coloring(trefoil, r3, enumerate_colorings(trefoil, r3)[0], 3, bad)
+
+
+def test_lift_checks_each_cochain_once_per_budget(monkeypatch, trefoil, r3):
+    # The verdict is cached per cochain and budget; a non-cocycle raises the
+    # same NonCocycleError on every call, naming is_cocycle's own witness.
+    checked = []
+
+    def counting(X, phi, theory):
+        checked.append(phi)
+        return is_cocycle(X, phi, theory)
+
+    monkeypatch.setattr(coloring, "is_cocycle", counting)
+    monkeypatch.delenv("QUANDLEKIT_BUDGET", raising=False)
+    coloring._lift_verdict.cache_clear()
+    rhos = enumerate_colorings(trefoil, r3)
+    bad = Cochain(2, 3, {(0, 1): 1, (1, 1): 2, (2, 2): 1})
+    chk = is_cocycle(r3, bad, "Q")
+    want = f"lift needs a 2-cocycle: {chk.reason} at {chk.witness}"
+    for rho in rhos:
+        with pytest.raises(NonCocycleError) as info:
+            lift_coloring(trefoil, r3, rho, 3, bad)
+        assert str(info.value) == want
+    phi = Cochain(2, 3, {})
+    for rho in rhos:
+        lift_coloring(trefoil, r3, rho, 3, phi)
+    assert len(checked) == 2
+    monkeypatch.setenv("QUANDLEKIT_BUDGET", "10")  # under 3^3 tuples of C_3
+    with pytest.raises(BudgetError):
+        lift_coloring(trefoil, r3, rhos[0], 3, phi)
 
 
 def test_lift_checks_shape_before_the_cocycle_condition(monkeypatch, trefoil, r3):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 
@@ -34,6 +35,8 @@ from quandlekit.homology import (
     _boundary_invariants,
     _boundary_mod_rank,
     _factorint,
+    _is_degenerate,
+    _nondegenerate_tuples,
     format_cochain,
 )
 from quandlekit.specs import read_data_file, resolve_rack
@@ -65,6 +68,20 @@ def test_chain_basis_partition(r3):
     assert set(deg.tuples) | set(non.tuples) == set(full.tuples)
     assert chain_basis(r3, 1, "D").tuples == ()
     assert chain_basis(r3, 0, "R").tuples == ()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_q_basis_is_built_directly_in_filter_order(m):
+    # Oracle: all m^n tuples, degenerate ones filtered out, in product order.
+    for n in range(7):
+        expected = tuple(
+            t for t in itertools.product(range(m), repeat=n) if not _is_degenerate(t)
+        )
+        assert _nondegenerate_tuples(m, n) == expected, n
+        if n:
+            assert chain_basis(make_trivial(m), n, "Q").tuples == expected, n
+    if m == 1:
+        assert all(chain_basis(make_trivial(1), n, "Q").tuples == () for n in range(2, 7))
 
 
 def test_trivial_quandle_boundaries_vanish():
@@ -404,6 +421,37 @@ def test_cohomology_dimensions_match_uct(r3, r4):
                     + sum(1 for f in hprev.invariant_factors if f % p == 0)
                 )
                 assert dim_hn == predicted
+
+
+ORACLE_SPECS = ["dihedral:3", "dihedral:4", "dihedral:5", "alexander:2:1,1,1:0,1",
+                "alexander:3:1,0,1:2", "trivial:3"]
+
+
+@pytest.mark.parametrize("spec, n", [
+    # A9 in degree 3 takes about 35 s of dense elimination.
+    pytest.param(spec, n, marks=pytest.mark.slow) if (spec, n) == ("alexander:3:1,0,1:2", 3)
+    else (spec, n)
+    for spec in ORACLE_SPECS for n in (1, 2, 3)
+])
+def test_prime_dimensions_match_dense_generators(spec, n):
+    # Oracle: the dense GF(p) nullspace and RREF behind the generator lists.
+    for p in (2, 3, 5):
+        spaces = cohomology(resolve_rack(spec), n, "Q", p)
+        assert spaces.cocycle_dimension == len(spaces.cocycle_vectors), p
+        assert spaces.coboundary_dimension == len(spaces.coboundary_vectors), p
+
+
+def test_cocycle_generators_are_unchanged():
+    # The bench's theta_R5.cochain is read off these vectors.
+    vectors = cohomology(make_dihedral(5), 3, "Q", 5).cocycle_vectors
+    digest = hashlib.sha256(repr(vectors).encode()).hexdigest()
+    assert digest == "fbf2e525aa4caa1962dc510d8800663561c073b790f5a539079c299487f5fd61"
+
+
+def test_cohomology_checks_the_budget_when_called(monkeypatch):
+    monkeypatch.delenv("QUANDLEKIT_BUDGET", raising=False)
+    with pytest.raises(BudgetError):  # d_7 has 5^7 counted tuples
+        cohomology(make_dihedral(5), 6, "Q", 5)
 
 
 def test_cocycle_spaces_contain_valid_cocycles(r3):
