@@ -469,19 +469,17 @@ class CochainSpaces:
     basis: ChainBasis
     prime: bool
 
-    def _require_prime(self) -> None:
-        if not self.prime:
-            raise DomainError("dimensions need a prime modulus")
-
     @cached_property
     def cocycle_dimension(self) -> int:
-        self._require_prime()
+        if not self.prime:
+            raise DomainError("dimensions need a prime modulus")
         rank = _boundary_mod_rank(self.X, self.degree + 1, self.theory, self.modulus)
         return len(self.basis) - rank
 
     @cached_property
     def coboundary_dimension(self) -> int:
-        self._require_prime()
+        if not self.prime:
+            raise DomainError("dimensions need a prime modulus")
         return _boundary_mod_rank(self.X, self.degree, self.theory, self.modulus)
 
     @cached_property
