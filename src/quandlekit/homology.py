@@ -12,9 +12,16 @@ dim C_n - rank d_n - rank d_{n+1}.  Those diagonals, the GF(p) ranks behind
 ``homology_mod`` and the prime cocycle and coboundary dimensions, and
 coboundary membership mod d (which compares the orders of two cokernels
 tensored with Z_d, for every d) all go through the one sparse elimination in
-``snf``.  Cocycle and coboundary generators with coefficients in Z_d are
-built only when read: by dense prime-field elimination when d is prime and
-from integer lifts otherwise.
+``snf``, and each boundary map is eliminated over Z at most once.  A GF(p)
+rank is read off the cached Smith diagonal of d_n when there is one: the Z
+core pivots only on +-1 and the residual Smith form uses unimodular
+transforms, all invertible mod every p, so rank_p d_n = rank d_n minus the
+number of invariant factors that p divides.  When d_n has not been
+eliminated over Z, its GF(p) rank comes from a direct GF(p) elimination,
+which pivots on every unit mod p and so costs less than a Z elimination
+made only for it.  Cocycle and coboundary generators with coefficients in
+Z_d are built only when read: by dense prime-field elimination when d is
+prime and from integer lifts otherwise.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, wraps
+from functools import cached_property, wraps
 from math import gcd, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -53,18 +60,24 @@ def _budget_cache(fn):
     A result stored under one budget is never handed out under another, so
     every call raises BudgetError exactly when a call on an empty cache
     would.  The key is the raw string, so the lookup cannot raise; ``fn``
-    parses it after its theory check.
+    parses it after its theory check.  ``peek`` returns the stored result
+    for these arguments under the current budget, or None, and never runs
+    ``fn``.
     """
-    cached = lru_cache(maxsize=None)(
-        lambda budget, *args, **kwargs: fn(*args, **kwargs)
-    )
+    cache: dict = {}
+
+    def key(args, kwargs):
+        return os.environ.get(_BUDGET_ENV), args, tuple(sorted(kwargs.items()))
 
     @wraps(fn)
     def wrapper(*args, **kwargs):
-        return cached(os.environ.get(_BUDGET_ENV), *args, **kwargs)
+        k = key(args, kwargs)
+        if k not in cache:
+            cache[k] = fn(*args, **kwargs)
+        return cache[k]
 
-    wrapper.cache_clear = cached.cache_clear
-    wrapper.cache_info = cached.cache_info
+    wrapper.peek = lambda *args, **kwargs: cache.get(key(args, kwargs))
+    wrapper.cache_clear = cache.clear
     return wrapper
 
 
@@ -287,9 +300,21 @@ def _boundary_invariants(X: RackTable, n: int, theory: str) -> tuple[int, tuple[
 
 @_budget_cache
 def _boundary_mod_rank(X: RackTable, n: int, theory: str, p: int) -> int:
-    """Rank of d_n over GF(p), eliminated once per degree sweep."""
-    d = boundary_matrix(X, n, theory)
-    return snf.mod_rank(d.columns, d.nrows, p)
+    """Rank of d_n over GF(p), eliminated at most once per degree sweep.
+
+    When the integral invariants of d_n are already cached, the rank is
+    read off them: d_n = U diag(e_i) V with U and V unimodular, and a
+    determinant of +-1 is a unit mod every p, so rank_p d_n is the number of
+    nonzero e_i that p does not divide.  Otherwise d_n is eliminated over
+    GF(p) directly; forcing the integral route would cost more where entries
+    vanish mod p, since the Z core pivots only on +-1 and GF(p) on any unit.
+    """
+    invariants = _boundary_invariants.peek(X, n, theory)
+    if invariants is None:
+        d = boundary_matrix(X, n, theory)
+        return snf.mod_rank(d.columns, d.nrows, p)
+    rank, torsion = invariants
+    return rank - sum(1 for e in torsion if e % p == 0)
 
 
 def homology(X: RackTable, n: int, theory: str = "R") -> AbelianGroup:
@@ -528,7 +553,8 @@ class CochainSpaces:
         factors e_i of d_n, (Z^dim / rowspan(d_n)) (x) Z_d has order
         d^(dim - r) * prod gcd(e_i, d); phi lies in rowspan(d_n) + d Z^dim
         exactly when appending phi as a row leaves that order unchanged.
-        A phi of another degree or modulus, or nonzero off the basis (outside
+        The invariants of d_n itself are the cached ones ``homology`` reads;
+        only the appended matrix is eliminated here.  A phi of another degree or modulus, or nonzero off the basis (outside
         the quandle, or degenerate in theory Q), raises DomainError.
         """
         if (phi.degree, phi.modulus) != (self.degree, self.modulus):
@@ -542,11 +568,11 @@ class CochainSpaces:
         appended = list(down.columns)
         for t, v in phi.values.items():
             appended[index[t]] = {**appended[index[t]], m: v}
-        orders = []
-        for columns, nrows in ((down.columns, m), (appended, m + 1)):
-            free, torsion = snf.cokernel_invariants(columns, nrows)
-            rank = nrows - free
-            orders.append(d ** (dim - rank) * prod(gcd(e, d) for e in torsion))
+        free, torsion = snf.cokernel_invariants(appended, m + 1)
+        invariants = (_boundary_invariants(self.X, self.degree, self.theory),
+                      (m + 1 - free, torsion))
+        orders = [d ** (dim - rank) * prod(gcd(e, d) for e in torsion)
+                  for rank, torsion in invariants]
         return orders[0] == orders[1]
 
 

@@ -7,7 +7,12 @@ and Smith(A) = I_k (+) Smith(residual); over GF(p) on any nonzero entry, which
 leaves nothing.  The pivot is an entry of the shortest live column, in the
 shortest row among its unit entries (Dumas, Saunders and Villard, J. Symb.
 Comput. 32, 2001).  ``cokernel_invariants`` and ``mod_rank`` read ranks and
-invariant factors off this core; the dense ``smith_normal_form``, with
+invariant factors off this core.  Every Z pivot is +-1, a unit mod every
+prime, and the residual's Smith transforms are unimodular too, so the
+invariant factors e_i of A give every GF(p) rank: rank_p(A) = rank(A) minus
+the number of e_i divisible by p.  ``homology`` reads GF(p) ranks that way
+for maps it has already eliminated over Z; ``mod_rank`` is the direct
+GF(p) elimination for the rest.  The dense ``smith_normal_form``, with
 entries as Python ints so everything stays exact, runs only on the small
 residual.  It diagonalizes by unimodular row and column operations, carrying
 the column transform when ``kernel_complement`` asks, and reads the

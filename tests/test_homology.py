@@ -35,6 +35,7 @@ from quandlekit.homology import (
     _boundary_invariants,
     _boundary_mod_rank,
     _factorint,
+    THEORIES,
     _is_degenerate,
     _nondegenerate_tuples,
     format_cochain,
@@ -211,27 +212,27 @@ def test_dihedral4_quandle_free_rank(r4):
 
 
 def test_degree_sweep_eliminates_each_boundary_once(monkeypatch):
-    # H_n and H_{n+1} share d_{n+1}: the sweep n = 2..7 touches d_2..d_8 once each.
+    # H_n and H_{n+1} share d_{n+1}: the sweep n = 2..7 eliminates d_2..d_8
+    # over Z once each, and the GF(3) ranks are read off their invariant
+    # factors, so nothing is eliminated over GF(3).
     from quandlekit import snf
 
     X = make_dihedral(3)
     for fn in (_boundary_invariants, _boundary_mod_rank):
         fn.cache_clear()
     calls = []
+    real = snf._eliminate
 
-    def counted(real):
-        def wrapper(columns, nrows, *rest):
-            calls.append(real.__name__)
-            return real(columns, nrows, *rest)
-        return wrapper
+    def counted(columns, nrows, p=0):
+        calls.append((id(columns), p))
+        return real(columns, nrows, p)
 
-    monkeypatch.setattr(snf, "cokernel_invariants", counted(snf.cokernel_invariants))
-    monkeypatch.setattr(snf, "mod_rank", counted(snf.mod_rank))
+    monkeypatch.setattr(snf, "_eliminate", counted)
     for n in range(2, 8):
         assert homology(X, n, "Q") == AbelianGroup(0, (3,) * DELTA_FIB[n - 1]), n
         assert homology_mod(X, n, "Q", 3) == DELTA_FIB[n - 1] + DELTA_FIB[n - 2], n
-    assert calls.count("cokernel_invariants") == 7
-    assert calls.count("mod_rank") == 7
+    boundaries = [id(boundary_matrix(X, n, "Q").columns) for n in range(2, 9)]
+    assert sorted(calls) == sorted((c, 0) for c in boundaries)
 
 
 @pytest.mark.slow
@@ -425,6 +426,30 @@ def test_cohomology_dimensions_match_uct(r3, r4):
 
 ORACLE_SPECS = ["dihedral:3", "dihedral:4", "dihedral:5", "alexander:2:1,1,1:0,1",
                 "alexander:3:1,0,1:2", "trivial:3"]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_mod_ranks_agree_with_and_without_integral_reductions(spec):
+    # homology_mod reads its ranks off cached integral invariants, and runs
+    # the direct GF(p) elimination when none are cached: each checks the other.
+    X = resolve_rack(spec)
+    cached = (chain_basis, boundary_matrix, _boundary_invariants, _boundary_mod_rank)
+
+    def clear():
+        for fn in cached:
+            fn.cache_clear()
+
+    for theory in THEORIES:
+        for n in range(1, 6):
+            if X.size ** (n + 1) > 1024:  # the domain of d_{n+1}: about 2 s in all
+                break
+            for p in (2, 3, 5):
+                clear()
+                direct = homology_mod(X, n, theory, p)
+                clear()
+                for degree in (n, n + 1):
+                    _boundary_invariants(X, degree, theory)
+                assert homology_mod(X, n, theory, p) == direct, (theory, n, p)
 
 
 @pytest.mark.parametrize("spec, n", [

@@ -176,6 +176,20 @@ def test_sparse_core_matches_dense(data):
     assert columns == columns_of(a, m, n)  # the input is left alone
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_integral_invariants_give_every_prime_rank(data):
+    # A = U diag(e_i) V with U, V unimodular, invertible mod every p: so
+    # rank_p(A) = rank(A) - #{e_i : p | e_i}, against the GF(p) elimination.
+    m = data.draw(st.integers(0, 8), label="rows")
+    n = data.draw(st.integers(0, 8), label="cols")
+    entry = st.one_of(st.just(0), st.integers(-3, 3))
+    columns = columns_of([[data.draw(entry) for _ in range(n)] for _ in range(m)], m, n)
+    free, torsion = cokernel_invariants(columns, m)
+    for p in (2, 3, 5, 7):
+        assert m - free - sum(1 for e in torsion if e % p == 0) == mod_rank(columns, m, p)
+
+
 def test_sparse_core_shapes():
     check_sparse_core([], 0, 3, [{}, {}, {}])
     check_sparse_core([[], [], []], 3, 0, [])
