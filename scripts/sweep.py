@@ -5,13 +5,15 @@ Usage:
         -- "color torus:3:6 dihedral:3 --list" ... > sweep.json
 
 Each run of a command is one fresh `python3 -m quandlekit` process with
-PYTHONPATH=<tree>/src and PYTHONHASHSEED=0.  It is the only child of a small
-measuring process, which reads getrusage(RUSAGE_CHILDREN): the CPU time
-(user + system) and the peak RSS of that one process, interpreter start and
-import included; it runs in the tree's directory, so relative paths name the
-tree's files.  Runs alternate which tree goes first.  The output is JSON:
-per command and tree, the medians of CPU seconds and peak RSS in MB, and the
-exit code and stdout sha256 (equal on every run, or "varies").  Stdlib only.
+PYTHONPATH=<tree>/src, PYTHONHASHSEED=0 and bytecode caching on (the first
+run writes the tree's __pycache__, the others read it).  It is the only
+child of a small measuring process, which reads getrusage(RUSAGE_CHILDREN):
+the CPU time (user + system) and the peak RSS of that one process,
+interpreter start and import included; it runs in the tree's directory, so
+relative paths name the tree's files.  Runs alternate which tree goes
+first.  The output is JSON: per command and tree, the medians of CPU seconds
+and peak RSS in MB, and the exit code and stdout sha256 (equal on every
+run, or "varies").  Stdlib only.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ print(json.dumps([use.ru_utime + use.ru_stime, use.ru_maxrss, proc.returncode, d
 def measure(tree: str, command: str) -> tuple[float, float, int, str]:
     """One fresh run of `python3 -m quandlekit <command>` on tree's sources."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONHASHSEED="0")
+    # Without bytecode caching every run of a fresh tree recompiles the package.
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     argv = [sys.executable, "-c", _MEASURE, sys.executable, "-m", "quandlekit"]
     out = subprocess.run(argv + shlex.split(command), env=env, cwd=tree,
                          capture_output=True, text=True, check=True).stdout

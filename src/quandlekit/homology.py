@@ -18,8 +18,8 @@ core pivots only on +-1 and the residual Smith form uses unimodular
 transforms, all invertible mod every p, so rank_p d_n = rank d_n minus the
 number of invariant factors that p divides.  When d_n has not been
 eliminated over Z, its GF(p) rank comes from a direct GF(p) elimination,
-which pivots on every unit mod p and so costs less than a Z elimination
-made only for it.  Cocycle and coboundary generators with coefficients in
+which may pivot on any entry nonzero mod p and runs faster than a Z
+elimination made only for that rank.  Cocycle and coboundary generators with coefficients in
 Z_d are built only when read: by dense prime-field elimination when d is
 prime and from integer lifts otherwise.
 """
@@ -300,14 +300,11 @@ def _boundary_invariants(X: RackTable, n: int, theory: str) -> tuple[int, tuple[
 
 @_budget_cache
 def _boundary_mod_rank(X: RackTable, n: int, theory: str, p: int) -> int:
-    """Rank of d_n over GF(p), eliminated at most once per degree sweep.
+    """Rank of d_n over GF(p), p prime.
 
-    When the integral invariants of d_n are already cached, the rank is
-    read off them: d_n = U diag(e_i) V with U and V unimodular, and a
-    determinant of +-1 is a unit mod every p, so rank_p d_n is the number of
-    nonzero e_i that p does not divide.  Otherwise d_n is eliminated over
-    GF(p) directly; forcing the integral route would cost more where entries
-    vanish mod p, since the Z core pivots only on +-1 and GF(p) on any unit.
+    Read off the integral invariants of d_n when they are already cached
+    (rank d_n minus the invariant factors p divides; see the module
+    docstring), else found by one direct GF(p) elimination.
     """
     invariants = _boundary_invariants.peek(X, n, theory)
     if invariants is None:
@@ -554,8 +551,9 @@ class CochainSpaces:
         d^(dim - r) * prod gcd(e_i, d); phi lies in rowspan(d_n) + d Z^dim
         exactly when appending phi as a row leaves that order unchanged.
         The invariants of d_n itself are the cached ones ``homology`` reads;
-        only the appended matrix is eliminated here.  A phi of another degree or modulus, or nonzero off the basis (outside
-        the quandle, or degenerate in theory Q), raises DomainError.
+        only the appended matrix is eliminated here.  A phi of another
+        degree or modulus, or nonzero off the basis (outside the quandle, or
+        degenerate in theory Q), raises DomainError.
         """
         if (phi.degree, phi.modulus) != (self.degree, self.modulus):
             raise DomainError(f"expected a cochain of degree {self.degree} mod {self.modulus}")

@@ -32,10 +32,10 @@ from quandlekit import (
     uct_mod_dimension,
 )
 from quandlekit.homology import (
+    THEORIES,
     _boundary_invariants,
     _boundary_mod_rank,
     _factorint,
-    THEORIES,
     _is_degenerate,
     _nondegenerate_tuples,
     format_cochain,
@@ -429,7 +429,7 @@ ORACLE_SPECS = ["dihedral:3", "dihedral:4", "dihedral:5", "alexander:2:1,1,1:0,1
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS)
-def test_mod_ranks_agree_with_and_without_integral_reductions(spec):
+def test_mod_ranks_agree_with_and_without_integral_invariants(spec):
     # homology_mod reads its ranks off cached integral invariants, and runs
     # the direct GF(p) elimination when none are cached: each checks the other.
     X = resolve_rack(spec)
