@@ -12,16 +12,16 @@ dim C_n - rank d_n - rank d_{n+1}.  Those diagonals, the GF(p) ranks behind
 ``homology_mod`` and the prime cocycle and coboundary dimensions, and
 coboundary membership mod d (which compares the orders of two cokernels
 tensored with Z_d, for every d) all go through the one sparse elimination in
-``snf``, and each boundary map is eliminated over Z at most once.  A GF(p)
-rank is read off the cached Smith diagonal of d_n when there is one: the Z
-core pivots only on +-1 and the residual Smith form uses unimodular
-transforms, all invertible mod every p, so rank_p d_n = rank d_n minus the
-number of invariant factors that p divides.  When d_n has not been
-eliminated over Z, its GF(p) rank comes from a direct GF(p) elimination,
-which may pivot on any entry nonzero mod p and runs faster than a Z
-elimination made only for that rank.  Cocycle and coboundary generators with coefficients in
-Z_d are built only when read: by dense prime-field elimination when d is
-prime and from integer lifts otherwise.
+``snf``, and each boundary map is eliminated over Z at most once per
+budget.  A GF(p) rank is read off the cached Smith diagonal of d_n when
+there is one: the Z core pivots only on +-1 and the residual Smith form
+uses unimodular transforms, all invertible mod every p, so rank_p d_n =
+rank d_n minus the number of invariant factors that p divides.  When d_n
+has not been eliminated over Z, its GF(p) rank comes from a direct GF(p)
+elimination, which may pivot on any entry nonzero mod p and runs faster
+than a Z elimination made only for that rank.  Cocycle and coboundary
+generators with coefficients in Z_d are built only when read: by dense
+prime-field elimination when d is prime and from integer lifts otherwise.
 """
 
 from __future__ import annotations
