@@ -172,6 +172,10 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
             mode = "surface"
         else:
             mode = "2" if phi.degree == 2 else "shadow"
+    degree = 2 if mode == "2" else 3
+    if phi.degree != degree:
+        raise ParseError(f"mode {mode} needs a degree-{degree} cochain, "
+                         f"but the cochain has degree {phi.degree}")
     check = not args.unsafe_no_cocycle_check
     if mode == "surface":
         if not isinstance(target, SurfaceDiagramData):

@@ -7,12 +7,15 @@ It streams its solutions in lexicographic order in (arc id, element index), so
 invariant computations and golden files are reproducible, and counts and
 state sums never hold more than one coloring.
 
-Shadow colorings come from one region core.  Per diagram it plans a spanning
-tree of the dual graph from region 0; per arc coloring it carries the region
-colors for all |X| choices of the region-0 color at once, one list per region,
-each got from its parent's list by one right translation.  The transitions off
-the tree are checked as whole lists, which drops exactly the inconsistent
-choices.  Listings, counts and the shadow state sum all read that core.
+Shadow colorings rest on one fact: by a quandle, an arc coloring of a
+connected diagram extends over the regions in exactly one way once the color
+of one region is chosen (Carter, Kamada and Saito, Geometric interpretations
+of quandle homology, JKTR 10, 2001), so a diagram has |X| shadow colorings
+per arc coloring.  The region core builds the extensions: per diagram it
+plans a spanning tree of the dual graph from region 0; per arc coloring it
+carries the region colors for all |X| choices of the region-0 color at
+once, one list per region, each got from its parent's list by one right
+translation.  Listings and the shadow state sum read that core.
 
 Every search runs one fiber per orbit.  Each right translation x -> x * y
 of a rack is an automorphism, so it maps the colorings with arc 0 (or sheet
@@ -38,18 +41,16 @@ every q.
 Every count and state sum is one histogram of weights (a count has d = 1),
 taken by _histogram, which alone decides the path:
 
+- A shadow count is |X| times the arc count, on both paths below.
 - A braid word takes the engine when its states number at most |X| times
   the crossings of its closure, the closure the search would build
   instead; the rule reads input sizes only.  Counts have the states X^s,
-  shadow counts too: by a quandle the region colors of a diagram follow
-  from the color of region 0, which is free, so a shadow count is |X|
-  times the arc count.  A shadow state sum has the states X^(s+1).
-  --surjective counts never take the engine.
+  a shadow state sum X^(s+1).  --surjective counts never take the engine.
 - Otherwise a braid word is closed (braid_closure) and searched.  Counts,
-  shadow, surjective and surface counts too, and the checked 2-cocycle
-  and shadow sums read one fiber per orbit, each weighted by its orbit
-  size.  Unchecked sums and every surface sum (surface data is not checked
-  to close up) weigh the unordered full stream.
+  surjective and surface counts too, and the checked 2-cocycle and shadow
+  sums read one fiber per orbit, each weighted by its orbit size.
+  Unchecked sums and every surface sum (surface data is not checked to
+  close up) weigh the unordered full stream.
 - Listings always read the ordered full stream.
 """
 
@@ -332,14 +333,14 @@ def _histogram(
     on a diagram may read one fiber per orbit.
     """
     n = X.size
+    if shadow and cochain is None:
+        X.require_quandle()
+        return [n * _histogram(target, X, surjective=surjective)[0]]
     if isinstance(target, BraidWord):
-        k = target.strands + (shadow and cochain is not None)
+        k = target.strands + shadow
         limit = n * len(target.letters) * target.power
         if not surjective and k <= limit.bit_length() and n**k <= limit:
-            if shadow:
-                X.require_quandle()
-            hist = _closure_histogram(target, X, cochain)
-            return [n * hist[0]] if shadow and cochain is None else hist
+            return _closure_histogram(target, X, cochain)
         target = braid_closure(target)
     surface = isinstance(target, SurfaceDiagramData)
     if cochain is None or (check and not surface):
@@ -354,10 +355,7 @@ def _histogram(
         found = (f for f in found if len(set(f[0] if shadow else f)) == n)
     d = 1 if cochain is None else cochain.modulus
     hist = [0] * d
-    if cochain is None and shadow:
-        for colors, _, seeds in found:
-            hist[0] += mult[colors[0]] * len(seeds)
-    elif cochain is None:
+    if cochain is None:
         for colors in found:
             hist[0] += mult[colors[0]]
     elif surface:
@@ -369,23 +367,23 @@ def _histogram(
             hist[total % d] += 1
     elif shadow:
         # Per arc coloring each crossing adds the vector theta(perms[region][s],
-        # under, over) over the seeds s: the theta row of its (under, over)
-        # colors, read through the region's seed list.
+        # under, over) over the colors s of region 0: the theta row of its
+        # (under, over) colors, read through the region's list.
         rows: dict[tuple[int, int], list[int]] = {}  # (under, over) -> theta(., under, over)
         for (x, u, o), v in cochain.values.items():
             if 0 <= min(x, u, o) and max(x, u, o) < n:
                 rows.setdefault((u, o), [0] * n)[x] = v
         crossings = [(y, rel.from_under, rel.over, rel.sign)
                      for rel, y in zip(target.relations, target.shadow_weight_regions)]
-        for colors, perms, seeds in found:
+        for colors, perms in found:
             totals = [0] * n
             for y, under, over, sign in crossings:
                 row = rows.get((colors[under], colors[over]))
                 if row is not None:
                     totals = [t + sign * row[x] for t, x in zip(totals, perms[y])]
             weight = mult[colors[0]]
-            for s in seeds:
-                hist[totals[s] % d] += weight
+            for t in totals:
+                hist[t % d] += weight
     else:
         weight = [[cochain.value((u, o)) for o in range(n)] for u in range(n)]
         crossings = [(rel.from_under, rel.over, rel.sign) for rel in target.relations]
@@ -483,55 +481,49 @@ def _closure_histogram(
     return hist
 
 
-def _region_plan(D: Diagram):
-    """A BFS spanning tree of the dual graph from face 0, and the other edges.
+def _region_plan(D: Diagram) -> list[tuple[int, int, int, bool]]:
+    """A BFS spanning tree of the dual graph from face 0.
 
-    Returns (tree, checks).  tree lists (face, parent, arc, forward) in BFS
-    order: across that arc, face = parent * color if forward, else
-    parent = face * color.  checks lists the (source, target, arc)
-    transitions off the tree.  The diagram is a connected plane graph (the
-    face trace checks it), so its dual is connected and the tree spans it.
+    Lists (face, parent, arc, forward) in BFS order: across that arc,
+    face = parent * color if forward, else parent = face * color.  The
+    diagram is a connected plane graph (the face trace checks it), so its
+    dual is connected and the tree spans it.
     """
-    transitions = D.face_transitions()
-    adj: list[list[tuple[int, int, int, bool]]] = [[] for _ in range(D.n_faces)]
-    for e, (src, dst, arc) in enumerate(transitions):
-        adj[src].append((dst, arc, e, True))
-        adj[dst].append((src, arc, e, False))
+    adj: list[list[tuple[int, int, bool]]] = [[] for _ in range(D.n_faces)]
+    for src, dst, arc in D.face_transitions():
+        adj[src].append((dst, arc, True))
+        adj[dst].append((src, arc, False))
     reached = [True] + [False] * (D.n_faces - 1)
     tree: list[tuple[int, int, int, bool]] = []
-    on_tree: set[int] = set()
     queue = [0]
     for f in queue:
-        for g, arc, e, forward in adj[f]:
+        for g, arc, forward in adj[f]:
             if not reached[g]:
                 reached[g] = True
                 tree.append((g, f, arc, forward))
-                on_tree.add(e)
                 queue.append(g)
     assert all(reached), "the dual graph of a plane diagram is connected"
-    checks = [t for e, t in enumerate(transitions) if e not in on_tree]
-    return tree, checks
+    return tree
 
 
 def _seeded_regions(
     D: Diagram, X: RackTable, roots: Sequence[int] | None = None, *, ordered: bool = True
-) -> Iterator[tuple[tuple[int, ...], list[list[int]], Sequence[int]]]:
+) -> Iterator[tuple[tuple[int, ...], list[list[int]]]]:
     """The region core: every arc coloring with its regions for all seeds.
 
-    Yields (colors, perms, seeds) per arc coloring, in lexicographic order;
-    roots, if given, restricts the color of arc 0, and ordered=False drops
-    the order, as in _solve_relations.
-    perms[f][s] is the color of face f when face 0 has color s (the seed):
-    perms[0] is the identity, and each tree face applies one right
-    translation x -> x * c, or its inverse, to its parent's list.  Every
-    off-tree transition is compared as a whole list; seeds lists, in
-    increasing order, the seeds on which all of them hold.
+    Yields (colors, perms) per arc coloring, in lexicographic order; roots,
+    if given, restricts the color of arc 0, and ordered=False drops the
+    order, as in _solve_relations.  perms[f][s] is the color of face f when
+    face 0 has color s (the seed): perms[0] is the identity, and each tree
+    face applies one right translation x -> x * c, or its inverse, to its
+    parent's list.  By the extension fact (module docstring) every column
+    of perms is a shadow coloring.
     """
     X.require_quandle()
-    tree, checks = _region_plan(D)
     n = X.size
     right = [[X.table[x][c] for x in range(n)] for c in range(n)]
     left = [[X.op_inv(x, c) for x in range(n)] for c in range(n)]
+    tree = _region_plan(D)
     steps = [(f, parent, arc, right if forward else left) for f, parent, arc, forward in tree]
     identity = list(range(n))
     for colors in _solve_relations(D, X, roots, ordered=ordered):
@@ -539,14 +531,7 @@ def _seeded_regions(
         for f, parent, arc, cols in steps:
             col = cols[colors[arc]]
             perms[f] = [col[x] for x in perms[parent]]
-        seeds: Sequence[int] = identity
-        for src, dst, arc in checks:
-            col = right[colors[arc]]
-            want = [col[x] for x in perms[src]]
-            got = perms[dst]
-            if want != got:
-                seeds = [s for s in seeds if want[s] == got[s]]
-        yield colors, perms, seeds
+        yield colors, perms
 
 
 def enumerate_shadow_colorings(D: Diagram, X: RackTable) -> list[ShadowColoring]:
@@ -554,15 +539,11 @@ def enumerate_shadow_colorings(D: Diagram, X: RackTable) -> list[ShadowColoring]
 
     Ordered by arc coloring (lexicographic), then by the color of region 0.
     The region colors for every choice of region 0 come from one pass of
-    the region core per arc coloring; a choice survives only if every
-    transition between regions holds (for a quandle all of them do, so a
-    diagram has |X| shadow colorings per arc coloring).
+    the region core per arc coloring, so a diagram has |X| shadow colorings
+    per arc coloring.
     """
-    out = []
-    for colors, perms, seeds in _seeded_regions(D, X):
-        regions = list(zip(*perms))
-        out.extend(ShadowColoring(colors, regions[s]) for s in seeds)
-    return out
+    return [ShadowColoring(colors, regions)
+            for colors, perms in _seeded_regions(D, X) for regions in zip(*perms)]
 
 
 def enumerate_surface_colorings(

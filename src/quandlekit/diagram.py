@@ -9,7 +9,11 @@ face tracing), and it makes mirror/reverse pure quad rotations.
 Sign convention: a crossing is positive when the under-strand direction is
 the over-strand direction rotated a quarter turn counterclockwise.  For PD
 input this reproduces the usual table convention (over-strand from the d-end
-to the b-end means positive).
+to the b-end means positive).  With the quad listed counterclockwise from the
+incoming under-edge, the sign is therefore +1 exactly when the over-edge
+enters at quad[3] and -1 when it enters at quad[1]; Crossing refuses a sign
+that contradicts its quad, since the crossing relations of such a diagram
+would describe another knot.
 
 Co-orientation convention: the normal of an arc is its direction rotated a
 quarter turn counterclockwise.  This sense makes the shadow state sum of the
@@ -42,8 +46,11 @@ class Crossing:
     def __post_init__(self) -> None:
         if self.over_in not in (self.quad[1], self.quad[3]):
             raise ParseError("over-edge must sit at position 1 or 3 of the quad")
-        if self.sign not in (1, -1):
-            raise ParseError("crossing sign must be +1 or -1")
+        if self.sign != (1 if self.over_in == self.quad[3] else -1):
+            raise ParseError(
+                f"crossing sign {self.sign} contradicts the quad: it is +1 exactly "
+                "when the over-edge enters at position 3, else -1"
+            )
 
     @property
     def under_in(self) -> int:
@@ -470,7 +477,11 @@ class BraidWord:
 
 
 def parse_braid_word(strands: int, word: str) -> BraidWord:
-    """Braid letters as signed integers: '1 -2 1' means s1 s2^-1 s1."""
+    """Braid letters as signed integers: '1 -2 1' means s1 s2^-1 s1.
+
+    Malformed input raises ParseError, a strand count below 1 and a
+    generator index out of range too.
+    """
     letters = []
     for tok in word.replace(",", " ").split():
         try:
@@ -480,7 +491,10 @@ def parse_braid_word(strands: int, word: str) -> BraidWord:
         if v == 0:
             raise ParseError("braid letters are nonzero signed generator indices")
         letters.append((abs(v), 1 if v > 0 else -1))
-    return BraidWord(strands, tuple(letters))
+    try:
+        return BraidWord(strands, tuple(letters))
+    except DomainError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def braid_closure(braid: BraidWord, name: str | None = None) -> Diagram:

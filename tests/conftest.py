@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from quandlekit import (
@@ -87,11 +85,29 @@ def small_quandles():
 
 
 def _brute_force(n_vars, relations, X):
-    """Every assignment with colors[j] = colors[i] * colors[k] per (i, j, k)."""
+    """Every assignment with colors[j] = colors[i] * colors[k] per (i, j, k).
+
+    Variables are assigned in index order, every color in turn, and a partial
+    assignment is dropped as soon as a relation among assigned variables
+    fails; that prunes the scan without skipping any full assignment.  The
+    output is in the order of itertools.product over the variables.
+    """
+    due = [[] for _ in range(n_vars)]
+    for i, j, k in relations:
+        due[max(i, j, k)].append((i, j, k))
     out = []
-    for colors in itertools.product(range(X.size), repeat=n_vars):
-        if all(X.table[colors[i]][colors[k]] == colors[j] for i, j, k in relations):
-            out.append(colors)
+    colors = [0] * n_vars
+
+    def extend(v):
+        if v == n_vars:
+            out.append(tuple(colors))
+            return
+        for x in range(X.size):
+            colors[v] = x
+            if all(X.table[colors[i]][colors[k]] == colors[j] for i, j, k in due[v]):
+                extend(v + 1)
+
+    extend(0)
     return out
 
 

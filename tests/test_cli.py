@@ -289,6 +289,19 @@ def test_invariant_rejects_entry_outside_quandle(tmp_path, capsys):
     assert "not a knot invariant" in out
 
 
+def test_invariant_cochain_degree_must_match_the_mode(tmp_path, capsys):
+    phi = tmp_path / "phi.cochain"
+    phi.write_text("cochain 2 3\n")
+    for args, message in (
+        ((str(phi), "--mode", "shadow"), "mode shadow needs a degree-3 cochain"),
+        (("theta_R3.cochain", "--mode", "2"), "mode 2 needs a degree-2 cochain"),
+    ):
+        code, out, err = run(capsys, "invariant", "trefoil.pd", "dihedral:3", *args)
+        assert code == 2, args
+        assert f"error: {message}, but the cochain has degree" in err, args
+        assert "#data invariant" not in out, args
+
+
 def test_invariant_needs_some_diagram(capsys):
     code, _, err = run(capsys, "invariant", "dihedral:3", "theta_R3.cochain")
     assert code == 2
@@ -455,6 +468,9 @@ def readme_commands():
     (("braid:2:",), 1, "closure of an empty braid on several strands is split"),
     (("braid:3: 1 -1",), 1, "some strands never cross the others"),
     (("--braid", "3: 2 2"), 1, "some strands never cross the others"),
+    (("braid:2: 3",), 2, "generator index 3 out of range 1..1"),
+    (("braid:0:",), 2, "a braid needs at least one strand"),
+    (("--braid", "2: 3"), 2, "generator index 3 out of range 1..1"),
 ])
 def test_closure_spec_errors_come_before_any_output(capsys, argv, code, message):
     """A torus or braid spec that has no connected closure fails as it resolves."""
@@ -558,6 +574,11 @@ def test_braid_file_and_inline_spec(tmp_path, capsys):
     code, out, _ = run(capsys, "color", "braid:2: 1 1 1", "dihedral:3", "--count")
     assert code == 0
     assert "colorings: 9" in out
+    # a generator out of range is malformed input
+    braid_file.write_text("braid 2 3\n")
+    code, _, err = run(capsys, "color", str(braid_file), "dihedral:3", "--count")
+    assert code == 2
+    assert "error: generator index 3 out of range 1..1" in err
 
 
 def test_module_entry_point():

@@ -18,8 +18,10 @@ from quandlekit import (
     lift_coloring,
     make_dihedral,
     make_trivial,
+    mirror,
     parse_pd,
     parse_surface,
+    reverse,
     shadow_surface_data,
     torus_diagram,
 )
@@ -309,9 +311,48 @@ def test_shadow_matches_brute_force(small_diagrams):
             expected = brute_force_shadows(D, X)
             got = [(s.colors, s.region_colors) for s in enumerate_shadow_colorings(D, X)]
             assert got == sorted(expected), (name, X.label)
-            unordered = [(c, tuple(f[s] for f in perms)) for c, perms, seeds
-                         in coloring._seeded_regions(D, X, ordered=False) for s in seeds]
+            unordered = [(c, regions) for c, perms
+                         in coloring._seeded_regions(D, X, ordered=False)
+                         for regions in zip(*perms)]
             assert sorted(unordered) == got, (name, X.label)
+
+
+# Three of these are not involutory, so x -> x * c differs from its inverse:
+# a region step read the wrong way round, or a crossing relation that
+# describes another knot, shows against the oracle.
+_SHADOW_ORACLE_QUANDLES = tuple(resolve_rack(spec) for spec in (
+    "dihedral:3", "alexander:2:1,1,1:0,1", "alexander:5:3,1:0,1", "alexander:7:4,1:0,1"))
+
+
+def _check_shadows_against_oracle(D):
+    """|X| shadow colorings per arc coloring, each the oracle's, in its order."""
+    for X in _SHADOW_ORACLE_QUANDLES:
+        got = [(s.colors, s.region_colors) for s in enumerate_shadow_colorings(D, X)]
+        assert got == sorted(brute_force_shadows(D, X)), (D.label, X.label)
+        assert len(got) == X.size * count_colorings(D, X), (D.label, X.label)
+
+
+@st.composite
+def _connected_braids(draw):
+    """Braid words on 2-4 strands, at most 8 letters, every generator used."""
+    strands = draw(st.integers(2, 4))
+    sign = st.sampled_from([1, -1])
+    needed = [(g, draw(sign)) for g in range(1, strands)]
+    extra = draw(st.lists(st.tuples(st.integers(1, strands - 1), sign), max_size=9 - strands))
+    return BraidWord(strands, tuple(draw(st.permutations(needed + extra))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(word=_connected_braids())
+def test_shadow_extension_fact_on_braid_closures(word):
+    D = braid_closure(word)
+    for E in (D, mirror(D), reverse(D)):
+        _check_shadows_against_oracle(E)
+
+
+def test_shadow_extension_fact_on_bundled_knots(knot_table):
+    for D in knot_table.values():
+        _check_shadows_against_oracle(D)
 
 
 def test_shadow_colorings_satisfy_face_condition(trefoil, r3):

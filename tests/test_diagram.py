@@ -22,7 +22,7 @@ from quandlekit import (
     torus_diagram,
 )
 from quandlekit.coloring import enumerate_surface_colorings
-from quandlekit.diagram import format_pd, format_surface, parse_braid_word
+from quandlekit.diagram import Crossing, format_pd, format_surface, parse_braid_word
 
 TREFOIL_PD = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 FIG8_PD = "X(4,2,5,1) X(8,6,1,5) X(6,3,7,4) X(2,7,3,8)"
@@ -131,6 +131,15 @@ def test_torus_diagrams(r3):
         torus_diagram(4, 3)
     with pytest.raises(DomainError):
         torus_diagram(2, 0)
+
+
+def test_crossing_sign_must_match_the_quad():
+    # +1 exactly when the over-edge enters at quad[3]
+    assert Crossing((0, 1, 2, 3), 3, 1).sign == 1
+    assert Crossing((0, 1, 2, 3), 1, -1).sign == -1
+    for over_in, sign in ((3, -1), (1, 1), (3, 0)):
+        with pytest.raises(ParseError, match="contradicts the quad"):
+            Crossing((0, 1, 2, 3), over_in, sign)
 
 
 def test_braid_signs():

@@ -1,9 +1,12 @@
 """Smoke tests: the scripts in scripts/ run and print their known values."""
 
+import importlib.util
 import json
 import os
 import runpy
 import sys
+
+from quandlekit.specs import bundled_path
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
@@ -20,6 +23,20 @@ def test_knot_table_runs(monkeypatch, capsys):
     # trefoil: 3 crossings, 9 colorings by R3, 27 shadow colorings, 9 + 18t
     assert rows["trefoil"] == ["3", "9", "27", "9 + 18t"]
     assert rows["T(2,-3)"] == ["3", "9", "27", "9 + 18t^2"]
+
+
+def test_make_knot_data_reproduces_the_bundled_files(monkeypatch, tmp_path, capsys):
+    path = os.path.join(SCRIPTS, "make_knot_data.py")
+    spec = importlib.util.spec_from_file_location("make_knot_data", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "DATA_DIR", str(tmp_path))
+    module.main()
+    written = sorted(os.listdir(tmp_path))
+    assert "trefoil.pd" in written and "trefoil_shadow.surf" in written
+    for name in written:
+        with open(tmp_path / name, "rb") as got, open(bundled_path(name), "rb") as want:
+            assert got.read() == want.read(), name
 
 
 def test_homology_survey_runs(monkeypatch, capsys):
