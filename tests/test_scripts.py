@@ -25,7 +25,7 @@ def test_knot_table_runs(monkeypatch, capsys):
     assert rows["T(2,-3)"] == ["3", "9", "27", "9 + 18t^2"]
 
 
-def test_make_knot_data_reproduces_the_bundled_files(monkeypatch, tmp_path, capsys):
+def test_make_knot_data_reproduces_the_bundled_files(monkeypatch, tmp_path):
     path = os.path.join(SCRIPTS, "make_knot_data.py")
     spec = importlib.util.spec_from_file_location("make_knot_data", path)
     module = importlib.util.module_from_spec(spec)
