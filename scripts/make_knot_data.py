@@ -24,6 +24,7 @@ from quandlekit import (
     state_sum_shadow,
     torus_diagram,
 )
+from quandlekit._util import union_classes
 from quandlekit.diagram import Crossing, Diagram, format_pd, format_surface
 from quandlekit.homology import format_cochain
 
@@ -66,34 +67,16 @@ def twobridge_plat(quotients: list[int]) -> Diagram:
         over_pair.append((1, 3) if eps > 0 else (0, 2))
         cur[i - 1], cur[i] = out_left, out_right
 
-    parent = list(range(next_id))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            raise ValueError("cap closes a crossing-free loop")
-        parent[max(ra, rb)] = min(ra, rb)
-
-    union(0, 1)
-    union(2, 3)
-    union(cur[0], cur[1])
-    union(cur[2], cur[3])
-    classes = sorted({find(e) for e in range(next_id)})
-    compact = {c: i for i, c in enumerate(classes)}
-
-    def eid(e: int) -> int:
-        return compact[find(e)]
+    caps = [(0, 1), (2, 3), (cur[0], cur[1]), (cur[2], cur[3])]
+    classes = union_classes(next_id, caps)
+    if len(classes) != next_id - len(caps):
+        raise ValueError("cap closes a crossing-free loop")
+    eid = {e: i for i, cls in enumerate(classes) for e in cls}
 
     slots: dict[int, list[tuple[int, int]]] = {}
     for ci, quad in enumerate(ends):
         for p, e in enumerate(quad):
-            slots.setdefault(eid(e), []).append((ci, p))
+            slots.setdefault(eid[e], []).append((ci, p))
 
     # Orient each component by walking straight through the crossings.
     in_slot: dict[int, tuple[int, int]] = {}
@@ -105,14 +88,14 @@ def twobridge_plat(quotients: list[int]) -> Diagram:
             in_slot[e] = entry
             ci, p = entry
             out_p = (p + 2) % 4
-            e2 = eid(ends[ci][out_p])
+            e2 = eid[ends[ci][out_p]]
             s1, s2 = slots[e2]
             entry = s2 if s1 == (ci, out_p) else s1
             e = e2
 
     crossings = []
     for ci, quad in enumerate(ends):
-        ids = [eid(e) for e in quad]
+        ids = [eid[e] for e in quad]
         op = over_pair[ci]
         under_positions = (1, 3) if op == (0, 2) else (0, 2)
         u_in = next(p for p in under_positions if in_slot[ids[p]] == (ci, p))

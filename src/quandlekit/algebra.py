@@ -195,50 +195,25 @@ def make_dihedral(n: int) -> RackTable:
     )
 
 
-def _poly_trim(p: list[int]) -> list[int]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mod(p: list[int], q: list[int], m: int) -> list[int]:
-    """Remainder of p modulo a monic q, coefficients in Z_m, constant first."""
-    p = [c % m for c in p]
-    deg_q = len(q) - 1
-    while len(_poly_trim(p)) > deg_q:
-        lead = p[-1]
-        shift = len(p) - 1 - deg_q
-        for i, c in enumerate(q):
-            p[shift + i] = (p[shift + i] - lead * c) % m
-        _poly_trim(p)
-    p = p + [0] * (deg_q - len(p))
-    return [c % m for c in p[:deg_q]]
-
-
-def _poly_mul(a: list[int], b: list[int], q: list[int], m: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1 or 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % m
-    return _poly_mod(out, q, m)
-
-
 def make_alexander(
     modulus: int, quotient_poly: Sequence[int], t_poly: Sequence[int]
 ) -> RackTable:
-    """The Alexander quandle Z_modulus[T]/(quotient_poly) with a*b = Ta + (1-T)b.
+    """The Alexander quandle Z_modulus[x]/(quotient_poly) with a*b = Ta + (1-T)b.
 
-    Polynomials are coefficient lists, constant term first.  Elements are the
-    coefficient vectors of the quotient ring, enumerated lexicographically
-    (leading coordinate most significant), so tables are reproducible.
+    Polynomials are coefficient lists, constant term first.  T is the
+    Z_modulus-linear map "multiplication by t_poly" on the coefficient
+    vectors of the quotient ring; its column k is t * x^k mod the quotient.
+    Elements are those vectors, enumerated lexicographically (constant
+    coefficient most significant), so tables are reproducible.
     """
     if modulus < 1:
         raise DomainError("modulus must be positive")
     m = modulus
     if m == 1:
         return RackTable(1, ((0,),), "alexander:1")
-    q = _poly_trim([c % m for c in quotient_poly])
+    q = [c % m for c in quotient_poly]
+    while q and q[-1] == 0:
+        q.pop()
     if not q:
         raise DomainError("quotient polynomial must be nonzero")
     # Normalize the quotient to be monic; its leading coefficient must be a unit.
@@ -252,41 +227,37 @@ def make_alexander(
     if deg < 1:
         raise DomainError("quotient polynomial must have degree >= 1")
 
-    t = _poly_mod([c % m for c in t_poly], q, m)
-    one = _poly_mod([1], q, m)
-    one_minus_t = [(a - b) % m for a, b in zip(one, t)]
+    def times_x(v: list[int]) -> list[int]:
+        # Shift up one place; the coefficient of x^deg is reduced by the monic q.
+        return [(c - v[-1] * d) % m for c, d in zip([0] + v[:-1], q)]
 
-    # Element i <-> coefficient vector, leading coordinate most significant.
-    n = m**deg
-
-    def vec(i: int) -> list[int]:
-        digits = []
-        for _ in range(deg):
-            digits.append(i % m)
-            i //= m
-        return digits[::-1]
+    col = [0] * deg  # t mod q, by Horner's rule
+    for c in reversed(t_poly):
+        col = times_x(col)
+        col[0] = (col[0] + c) % m
+    cols = [col]
+    for _ in range(deg - 1):
+        cols.append(times_x(cols[-1]))
 
     def idx(v: Sequence[int]) -> int:
         out = 0
         for c in v:
-            out = out * m + c % m
+            out = out * m + c
         return out
 
-    elements = [vec(i) for i in range(n)]
+    # Element i <-> its coefficient vector, constant coefficient most significant.
+    n = m**deg
+    elements = list(itertools.product(range(m), repeat=deg))
+    t_of = [[sum(c * col[r] for c, col in zip(e, cols)) % m for r in range(deg)]
+            for e in elements]
     # T must act bijectively, otherwise R1 fails.
-    t_images = {idx(_poly_mul(e, t, q, m)) for e in elements}
-    if len(t_images) != n:
+    if len({idx(v) for v in t_of}) != n:
         raise DomainError("T must be a unit in the quotient ring")
-
-    rows = []
-    for a in elements:
-        ta = _poly_mul(a, t, q, m)
-        row = []
-        for b in elements:
-            sb = _poly_mul(b, one_minus_t, q, m)
-            row.append(idx([(x + y) % m for x, y in zip(ta, sb)]))
-        rows.append(tuple(row))
-    return RackTable(n, tuple(rows), f"alexander:{m}:deg{deg}")
+    # a*b = Ta + (b - Tb)
+    s_of = [[(x - y) % m for x, y in zip(b, tb)] for b, tb in zip(elements, t_of)]
+    rows = tuple(tuple(idx([(x + y) % m for x, y in zip(ta, sb)]) for sb in s_of)
+                 for ta in t_of)
+    return RackTable(n, rows, f"alexander:{m}:deg{deg}")
 
 
 def _validate_group(table: Sequence[Sequence[int]]) -> tuple[int, list[int]]:

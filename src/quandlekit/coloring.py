@@ -276,12 +276,14 @@ def _streamed(
                 yield tuple(map(g.__getitem__, t))
 
 
-def enumerate_colorings(D: Diagram, X: RackTable) -> list[Coloring]:
+def enumerate_colorings(D: Diagram | BraidWord, X: RackTable) -> list[Coloring]:
     """All colorings of the diagram's arcs by X, in lexicographic order.
 
     X must be at least a rack; if it is not a quandle the results are data of
-    the blackboard-framed diagram only.
+    the blackboard-framed diagram only.  A braid word is listed on its closure.
     """
+    if isinstance(D, BraidWord):
+        D = braid_closure(D)
     return [Coloring(t) for t in _solve_relations(D, X)]
 
 
@@ -534,14 +536,18 @@ def _seeded_regions(
         yield colors, perms
 
 
-def enumerate_shadow_colorings(D: Diagram, X: RackTable) -> list[ShadowColoring]:
+def enumerate_shadow_colorings(
+    D: Diagram | BraidWord, X: RackTable
+) -> list[ShadowColoring]:
     """All shadow colorings: arc colorings extended over the regions.
 
     Ordered by arc coloring (lexicographic), then by the color of region 0.
     The region colors for every choice of region 0 come from one pass of
     the region core per arc coloring, so a diagram has |X| shadow colorings
-    per arc coloring.
+    per arc coloring.  A braid word is listed on its closure.
     """
+    if isinstance(D, BraidWord):
+        D = braid_closure(D)
     return [ShadowColoring(colors, regions)
             for colors, perms in _seeded_regions(D, X) for regions in zip(*perms)]
 
@@ -580,6 +586,12 @@ def lift_coloring(
         raise DomainError("cochain modulus does not match the extension modulus")
     if len(rho.colors) != D.n_arcs:
         raise DomainError("coloring does not match the diagram")
+    if not all(0 <= c < X.size for c in rho.colors):
+        raise DomainError(f"coloring has an entry outside 0..{X.size - 1}")
+    for rel in D.relations:
+        under, over = rho.colors[rel.from_under], rho.colors[rel.over]
+        if X.table[under][over] != rho.colors[rel.to_under]:
+            raise DomainError(f"coloring breaks the crossing relation at arc {rel.to_under}")
     check = _lift_verdict(X, phi.degree, phi.modulus, tuple(phi.values.items()))
     if not check:
         raise NonCocycleError(f"lift needs a 2-cocycle: {check.reason} at {check.witness}")

@@ -662,6 +662,10 @@ def parse_cochain(text: str) -> Cochain:
         degree, modulus = int(head[1]), int(head[2])
     except ValueError:
         raise ParseError("non-integer degree/modulus in cochain header") from None
+    if degree < 1:
+        raise ParseError("cochain degree must be at least 1")
+    if modulus < 1:
+        raise ParseError("cochain modulus must be at least 1")
     values: dict[tuple[int, ...], int] = {}
     for line in lines[1:]:
         toks = line.split()

@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,6 +87,101 @@ def test_alexander_r4_isomorphism():
     for a in range(4):
         for b in range(4):
             assert A.op(iso[a], iso[b]) == iso[R4.op(a, b)]
+
+
+def _reference_alexander(m, f, t):
+    """make_alexander's (size, table, name) from polynomial arithmetic in Z_m[x].
+
+    Each product is a schoolbook product reduced by long division by the
+    monic quotient; element i is the coefficient vector of its base-m digits,
+    constant coefficient most significant.
+    """
+    if m < 1:
+        raise DomainError("modulus must be positive")
+    if m == 1:
+        return 1, ((0,),), "alexander:1"
+    q = [c % m for c in f]
+    while q and not q[-1]:
+        q.pop()
+    if not q:
+        raise DomainError("quotient polynomial must be nonzero")
+    if gcd(q[-1], m) != 1:
+        raise DomainError("leading coefficient of the quotient must be a unit")
+    inv = pow(q[-1], -1, m)
+    q = [c * inv % m for c in q]
+    deg = len(q) - 1
+    if deg < 1:
+        raise DomainError("quotient polynomial must have degree >= 1")
+
+    def reduce(p):
+        p = [c % m for c in p] + [0] * deg
+        for top in range(len(p) - 1, deg - 1, -1):
+            c = p[top]
+            for i in range(deg + 1):
+                p[top - deg + i] = (p[top - deg + i] - c * q[i]) % m
+        return p[:deg]
+
+    def times(a, b):
+        out = [0] * (len(a) + len(b))
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return reduce(out)
+
+    n = m**deg
+    vecs = [[i // m ** (deg - 1 - k) % m for k in range(deg)] for i in range(n)]
+    index = {tuple(v): i for i, v in enumerate(vecs)}
+    tt = reduce(list(t))
+    one_minus_t = [c - d for c, d in zip(reduce([1]), tt)]
+    ta = [times(v, tt) for v in vecs]
+    if len({tuple(v) for v in ta}) != n:
+        raise DomainError("T must be a unit in the quotient ring")
+    sb = [times(v, one_minus_t) for v in vecs]
+    table = tuple(
+        tuple(index[tuple((x + y) % m for x, y in zip(a, b))] for b in sb) for a in ta
+    )
+    return n, table, f"alexander:{m}:deg{deg}"
+
+
+def _alexander_cases():
+    listed = [
+        (3, [1, 0, 1], [2]),  # A9
+        (3, [1, 0, 0, 1], [2]),  # A27
+        (2, [1, 1, 1], [0, 1]),  # S4
+        (2, [1, 0, 1], [0, 1]),
+        (3, [-2, 1], [2]),
+    ]
+    rng = random.Random(2003)
+    drawn = []
+    for _ in range(150):
+        m, deg = rng.randint(1, 7), rng.randint(0, 3)
+        lead = rng.choice([1, 1, 0, rng.randint(-m, 2 * m)])
+        f = [rng.randint(-m, 2 * m) for _ in range(deg)] + [lead]
+        t = [rng.randint(-m, 2 * m) for _ in range(rng.randint(0, 4))]
+        drawn.append((m, f, t))
+    return listed + drawn
+
+
+def test_alexander_matches_polynomial_reference():
+    # Differential oracle: make_alexander builds T's matrix once; the
+    # reference multiplies and reduces polynomials per element.
+    kinds = set()
+    for m, f, t in _alexander_cases():
+        try:
+            want = _reference_alexander(m, f, t)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as info:
+                make_alexander(m, f, t)
+            assert str(info.value) == str(exc), (m, f, t)
+            kinds.add(str(exc))
+            continue
+        X = make_alexander(m, f, t)
+        assert (X.size, X.table, X.name) == want, (m, f, t)
+        kinds.add(X.size > m)
+    assert kinds >= {True, False, "quotient polynomial must be nonzero",
+                     "leading coefficient of the quotient must be a unit",
+                     "quotient polynomial must have degree >= 1",
+                     "T must be a unit in the quotient ring"}
 
 
 def test_conjugation_quandle():

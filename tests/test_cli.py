@@ -418,6 +418,25 @@ def test_cocycles_degree_mismatch(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("header, message", [
+    ("cochain 0 3", "cochain degree must be at least 1"),
+    ("cochain -1 3", "cochain degree must be at least 1"),
+    ("cochain 2 0", "cochain modulus must be at least 1"),
+    ("cochain 3 -3", "cochain modulus must be at least 1"),
+    ("cochain x 3", "non-integer degree/modulus in cochain header"),
+])
+def test_cochain_header_values_are_parse_errors(tmp_path, capsys, header, message):
+    phi = tmp_path / "phi.cochain"
+    phi.write_text(header + "\n")
+    for argv in (("invariant", "trefoil.pd", "dihedral:3", str(phi)),
+                 ("cocycles", "dihedral:3", "--degree", "3", "--mod", "3",
+                  "--verify", str(phi))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert f"error: {message}" in err, argv
+        assert "#data" not in out, argv
+
+
 # --- generic behavior ----------------------------------------------------------------
 
 

@@ -29,7 +29,7 @@ from quandlekit.algebra import RackTable
 from quandlekit import coloring
 from quandlekit.coloring import _histogram, _orbit_fibers, _orbit_maps, _solve_relations
 from quandlekit.diagram import BraidWord, parse_braid_word
-from quandlekit.specs import read_data_file, resolve_rack
+from quandlekit.specs import read_data_file, resolve_diagram, resolve_rack
 
 from conftest import brute_force_colorings, brute_force_sheets, brute_force_shadows
 
@@ -285,6 +285,20 @@ def test_full_enumerations_search_only_root_fibers(monkeypatch, capsys):
 # --- shadow colorings ----------------------------------------------------------
 
 
+def test_enumerations_close_braid_words(r3):
+    # Torus and braid: specs resolve to a braid word; the listings close it.
+    A9 = resolve_rack("alexander:3:1,0,1:2")
+    for spec, closed in (
+        ("torus:3:4", torus_diagram(3, 4)),
+        ("braid:3: 1 -2 1 -2", braid_closure(parse_braid_word(3, "1 -2 1 -2"))),
+    ):
+        word = resolve_diagram(spec)
+        assert isinstance(word, BraidWord)
+        for X in (r3, A9):
+            assert enumerate_colorings(word, X) == enumerate_colorings(closed, X)
+            assert enumerate_shadow_colorings(word, X) == enumerate_shadow_colorings(closed, X)
+
+
 def test_unknot_shadow_colorings(r3):
     assert len(enumerate_shadow_colorings(parse_pd(""), r3)) == 9
 
@@ -453,6 +467,27 @@ def test_lift_checks_shape_before_the_cocycle_condition(monkeypatch, trefoil, r3
     for given, d, phi, message in cases:
         with pytest.raises(DomainError, match=message) as info:
             lift_coloring(trefoil, r3, given, d, phi)
+        assert not isinstance(info.value, NonCocycleError)
+
+
+def test_lift_rejects_what_is_not_a_coloring(monkeypatch, r3):
+    # Entries outside X and broken crossing relations are refused after the
+    # length check and before the cocycle check.
+    def refuse(*args):
+        raise AssertionError("is_cocycle ran before the coloring was checked")
+
+    monkeypatch.setattr(coloring, "is_cocycle", refuse)
+    D = torus_diagram(3, 4)
+    assert D.n_arcs == 8
+    phi = Cochain(2, 3, {})
+    cases = [
+        ((5,) * 8, "entry outside 0..2"),
+        ((0, 1, 0, 0, 0, 0, 0, 0), "breaks the crossing relation"),
+        ((-1,) * 8, "entry outside 0..2"),
+    ]
+    for colors, message in cases:
+        with pytest.raises(DomainError, match=message) as info:
+            lift_coloring(D, r3, Coloring(colors), 3, phi)
         assert not isinstance(info.value, NonCocycleError)
 
 

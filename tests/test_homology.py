@@ -584,6 +584,15 @@ def test_cochain_parse_errors():
     assert phi.values == {(0, 1): 2, (1, 0): 1}
 
 
+def test_cochain_header_bounds_parse_errors_constructor_domain_errors():
+    for degree, modulus in ((0, 3), (2, 0)):
+        with pytest.raises(ParseError):
+            parse_cochain(f"cochain {degree} {modulus}\n")
+        with pytest.raises(DomainError) as info:
+            Cochain(degree, modulus, {})
+        assert not isinstance(info.value, ParseError)
+
+
 def test_degree_zero_and_negative(r3):
     # chain groups vanish for n <= 0 by convention
     assert homology(r3, 0, "R") == AbelianGroup(0)
