@@ -204,7 +204,9 @@ def make_alexander(
     Z_modulus-linear map "multiplication by t_poly" on the coefficient
     vectors of the quotient ring; its column k is t * x^k mod the quotient.
     Elements are those vectors, enumerated lexicographically (constant
-    coefficient most significant), so tables are reproducible.
+    coefficient most significant), so tables are reproducible.  For modulus
+    > 1 the name is a spec of the same quandle: the monic quotient and t mod
+    the quotient, e.g. alexander:3:1,1:2 for alexander:3:-2,1:2.
     """
     if modulus < 1:
         raise DomainError("modulus must be positive")
@@ -257,7 +259,11 @@ def make_alexander(
     s_of = [[(x - y) % m for x, y in zip(b, tb)] for b, tb in zip(elements, t_of)]
     rows = tuple(tuple(idx([(x + y) % m for x, y in zip(ta, sb)]) for sb in s_of)
                  for ta in t_of)
-    return RackTable(n, rows, f"alexander:{m}:deg{deg}")
+    t = col[:]
+    while not t[-1]:  # T is a unit, so t mod q is nonzero
+        t.pop()
+    spec = ":".join(",".join(map(str, p)) for p in (q, t))
+    return RackTable(n, rows, f"alexander:{m}:{spec}")
 
 
 def _validate_group(table: Sequence[Sequence[int]]) -> tuple[int, list[int]]:

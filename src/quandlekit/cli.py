@@ -16,7 +16,7 @@ import sys
 import time
 from typing import Sequence
 
-from .coloring import _histogram, _solve_relations, enumerate_shadow_colorings
+from .coloring import _histogram, _seeded_regions, _solve_relations
 from .diagram import BraidWord, Diagram, SurfaceDiagramData, braid_closure
 from .errors import BudgetError, ParseError, QuandleKitError
 from .homology import (
@@ -48,51 +48,62 @@ def _digest_inputs(paths: Sequence[str]) -> None:
             print(f"# input {path} sha256:{digest}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser, with every subcommand or only the one named.
+
+    A parser with one subcommand prints that subcommand's help and errors as
+    the full one does; its usage line still lists every command.
+    """
     parser = argparse.ArgumentParser(
         prog="quandlekit",
         description="Finite quandles, knot colorings, homology and cocycle invariants.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = None if command is None else "{" + ",".join(_HANDLERS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    p = sub.add_parser("check", help="classify a rack/quandle/kei table")
-    p.add_argument("rack", help="builtin name (dihedral:3, ...) or table file")
-    p.add_argument("--file", action="store_true", help="force the spec to be a path")
+    if command in (None, "check"):
+        p = sub.add_parser("check", help="classify a rack/quandle/kei table")
+        p.add_argument("rack", help="builtin name (dihedral:3, ...) or table file")
+        p.add_argument("--file", action="store_true", help="force the spec to be a path")
 
-    p = sub.add_parser("color", help="count or list (shadow) colorings")
-    p.add_argument("diagram", help="diagram spec: file, torus:p:q or braid:s: w")
-    p.add_argument("rack", help="rack spec")
-    p.add_argument("--count", action="store_true", help="print the count (default)")
-    p.add_argument("--list", action="store_true", help="list every coloring")
-    p.add_argument("--shadow", action="store_true", help="shadow colorings instead")
-    p.add_argument("--surjective", action="store_true",
-                   help="restrict to colorings using every element")
-    p.add_argument("--file", action="store_true", help="force specs to be paths")
+    if command in (None, "color"):
+        p = sub.add_parser("color", help="count or list (shadow) colorings")
+        p.add_argument("diagram", help="diagram spec: file, torus:p:q or braid:s: w")
+        p.add_argument("rack", help="rack spec")
+        p.add_argument("--count", action="store_true", help="print the count (default)")
+        p.add_argument("--list", action="store_true", help="list every coloring")
+        p.add_argument("--shadow", action="store_true", help="shadow colorings instead")
+        p.add_argument("--surjective", action="store_true",
+                       help="restrict to colorings using every element")
+        p.add_argument("--file", action="store_true", help="force specs to be paths")
 
-    p = sub.add_parser("invariant", help="cocycle state-sum invariants")
-    p.add_argument("diagram", nargs="?", help="diagram or surface spec")
-    p.add_argument("rack", help="rack spec")
-    p.add_argument("cochain", help="cochain file")
-    p.add_argument("--mode", choices=["2", "shadow", "surface"],
-                   help="which state sum; inferred from the inputs if omitted")
-    p.add_argument("--braid", help="inline braid diagram, e.g. '2: 1 1 1'")
-    p.add_argument("--unsafe-no-cocycle-check", action="store_true",
-                   help="skip cocycle validation (output is NOT an invariant)")
-    p.add_argument("--file", action="store_true")
+    if command in (None, "invariant"):
+        p = sub.add_parser("invariant", help="cocycle state-sum invariants")
+        p.add_argument("diagram", nargs="?", help="diagram or surface spec")
+        p.add_argument("rack", help="rack spec")
+        p.add_argument("cochain", help="cochain file")
+        p.add_argument("--mode", choices=["2", "shadow", "surface"],
+                       help="which state sum; inferred from the inputs if omitted")
+        p.add_argument("--braid", help="inline braid diagram, e.g. '2: 1 1 1'")
+        p.add_argument("--unsafe-no-cocycle-check", action="store_true",
+                       help="skip cocycle validation (output is NOT an invariant)")
+        p.add_argument("--file", action="store_true")
 
-    p = sub.add_parser("homology", help="rack/degeneration/quandle homology")
-    p.add_argument("rack", help="rack spec")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--theory", choices=["R", "D", "Q"], default="Q")
-    p.add_argument("--mod", type=int, help="coefficients Z_d instead of Z")
-    p.add_argument("--file", action="store_true")
+    if command in (None, "homology"):
+        p = sub.add_parser("homology", help="rack/degeneration/quandle homology")
+        p.add_argument("rack", help="rack spec")
+        p.add_argument("--degree", type=int, required=True)
+        p.add_argument("--theory", choices=["R", "D", "Q"], default="Q")
+        p.add_argument("--mod", type=int, help="coefficients Z_d instead of Z")
+        p.add_argument("--file", action="store_true")
 
-    p = sub.add_parser("cocycles", help="cocycle/coboundary spaces and verification")
-    p.add_argument("rack", help="rack spec")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--mod", type=int, required=True)
-    p.add_argument("--verify", help="check one cochain file")
-    p.add_argument("--file", action="store_true")
+    if command in (None, "cocycles"):
+        p = sub.add_parser("cocycles", help="cocycle/coboundary spaces and verification")
+        p.add_argument("rack", help="rack spec")
+        p.add_argument("--degree", type=int, required=True)
+        p.add_argument("--mod", type=int, required=True)
+        p.add_argument("--verify", help="check one cochain file")
+        p.add_argument("--file", action="store_true")
     return parser
 
 
@@ -135,17 +146,21 @@ def _cmd_color(args: argparse.Namespace) -> int:
         target = braid_closure(target)
     name = [str(x) for x in range(X.size)].__getitem__
     if args.shadow:
-        # Consecutive shadow colorings of one arc coloring share its colors
-        # tuple, so the arc half of their rows is formatted once.
+        # The region core interns its region permutations, so each is named
+        # once; an arc coloring's |X| rows zip the named columns of its faces.
+        named: dict[tuple[int, ...], list[str]] = {}
         rows = []
-        arcs = None
-        for c in enumerate_shadow_colorings(target, X):
-            if c.colors is not arcs:
-                arcs = c.colors
-                keep = not args.surjective or len(set(arcs)) == X.size
-                head = " ".join(map(name, arcs)) + " | "
-            if keep:
-                rows.append(head + " ".join(map(name, c.region_colors)))
+        for colors, perms in _seeded_regions(target, X):
+            if args.surjective and len(set(colors)) != X.size:
+                continue
+            head = " ".join(map(name, colors)) + " | "
+            columns = []
+            for p in perms:
+                col = named.get(p)
+                if col is None:
+                    col = named[p] = list(map(name, p))
+                columns.append(col)
+            rows.extend([head + " ".join(col) for col in zip(*columns)])
     else:
         rows = [" ".join(map(name, colors)) for colors in _solve_relations(target, X)
                 if not args.surjective or len(set(colors)) == X.size]
@@ -273,7 +288,9 @@ _HANDLERS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    # Only the subcommand that will run needs its parser; top-level help and
+    # a missing or unknown command get the full one.
+    parser = _build_parser(argv[0] if argv and argv[0] in _HANDLERS else None)
     args = parser.parse_args(argv)
     started = time.perf_counter()
     _echo(argv)

@@ -12,10 +12,15 @@ connected diagram extends over the regions in exactly one way once the color
 of one region is chosen (Carter, Kamada and Saito, Geometric interpretations
 of quandle homology, JKTR 10, 2001), so a diagram has |X| shadow colorings
 per arc coloring.  The region core builds the extensions: per diagram it
-plans a spanning tree of the dual graph from region 0; per arc coloring it
-carries the region colors for all |X| choices of the region-0 color at
-once, one list per region, each got from its parent's list by one right
-translation.  Listings and the shadow state sum read that core.
+plans a spanning tree of the dual graph from region 0.  A region's colors
+for all |X| choices of the region-0 color form a permutation of X, its
+parent's followed by one right translation or its inverse, so an element of
+Inn(X).  The core interns these permutations, with a successor table from
+(permutation, translation) to permutation filled on first use: an arc
+coloring costs one lookup per tree face, a tuple is built only on a miss,
+and the table holds at most |Inn(X)| permutations (54 for the 27-element
+Alexander kei).  Listings and the shadow state sum read that core; the CLI
+listing names each interned permutation once.
 
 Every search runs one fiber per orbit.  Each right translation x -> x * y
 of a rack is an automorphism, so it maps the colorings with arc 0 (or sheet
@@ -510,7 +515,7 @@ def _region_plan(D: Diagram) -> list[tuple[int, int, int, bool]]:
 
 def _seeded_regions(
     D: Diagram, X: RackTable, roots: Sequence[int] | None = None, *, ordered: bool = True
-) -> Iterator[tuple[tuple[int, ...], list[list[int]]]]:
+) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
     """The region core: every arc coloring with its regions for all seeds.
 
     Yields (colors, perms) per arc coloring, in lexicographic order; roots,
@@ -518,22 +523,44 @@ def _seeded_regions(
     order, as in _solve_relations.  perms[f][s] is the color of face f when
     face 0 has color s (the seed): perms[0] is the identity, and each tree
     face applies one right translation x -> x * c, or its inverse, to its
-    parent's list.  By the extension fact (module docstring) every column
-    of perms is a shadow coloring.
+    parent's permutation, so every perms[f] lies in Inn(X).  By the
+    extension fact (module docstring) every column of perms is a shadow
+    coloring.
+
+    The permutations are interned: the core keeps each distinct one it meets
+    as a tuple with an index, and a successor table, filled on first use,
+    maps (index, translation) to an index, the translation being c for
+    x -> x * c and |X| + c for its inverse.  So an arc coloring costs one
+    lookup per tree face, and a tuple is built only on a miss; the table
+    holds at most min(|Inn(X)|, faces x arc colorings) permutations.
+    Consecutive yields share the tuples, which callers must not mutate.
     """
     X.require_quandle()
     n = X.size
-    right = [[X.table[x][c] for x in range(n)] for c in range(n)]
-    left = [[X.op_inv(x, c) for x in range(n)] for c in range(n)]
-    tree = _region_plan(D)
-    steps = [(f, parent, arc, right if forward else left) for f, parent, arc, forward in tree]
-    identity = list(range(n))
+    moves = ([[X.table[x][c] for x in range(n)] for c in range(n)]
+             + [[X.op_inv(x, c) for x in range(n)] for c in range(n)])
+    steps = [(f, parent, arc, 0 if forward else n)
+             for f, parent, arc, forward in _region_plan(D)]
+    n_faces = D.n_faces
+    perms = [tuple(range(n))]  # interned permutation index -> tuple
+    index = {perms[0]: 0}
+    succ = [[-1] * (2 * n)]  # succ[i][t]: index of perms[i] followed by translation t
     for colors in _solve_relations(D, X, roots, ordered=ordered):
-        perms: list[list[int]] = [identity] * D.n_faces
-        for f, parent, arc, cols in steps:
-            col = cols[colors[arc]]
-            perms[f] = [col[x] for x in perms[parent]]
-        yield colors, perms
+        at = [0] * n_faces
+        for f, parent, arc, shift in steps:
+            i = at[parent]
+            t = colors[arc] + shift
+            j = succ[i][t]
+            if j < 0:
+                move = moves[t]
+                p = tuple([move[x] for x in perms[i]])
+                j = index.setdefault(p, len(perms))
+                if j == len(perms):
+                    perms.append(p)
+                    succ.append([-1] * (2 * n))
+                succ[i][t] = j
+            at[f] = j
+        yield colors, [perms[j] for j in at]
 
 
 def enumerate_shadow_colorings(
@@ -572,14 +599,17 @@ def _lift_verdict(
 
 
 def lift_coloring(
-    D: Diagram, X: RackTable, rho: Coloring, d: int, phi: Cochain
+    D: Diagram | BraidWord, X: RackTable, rho: Coloring, d: int, phi: Cochain
 ) -> list[Coloring]:
     """Colorings of D by the abelian extension E(X, Z_d, phi) lying over rho.
 
     The lift condition is an affine constraint on the Z_d part along the
     under-strands; it is solvable for all seeds or for none, so the result
-    has either 0 or d^(free classes) elements.
+    has either 0 or d^(free classes) elements.  A braid word is lifted on
+    its closure.
     """
+    if isinstance(D, BraidWord):
+        D = braid_closure(D)
     if phi.degree != 2:
         raise DomainError("lift needs a degree-2 cochain")
     if phi.modulus != d:

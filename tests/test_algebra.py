@@ -27,6 +27,7 @@ from quandlekit import (
     make_trivial,
     parse_rack_table,
 )
+from quandlekit.specs import resolve_rack
 from quandlekit.algebra import (
     RackTable,
     evaluate_rack_word,
@@ -140,7 +141,9 @@ def _reference_alexander(m, f, t):
     table = tuple(
         tuple(index[tuple((x + y) % m for x, y in zip(a, b))] for b in sb) for a in ta
     )
-    return n, table, f"alexander:{m}:deg{deg}"
+    while not tt[-1]:
+        tt.pop()
+    return n, table, f"alexander:{m}:{','.join(map(str, q))}:{','.join(map(str, tt))}"
 
 
 def _alexander_cases():
@@ -177,6 +180,8 @@ def test_alexander_matches_polynomial_reference():
             continue
         X = make_alexander(m, f, t)
         assert (X.size, X.table, X.name) == want, (m, f, t)
+        if m > 1:  # the name is a spec of the same quandle
+            assert resolve_rack(X.name).table == X.table, (m, f, t)
         kinds.add(X.size > m)
     assert kinds >= {True, False, "quotient polynomial must be nonzero",
                      "leading coefficient of the quotient must be a unit",

@@ -22,6 +22,52 @@ def payload(stdout):
     return [line for line in stdout.splitlines() if not line.startswith("#")]
 
 
+# --- argument parsing ----------------------------------------------------------------
+
+
+_PARSE_CASES = [
+    ["--help"], [], ["bogus"], ["-x"],
+    *([cmd, "--help"] for cmd in ("check", "color", "invariant", "homology", "cocycles")),
+    *([cmd] for cmd in ("check", "color", "invariant", "homology", "cocycles")),
+    ["check", "dihedral:3", "--bogus"],
+    ["color", "trefoil.pd", "dihedral:3", "--bogus"],
+    ["invariant", "trefoil.pd", "dihedral:3", "c.cochain", "--mode", "4"],
+    ["homology", "dihedral:3", "--degree", "two"],
+    ["homology", "dihedral:3", "--degree", "2", "--theory", "X"],
+    ["cocycles", "dihedral:3", "--degree", "2", "--mod", "3", "extra"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSE_CASES, ids=" ".join)
+def test_main_parses_as_the_full_parser(capsys, argv):
+    # main builds only the named subcommand's parser; help, usage errors and
+    # their exit codes are those of the parser with every subcommand.
+    with pytest.raises(SystemExit) as full:
+        cli._build_parser().parse_args(argv)
+    want = capsys.readouterr()
+    with pytest.raises(SystemExit) as got:
+        main(argv)
+    assert (got.value.code, capsys.readouterr()) == (full.value.code, want)
+
+
+def test_main_builds_only_the_named_subparser(monkeypatch, capsys):
+    import argparse
+
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    assert run(capsys, "check", "dihedral:3")[0] == 0
+    assert built == ["check"]
+    with pytest.raises(SystemExit):
+        main(["bogus"])
+    assert built == ["check", "check", "color", "invariant", "homology", "cocycles"]
+
+
 # --- check -----------------------------------------------------------------------
 
 
@@ -115,7 +161,8 @@ def test_color_count_does_not_enumerate(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("must not build the coloring list")
 
-    names = ("enumerate_colorings", "enumerate_shadow_colorings", "enumerate_surface_colorings")
+    names = ("enumerate_colorings", "enumerate_shadow_colorings", "enumerate_surface_colorings",
+             "Coloring", "ShadowColoring", "SurfaceColoring")
     for module in (cli, coloring):
         for name in names:
             monkeypatch.setattr(module, name, refuse, raising=False)
@@ -133,12 +180,11 @@ def test_color_count_does_not_enumerate(monkeypatch, capsys):
         assert code == 0, argv
         assert payload(out) == [f"{label}: {count}"], argv
         assert f"#data {label} {count}" in out, argv
-        # Arc and sheet listings format their rows straight from the search;
-        # a shadow listing reads enumerate_shadow_colorings.
-        if "--shadow" not in argv:
-            code, out, _ = run(capsys, "color", *argv, "--list")
-            assert code == 0, argv
-            assert len(payload(out)) == 1 + count, argv
+        # Arc and sheet listings format their rows straight from the search,
+        # shadow listings straight from the region core: no coloring objects.
+        code, out, _ = run(capsys, "color", *argv, "--list")
+        assert code == 0, argv
+        assert len(payload(out)) == 1 + count, argv
 
 
 def test_color_list_and_surjective(capsys):
@@ -328,6 +374,16 @@ def test_homology_trivial2(capsys):
     code, out, _ = run(capsys, "homology", "trivial:2", "--degree", "2", "--theory", "Q")
     assert code == 0
     assert "= Z^2" in out
+
+
+def test_homology_names_the_alexander_quandle(capsys):
+    # The label is the normalised spec: quotient made monic, T as t mod it.
+    cases = [("alexander:3:1,0,1:2", "H_2^Q(alexander:3:1,0,1:2) = Z_3"),
+             ("alexander:3:1,0,1:1,1", "H_2^Q(alexander:3:1,0,1:1,1) = 0"),
+             ("alexander:3:-2,1:2", "H_2^Q(alexander:3:1,1:2) = 0")]
+    for spec, line in cases:
+        code, out, _ = run(capsys, "homology", spec, "--degree", "2", "--theory", "Q")
+        assert (code, payload(out)) == (0, [line]), spec
 
 
 def test_homology_mod_prime(capsys):
@@ -690,6 +746,8 @@ _GOLDEN_RACKS = {"S4": "alexander:2:1,1,1:0,1", "A9": "alexander:3:1,0,1:2",
     # Listings.
     ("color torus:3:6 dihedral:3 --list --surjective", 0, "92bae781e629f3e2"),
     ("color torus:2:3 dihedral:3 --shadow --list", 0, "fbf855aae8e318fe"),
+    ("color trefoil.pd {A27} --shadow --list", 0, "38dd4ed3e848329a"),
+    ("color torus:3:12 {A9} --shadow --list --surjective", 0, "4e3471a00a138773"),
 ])
 def test_count_and_sum_stdout_is_golden(tmp_path, capsys, command, code, digest):
     """Exit code and stdout of count and sum commands, whichever path they take.

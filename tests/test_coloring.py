@@ -369,6 +369,73 @@ def test_shadow_extension_fact_on_bundled_knots(knot_table):
         _check_shadows_against_oracle(D)
 
 
+# --- the interned region core ---------------------------------------------------------
+
+
+_REGION_CORE_QUANDLES = tuple(resolve_rack(spec) for spec in (
+    "dihedral:3", "dihedral:5", "alexander:3:1,0,1:2", "alexander:3:1,0,0,1:2",
+    "alexander:2:1,1,1:0,1", "dihedral:4"))
+
+
+def _per_face_regions(D, X, roots, ordered):
+    """The region core rebuilt plainly: one new list per tree face per arc coloring."""
+    plan = coloring._region_plan(D)
+    for colors in _solve_relations(D, X, roots, ordered=ordered):
+        perms = [list(range(X.size))] * D.n_faces
+        for f, parent, arc, forward in plan:
+            c = colors[arc]
+            step = (lambda x: X.op(x, c)) if forward else (lambda x: X.op_inv(x, c))
+            perms[f] = [step(x) for x in perms[parent]]
+        yield colors, [tuple(p) for p in perms]
+
+
+def _check_region_core(D):
+    """_seeded_regions equals the per-face rebuild in every stream mode, interned."""
+    for X in _REGION_CORE_QUANDLES:
+        for roots in (None, _orbit_fibers(X)[0]):
+            for ordered in (True, False):
+                got = list(coloring._seeded_regions(D, X, roots, ordered=ordered))
+                want = list(_per_face_regions(D, X, roots, ordered))
+                assert got == want, (D.label, X.label, roots, ordered)
+                # Equal permutations are one interned tuple (all are kept
+                # alive in got, so their ids are distinct objects).
+                perms = [p for _, ps in got for p in ps]
+                assert len({id(p) for p in perms}) == len(set(perms)), (D.label, X.label)
+
+
+@settings(max_examples=20, deadline=None)
+@given(word=_connected_braids().filter(lambda w: w.strands <= 3))
+def test_region_core_matches_per_face_rebuild_on_braid_closures(word):
+    # At most 3 strands keeps the A27 streams at most 27^3 arc colorings.
+    D = braid_closure(word)
+    for E in (D, mirror(D)):
+        _check_region_core(E)
+
+
+def test_region_core_matches_per_face_rebuild_on_bundled_knots(knot_table):
+    for D in knot_table.values():
+        _check_region_core(D)
+
+
+def test_region_core_interns_within_inn_x():
+    # Every region permutation is a product of right translations, so the
+    # core meets at most |Inn(X)| distinct ones: 54 for A27 = Z_3^3 with T = 2.
+    X = _REGION_CORE_QUANDLES[3]
+    D = braid_closure(parse_braid_word(3, "1 2 1 2 1 2 1 2"))
+    met = {p for _, perms in coloring._seeded_regions(D, X) for p in perms}
+    inn = {tuple(range(X.size))}
+    frontier = list(inn)
+    while frontier:
+        g = frontier.pop()
+        for c in range(X.size):
+            h = tuple(X.op(x, c) for x in g)
+            if h not in inn:
+                inn.add(h)
+                frontier.append(h)
+    assert len(inn) == 54
+    assert met <= inn
+
+
 def test_shadow_colorings_satisfy_face_condition(trefoil, r3):
     for s in enumerate_shadow_colorings(trefoil, r3):
         for src, dst, arc in trefoil.face_transitions():
@@ -489,6 +556,18 @@ def test_lift_rejects_what_is_not_a_coloring(monkeypatch, r3):
         with pytest.raises(DomainError, match=message) as info:
             lift_coloring(D, r3, Coloring(colors), 3, phi)
         assert not isinstance(info.value, NonCocycleError)
+
+
+def test_lift_closes_braid_words(r3):
+    # torus: specs resolve to a braid word; it is lifted on its closure.
+    word = resolve_diagram("torus:3:4")
+    assert isinstance(word, BraidWord)
+    closed = braid_closure(word)
+    mu = Cochain(1, 3, {(0,): 1, (2,): 2})
+    for phi in (Cochain(2, 3, {}), coboundary(r3, mu, "Q")):
+        for rho in enumerate_colorings(word, r3):
+            lifts = lift_coloring(word, r3, rho, 3, phi)
+            assert lifts and lifts == lift_coloring(closed, r3, rho, 3, phi)
 
 
 def test_lift_matches_extension_colorings(trefoil, r3):
