@@ -16,7 +16,7 @@ import sys
 import time
 from typing import Sequence
 
-from .coloring import _histogram, _seeded_regions, _solve_relations
+from .coloring import _histogram, _solve_relations, enumerate_shadow_colorings
 from .diagram import BraidWord, Diagram, SurfaceDiagramData, braid_closure
 from .errors import BudgetError, ParseError, QuandleKitError
 from .homology import (
@@ -146,21 +146,17 @@ def _cmd_color(args: argparse.Namespace) -> int:
         target = braid_closure(target)
     name = [str(x) for x in range(X.size)].__getitem__
     if args.shadow:
-        # The region core interns its region permutations, so each is named
-        # once; an arc coloring's |X| rows zip the named columns of its faces.
-        named: dict[tuple[int, ...], list[str]] = {}
+        # The shadow colorings come as the region core's table of interned
+        # permutations and one index per face: each permutation is named
+        # once, and an arc coloring's |X| rows zip the named columns.
+        shadows = enumerate_shadow_colorings(target, X)
+        named = [list(map(name, p)) for p in shadows.perms]
         rows = []
-        for colors, perms in _seeded_regions(target, X):
+        for colors, at in shadows.rows:
             if args.surjective and len(set(colors)) != X.size:
                 continue
             head = " ".join(map(name, colors)) + " | "
-            columns = []
-            for p in perms:
-                col = named.get(p)
-                if col is None:
-                    col = named[p] = list(map(name, p))
-                columns.append(col)
-            rows.extend([head + " ".join(col) for col in zip(*columns)])
+            rows.extend([head + " ".join(col) for col in zip(*[named[j] for j in at])])
     else:
         rows = [" ".join(map(name, colors)) for colors in _solve_relations(target, X)
                 if not args.surjective or len(set(colors)) == X.size]

@@ -15,12 +15,14 @@ per arc coloring.  The region core builds the extensions: per diagram it
 plans a spanning tree of the dual graph from region 0.  A region's colors
 for all |X| choices of the region-0 color form a permutation of X, its
 parent's followed by one right translation or its inverse, so an element of
-Inn(X).  The core interns these permutations, with a successor table from
-(permutation, translation) to permutation filled on first use: an arc
-coloring costs one lookup per tree face, a tuple is built only on a miss,
-and the table holds at most |Inn(X)| permutations (54 for the 27-element
-Alexander kei).  Listings and the shadow state sum read that core; the CLI
-listing names each interned permutation once.
+Inn(X).  The core interns these permutations in a table, with a successor
+table from (permutation, translation) to permutation filled on first use:
+an arc coloring costs one lookup per tree face, and a tuple is built only on
+a miss.  A listing keeps one table, of at most |Inn(X)| permutations (54 for
+the 27-element Alexander kei), and reads each face's permutation by its
+index; a sum interns the first faces x |X| permutations only and builds any
+other for the one arc coloring that needs it, so its memory stays bounded
+by its inputs.
 
 Every search runs one fiber per orbit.  Each right translation x -> x * y
 of a rack is an automorphism, so it maps the colorings with arc 0 (or sheet
@@ -63,6 +65,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import abc
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -89,6 +92,31 @@ class Coloring:
 class ShadowColoring:
     colors: tuple[int, ...]
     region_colors: tuple[int, ...]
+
+
+class ShadowColorings(abc.Sequence[ShadowColoring]):
+    """The shadow colorings of a diagram, held as the region core gives them.
+
+    rows lists (colors, at) per arc coloring and perms is the core's table:
+    with region 0 colored s, face f has color perms[at[f]][s].  The items
+    are ShadowColoring objects, built on access, ordered by arc coloring,
+    then by s.
+    """
+
+    def __init__(self, size: int, perms: list[tuple[int, ...]],
+                 rows: list[tuple[tuple[int, ...], list[int]]]) -> None:
+        self.size, self.perms, self.rows = size, perms, rows
+
+    def __len__(self) -> int:
+        return self.size * len(self.rows)
+
+    def __getitem__(self, k: int) -> ShadowColoring:
+        colors, at = self.rows[k // self.size]  # floor division: k < 0 counts from the end
+        s = k % self.size
+        return ShadowColoring(colors, tuple([self.perms[j][s] for j in at]))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, abc.Sequence) and list(self) == list(other)
 
 
 @dataclass(frozen=True)
@@ -513,27 +541,32 @@ def _region_plan(D: Diagram) -> list[tuple[int, int, int, bool]]:
     return tree
 
 
-def _seeded_regions(
+def _region_core(
     D: Diagram, X: RackTable, roots: Sequence[int] | None = None, *, ordered: bool = True
-) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
+) -> Iterator[tuple[tuple[int, ...], list[int], list[tuple[int, ...]]]]:
     """The region core: every arc coloring with its regions for all seeds.
 
-    Yields (colors, perms) per arc coloring, in lexicographic order; roots,
-    if given, restricts the color of arc 0, and ordered=False drops the
-    order, as in _solve_relations.  perms[f][s] is the color of face f when
-    face 0 has color s (the seed): perms[0] is the identity, and each tree
-    face applies one right translation x -> x * c, or its inverse, to its
-    parent's permutation, so every perms[f] lies in Inn(X).  By the
-    extension fact (module docstring) every column of perms is a shadow
-    coloring.
+    Yields (colors, at, perms) per arc coloring, in lexicographic order;
+    roots, if given, restricts the color of arc 0, and ordered=False drops
+    the order, as in _solve_relations.  perms is a table of permutations and
+    face f has color perms[at[f]][s] when face 0 has color s (the seed):
+    perms[0] is the identity, at[0] = 0, and each tree face applies one right
+    translation x -> x * c, or its inverse, to its parent's permutation, so
+    every permutation lies in Inn(X).  By the extension fact (module
+    docstring) every seed gives a shadow coloring.
 
-    The permutations are interned: the core keeps each distinct one it meets
-    as a tuple with an index, and a successor table, filled on first use,
-    maps (index, translation) to an index, the translation being c for
-    x -> x * c and |X| + c for its inverse.  So an arc coloring costs one
-    lookup per tree face, and a tuple is built only on a miss; the table
-    holds at most min(|Inn(X)|, faces x arc colorings) permutations.
-    Consecutive yields share the tuples, which callers must not mutate.
+    The permutations are interned: the table keeps each distinct one the
+    core meets, up to the limit below, and a successor table, filled on
+    first use, maps (index, translation) to an index, the translation being
+    c for x -> x * c and |X| + c for its inverse.  So an arc coloring costs
+    one lookup per tree face, and a tuple is built only on a miss.  An
+    ordered stream feeds a listing, which holds every shadow coloring
+    anyway: its table keeps every permutation, at most min(|Inn(X)|, faces
+    x arc colorings), and only grows, so a yielded index stays valid.  An
+    unordered stream feeds a sum: its table interns the first faces x |X|
+    permutations only.  A permutation missing from a full table is appended
+    for the one arc coloring and dropped after the yield, so the caller
+    reads it before the next.  Callers must not mutate the table.
     """
     X.require_quandle()
     n = X.size
@@ -542,9 +575,11 @@ def _seeded_regions(
     steps = [(f, parent, arc, 0 if forward else n)
              for f, parent, arc, forward in _region_plan(D)]
     n_faces = D.n_faces
-    perms = [tuple(range(n))]  # interned permutation index -> tuple
-    index = {perms[0]: 0}
+    limit = n_faces * n if not ordered else float("inf")  # interned permutations
+    perms = [tuple(range(n))]  # permutation index -> tuple
+    index = {perms[0]: 0}  # interned tuple -> index
     succ = [[-1] * (2 * n)]  # succ[i][t]: index of perms[i] followed by translation t
+    unknown = [-1] * (2 * n)  # the successors of an appended permutation, never written
     for colors in _solve_relations(D, X, roots, ordered=ordered):
         at = [0] * n_faces
         for f, parent, arc, shift in steps:
@@ -554,29 +589,54 @@ def _seeded_regions(
             if j < 0:
                 move = moves[t]
                 p = tuple([move[x] for x in perms[i]])
-                j = index.setdefault(p, len(perms))
-                if j == len(perms):
+                j = index.get(p, -1)
+                if j < 0:
+                    j = len(perms)
                     perms.append(p)
-                    succ.append([-1] * (2 * n))
-                succ[i][t] = j
+                    if j < limit:
+                        index[p] = j
+                        succ.append([-1] * (2 * n))
+                    else:
+                        succ.append(unknown)
+                if j < limit and i < limit:
+                    succ[i][t] = j
             at[f] = j
+        yield colors, at, perms
+        if len(perms) > limit:
+            del perms[limit:], succ[limit:]
+
+
+def _seeded_regions(
+    D: Diagram, X: RackTable, roots: Sequence[int] | None = None, *, ordered: bool = True
+) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
+    """The region core read through its table: (colors, perms) per arc coloring.
+
+    perms[f][s] is the color of face f when face 0 has color s, so every
+    column of perms is a shadow coloring.  Interned permutations are shared
+    tuples.
+    """
+    for colors, at, perms in _region_core(D, X, roots, ordered=ordered):
         yield colors, [perms[j] for j in at]
 
 
 def enumerate_shadow_colorings(
     D: Diagram | BraidWord, X: RackTable
-) -> list[ShadowColoring]:
+) -> ShadowColorings:
     """All shadow colorings: arc colorings extended over the regions.
 
     Ordered by arc coloring (lexicographic), then by the color of region 0.
     The region colors for every choice of region 0 come from one pass of
     the region core per arc coloring, so a diagram has |X| shadow colorings
-    per arc coloring.  A braid word is listed on its closure.
+    per arc coloring; they are kept as the core's table and one index per
+    face per arc coloring.  A braid word is listed on its closure.
     """
     if isinstance(D, BraidWord):
         D = braid_closure(D)
-    return [ShadowColoring(colors, regions)
-            for colors, perms in _seeded_regions(D, X) for regions in zip(*perms)]
+    rows: list[tuple[tuple[int, ...], list[int]]] = []
+    perms: list[tuple[int, ...]] = []
+    for colors, at, perms in _region_core(D, X):  # an ordered stream keeps one table
+        rows.append((colors, at))
+    return ShadowColorings(X.size, perms, rows)
 
 
 def enumerate_surface_colorings(

@@ -161,6 +161,7 @@ def test_color_count_does_not_enumerate(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("must not build the coloring list")
 
+    listing = coloring.enumerate_shadow_colorings
     names = ("enumerate_colorings", "enumerate_shadow_colorings", "enumerate_surface_colorings",
              "Coloring", "ShadowColoring", "SurfaceColoring")
     for module in (cli, coloring):
@@ -181,8 +182,11 @@ def test_color_count_does_not_enumerate(monkeypatch, capsys):
         assert payload(out) == [f"{label}: {count}"], argv
         assert f"#data {label} {count}" in out, argv
         # Arc and sheet listings format their rows straight from the search,
-        # shadow listings straight from the region core: no coloring objects.
-        code, out, _ = run(capsys, "color", *argv, "--list")
+        # shadow listings from the region core's table that
+        # enumerate_shadow_colorings keeps: no coloring objects.
+        with monkeypatch.context() as m:
+            m.setattr(cli, "enumerate_shadow_colorings", listing)
+            code, out, _ = run(capsys, "color", *argv, "--list")
         assert code == 0, argv
         assert len(payload(out)) == 1 + count, argv
 

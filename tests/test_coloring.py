@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -390,17 +392,19 @@ def _per_face_regions(D, X, roots, ordered):
 
 
 def _check_region_core(D):
-    """_seeded_regions equals the per-face rebuild in every stream mode, interned."""
+    """The region core equals the per-face rebuild in every stream mode, interned."""
     for X in _REGION_CORE_QUANDLES:
         for roots in (None, _orbit_fibers(X)[0]):
             for ordered in (True, False):
-                got = list(coloring._seeded_regions(D, X, roots, ordered=ordered))
+                # Read each yield before the next, as the stream's callers do.
+                got, tables = [], set()
+                for c, at, perms in coloring._region_core(D, X, roots, ordered=ordered):
+                    got.append((c, [perms[j] for j in at]))
+                    tables.add(id(perms))
                 want = list(_per_face_regions(D, X, roots, ordered))
                 assert got == want, (D.label, X.label, roots, ordered)
-                # Equal permutations are one interned tuple (all are kept
-                # alive in got, so their ids are distinct objects).
-                perms = [p for _, ps in got for p in ps]
-                assert len({id(p) for p in perms}) == len(set(perms)), (D.label, X.label)
+                # One table, holding each permutation it interned once.
+                assert len(tables) == 1 and len(set(perms)) == len(perms), (D.label, X.label)
 
 
 @settings(max_examples=20, deadline=None)
@@ -434,6 +438,52 @@ def test_region_core_interns_within_inn_x():
                 frontier.append(h)
     assert len(inn) == 54
     assert met <= inn
+
+
+def _transpositions(m):
+    """The transpositions of S_m under conjugation: |X| = m(m-1)/2, Inn(X) = S_m."""
+    pairs = list(itertools.combinations(range(m), 2))
+    pos = {p: k for k, p in enumerate(pairs)}
+
+    def conj(a, b):  # b a b^-1 swaps b's two points inside a
+        swap = {b[0]: b[1], b[1]: b[0]}
+        return pos[tuple(sorted(swap.get(x, x) for x in a))]
+
+    return RackTable(len(pairs), tuple(tuple(conj(a, b) for b in pairs) for a in pairs),
+                     f"transpositions:{m}")
+
+
+def test_sum_stream_interns_at_most_faces_times_x():
+    # Inn(X) = S_6 has 720 elements; T(3, 4) meets 191 of them, more than
+    # faces x |X| = 150.  The unordered stream of a sum interns 150 and
+    # builds the others per arc coloring; the ordered stream of a listing
+    # interns all.
+    X = _transpositions(6)
+    D = torus_diagram(3, 4)
+    limit = D.n_faces * X.size
+    for ordered in (True, False):
+        got, sizes = [], []
+        for c, at, perms in coloring._region_core(D, X, ordered=ordered):
+            got.append((c, [perms[j] for j in at]))
+            sizes.append(len(perms))
+        assert got == list(_per_face_regions(D, X, None, ordered)), ordered
+        if ordered:
+            assert len(perms) == len(set(perms)) > limit
+        else:
+            assert len(perms) == len(set(perms)) == limit
+            assert limit < max(sizes) < limit + D.n_faces
+
+
+def test_shadow_colorings_are_a_sequence(trefoil):
+    X = resolve_rack("alexander:3:1,0,1:2")
+    shadows = enumerate_shadow_colorings(trefoil, X)
+    items = list(shadows)
+    assert len(shadows) == len(items) == X.size * count_colorings(trefoil, X)
+    assert [shadows[k] for k in range(-len(items), len(items))] == items + items
+    assert shadows == items and items == shadows and shadows != items[:-1]
+    for k in (len(items), -len(items) - 1):
+        with pytest.raises(IndexError):
+            shadows[k]
 
 
 def test_shadow_colorings_satisfy_face_condition(trefoil, r3):
