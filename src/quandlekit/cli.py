@@ -16,7 +16,7 @@ import sys
 import time
 from typing import Sequence
 
-from .coloring import _histogram, _solve_relations, enumerate_shadow_colorings
+from .coloring import _coloring_words, _histogram, enumerate_shadow_colorings
 from .diagram import BraidWord, Diagram, SurfaceDiagramData, braid_closure
 from .errors import BudgetError, ParseError, QuandleKitError
 from .homology import (
@@ -140,12 +140,12 @@ def _cmd_color(args: argparse.Namespace) -> int:
         return 0
     # A listing reads the full stream of colorings once, in its lexicographic
     # order, and its length is the count.  Arc and sheet rows are formatted
-    # straight from the stream, without Coloring objects, each color through
-    # one table of names.
+    # straight from the stream's words, without Coloring objects, each word
+    # with one translate through a table of names.
     if isinstance(target, BraidWord):
         target = braid_closure(target)
-    name = [str(x) for x in range(X.size)].__getitem__
     if args.shadow:
+        name = [str(x) for x in range(X.size)].__getitem__
         # The shadow colorings come as the region core's table of interned
         # permutations and one index per face: each permutation is named
         # once, and an arc coloring's |X| rows zip the named columns.
@@ -158,8 +158,9 @@ def _cmd_color(args: argparse.Namespace) -> int:
             head = " ".join(map(name, colors)) + " | "
             rows.extend([head + " ".join(col) for col in zip(*[named[j] for j in at])])
     else:
-        rows = [" ".join(map(name, colors)) for colors in _solve_relations(target, X)
-                if not args.surjective or len(set(colors)) == X.size]
+        spaced = [" " + str(x) for x in range(X.size)]  # [1:] drops the first space
+        rows = [w.translate(spaced)[1:] for w in _coloring_words(target, X)
+                if not args.surjective or len(set(w)) == X.size]
     print(f"{label}: {len(rows)}")
     print(f"#data {label} {len(rows)}")
     sys.stdout.writelines([f"{i}: {row}\n" for i, row in enumerate(rows)])

@@ -31,8 +31,13 @@ orbit are equally large (_orbit_fibers), and the translations preserve
 surjectivity and a cocycle's weight.  Everything that needs every coloring
 reads the full stream of _solve_relations: it searches the same root
 fibers and maps each onto the other fibers of its orbit by inner
-automorphisms (_orbit_maps), sorting each mapped fiber, so the stream keeps
-its lexicographic order.  Callers that only add up weights ask for it
+automorphisms (_orbit_maps).  This ordered stream carries each coloring
+as a word, a str whose code point i is the color of variable i: a fiber
+is mapped with one str.translate per word and sorted as strs, so the
+per-color work runs in C, and the stream keeps its lexicographic order
+(all its words are equally long).  A listing formats the words as they
+come (_coloring_words); the enumerators and the region core read them
+back as tuples.  Callers that only add up weights ask for the stream
 unordered: each solution of a root's search is followed at once by its
 images, and no fiber is kept or sorted.
 
@@ -67,7 +72,7 @@ import functools
 import itertools
 from collections import abc
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence, overload
 
 from .algebra import RackTable
 from .diagram import BraidWord, Diagram, SurfaceDiagramData, braid_closure
@@ -100,7 +105,7 @@ class ShadowColorings(abc.Sequence[ShadowColoring]):
     rows lists (colors, at) per arc coloring and perms is the core's table:
     with region 0 colored s, face f has color perms[at[f]][s].  The items
     are ShadowColoring objects, built on access, ordered by arc coloring,
-    then by s.
+    then by s; a slice gives a list of them.
     """
 
     def __init__(self, size: int, perms: list[tuple[int, ...]],
@@ -110,7 +115,15 @@ class ShadowColorings(abc.Sequence[ShadowColoring]):
     def __len__(self) -> int:
         return self.size * len(self.rows)
 
-    def __getitem__(self, k: int) -> ShadowColoring:
+    @overload
+    def __getitem__(self, k: int) -> ShadowColoring: ...
+
+    @overload
+    def __getitem__(self, k: slice) -> list[ShadowColoring]: ...
+
+    def __getitem__(self, k: int | slice) -> ShadowColoring | list[ShadowColoring]:
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
         colors, at = self.rows[k // self.size]  # floor division: k < 0 counts from the end
         s = k % self.size
         return ShadowColoring(colors, tuple([self.perms[j][s] for j in at]))
@@ -140,9 +153,36 @@ def _solve_relations(
     (_search) covers just their fibers.  Without roots the stream holds every
     coloring, but the search still runs only at the least color of each
     Inn(X) orbit; the other fibers are that fiber mapped by inner
-    automorphisms (_transported).  With ordered=False that full stream comes
-    in no set order, each solution followed by its images, in O(1) memory
-    (for callers that only add up weights).
+    automorphisms (_transported), and the words of _coloring_words are read
+    back as tuples.  With ordered=False that full stream comes in no set
+    order, each solution followed by its images, in O(1) memory (for callers
+    that only add up weights).
+    """
+    search = _searcher(target, X)
+    if roots is not None:
+        return search(roots)
+    if not ordered:
+        return _streamed(X, search)
+    return (tuple(map(ord, w)) for w in _transported(X, search))
+
+
+def _coloring_words(
+    target: Diagram | SurfaceDiagramData, X: RackTable
+) -> Iterator[str]:
+    """The full ordered stream of _solve_relations, each coloring as a word.
+
+    Code point i of a word is the color of variable i (see _transported).
+    The input is checked before it returns.
+    """
+    return _transported(X, _searcher(target, X))
+
+
+def _searcher(
+    target: Diagram | SurfaceDiagramData, X: RackTable
+) -> Callable[[Sequence[int]], Iterator[tuple[int, ...]]]:
+    """_search bound to target's relations, once X passes the axiom check.
+
+    Arcs need a rack, the sheets of surface data a quandle.
     """
     if isinstance(target, SurfaceDiagramData):
         X.require_quandle()
@@ -156,10 +196,7 @@ def _solve_relations(
         for v in {i, j, k}:
             rels_of[v].append(idx)
 
-    search = functools.partial(_search, X, relations, rels_of)
-    if roots is not None:
-        return search(roots)
-    return _transported(X, search) if ordered else _streamed(X, search)
+    return functools.partial(_search, X, relations, rels_of)
 
 
 def _search(
@@ -264,28 +301,33 @@ def _orbit_maps(X: RackTable) -> list[tuple[int, Sequence[int]]]:
 
 def _transported(
     X: RackTable, search: Callable[[Sequence[int]], Iterator[tuple[int, ...]]]
-) -> Iterator[tuple[int, ...]]:
-    """Every coloring, in order, from one search per Inn(X) orbit.
+) -> Iterator[str]:
+    """Every coloring as a word, in order, from one search per Inn(X) orbit.
 
-    search(colors) yields the solutions with variable 0 in colors.  Colors
-    are visited in increasing order.  A root's fiber comes from the search;
-    it is kept (while its orbit has colors left) only if the orbit has other
-    colors.  The fiber of any other color c is the root's fiber mapped by
-    c's automorphism g (see _orbit_maps), which sends colorings to colorings
-    one-to-one, and then sorted.  A quandle with one orbit per element runs
-    the plain search, one root after the other.
+    A word is a str whose code point i is the color of variable i.  The
+    words of one stream are equally long, so code-point order is the
+    lexicographic order of the colorings.  search(colors) yields the
+    solutions with variable 0 in colors, as tuples.  Colors are visited in
+    increasing order.  A root's fiber comes from the search, each solution
+    encoded once; it is kept (while its orbit has colors left) only if the
+    orbit has other colors.  The fiber of any other color c is the root's
+    fiber mapped by c's automorphism g (see _orbit_maps), which sends
+    colorings to colorings one-to-one: one str.translate per word, through
+    the table x -> chr(g[x]), and then sorted.  A quandle with one orbit per
+    element runs the plain search, one root after the other.
     """
     maps = _orbit_maps(X)
     last = {r: c for c, (r, _) in enumerate(maps)}
-    fibers: dict[int, list[tuple[int, ...]]] = {}
+    fibers: dict[int, list[str]] = {}
     for c, (r, g) in enumerate(maps):
         if r != c:
             fiber = fibers[r] if c < last[r] else fibers.pop(r)
-            yield from sorted(tuple(map(g.__getitem__, t)) for t in fiber)
+            tab = [chr(x) for x in g]
+            yield from sorted([w.translate(tab) for w in fiber])
         elif last[c] == c:
-            yield from search([c])
+            yield from ("".join(map(chr, t)) for t in search([c]))
         else:
-            fibers[c] = list(search([c]))
+            fibers[c] = ["".join(map(chr, t)) for t in search([c])]
             yield from fibers[c]
 
 

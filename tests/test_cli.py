@@ -586,7 +586,9 @@ def test_braid_specs_take_the_engine_by_the_path_rule(monkeypatch, capsys):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name, owner in (("braid_closure", diagram), ("_solve_relations", coloring)):
+    spied = (("braid_closure", diagram), ("_solve_relations", coloring),
+             ("_coloring_words", coloring))
+    for name, owner in spied:
         wrapped = spy(name, getattr(owner, name))
         for module in (cli, coloring, diagram, invariant, specs):
             if hasattr(module, name):
@@ -611,12 +613,13 @@ def test_braid_specs_take_the_engine_by_the_path_rule(monkeypatch, capsys):
     code, out, _ = run(capsys, "color", "torus:3:4", "alexander:3:1,0,0,1:2", "--count")
     assert code == 0 and payload(out) == ["colorings: 729"]
     assert calls[0] == "braid_closure" and "_solve_relations" in calls
-    # Listings and surjective counts never take the engine.
-    for flag in ("--list", "--surjective"):
+    # Listings and surjective counts never take the engine: a listing reads
+    # the search's ordered stream as words.
+    for flag, search in (("--list", "_coloring_words"), ("--surjective", "_solve_relations")):
         calls.clear()
         code, _, _ = run(capsys, "color", "torus:3:6", "dihedral:3", flag)
         assert code == 0
-        assert calls[0] == "braid_closure" and "_solve_relations" in calls, flag
+        assert calls[0] == "braid_closure" and search in calls, flag
 
 
 def test_readme_commands_run(capsys):
@@ -752,6 +755,14 @@ _GOLDEN_RACKS = {"S4": "alexander:2:1,1,1:0,1", "A9": "alexander:3:1,0,1:2",
     ("color torus:2:3 dihedral:3 --shadow --list", 0, "fbf855aae8e318fe"),
     ("color trefoil.pd {A27} --shadow --list", 0, "38dd4ed3e848329a"),
     ("color torus:3:12 {A9} --shadow --list --surjective", 0, "4e3471a00a138773"),
+    # Transported listings: one orbit, two orbits, colors past ASCII, sheets.
+    ("color 7_4.pd {A27} --list", 0, "22e1c7f61294f72a"),
+    ("color trefoil.pd dihedral:4 --list", 0, "abfcd40ac405e884"),
+    ("color trefoil.pd dihedral:129 --list", 0, "598e1ab337736f52"),
+    ("color trefoil_shadow.surf dihedral:3 --list", 0, "ed3a83f0632c6f39"),
+    # More than 256 colors; the time goes to the axiom check.
+    pytest.param("color trefoil.pd dihedral:258 --list", 0, "54a70ec177ff854f",
+                 marks=pytest.mark.slow),
 ])
 def test_count_and_sum_stdout_is_golden(tmp_path, capsys, command, code, digest):
     """Exit code and stdout of count and sum commands, whichever path they take.

@@ -144,7 +144,8 @@ def test_orbit_reduced_counts_match_full_search_and_brute_force(small_diagrams):
 
     Covers count_colorings and the counts of coloring._histogram that the
     command line prints: classical, --surjective, --shadow (with and without
-    --surjective) and surface data.
+    --surjective) and surface data.  The words that listings read
+    (_coloring_words) have code point i the color of variable i.
     """
     for dn, D in small_diagrams.items():
         if len(D.crossings) > 4:
@@ -152,6 +153,8 @@ def test_orbit_reduced_counts_match_full_search_and_brute_force(small_diagrams):
         for qn, (X, _) in _orbit_cases().items():
             full = list(_solve_relations(D, X))
             assert full == sorted(brute_force_colorings(D, X)), (dn, qn)
+            words = coloring._coloring_words(D, X)
+            assert [tuple(map(ord, w)) for w in words] == full, (dn, qn)
             surjective = [c for c in full if len(set(c)) == X.size]
             assert count_colorings(D, X) == len(full), (dn, qn)
             assert _histogram(D, X, surjective=True)[0] == len(surjective), (dn, qn)
@@ -165,6 +168,8 @@ def test_orbit_reduced_counts_match_full_search_and_brute_force(small_diagrams):
             assert _histogram(D, X, shadow=True, surjective=True)[0] == len(arcs_onto), (dn, qn)
             SD = shadow_surface_data(D)
             assert sorted(_solve_relations(SD, X)) == sorted(sheets), (dn, qn)
+            words = coloring._coloring_words(SD, X)
+            assert [tuple(map(ord, w)) for w in words] == sorted(sheets), (dn, qn)
             assert _histogram(SD, X)[0] == len(sheets), (dn, qn)
             assert _histogram(SD, X, surjective=True)[0] == len(sheets_onto), (dn, qn)
 
@@ -484,6 +489,21 @@ def test_shadow_colorings_are_a_sequence(trefoil):
     for k in (len(items), -len(items) - 1):
         with pytest.raises(IndexError):
             shadows[k]
+
+
+def test_shadow_colorings_slice_as_lists(trefoil):
+    X = resolve_rack("alexander:3:1,0,1:2")
+    shadows = enumerate_shadow_colorings(trefoil, X)
+    items = list(shadows)
+    n = len(items)
+    bounds = (None, 0, 1, 2, 8, 9, 10, n - 1, n, n + 5, -1, -2, -9, -10, -n, -n - 3)
+    steps = (None, 1, 2, 3, 9, -1, -2, -9, n)
+    for start, stop, step in itertools.product(bounds, bounds, steps):
+        s = slice(start, stop, step)
+        got = shadows[s]
+        assert type(got) is list and got == items[s], s
+    with pytest.raises(ValueError):
+        shadows[::0]
 
 
 def test_shadow_colorings_satisfy_face_condition(trefoil, r3):

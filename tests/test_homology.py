@@ -31,6 +31,8 @@ from quandlekit import (
     structure_report,
     uct_mod_dimension,
 )
+from quandlekit.coloring import _closure_histogram
+from quandlekit.diagram import braid_closure, torus_braid
 from quandlekit.homology import (
     THEORIES,
     _boundary_invariants,
@@ -329,6 +331,45 @@ def test_theta_is_cocycle_and_not_coboundary(r3, theta):
     assert is_cocycle(r3, theta, "Q").ok
     spaces = cohomology(r3, 3, "Q", 3)
     assert not spaces.contains_coboundary(theta)
+
+
+def _mochizuki(p):
+    """Mochizuki's 3-cocycle of R_p, p an odd prime, from its closed formula.
+
+    theta_p(x, y, z) = (x - y)((2z^p - y^p - (2z - y)^p) / p) mod p
+    (Mochizuki, Some calculations of cohomology groups of finite Alexander
+    quandles, JPAA 179, 2003); the numerator is divisible by p by Fermat.
+    """
+    return Cochain(3, p, {
+        (x, y, z): (x - y) * ((2 * z**p - y**p - (2 * z - y) ** p) // p)
+        for x, y, z in itertools.product(range(p), repeat=3)
+    })
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, pytest.param(11, marks=pytest.mark.slow)])
+def test_mochizuki_cocycles_are_nontrivial_and_sum_alike_on_both_paths(p):
+    """Oracle: theta_p is a 3-cocycle of R_p that is not a coboundary.
+
+    H^3_Q(R_p; Z_p) = Z_p, so the prime dimensions differ by 1.  Its shadow
+    sums on T(2, q) and T(3, q) agree between the braid engine and the
+    search on the closure; T(2, p) has nontrivial R_p colorings for each p.
+    """
+    X, theta = make_dihedral(p), _mochizuki(p)
+    assert is_cocycle(X, theta, "Q").ok
+    spaces = cohomology(X, 3, "Q", p)
+    assert not spaces.contains_coboundary(theta)
+    assert spaces.cocycle_dimension - spaces.coboundary_dimension == 1
+    for strands, q in itertools.product((2, 3), sorted({2, 3, 4, 5, p, -p})):
+        word = torus_braid(strands, q)
+        search = state_sum_shadow(braid_closure(word), X, theta)
+        assert tuple(_closure_histogram(word, X, theta)) == search.coeffs, (strands, q)
+        assert state_sum_shadow(word, X, theta) == search, (strands, q)
+    knot = state_sum_shadow(torus_braid(2, p), X, theta)
+    assert knot.coeffs[0] < knot.augmentation()  # some weight is not 0
+
+
+def test_bundled_theta_is_mochizuki_up_to_a_coboundary(r3, theta):
+    assert cohomology(r3, 3, "Q", 3).contains_coboundary(theta + -_mochizuki(3))
 
 
 def test_zero_and_single_chi(r3):
