@@ -163,7 +163,7 @@ def _cmd_color(args: argparse.Namespace) -> int:
                 if not args.surjective or len(set(w)) == X.size]
     print(f"{label}: {len(rows)}")
     print(f"#data {label} {len(rows)}")
-    sys.stdout.writelines([f"{i}: {row}\n" for i, row in enumerate(rows)])
+    sys.stdout.writelines(f"{i}: {row}\n" for i, row in enumerate(rows))
     return 0
 
 

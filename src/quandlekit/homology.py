@@ -8,20 +8,19 @@ tuple; the budget still counts all |X|^n tuples.  Boundary maps are built as
 sparse columns straight from the boundary formula.  Integral homology is read
 off the Smith diagonals of the two boundary maps at each degree: ker d_n is a
 direct summand of C_n, so H_n has the torsion of coker d_{n+1} and free rank
-dim C_n - rank d_n - rank d_{n+1}.  Those diagonals, the GF(p) ranks behind
-``homology_mod`` and the prime cocycle and coboundary dimensions, and
-coboundary membership mod d (which compares the orders of two cokernels
-tensored with Z_d, for every d) all go through the one sparse elimination in
-``snf``, and each boundary map is eliminated over Z at most once per
-budget.  A GF(p) rank is read off the cached Smith diagonal of d_n when
-there is one: the Z core pivots only on +-1 and the residual Smith form
-uses unimodular transforms, all invertible mod every p, so rank_p d_n =
-rank d_n minus the number of invariant factors that p divides.  When d_n
-has not been eliminated over Z, its GF(p) rank comes from a direct GF(p)
-elimination, which may pivot on any entry nonzero mod p and runs faster
-than a Z elimination made only for that rank.  Cocycle and coboundary
-generators with coefficients in Z_d are built only when read: by dense
-prime-field elimination when d is prime and from integer lifts otherwise.
+dim C_n - rank d_n - rank d_{n+1}.  Those diagonals and coboundary
+membership mod d (which compares the orders of two cokernels tensored with
+Z_d, for every d) go through the sparse Z elimination in ``snf``, and each
+boundary map is eliminated over Z at most once per budget.  The GF(p) ranks
+behind ``homology_mod`` and the prime cocycle and coboundary dimensions are
+read off the cached Smith diagonal of d_n when there is one: the Z core
+pivots only on +-1 and the residual Smith form uses unimodular transforms,
+all invertible mod every p, so rank_p d_n = rank d_n minus the number of
+invariant factors that p divides.  Otherwise the rank is the number of rows
+of the sparse GF(p) RREF of the columns of d_n, which runs faster than a Z
+elimination made only for that rank.  Cocycle and coboundary generators
+with coefficients in Z_d are built only when read: off the same RREF when d
+is prime, and from integer lifts otherwise.
 """
 
 from __future__ import annotations
@@ -304,12 +303,11 @@ def _boundary_mod_rank(X: RackTable, n: int, theory: str, p: int) -> int:
 
     Read off the integral invariants of d_n when they are already cached
     (rank d_n minus the invariant factors p divides; see the module
-    docstring), else found by one direct GF(p) elimination.
+    docstring), else the number of rows of the GF(p) RREF of its columns.
     """
     invariants = _boundary_invariants.peek(X, n, theory)
     if invariants is None:
-        d = boundary_matrix(X, n, theory)
-        return snf.mod_rank(d.columns, d.nrows, p)
+        return snf.mod_rank(boundary_matrix(X, n, theory).columns, p)
     rank, torsion = invariants
     return rank - sum(1 for e in torsion if e % p == 0)
 
@@ -480,8 +478,8 @@ class CochainSpaces:
     the same cached ranks ``homology_mod`` reads (delta_n is d_{n+1}
     transposed), and the generator lists are honest bases; for composite d
     there are no dimensions and the generators are a generating set obtained
-    from integer lifts.  Generators are computed by dense elimination on
-    first read of ``cocycle_vectors`` or ``coboundary_vectors``.
+    from integer lifts.  Generators are built on first read; for prime d,
+    off the sparse GF(d) RREF of the columns of d_{n+1} and the rows of d_n.
     """
 
     X: RackTable = field(repr=False)
@@ -508,28 +506,28 @@ class CochainSpaces:
     def cocycle_vectors(self) -> tuple[tuple[int, ...], ...]:
         up = boundary_matrix(self.X, self.degree + 1, self.theory)
         dim, d = len(self.basis), self.modulus
-        # delta_n is the transpose of d_{n+1}: row j of delta_n is column j of d_{n+1}.
-        delta = [[col.get(i, 0) for i in range(dim)] for col in up.columns]
+        # The cocycle space is the kernel of delta_n mod d, d_{n+1} transposed.
         if self.prime:
-            # The kernel of delta_n mod d is the cocycle space.
-            cocycles = snf.mod_nullspace(delta, dim, d) if dim else []
-        else:
-            # Integer lift: kernel of [delta | d*I] projected to cochain coords.
-            m = len(delta)
-            aug = [row + [d if j == i else 0 for j in range(m)] for i, row in enumerate(delta)]
-            kernel, _ = snf.kernel_complement(aug, m, dim + m)
-            cocycles = _distinct_nonzero((vec[:dim] for vec in kernel), d)
-        return tuple(map(tuple, cocycles))
+            return tuple(map(tuple, snf.mod_nullspace(up.columns, dim, d)))
+        # Integer lift: kernel of [delta | d*I] projected to cochain coords.
+        delta = [[col.get(i, 0) for i in range(dim)] for col in up.columns]
+        m = len(delta)
+        aug = [row + [d if j == i else 0 for j in range(m)] for i, row in enumerate(delta)]
+        kernel, _ = snf.kernel_complement(aug, m, dim + m)
+        return tuple(_distinct_nonzero((vec[:dim] for vec in kernel), d))
 
     @cached_property
     def coboundary_vectors(self) -> tuple[tuple[int, ...], ...]:
+        # The row space of d_n mod d is the coboundary space; for prime d, its RREF.
         down = boundary_matrix(self.X, self.degree, self.theory)
-        rows = snf.dense_rows(down.columns, down.nrows)
+        rows: list[dict[int, int]] = [{} for _ in range(down.nrows)]
+        for j, col in enumerate(down.columns):
+            for i, v in col.items():
+                rows[i][j] = v
         if self.prime:
-            # The row space of d_n is the coboundary space.
-            _, _, rref = snf.mod_rref(rows, len(self.basis), self.modulus)
-            return tuple(tuple(row) for row in rref if any(row))
-        return tuple(_distinct_nonzero(rows, self.modulus))
+            rows = list(snf.mod_rref(rows, self.modulus).values())
+        dense = (tuple(row.get(j, 0) for j in range(len(self.basis))) for row in rows)
+        return tuple(_distinct_nonzero(dense, self.modulus))
 
     def cocycles(self) -> list[Cochain]:
         return [

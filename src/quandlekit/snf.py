@@ -1,23 +1,20 @@
-"""Exact integer matrix routines: one sparse elimination core and a dense SNF.
+"""Exact matrix routines: a sparse integer core, a dense SNF, a sparse GF(p) RREF.
 
 Boundary maps are stored as sparse columns ({row: coefficient} dicts) with at
-most 2(n-1) entries each.  ``_eliminate`` pivots them down: over Z only on
-+-1 entries, so every step is unimodular, the Schur complement stays integral
-and Smith(A) = I_k (+) Smith(residual); over GF(p) on any nonzero entry, which
-leaves nothing.  The pivot is an entry of the shortest live column, in the
+most 2(n-1) entries each.  ``_eliminate`` pivots them down over Z only on
++-1 entries, so every step is unimodular and Smith(A) = I_k (+)
+Smith(residual).  The pivot is an entry of the shortest live column, in the
 shortest row among its unit entries (Dumas, Saunders and Villard, J. Symb.
-Comput. 32, 2001).  ``cokernel_invariants`` and ``mod_rank`` read ranks and
-invariant factors off this core.  Every Z pivot is +-1, a unit mod every
-prime, and the residual's Smith transforms are unimodular too, so the
-invariant factors e_i of A give every GF(p) rank: rank_p(A) = rank(A) minus
-the number of e_i divisible by p.  ``homology`` reads GF(p) ranks that way
-for maps it has already eliminated over Z; ``mod_rank`` is the direct
-GF(p) elimination for the rest.  The dense ``smith_normal_form``, with
-entries as Python ints so everything stays exact, runs only on the small
-residual.  It diagonalizes by unimodular row and column operations, carrying
-the column transform when ``kernel_complement`` asks, and reads the
-divisibility chain off that diagonal with ``invariant_factors``, the same
-rule that makes ``AbelianGroup.from_divisors`` canonical.
+Comput. 32, 2001).  The dense ``smith_normal_form``, exact on Python ints,
+runs only on the small residual; it carries the column transform when
+``kernel_complement`` asks, and ``invariant_factors`` reads the divisibility
+chain off its diagonal, the rule that makes ``AbelianGroup.from_divisors``
+canonical.  The Z pivots and the residual's transforms are invertible mod
+every prime, so the invariant factors e_i of A give every GF(p) rank:
+rank_p(A) = rank(A) - #{e_i : p | e_i}.  ``homology`` reads GF(p) ranks that
+way once a map is eliminated over Z.  Everything else over GF(p), the other
+ranks and the cocycle and coboundary bases, is read off ``mod_rref``, the
+reduced row echelon form of a list of sparse vectors.
 """
 
 from __future__ import annotations
@@ -187,15 +184,14 @@ def dense_rows(columns: Sequence[Mapping[int, int]], nrows: int) -> list[list[in
 
 
 def _eliminate(
-    columns: Sequence[Mapping[int, int]], nrows: int, p: int = 0
+    columns: Sequence[Mapping[int, int]], nrows: int
 ) -> tuple[int, list[list[int]]]:
-    """Pivot away the unit entries of a sparse matrix (units of Z, or of GF(p)).
+    """Pivot away the +-1 entries of a sparse integer matrix.
 
     Returns the number k of pivots and the residual as dense rows, with its
     zero rows and columns dropped.  The input columns are not modified.
     """
-    cols = {j: {i: w for i, v in col.items() if (w := v % p if p else v)}
-            for j, col in enumerate(columns)}
+    cols = {j: {i: v for i, v in col.items() if v} for j, col in enumerate(columns)}
     rows: list[set[int]] = [set() for _ in range(nrows)]
     for j, col in cols.items():
         for i in col:
@@ -205,7 +201,7 @@ def _eliminate(
     while heap:
         length, c = heapq.heappop(heap)
         col = cols.get(c, {})
-        units = [i for i, v in col.items() if p or v in (1, -1)] if len(col) == length else []
+        units = [i for i, v in col.items() if v in (1, -1)] if len(col) == length else []
         if not units:
             continue  # stale, or no unit yet: every update pushes the column again
         r = min(units, key=lambda i: (len(rows[i]), i))
@@ -213,18 +209,15 @@ def _eliminate(
         for i in col:
             rows[i].discard(c)
         u = col.pop(r)
-        inv = pow(u, -1, p) if p else u  # u = +-1 is its own inverse over Z
         for j in rows[r]:
             target = cols[j]
-            f = target.pop(r) * inv
+            f = target.pop(r) * u  # u = +-1 is its own inverse
             for i, v in col.items():
                 if i not in target:
-                    target[i] = -f * v % p if p else -f * v
+                    target[i] = -f * v
                     rows[i].add(j)
                     continue
                 w = target[i] - f * v
-                if p:
-                    w %= p
                 if w:
                     target[i] = w
                 else:
@@ -252,47 +245,55 @@ def cokernel_invariants(
     return nrows - units - sf.rank, torsion
 
 
-def mod_rank(columns: Sequence[Mapping[int, int]], nrows: int, p: int) -> int:
-    """Rank over GF(p), p prime, of the matrix with these sparse columns."""
-    return _eliminate(columns, nrows, p)[0]
+def mod_rref(vectors: Sequence[Mapping[int, int]], p: int) -> dict[int, dict[int, int]]:
+    """Reduced row echelon form over GF(p), p prime, of the span of sparse vectors.
+
+    Returns {pivot: row} in pivot order; each row is a {coordinate: value}
+    dict, 1 at its pivot (its leftmost coordinate) and absent at the other
+    pivots.  The form stays reduced as the vectors come in: each is cleared
+    at the pivots it meets, and a nonzero remainder is scaled to 1 at its
+    leftmost coordinate, cleared from the other rows and added.  The RREF of
+    a span is unique, so the order of the vectors does not matter.
+    """
+    rows: dict[int, dict[int, int]] = {}
+
+    def subtract(row: dict[int, int], f: int, other: Mapping[int, int]) -> None:
+        for i, v in other.items():  # row -= f * other; f, v are units, so new w != 0
+            w = (row.get(i, 0) - f * v) % p
+            if w:
+                row[i] = w
+            else:
+                del row[i]
+
+    for vec in vectors:
+        row = {i: w for i, v in vec.items() if (w := v % p)}
+        for c in [c for c in row if c in rows]:
+            subtract(row, row[c], rows[c])
+        if row:
+            c = min(row)
+            inv = pow(row[c], -1, p)
+            row = {i: v * inv % p for i, v in row.items()}
+            for other in rows.values():
+                if c in other:
+                    subtract(other, other[c], row)
+            rows[c] = row
+    return dict(sorted(rows.items()))
 
 
-# --- prime-field elimination -------------------------------------------------
+def mod_rank(vectors: Sequence[Mapping[int, int]], p: int) -> int:
+    """Rank over GF(p), p prime, of sparse vectors: the rows of their RREF."""
+    return len(mod_rref(vectors, p))
 
 
-def mod_rref(
-    rows: Sequence[Sequence[int]], ncols: int, p: int
-) -> tuple[int, list[int], list[list[int]]]:
-    """Reduced row echelon form over GF(p): (rank, pivot columns, rows)."""
-    mat = [[v % p for v in row] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for j in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][j]), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = pow(mat[r][j], -1, p)
-        mat[r] = [(v * inv) % p for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][j]:
-                f = mat[i][j]
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
-        pivots.append(j)
-        r += 1
-        if r == len(mat):
-            break
-    return r, pivots, mat[:r]
+def mod_nullspace(vectors: Sequence[Mapping[int, int]], ncols: int, p: int) -> list[list[int]]:
+    """Basis of the x in GF(p)^ncols orthogonal to the vectors, read off their RREF.
 
-
-def mod_nullspace(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list[list[int]]:
-    """Basis of the right nullspace over GF(p), as vectors of length ncols."""
-    rank, pivots, rref = mod_rref(rows, ncols, p)
-    basis = []
-    for j in sorted(set(range(ncols)) - set(pivots)):
-        vec = [0] * ncols
-        vec[j] = 1
-        for r, pj in enumerate(pivots):
-            vec[pj] = (-rref[r][j]) % p
-        basis.append(vec)
-    return basis
+    One x per free (non-pivot) coordinate j, in order: 1 at j, -row[j] at each pivot.
+    """
+    rref = mod_rref(vectors, p)
+    free = {j: [0] * j + [1] + [0] * (ncols - j - 1) for j in range(ncols) if j not in rref}
+    for c, row in rref.items():
+        for j, v in row.items():
+            if j != c:
+                free[j][c] = -v % p
+    return list(free.values())

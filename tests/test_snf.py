@@ -127,28 +127,85 @@ def test_cokernel_invariants():
     assert free == 0 and torsion == []
 
 
+def dense_mod_rref(rows, ncols, p):
+    """Reference RREF over GF(p) by dense Gauss-Jordan: (rank, pivot columns, rows)."""
+    mat = [[v % p for v in row] for row in rows]
+    pivots = []
+    r = 0
+    for j in range(ncols):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][j]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = pow(mat[r][j], -1, p)
+        mat[r] = [(v * inv) % p for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][j]:
+                f = mat[i][j]
+                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
+        pivots.append(j)
+        r += 1
+        if r == len(mat):
+            break
+    return r, pivots, mat[:r]
+
+
+def dense_mod_nullspace(rows, ncols, p):
+    """Reference right nullspace over GF(p): one vector per free column, in order."""
+    rank, pivots, rref = dense_mod_rref(rows, ncols, p)
+    basis = []
+    for j in sorted(set(range(ncols)) - set(pivots)):
+        vec = [0] * ncols
+        vec[j] = 1
+        for r, pj in enumerate(pivots):
+            vec[pj] = (-rref[r][j]) % p
+        basis.append(vec)
+    return basis
+
+
 def test_mod_elimination():
     a = [[1, 2, 0], [2, 4, 1]]
-    assert mod_rank([{0: 1, 1: 2}, {0: 2, 1: 4}, {1: 1}], 2, 5) == 2  # a by columns
-    null = mod_nullspace(a, 3, 5)
-    assert len(null) == 1
+    rows = [{0: 1, 1: 2}, {0: 2, 1: 4, 2: 1}]  # a by rows
+    assert mod_rank([{0: 1, 1: 2}, {0: 2, 1: 4}, {1: 1}], 5) == 2  # a by columns
+    assert mod_rank(rows, 5) == 2
+    rref = mod_rref(rows, 5)
+    assert rref == {0: {0: 1, 1: 2}, 2: {2: 1}}
+    null = mod_nullspace(rows, 3, 5)
+    assert null == [[3, 1, 0]]
     for vec in null:
         for row in a:
             assert sum(r * v for r, v in zip(row, vec)) % 5 == 0
-    rank, pivots, rows = mod_rref([[2, 4], [1, 2]], 2, 3)
-    assert rank == 1 and pivots == [0]
+    assert mod_rref([{0: 2, 1: 4}, {0: 1, 1: 2}], 3) == {0: {0: 1, 1: 2}}
+    assert mod_rref([{0: 3, 1: 6}, {}], 3) == {}  # zero mod p
+    assert mod_rref([], 2) == {}
+    assert rows == [{0: 1, 1: 2}, {0: 2, 1: 4, 2: 1}]  # the input is left alone
 
 
 def columns_of(a, m, n):
     return [{i: a[i][j] for i in range(m) if a[i][j]} for j in range(n)]
 
 
+def check_mod_rref(a, n, p):
+    """The sparse GF(p) RREF of the rows of a against the dense reference."""
+    rank, pivots, rows = dense_mod_rref(a, n, p)
+    vectors = [{j: v for j, v in enumerate(row) if v} for row in a]
+    rref = mod_rref(vectors, p)
+    assert len(rref) == rank
+    assert list(rref) == pivots
+    assert [[row.get(j, 0) for j in range(n)] for row in rref.values()] == rows
+    assert all(min(row) == c and row[c] == 1 for c, row in rref.items())
+    assert mod_nullspace(vectors, n, p) == dense_mod_nullspace(a, n, p)
+
+
 def check_sparse_core(a, m, n, columns):
-    """The sparse core against the dense SNF and the GF(p) row reduction."""
+    """The sparse cores against the dense SNF and the dense GF(p) row reduction."""
     sf = smith_normal_form(a, m, n)
     assert cokernel_invariants(columns, m) == (m - sf.rank, [v for v in sf.diag if v > 1])
-    for p in (2, 3, 5):
-        assert mod_rank(columns, m, p) == mod_rref(a, n, p)[0]
+    for p in (2, 3, 5, 7):
+        # The columns are the rows of the transpose, of the same rank.
+        assert mod_rank(columns, p) == dense_mod_rref(a, n, p)[0]
+        check_mod_rref(a, n, p)
+        check_mod_rref([[a[i][j] for i in range(m)] for j in range(n)], m, p)
 
 
 @settings(max_examples=300, deadline=None)
@@ -187,7 +244,7 @@ def test_integral_invariants_give_every_prime_rank(data):
     columns = columns_of([[data.draw(entry) for _ in range(n)] for _ in range(m)], m, n)
     free, torsion = cokernel_invariants(columns, m)
     for p in (2, 3, 5, 7):
-        assert m - free - sum(1 for e in torsion if e % p == 0) == mod_rank(columns, m, p)
+        assert m - free - sum(1 for e in torsion if e % p == 0) == mod_rank(columns, p)
 
 
 def test_sparse_core_shapes():
