@@ -20,7 +20,9 @@ invariant factors that p divides.  Otherwise the rank is the number of rows
 of the sparse GF(p) RREF of the columns of d_n, which runs faster than a Z
 elimination made only for that rank.  Cocycle and coboundary generators
 with coefficients in Z_d are built only when read: off the same RREF when d
-is prime, and from integer lifts otherwise.
+is prime.  Otherwise the cocycle generators are the fewest that span
+Z^n(X; Z_d), read off the sparse Z elimination of d_{n+1} (``snf.mod_kernel``),
+and the coboundary generators are the distinct nonzero rows of d_n mod d.
 """
 
 from __future__ import annotations
@@ -476,10 +478,13 @@ class CochainSpaces:
 
     For prime d the dimensions are GF(d) ranks of the sparse boundary maps,
     the same cached ranks ``homology_mod`` reads (delta_n is d_{n+1}
-    transposed), and the generator lists are honest bases; for composite d
-    there are no dimensions and the generators are a generating set obtained
-    from integer lifts.  Generators are built on first read; for prime d,
-    off the sparse GF(d) RREF of the columns of d_{n+1} and the rows of d_n.
+    transposed), and the generator lists are honest bases, off the sparse
+    GF(d) RREF of the columns of d_{n+1} and the rows of d_n.  For composite
+    d there are no dimensions.  The cocycle generators are then as few as
+    generate Z^n(X; Z_d): dim - rank d_{n+1} + #{e_i : gcd(e_i, d) > 1} for
+    the invariant factors e_i of d_{n+1}, from ``snf.mod_kernel``.  The
+    coboundary generators are the distinct nonzero rows of d_n mod d, which
+    need not be fewest.  Generators are built on first read.
     """
 
     X: RackTable = field(repr=False)
@@ -505,16 +510,9 @@ class CochainSpaces:
     @cached_property
     def cocycle_vectors(self) -> tuple[tuple[int, ...], ...]:
         up = boundary_matrix(self.X, self.degree + 1, self.theory)
-        dim, d = len(self.basis), self.modulus
-        # The cocycle space is the kernel of delta_n mod d, d_{n+1} transposed.
-        if self.prime:
-            return tuple(map(tuple, snf.mod_nullspace(up.columns, dim, d)))
-        # Integer lift: kernel of [delta | d*I] projected to cochain coords.
-        delta = [[col.get(i, 0) for i in range(dim)] for col in up.columns]
-        m = len(delta)
-        aug = [row + [d if j == i else 0 for j in range(m)] for i, row in enumerate(delta)]
-        kernel, _ = snf.kernel_complement(aug, m, dim + m)
-        return tuple(_distinct_nonzero((vec[:dim] for vec in kernel), d))
+        # The cocycles are the x with x.c = 0 mod d for each column c of d_{n+1}.
+        solve = snf.mod_nullspace if self.prime else snf.mod_kernel
+        return tuple(map(tuple, solve(up.columns, len(self.basis), self.modulus)))
 
     @cached_property
     def coboundary_vectors(self) -> tuple[tuple[int, ...], ...]:

@@ -6,15 +6,19 @@ most 2(n-1) entries each.  ``_eliminate`` pivots them down over Z only on
 Smith(residual).  The pivot is an entry of the shortest live column, in the
 shortest row among its unit entries (Dumas, Saunders and Villard, J. Symb.
 Comput. 32, 2001).  The dense ``smith_normal_form``, exact on Python ints,
-runs only on the small residual; it carries the column transform when
-``kernel_complement`` asks, and ``invariant_factors`` reads the divisibility
-chain off its diagonal, the rule that makes ``AbelianGroup.from_divisors``
-canonical.  The Z pivots and the residual's transforms are invertible mod
-every prime, so the invariant factors e_i of A give every GF(p) rank:
+runs only on the small residual.  ``invariant_factors`` sorts its diagonal
+into the divisibility chain, the rule that makes
+``AbelianGroup.from_divisors`` canonical, and carries each gcd/lcm move on
+the column transform when one is kept, so S A T is the chain itself.  The Z
+pivots and the residual's transforms are invertible mod every prime, so the
+invariant factors e_i of A give every GF(p) rank:
 rank_p(A) = rank(A) - #{e_i : p | e_i}.  ``homology`` reads GF(p) ranks that
-way once a map is eliminated over Z.  Everything else over GF(p), the other
-ranks and the cocycle and coboundary bases, is read off ``mod_rref``, the
-reduced row echelon form of a list of sparse vectors.
+way once a map is eliminated over Z.  ``mod_kernel`` reads the fewest
+generators of the x in Z_d^n orthogonal to the columns, for any modulus d,
+off the same elimination: the pivots back-substitute, the residual's Smith
+column transform solves the rest.  Everything else over GF(p), the other
+ranks and the prime cocycle and coboundary bases, is read off ``mod_rref``,
+the reduced row echelon form of a list of sparse vectors.
 """
 
 from __future__ import annotations
@@ -41,13 +45,19 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-def invariant_factors(values: Sequence[int]) -> list[int]:
+def invariant_factors(values: Sequence[int], transform: Sequence[list[int]] = ()) -> list[int]:
     """The divisibility chain of diag(values), for positive integers.
 
     Replacing a pair (a, b) by (gcd(a, b), lcm(a, b)) keeps Z_a + Z_b up to
     isomorphism and sorts the exponent of every prime; doing it for all
     pairs i < j sorts them along the whole list, so entry i divides entry
     i+1.  The length is kept, 1s included; a leading 1 changes nothing.
+
+    Each move is also carried on columns i, j of ``transform``, the rows of
+    a matrix T with A T = diag(values) up to unimodular row operations:
+    with g = xa + yb, T_i <- T_i + T_j and T_j <- -(yb/g) T_i + (xa/g) T_j,
+    a column operation of determinant 1 after which rows i, j reduce
+    unimodularly to diag(g, ab/g).  So A T = diag(result) still holds.
     """
     out = list(values)
     for i in range(len(out)):
@@ -55,8 +65,14 @@ def invariant_factors(values: Sequence[int]) -> list[int]:
         if a == 1:
             continue
         for j in range(i + 1, len(out)):
-            g = gcd(a, out[j])
-            out[j] = a // g * out[j]
+            b = out[j]
+            if b % a == 0:
+                continue
+            g, x, y = xgcd(a, b)
+            for row in transform:
+                u, v = row[i], row[j]
+                row[i], row[j] = u + v, (x * a * v - y * b * u) // g
+            out[j] = a // g * b
             a = g
         out[i] = a
     return out
@@ -66,9 +82,7 @@ def invariant_factors(values: Sequence[int]) -> list[int]:
 class SmithForm:
     diag: list[int]  # nonnegative; diag[i] divides diag[i+1]
     rank: int
-    # T with S @ A @ T diagonal for some unimodular S; diag is the divisibility
-    # chain of that diagonal's absolute values, not the diagonal itself.
-    col_ops: list[list[int]] | None
+    col_ops: list[list[int]] | None  # T with S @ A @ T = diag for some unimodular S
 
 
 def smith_normal_form(
@@ -80,10 +94,9 @@ def smith_normal_form(
 ) -> SmithForm:
     """Diagonalize a dense integer matrix by unimodular row/column operations.
 
-    Returns the invariant factors of the diagonal reached (zeros last), plus
-    the accumulated column transform T when requested: S @ A @ T is that
-    diagonal for some unimodular S, which is not kept.  Columns rank.. of T
-    span the kernel of A.
+    Returns the invariant factors (zeros last), plus the accumulated column
+    transform T when requested: S @ A @ T = diag for some unimodular S,
+    which is not kept.  Columns rank.. of T span the kernel of A.
     """
     d = [list(row) for row in rows]
     if any(len(row) != ncols for row in d):
@@ -155,23 +168,9 @@ def smith_normal_form(
         k += 1
     rank = k
 
-    diag = invariant_factors([abs(d[i][i]) for i in range(rank)])
+    diag = invariant_factors([abs(d[i][i]) for i in range(rank)], t)
     diag += [0] * (min(nrows, ncols) - rank)
     return SmithForm(diag=diag, rank=rank, col_ops=t if want_col_ops else None)
-
-
-def kernel_complement(
-    rows: Sequence[Sequence[int]], nrows: int, ncols: int
-) -> tuple[list[list[int]], list[list[int]]]:
-    """Integer kernel basis of A, plus columns completing it to a basis of Z^ncols.
-
-    The kernel of an integer matrix is saturated, so the non-kernel columns of
-    the Smith column transform are a genuine complement.  Both are returned as
-    lists of column vectors of length ncols.
-    """
-    sf = smith_normal_form(rows, nrows, ncols, want_col_ops=True)
-    columns = [list(col) for col in zip(*sf.col_ops)]
-    return columns[sf.rank :], columns[: sf.rank]
 
 
 def dense_rows(columns: Sequence[Mapping[int, int]], nrows: int) -> list[list[int]]:
@@ -184,12 +183,20 @@ def dense_rows(columns: Sequence[Mapping[int, int]], nrows: int) -> list[list[in
 
 
 def _eliminate(
-    columns: Sequence[Mapping[int, int]], nrows: int
-) -> tuple[int, list[list[int]]]:
+    columns: Sequence[Mapping[int, int]],
+    nrows: int,
+    pivots: list[tuple[int, int, dict[int, int]]] | None = None,
+) -> tuple[int, list[int], list[list[int]]]:
     """Pivot away the +-1 entries of a sparse integer matrix.
 
-    Returns the number k of pivots and the residual as dense rows, with its
-    zero rows and columns dropped.  The input columns are not modified.
+    Returns the number of pivots, the rows the residual keeps, and the
+    residual as dense rows on them, with its zero rows and columns dropped.
+    Given a ``pivots`` list, appends each pivot (r, u, col) to it: the unit u
+    in row r of a column as it stood when pivoted, col being its other
+    entries.  Every column left then loses row r, so col has no row pivoted
+    before it.  Without one, each pivoted column is freed at once, so a rank
+    peaks no higher than its elimination needs.  The input columns are not
+    modified.
     """
     cols = {j: {i: v for i, v in col.items() if v} for j, col in enumerate(columns)}
     rows: list[set[int]] = [set() for _ in range(nrows)]
@@ -209,6 +216,8 @@ def _eliminate(
         for i in col:
             rows[i].discard(c)
         u = col.pop(r)
+        if pivots is not None:
+            pivots.append((r, u, col))
         for j in rows[r]:
             target = cols[j]
             f = target.pop(r) * u  # u = +-1 is its own inverse
@@ -225,9 +234,10 @@ def _eliminate(
                     rows[i].discard(j)
             heapq.heappush(heap, (len(target), j))
     left = [col for col in cols.values() if col]
-    position = {i: k for k, i in enumerate(sorted({i for col in left for i in col}))}
+    support = sorted({i for col in left for i in col})
+    position = {i: k for k, i in enumerate(support)}
     left = [{position[i]: v for i, v in col.items()} for col in left]
-    return len(columns) - len(cols), dense_rows(left, len(position))
+    return len(columns) - len(cols), support, dense_rows(left, len(support))
 
 
 def cokernel_invariants(
@@ -239,10 +249,45 @@ def cokernel_invariants(
     rank.  A and its transpose share the Smith diagonal, so the same factors
     describe Z^ncols / rowspan(A).
     """
-    units, residual = _eliminate(columns, nrows)
+    units, _, residual = _eliminate(columns, nrows)
     sf = smith_normal_form(residual, len(residual), len(residual[0]) if residual else 0)
     torsion = [v for v in sf.diag[: sf.rank] if v > 1]
     return nrows - units - sf.rank, torsion
+
+
+def mod_kernel(vectors: Sequence[Mapping[int, int]], ncols: int, d: int) -> list[list[int]]:
+    """Fewest generators of the x in Z_d^ncols orthogonal to the vectors, d >= 2.
+
+    The vectors are the columns pivoted by ``_eliminate``; its column
+    operations are unimodular, so they keep the x with x.c = 0 mod d for
+    every column c.  A pivot (r, u, col) fixes x_r = -u (x.col), by
+    coordinates not pivoted before it.  On the residual's rows y the
+    condition is M^T y = 0 mod d, and with S M^T T = diag(e_i) from
+    ``smith_normal_form``, y = T z with e_i z_i = 0 mod d: z_i is a multiple
+    of d/gcd(e_i, d) up to the rank and free past it.  So the generators
+    are a unit vector per coordinate neither pivoted nor in the residual,
+    T_i d/gcd(e_i, d) for each gcd(e_i, d) > 1 and T_i past the rank, each
+    back-substituted through the pivots in reverse order.  The gcd(e_i, d)
+    divide one another, so no smaller list generates the kernel: there are
+    ncols - rank + #{e_i : gcd(e_i, d) > 1}, none zero.
+    """
+    pivots: list[tuple[int, int, dict[int, int]]] = []
+    _, support, residual = _eliminate(vectors, ncols, pivots)
+    transposed = list(zip(*residual))
+    sf = smith_normal_form(transposed, len(transposed), len(support), want_col_ops=True)
+    touched = set(support).union(r for r, _, _ in pivots)
+    out = [[int(i == j) for i in range(ncols)] for j in range(ncols) if j not in touched]
+    for k in range(len(support)):
+        scale = d // gcd(sf.diag[k] if k < sf.rank else 0, d)
+        if scale < d:
+            x = [0] * ncols
+            for i, row in zip(support, sf.col_ops):
+                x[i] = row[k] * scale % d
+            out.append(x)
+    for x in out:
+        for r, u, col in reversed(pivots):
+            x[r] = -u * sum(v * x[i] for i, v in col.items()) % d
+    return out
 
 
 def mod_rref(vectors: Sequence[Mapping[int, int]], p: int) -> dict[int, dict[int, int]]:

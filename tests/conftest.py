@@ -22,6 +22,16 @@ THETA_VALUES = {
 }
 
 
+def span_mod(vectors, n, d):
+    """Every Z_d-combination of the vectors in Z_d^n, by closure under adding one."""
+    seen = frontier = {(0,) * n}
+    while frontier:
+        frontier = {tuple((a + b) % d for a, b in zip(v, g)) for v in frontier for g in vectors}
+        frontier -= seen
+        seen = seen | frontier
+    return seen
+
+
 @pytest.fixture(scope="session")
 def r3():
     return make_dihedral(3)

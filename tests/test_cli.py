@@ -470,6 +470,26 @@ def test_cocycles_dimensions(capsys):
     assert "composite" in out
 
 
+@pytest.mark.parametrize(
+    "rack, degree, mod, data",
+    [
+        ("dihedral:3", 3, 6, "5 6"),
+        ("dihedral:3", 4, 6, "9 12"),
+        ("alexander:2:1,1,1:0,1", 3, 4, "11 12"),
+        ("dihedral:5", 3, 10, "17 20"),
+        ("dihedral:4", 3, 4, "14 12"),
+        ("trivial:2", 2, 4, "2 0"),
+        # Its cocycles took over 77 s on a dense Smith form of [delta | 6I].
+        ("dihedral:5", 4, 6, "64 80"),
+    ],
+)
+def test_cocycles_composite_modulus_counts(capsys, rack, degree, mod, data):
+    # A composite modulus lists the fewest cocycle generators.
+    code, out, _ = run(capsys, "cocycles", rack, "--degree", str(degree), "--mod", str(mod))
+    assert code == 0
+    assert f"#data cocycles {data}" in out.splitlines()
+
+
 def test_cocycles_degree_mismatch(tmp_path, capsys):
     code, _, err = run(
         capsys, "cocycles", "dihedral:3", "--degree", "2", "--mod", "3",

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import os
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +32,7 @@ from quandlekit import (
     structure_report,
     uct_mod_dimension,
 )
+from quandlekit import snf
 from quandlekit.coloring import _closure_histogram
 from quandlekit.diagram import braid_closure, torus_braid
 from quandlekit.homology import (
@@ -44,7 +46,7 @@ from quandlekit.homology import (
 )
 from quandlekit.specs import read_data_file, resolve_rack
 
-from conftest import THETA_VALUES
+from conftest import THETA_VALUES, span_mod
 
 
 def hom_quandles():
@@ -558,6 +560,43 @@ def test_composite_modulus_cohomology():
         assert is_cocycle(T2, phi, "Q").ok
     with pytest.raises(DomainError):
         spaces.cocycle_dimension
+
+
+@pytest.mark.parametrize("spec, n", [(spec, n) for spec in ORACLE_SPECS for n in (1, 2, 3)])
+def test_composite_cocycle_generators_span_the_kernel(spec, n):
+    # Oracle: Z^n(X; Z_d), the x with x.c = 0 mod d for each column c of
+    # d_{n+1}, has order d^(dim - r) * prod gcd(e_i, d) for the rank r and
+    # invariant factors e_i of d_{n+1}, and needs dim - r + #{gcd(e_i, d) > 1}
+    # generators.  The span of generators G has order d^dim over that of
+    # Z^dim / (rowspan(G) + dZ^dim) = coker(G) (x) Z_d, which is
+    # d^(dim - rank G) * prod gcd(f_i, d) for the invariant factors f_i of G.
+    X = resolve_rack(spec)
+    dim = len(chain_basis(X, n, "Q"))
+    rank, torsion = _boundary_invariants(X, n + 1, "Q")
+    for d in (4, 6, 8, 9, 12):
+        spaces = cohomology(X, n, "Q", d)
+        vectors = spaces.cocycle_vectors
+        for phi in spaces.cocycles():
+            assert is_cocycle(X, phi, "Q").ok, d
+        gcds = [gcd(e, d) for e in torsion]
+        assert len(vectors) == dim - rank + sum(1 for g in gcds if g > 1), d
+        columns = [{i: v for i, v in enumerate(vec) if v} for vec in vectors]
+        free, factors = snf.cokernel_invariants(columns, dim)
+        span = d ** (dim - free) // prod(gcd(f, d) for f in factors)
+        assert span == d ** (dim - rank) * prod(gcds), d
+
+
+@pytest.mark.parametrize("spec, n, d", [("trivial:2", 2, 4), ("dihedral:3", 2, 6)])
+def test_composite_cocycle_generators_match_brute_force(spec, n, d):
+    # Oracle: every x in Z_d^dim with x.c = 0 mod d for each column c of d_{n+1}.
+    X = resolve_rack(spec)
+    dim = len(chain_basis(X, n, "Q"))
+    up = boundary_matrix(X, n + 1, "Q").columns
+    kernel = {
+        x for x in itertools.product(range(d), repeat=dim)
+        if all(sum(v * x[i] for i, v in col.items()) % d == 0 for col in up)
+    }
+    assert span_mod(cohomology(X, n, "Q", d).cocycle_vectors, dim, d) == kernel
 
 
 @pytest.mark.parametrize(

@@ -3,10 +3,11 @@ from math import gcd, prod
 
 from hypothesis import given, settings, strategies as st
 
+from conftest import span_mod
 from quandlekit.snf import (
     cokernel_invariants,
     invariant_factors,
-    kernel_complement,
+    mod_kernel,
     mod_nullspace,
     mod_rank,
     mod_rref,
@@ -44,7 +45,11 @@ def determinantal_divisors(a, m, n):
 
 
 def check_smith_form(a, m, n):
-    """diag against the determinantal divisors; T unimodular, last columns of A T zero."""
+    """diag against the determinantal divisors; T unimodular, column i of A T has gcd diag[i].
+
+    S A T = diag(sf.diag) for a unimodular S exactly when column i of A T is
+    diag[i] times a primitive vector, past min(m, n) zero.
+    """
     sf = smith_normal_form(a, m, n, want_col_ops=True)
     assert len(sf.diag) == min(m, n)
     assert all(v >= 0 for v in sf.diag)
@@ -55,8 +60,9 @@ def check_smith_form(a, m, n):
     assert all(b % a2 == 0 for a2, b in zip(chain, chain[1:]))
     t = sf.col_ops
     assert abs(det(t)) == 1
-    for row in matmul(a, t):
-        assert not any(row[sf.rank :])
+    columns = list(zip(*matmul(a, t)))
+    for i, col in enumerate(columns):
+        assert gcd(*col) == (sf.diag[i] if i < len(sf.diag) else 0)
 
 
 def test_xgcd():
@@ -105,16 +111,42 @@ def test_smith_recombines_diagonal_entries():
     check_smith_form([[4, 0, 0, 4], [0, 6, 0, 6], [0, 0, 10, 10]], 3, 4)
 
 
-def test_kernel_complement():
-    a = [[1, 2, 3], [2, 4, 6]]  # rank 1
-    kernel, complement = kernel_complement(a, 2, 3)
-    assert len(kernel) == 2 and len(complement) == 1
-    for vec in kernel:
-        assert all(sum(row[i] * vec[i] for i in range(3)) == 0 for row in a)
-    # kernel plus complement must be a basis of Z^3
-    basis = [list(col) for col in kernel + complement]
-    square = [[basis[j][i] for j in range(3)] for i in range(3)]
-    assert smith_normal_form(square, 3, 3).diag == [1, 1, 1]
+def check_mod_kernel(a, m, n, d):
+    """mod_kernel of the columns of a against every x in Z_d^m, and its size against SNF."""
+    gens = mod_kernel(columns_of(a, m, n), m, d)
+    kernel = {
+        x for x in itertools.product(range(d), repeat=m)
+        if all(sum(a[i][j] * x[i] for i in range(m)) % d == 0 for j in range(n))
+    }
+    assert all(len(x) == m and any(x) and all(0 <= v < d for v in x) for x in gens)
+    assert span_mod(gens, m, d) == kernel
+    sf = smith_normal_form(a, m, n)
+    assert len(gens) == m - sf.rank + sum(1 for e in sf.diag[: sf.rank] if gcd(e, d) > 1)
+
+
+def test_mod_kernel():
+    a = [[1, 2], [2, 4], [3, 6]]  # rank 1: the kernel is x_0 + 2x_1 + 3x_2 = 0 mod d
+    assert mod_kernel(columns_of(a, 3, 2), 3, 6) == [[4, 1, 0], [3, 0, 1]]
+    check_mod_kernel(a, 3, 2, 6)
+    # diag(2, 3) has chain (1, 6): one Z_6 generator, not a Z_2 and a Z_3 one.
+    assert mod_kernel([{0: 2}, {1: 3}], 2, 6) == [[3, 4]]
+    check_mod_kernel([[2, 0], [0, 3]], 2, 2, 6)
+    check_mod_kernel([[4, 0], [0, 6]], 2, 2, 4)
+    assert mod_kernel([], 2, 4) == [[1, 0], [0, 1]]  # nothing constrains x
+    assert mod_kernel([{0: 1}], 1, 4) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_mod_kernel_matches_brute_force(data):
+    m = data.draw(st.integers(0, 4), label="rows")
+    n = data.draw(st.integers(0, 4), label="cols")
+    d = data.draw(st.sampled_from([2, 4, 6, 8, 9, 12] if m <= 3 else [2, 4, 6]), label="d")
+    entry = st.one_of(st.just(0), st.integers(-4, 4))
+    a = [[data.draw(entry) for _ in range(n)] for _ in range(m)]
+    if data.draw(st.booleans(), label="no units"):
+        a = [[2 * v if abs(v) == 1 else v for v in row] for row in a]
+    check_mod_kernel(a, m, n, d)
 
 
 def test_cokernel_invariants():
