@@ -74,8 +74,6 @@ from .homology import (
 )
 from .invariant import (
     GroupRingElement,
-    per_coloring_weight,
-    render,
     state_sum_2,
     state_sum_shadow,
     state_sum_surface,

@@ -51,6 +51,7 @@ power of the period at no extra cost, so torus:3:q takes the same time for
 every q.
 
 Every count and state sum is one histogram of weights (a count has d = 1),
+read off one table of the cochain's values on either path (_weights) and
 taken by _histogram, which alone decides the path:
 
 - A shadow count is |X| times the arc count, on both paths below.
@@ -425,7 +426,7 @@ def _histogram(
     else:
         roots, mult = None, [1] * n
     if shadow:
-        found = _seeded_regions(target, X, roots, ordered=False)
+        found = _region_core(target, X, roots, ordered=False)
     else:
         found = _solve_relations(target, X, roots, ordered=False)
     if surjective:
@@ -435,41 +436,59 @@ def _histogram(
     if cochain is None:
         for colors in found:
             hist[0] += mult[colors[0]]
-    elif surface:
-        value = cochain.value
+        return hist
+    w, zero = _weights(cochain, n)
+    if surface:
         for colors in found:
             total = 0
             for lo, mid, up, sign in target.triple_points:
-                total += sign * value((colors[lo], colors[mid], colors[up]))
+                total += sign * w[colors[mid]][colors[up]][colors[lo]]
             hist[total % d] += 1
     elif shadow:
-        # Per arc coloring each crossing adds the vector theta(perms[region][s],
-        # under, over) over the colors s of region 0: the theta row of its
-        # (under, over) colors, read through the region's list.
-        rows: dict[tuple[int, int], list[int]] = {}  # (under, over) -> theta(., under, over)
-        for (x, u, o), v in cochain.values.items():
-            if 0 <= min(x, u, o) and max(x, u, o) < n:
-                rows.setdefault((u, o), [0] * n)[x] = v
+        # Per arc coloring each crossing adds theta(region, under, over) for
+        # every color of region 0: its theta row read through the region's
+        # permutation.
         crossings = [(y, rel.from_under, rel.over, rel.sign)
                      for rel, y in zip(target.relations, target.shadow_weight_regions)]
-        for colors, perms in found:
+        for colors, at, perms in found:
             totals = [0] * n
             for y, under, over, sign in crossings:
-                row = rows.get((colors[under], colors[over]))
-                if row is not None:
-                    totals = [t + sign * row[x] for t, x in zip(totals, perms[y])]
+                row = w[colors[under]][colors[over]]
+                if row is not zero:
+                    totals = [t + sign * row[x] for t, x in zip(totals, perms[at[y]])]
             weight = mult[colors[0]]
             for t in totals:
                 hist[t % d] += weight
     else:
-        weight = [[cochain.value((u, o)) for o in range(n)] for u in range(n)]
         crossings = [(rel.from_under, rel.over, rel.sign) for rel in target.relations]
         for colors in found:
             total = 0
             for under, over, sign in crossings:
-                total += sign * weight[colors[under]][colors[over]]
+                total += sign * w[colors[under]][colors[over]]
             hist[total % d] += mult[colors[0]]
     return hist
+
+
+def _weights(cochain: Cochain, n: int) -> tuple[list, object]:
+    """(w, zero): w[u][o] = phi(u, o) and zero = 0, or rows w[u][o][x] = theta(x, u, o).
+
+    Every vanishing row is the one list zero, which a fold skips by identity.
+    Tuples with an entry outside X = range(n) are dropped.  O(nnz + n^2).
+    """
+    if cochain.degree == 2:
+        w = [[0] * n for _ in range(n)]
+        for (u, o), v in cochain.values.items():
+            if 0 <= min(u, o) and max(u, o) < n:
+                w[u][o] = v
+        return w, 0
+    zero = [0] * n
+    w = [[zero] * n for _ in range(n)]
+    for (x, u, o), v in cochain.values.items():
+        if 0 <= min(x, u, o) and max(x, u, o) < n:
+            if w[u][o] is zero:
+                w[u][o] = [0] * n
+            w[u][o][x] = v
+    return w, zero
 
 
 # --- braid closures as fixed points -------------------------------------------
@@ -505,12 +524,7 @@ def _closure_histogram(
         X.require_rack()
     n, table = X.size, X.table
     d = 1 if cochain is None else cochain.modulus
-    weight = None
-    if shadow:
-        weight = [[[cochain.value((y, u, o)) for o in range(n)] for u in range(n)]
-                  for y in range(n)]
-    elif cochain is not None:
-        weight = [[cochain.value((u, o)) for o in range(n)] for u in range(n)]
+    weight = None if cochain is None else _weights(cochain, n)[0]
     under_of = [[X.op_inv(b, a) for b in range(n)] for a in range(n)]  # c * a = b
     k = word.strands + shadow
     size = n**k
@@ -533,7 +547,7 @@ def _closure_histogram(
             strands[i - 1], strands[i] = under, a
         if regions is not None:
             left = regions[i - 1]
-            totals = [t + sign * weight[r][u][v]
+            totals = [t + sign * weight[u][v][r]
                       for t, r, u, v in zip(totals, left, under, over)]
             regions[i] = [table[r][c] for r, c in zip(left, strands[i - 1])]
         elif weight is not None:
@@ -646,19 +660,6 @@ def _region_core(
         yield colors, at, perms
         if len(perms) > limit:
             del perms[limit:], succ[limit:]
-
-
-def _seeded_regions(
-    D: Diagram, X: RackTable, roots: Sequence[int] | None = None, *, ordered: bool = True
-) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
-    """The region core read through its table: (colors, perms) per arc coloring.
-
-    perms[f][s] is the color of face f when face 0 has color s, so every
-    column of perms is a shadow coloring.  Interned permutations are shared
-    tuples.
-    """
-    for colors, at, perms in _region_core(D, X, roots, ordered=ordered):
-        yield colors, [perms[j] for j in at]
 
 
 def enumerate_shadow_colorings(

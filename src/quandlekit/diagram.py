@@ -541,9 +541,7 @@ def braid_closure(braid: BraidWord, name: str | None = None) -> Diagram:
         )
         for quad, over_in, sign in raw
     )
-    diagram = Diagram(2 * len(letters), crossings, name=name)
-    diagram.faces  # planarity sanity check; closure should always pass
-    return diagram
+    return Diagram(2 * len(letters), crossings, name=name)
 
 
 def torus_braid(p: int, q: int) -> BraidWord:

@@ -114,7 +114,7 @@ def chain_basis(X: RackTable, n: int, theory: str) -> ChainBasis:
     _check_theory(X, theory)
     if n <= 0:
         return ChainBasis(n, theory, ())
-    _check_budget(X.size**n)
+    _check_budget(X.size, n)
     if theory == "Q":
         return ChainBasis(n, theory, _nondegenerate_tuples(X.size, n))
     all_tuples = itertools.product(range(X.size), repeat=n)
@@ -205,11 +205,15 @@ def boundary_matrix(X: RackTable, n: int, theory: str = "R") -> BoundaryMatrix:
     return BoundaryMatrix(X, n, theory, tuple(columns), domain, codomain)
 
 
-def _check_budget(size: int) -> None:
+def _check_budget(m: int, n: int) -> None:
+    """Refuse C_n over m elements (m^n tuples, none for n <= 0) above the budget.
+
+    m^n > budget once m >= 2 and n exceeds the budget's bit length: no huge power is formed.
+    """
     budget = basis_budget()
-    if size > budget:
+    if n > 0 and (m > 1 and n > budget.bit_length() or m**n > budget):
         raise BudgetError(
-            f"chain basis of size {size} exceeds the budget of {budget} "
+            f"chain basis of size {m}^{n} exceeds the budget of {budget} "
             f"(override with {_BUDGET_ENV})"
         )
 
@@ -571,7 +575,19 @@ class CochainSpaces:
 
 
 def _is_prime(d: int) -> bool:
-    return d >= 2 and _factorint(d) == {d: 1}
+    """Miller-Rabin to the twelve prime bases up to 37, polynomial in the digits of d.
+
+    Exact below 3317044064679887385961981 (about 3.3 * 10^24), the least
+    composite that passes all twelve.  Above it a d that passes is a strong
+    probable prime: it is taken for a prime, and Z_d is reduced as a field.
+    """
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if d < 2 or any(d % p == 0 for p in bases):
+        return d in bases
+    s = ((d - 1) & (1 - d)).bit_length() - 1  # d - 1 = 2^s r with r odd
+    r = (d - 1) >> s
+    return all(pow(a, r, d) == 1 or d - 1 in (pow(a, r << i, d) for i in range(s))
+               for a in bases)
 
 
 def _distinct_nonzero(vectors: Iterable[Sequence[int]], d: int) -> list[tuple[int, ...]]:
@@ -583,15 +599,15 @@ def _distinct_nonzero(vectors: Iterable[Sequence[int]], d: int) -> list[tuple[in
 def cohomology(X: RackTable, n: int, theory: str, d: int) -> CochainSpaces:
     """Cocycle and coboundary spaces of degree n with coefficients in Z_d.
 
-    The chain basis and both boundary maps are built (and budget-checked)
-    here; dimensions and generators are computed when first read.
+    The chain basis is built here, and C_{n+1}, the largest space the two
+    boundary maps touch, is budget-checked; the maps, dimensions and
+    generators are built when first read.
     """
     if d < 2:
         raise DomainError("coefficient modulus must be at least 2")
     _check_theory(X, theory)
     basis = chain_basis(X, n, theory)
-    boundary_matrix(X, n + 1, theory)
-    boundary_matrix(X, n, theory)
+    _check_budget(X.size, n + 1)
     return CochainSpaces(X, n, d, theory, basis, _is_prime(d))
 
 

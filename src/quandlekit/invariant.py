@@ -5,7 +5,8 @@ into the group ring Z[t]/(t^d - 1) once per coloring.  Each state sum is
 the weight histogram of coloring._histogram, which takes it off the braid
 engine or folds it from the coloring search without building coloring
 objects; the coloring module's docstring says which path a sum takes.
-The per-coloring weights below are the reference they are tested against.
+The per-coloring weights below, the survey's definition, read the cochain
+itself: they are the reference the folds are tested against.
 Cocycle validity is enforced before any sum is taken: without it the result
 is not an invariant (an explicit escape hatch exists for experiments).
 """
@@ -84,10 +85,6 @@ class GroupRingElement:
         return self.render()
 
 
-def render(e: GroupRingElement) -> str:
-    return e.render()
-
-
 def _require_cocycle(X: RackTable, phi: Cochain, degree: int, check: bool) -> None:
     if phi.degree != degree:
         raise DomainError(f"expected a degree-{degree} cochain, got degree {phi.degree}")
@@ -136,17 +133,6 @@ def surface_weight(
     for lo, mid, up, sign in SD.triple_points:
         total += sign * theta.value((rho.colors[lo], rho.colors[mid], rho.colors[up]))
     return total % theta.modulus
-
-
-def per_coloring_weight(target, X: RackTable, cochain: Cochain, coloring) -> int:
-    """Weight of one (shadow/surface) coloring, dispatched on the input types."""
-    if isinstance(coloring, ShadowColoring):
-        return shadow_weight(target, X, cochain, coloring)
-    if isinstance(coloring, SurfaceColoring):
-        return surface_weight(target, cochain, coloring)
-    if isinstance(coloring, Coloring):
-        return coloring_weight(target, X, cochain, coloring)
-    raise DomainError(f"cannot weight a {type(coloring).__name__}")
 
 
 # --- state sums -------------------------------------------------------------------

@@ -87,7 +87,6 @@ class SmithForm:
 
 def smith_normal_form(
     rows: Sequence[Sequence[int]],
-    nrows: int,
     ncols: int,
     *,
     want_col_ops: bool = False,
@@ -101,8 +100,7 @@ def smith_normal_form(
     d = [list(row) for row in rows]
     if any(len(row) != ncols for row in d):
         raise ValueError("ragged matrix")
-    if len(d) != nrows:
-        raise ValueError("row count mismatch")
+    nrows = len(d)
     # Column operations act on the rows of d and of t alike.
     t = [[int(i == j) for j in range(ncols)] for i in range(ncols)] if want_col_ops else []
 
@@ -250,7 +248,7 @@ def cokernel_invariants(
     describe Z^ncols / rowspan(A).
     """
     units, _, residual = _eliminate(columns, nrows)
-    sf = smith_normal_form(residual, len(residual), len(residual[0]) if residual else 0)
+    sf = smith_normal_form(residual, len(residual[0]) if residual else 0)
     torsion = [v for v in sf.diag[: sf.rank] if v > 1]
     return nrows - units - sf.rank, torsion
 
@@ -274,7 +272,7 @@ def mod_kernel(vectors: Sequence[Mapping[int, int]], ncols: int, d: int) -> list
     pivots: list[tuple[int, int, dict[int, int]]] = []
     _, support, residual = _eliminate(vectors, ncols, pivots)
     transposed = list(zip(*residual))
-    sf = smith_normal_form(transposed, len(transposed), len(support), want_col_ops=True)
+    sf = smith_normal_form(transposed, len(support), want_col_ops=True)
     touched = set(support).union(r for r, _, _ in pivots)
     out = [[int(i == j) for i in range(ncols)] for j in range(ncols) if j not in touched]
     for k in range(len(support)):

@@ -1,5 +1,11 @@
+import os
+import resource
+import subprocess
+import sys
+
 import pytest
 
+import quandlekit
 from quandlekit import (
     Cochain,
     make_alexander,
@@ -30,6 +36,31 @@ def span_mod(vectors, n, d):
         frontier -= seen
         seen = seen | frontier
     return seen
+
+
+def run_cli_guarded(*argv, cpu_s=5, memory_bytes=1 << 30):
+    """``python -m quandlekit argv`` in a child process under resource limits.
+
+    RLIMIT_CPU (cpu_s seconds) stops a command that hangs and RLIMIT_AS
+    (memory_bytes) one that allocates without bound, so a regression fails
+    in seconds.  Asserts that the exit code is one the command line defines
+    (0 to 3) and that stderr holds no traceback; returns the completed
+    process.
+    """
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_CPU, (cpu_s, cpu_s))
+        resource.setrlimit(resource.RLIMIT_AS, (memory_bytes, memory_bytes))
+
+    src = os.path.dirname(os.path.dirname(quandlekit.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "quandlekit", *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, preexec_fn=limit, timeout=10 * cpu_s,
+    )
+    assert proc.returncode in (0, 1, 2, 3), (argv, proc.returncode, proc.stderr[-2000:])
+    assert "Traceback" not in proc.stderr, (argv, proc.stderr[-2000:])
+    return proc
 
 
 @pytest.fixture(scope="session")

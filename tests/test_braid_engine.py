@@ -4,11 +4,14 @@ coloring._closure_histogram counts the colorings of a braid closure, and
 sums 2- and 3-cochain weights over them, as fixed points of the braid's
 permutation.  These tests call it directly, whatever the path rule says,
 and compare it with the search (the only path a Diagram takes) on
-braid_closure of the expanded word.  A shadow count on the engine is |X|
-times its arc count; it is compared with the region core on the closure.  Random cochains that are not cocycles,
-checked nowhere, pin the sign of each letter and the region each shadow
-weight reads: an involutory quandle such as R3 cannot tell a letter from
-its inverse.
+braid_closure of the expanded word, and the search's sums with the
+per-coloring weights.  A shadow count on the engine is |X| times its arc
+count; it is compared with the region core on the closure.  Random cochains
+that are not cocycles, checked nowhere, pin the sign of each letter and the
+region each shadow weight reads: an involutory quandle such as R3 cannot
+tell a letter from its inverse.  Some of their tuples lie outside X, which
+the engine and the search read through one weight table and the
+per-coloring weights never look up.
 """
 
 import random
@@ -21,6 +24,8 @@ from quandlekit import (
     Cochain,
     braid_closure,
     count_colorings,
+    enumerate_colorings,
+    enumerate_shadow_colorings,
     make_alexander,
     make_dihedral,
     parse_rack_table,
@@ -29,6 +34,7 @@ from quandlekit import (
 )
 from quandlekit.coloring import _closure_histogram, _histogram
 from quandlekit.diagram import parse_braid_word, torus_braid
+from quandlekit.invariant import coloring_weight, shadow_weight
 
 # S4 is not involutory; the cycle rack is not a quandle.
 RACKS = {
@@ -42,11 +48,30 @@ MODULUS = 7  # odd, so that a weight and its negative differ
 
 
 def _random_cochain(rng, degree, n):
+    """Random values on up to 2n^2 tuples, about a quarter of them outside X.
+
+    An entry outside X is below 0 (-1 and -n would index a list from its
+    end) or at least n; such a tuple weighs no coloring.
+    """
     values = {}
     for _ in range(2 * n**2):
-        t = tuple(rng.randrange(n) for _ in range(degree))
-        values[t] = rng.randrange(MODULUS)
+        t = [rng.randrange(n) for _ in range(degree)]
+        if rng.random() < 0.25:
+            t[rng.randrange(degree)] = rng.choice((-1, -n, n, n + 1))
+        values[tuple(t)] = rng.randrange(MODULUS)
     return Cochain(degree, MODULUS, values)
+
+
+def _oracle(D, X, cochain):
+    """The state sum from the per-coloring weights, which read the cochain itself."""
+    hist = [0] * MODULUS
+    if cochain.degree == 2:
+        for rho in enumerate_colorings(D, X):
+            hist[coloring_weight(D, X, cochain, rho)] += 1
+    else:
+        for s in enumerate_shadow_colorings(D, X):
+            hist[shadow_weight(D, X, cochain, s)] += 1
+    return tuple(hist)
 
 
 def _compare(word, X, rng):
@@ -55,6 +80,7 @@ def _compare(word, X, rng):
     assert _closure_histogram(word, X) == [count_colorings(D, X)]
     phi = _random_cochain(rng, 2, X.size)
     want = state_sum_2(D, X, phi, check=False)
+    assert want.coeffs == _oracle(D, X, phi)
     assert tuple(_closure_histogram(word, X, phi)) == want.coeffs
     assert state_sum_2(word, X, phi, check=False) == want
     if not X.is_quandle:
@@ -64,6 +90,7 @@ def _compare(word, X, rng):
     assert _histogram(word, X, shadow=True) == shadows
     theta = _random_cochain(rng, 3, X.size)
     want = state_sum_shadow(D, X, theta, check=False)
+    assert want.coeffs == _oracle(D, X, theta)
     assert tuple(_closure_histogram(word, X, theta)) == want.coeffs
     assert state_sum_shadow(word, X, theta, check=False) == want
 

@@ -9,7 +9,9 @@ from quandlekit.cli import main
 from quandlekit.diagram import BraidWord, braid_closure
 from quandlekit.specs import bundled_path, read_data_file, resolve_diagram, resolve_rack
 
-from conftest import brute_force_colorings, brute_force_sheets, brute_force_shadows
+from conftest import (
+    brute_force_colorings, brute_force_sheets, brute_force_shadows, run_cli_guarded,
+)
 
 
 def run(capsys, *argv):
@@ -415,6 +417,47 @@ def test_homology_budget_exit(capsys):
         assert "budget" in err
     finally:
         del os.environ["QUANDLEKIT_BUDGET"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology", "dihedral:3", "--degree", "9013"],
+    ["homology", "dihedral:3", "--degree", "9013", "--mod", "6"],
+    ["homology", "dihedral:3", "--degree", "5000"],
+    ["cocycles", "dihedral:3", "--degree", "9013", "--mod", "3"],
+    ["cocycles", "dihedral:3", "--degree", "30000000", "--mod", "3"],
+], ids=" ".join)
+def test_huge_degree_is_refused_by_name(argv):
+    # The budget compares without forming |X|^n, and names the size as a power.
+    proc = run_cli_guarded(*argv, cpu_s=3)
+    assert proc.returncode == 3
+    assert f"error: chain basis of size 3^{argv[3]} exceeds the budget" in proc.stderr
+    assert len(proc.stderr) < 200
+
+
+def test_huge_degree_verify_is_refused(tmp_path):
+    path = tmp_path / "big.cochain"
+    path.write_text("cochain 9013 3\n")
+    proc = run_cli_guarded("cocycles", "dihedral:3", "--degree", "9013", "--mod", "3",
+                           "--verify", str(path), cpu_s=3)
+    assert proc.returncode == 3
+
+
+def test_one_element_quandle_has_size_one_at_any_degree():
+    proc = run_cli_guarded("homology", "trivial:1", "--degree", "100", cpu_s=3)
+    assert proc.returncode == 0
+    assert "#data homology 0" in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["homology", "cocycles"])
+def test_large_prime_modulus_answers(capsys, command):
+    # 2^61 - 1 is prime; it divides no torsion of R3, so it reads as Z_5 does.
+    p = 2**61 - 1
+    proc = run_cli_guarded(command, "dihedral:3", "--degree", "2", "--mod", str(p), cpu_s=3)
+    assert proc.returncode == 0
+    code, out, _ = run(capsys, command, "dihedral:3", "--degree", "2", "--mod", "5")
+    assert code == 0
+    data = [line.replace(" 5 ", f" {p} ") for line in out.splitlines() if line.startswith("#data")]
+    assert [line for line in proc.stdout.splitlines() if line.startswith("#data")] == data
 
 
 # --- cocycles ---------------------------------------------------------------------

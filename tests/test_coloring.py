@@ -332,9 +332,9 @@ def test_shadow_matches_brute_force(small_diagrams):
             expected = brute_force_shadows(D, X)
             got = [(s.colors, s.region_colors) for s in enumerate_shadow_colorings(D, X)]
             assert got == sorted(expected), (name, X.label)
-            unordered = [(c, regions) for c, perms
-                         in coloring._seeded_regions(D, X, ordered=False)
-                         for regions in zip(*perms)]
+            unordered = [(c, regions) for c, at, perms
+                         in coloring._region_core(D, X, ordered=False)
+                         for regions in zip(*[perms[j] for j in at])]
             assert sorted(unordered) == got, (name, X.label)
 
 
@@ -431,7 +431,7 @@ def test_region_core_interns_within_inn_x():
     # core meets at most |Inn(X)| distinct ones: 54 for A27 = Z_3^3 with T = 2.
     X = _REGION_CORE_QUANDLES[3]
     D = braid_closure(parse_braid_word(3, "1 2 1 2 1 2 1 2"))
-    met = {p for _, perms in coloring._seeded_regions(D, X) for p in perms}
+    met = {perms[j] for _, at, perms in coloring._region_core(D, X) for j in at}
     inn = {tuple(range(X.size))}
     frontier = list(inn)
     while frontier:

@@ -40,6 +40,7 @@ from quandlekit.homology import (
     _boundary_invariants,
     _boundary_mod_rank,
     _factorint,
+    _is_prime,
     _is_degenerate,
     _nondegenerate_tuples,
     format_cochain,
@@ -259,6 +260,29 @@ def test_dihedral3_quandle_homology_degree_9(monkeypatch, r3):
 @pytest.mark.slow
 def test_dihedral5_quandle_homology_degree_5():
     assert homology(make_dihedral(5), 5, "Q").rank == 0
+
+
+def test_is_prime_agrees_with_trial_division():
+    def trial_division(d, primes):
+        for p in primes:
+            if p * p > d:
+                break
+            if d % p == 0:
+                return False
+        return d >= 2
+
+    primes = []
+    for d in range(10**5):
+        prime = trial_division(d, primes)
+        if prime:
+            primes.append(d)
+        assert _is_prime(d) == prime, d
+    # A Carmichael number, and strong pseudoprimes to the bases 2..7 and 2..23.
+    for d, factors in [(561, (3, 11, 17)), (3215031751, (151, 751, 28351)),
+                       (3825123056546413051, (149491, 747451, 34233211))]:
+        assert prod(factors) == d
+        assert not _is_prime(d)
+    assert _is_prime(2**61 - 1)
 
 
 def test_budget_guard():

@@ -50,7 +50,7 @@ def check_smith_form(a, m, n):
     S A T = diag(sf.diag) for a unimodular S exactly when column i of A T is
     diag[i] times a primitive vector, past min(m, n) zero.
     """
-    sf = smith_normal_form(a, m, n, want_col_ops=True)
+    sf = smith_normal_form(a, n, want_col_ops=True)
     assert len(sf.diag) == min(m, n)
     assert all(v >= 0 for v in sf.diag)
     for k, divisor in enumerate(determinantal_divisors(a, m, n)):
@@ -73,16 +73,16 @@ def test_xgcd():
 
 
 def test_smith_form_known_matrix():
-    sf = smith_normal_form([[2, 4], [6, 8]], 2, 2)
+    sf = smith_normal_form([[2, 4], [6, 8]], 2)
     assert sf.diag == [2, 4]
     assert sf.rank == 2
-    sf = smith_normal_form([[1, 0], [0, 0]], 2, 2)
+    sf = smith_normal_form([[1, 0], [0, 0]], 2)
     assert sf.diag == [1, 0]
 
 
 def test_smith_transforms_diagonalize():
     a = [[6, 4, 2], [2, 8, 4]]
-    assert smith_normal_form(a, 2, 3).diag == [2, 10]
+    assert smith_normal_form(a, 3).diag == [2, 10]
     check_smith_form(a, 2, 3)
     check_smith_form(((2, 4), (6, 8)), 2, 2)  # tuple rows are accepted
 
@@ -104,8 +104,8 @@ def test_smith_form_random(m, n, data):
 def test_smith_recombines_diagonal_entries():
     assert invariant_factors([]) == []
     assert invariant_factors([1, 4, 6, 10]) == [1, 2, 2, 60]
-    assert smith_normal_form([[2, 0], [0, 3]], 2, 2).diag == [1, 6]
-    assert smith_normal_form([[4, 0, 0], [0, 6, 0], [0, 0, 10]], 3, 3).diag == [2, 2, 60]
+    assert smith_normal_form([[2, 0], [0, 3]], 2).diag == [1, 6]
+    assert smith_normal_form([[4, 0, 0], [0, 6, 0], [0, 0, 10]], 3).diag == [2, 2, 60]
     # The kernel columns of the transform still annihilate A.
     check_smith_form([[2, 0, 2], [0, 3, 3]], 2, 3)
     check_smith_form([[4, 0, 0, 4], [0, 6, 0, 6], [0, 0, 10, 10]], 3, 4)
@@ -120,7 +120,7 @@ def check_mod_kernel(a, m, n, d):
     }
     assert all(len(x) == m and any(x) and all(0 <= v < d for v in x) for x in gens)
     assert span_mod(gens, m, d) == kernel
-    sf = smith_normal_form(a, m, n)
+    sf = smith_normal_form(a, n)
     assert len(gens) == m - sf.rank + sum(1 for e in sf.diag[: sf.rank] if gcd(e, d) > 1)
 
 
@@ -231,7 +231,7 @@ def check_mod_rref(a, n, p):
 
 def check_sparse_core(a, m, n, columns):
     """The sparse cores against the dense SNF and the dense GF(p) row reduction."""
-    sf = smith_normal_form(a, m, n)
+    sf = smith_normal_form(a, n)
     assert cokernel_invariants(columns, m) == (m - sf.rank, [v for v in sf.diag if v > 1])
     for p in (2, 3, 5, 7):
         # The columns are the rows of the transpose, of the same rank.
