@@ -188,19 +188,12 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
     if phi.degree != degree:
         raise ParseError(f"mode {mode} needs a degree-{degree} cochain, "
                          f"but the cochain has degree {phi.degree}")
+    if (mode == "surface") != isinstance(target, SurfaceDiagramData):
+        need = "surface data" if mode == "surface" else "a classical diagram"
+        raise ParseError(f"--mode {mode} needs {need}")
     check = not args.unsafe_no_cocycle_check
-    if mode == "surface":
-        if not isinstance(target, SurfaceDiagramData):
-            raise ParseError("--mode surface needs surface data")
-        value = state_sum_surface(target, X, phi, check=check)
-    elif mode == "shadow":
-        if isinstance(target, SurfaceDiagramData):
-            raise ParseError("--mode shadow needs a classical diagram")
-        value = state_sum_shadow(target, X, phi, check=check)
-    else:
-        if isinstance(target, SurfaceDiagramData):
-            raise ParseError("--mode 2 needs a classical diagram")
-        value = state_sum_2(target, X, phi, check=check)
+    state_sum = {"2": state_sum_2, "shadow": state_sum_shadow, "surface": state_sum_surface}
+    value = state_sum[mode](target, X, phi, check=check)
     if not check:
         print("warning: cocycle check skipped; this value is not a knot invariant")
     print(value.render())
@@ -210,26 +203,21 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
 
 def _cmd_homology(args: argparse.Namespace) -> int:
     X = resolve_rack(args.rack, force_file=args.file)
-    n, theory = args.degree, args.theory
-    if args.mod is None:
-        group = homology(X, n, theory)
-        print(f"H_{n}^{theory}({X.label}) = {group}")
-        factors = " ".join(map(str, group.invariant_factors))
-        print(f"#data homology {group.rank}{(' ' + factors) if factors else ''}")
-        return 0
-    d = args.mod
-    if d < 2:
-        raise ParseError("--mod must be at least 2")
-    if _is_prime(d):
-        dim = homology_mod(X, n, theory, d)
-        desc = "0" if dim == 0 else (f"Z_{d}" if dim == 1 else f"Z_{d}^{dim}")
-        print(f"H_{n}^{theory}({X.label}; Z_{d}) = {desc}")
-        print(f"#data homology-mod {d} {dim}")
-    else:
-        group = homology_with_coefficients(X, n, theory, d)
-        print(f"H_{n}^{theory}({X.label}; Z_{d}) = {group}")
-        factors = " ".join(map(str, group.invariant_factors))
-        print(f"#data homology {group.rank}{(' ' + factors) if factors else ''}")
+    n, theory, d = args.degree, args.theory, args.mod
+    coefficients = ""
+    if d is not None:
+        if d < 2:
+            raise ParseError("--mod must be at least 2")
+        coefficients = f"; Z_{d}"
+        if _is_prime(d):
+            dim = homology_mod(X, n, theory, d)
+            desc = "0" if dim == 0 else (f"Z_{d}" if dim == 1 else f"Z_{d}^{dim}")
+            print(f"H_{n}^{theory}({X.label}{coefficients}) = {desc}")
+            print(f"#data homology-mod {d} {dim}")
+            return 0
+    group = homology(X, n, theory) if d is None else homology_with_coefficients(X, n, theory, d)
+    print(f"H_{n}^{theory}({X.label}{coefficients}) = {group}")
+    print(" ".join(map(str, ["#data homology", group.rank, *group.invariant_factors])))
     return 0
 
 

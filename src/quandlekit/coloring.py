@@ -57,7 +57,8 @@ taken by _histogram, which alone decides the path:
 - A shadow count is |X| times the arc count, on both paths below.
 - A braid word takes the engine when its states number at most |X| times
   the crossings of its closure, the closure the search would build
-  instead; the rule reads input sizes only.  Counts have the states X^s,
+  instead; the rule reads input sizes only, through the comparison the
+  chain-basis budget uses (_budget.within).  Counts have the states X^s,
   a shadow state sum X^(s+1).  --surjective counts never take the engine.
 - Otherwise a braid word is closed (braid_closure) and searched.  Counts,
   surjective and surface counts too, and the checked 2-cocycle and shadow
@@ -75,10 +76,11 @@ from collections import abc
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence, overload
 
+from . import _budget
 from .algebra import RackTable
 from .diagram import BraidWord, Diagram, SurfaceDiagramData, braid_closure
 from .errors import DomainError, NonCocycleError
-from .homology import Cochain, CocycleCheck, _budget_cache, is_cocycle
+from .homology import Cochain, CocycleCheck, is_cocycle
 
 
 @dataclass(frozen=True)
@@ -86,12 +88,6 @@ class Coloring:
     """An assignment of rack elements to arcs, arc id -> colors[arc]."""
 
     colors: tuple[int, ...]
-
-    def is_constant(self) -> bool:
-        return len(set(self.colors)) <= 1
-
-    def is_surjective_onto(self, X: RackTable) -> bool:
-        return set(self.colors) == set(range(X.size))
 
 
 @dataclass(frozen=True)
@@ -417,7 +413,7 @@ def _histogram(
     if isinstance(target, BraidWord):
         k = target.strands + shadow
         limit = n * len(target.letters) * target.power
-        if not surjective and k <= limit.bit_length() and n**k <= limit:
+        if not surjective and _budget.within(n, k, limit):
             return _closure_histogram(target, X, cochain)
         target = braid_closure(target)
     surface = isinstance(target, SurfaceDiagramData)
@@ -689,7 +685,7 @@ def enumerate_surface_colorings(
     return [SurfaceColoring(t) for t in _solve_relations(SD, X)]
 
 
-@_budget_cache
+@_budget.memo
 def _lift_verdict(
     X: RackTable, degree: int, modulus: int, items: tuple[tuple[tuple[int, ...], int], ...]
 ) -> CocycleCheck:

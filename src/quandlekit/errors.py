@@ -31,4 +31,4 @@ class NonCocycleError(DomainError):
 
 
 class BudgetError(QuandleKitError):
-    """A chain-group basis exceeded the configured size budget."""
+    """A chain group's size exceeded the resource budget (size rule in ``_budget``)."""

@@ -10,13 +10,15 @@ off the Smith diagonals of the two boundary maps at each degree: ker d_n is a
 direct summand of C_n, so H_n has the torsion of coker d_{n+1} and free rank
 dim C_n - rank d_n - rank d_{n+1}.  Those diagonals and coboundary
 membership mod d (which compares the orders of two cokernels tensored with
-Z_d, for every d) go through the sparse Z elimination in ``snf``, and each
-boundary map is eliminated over Z at most once per budget.  The GF(p) ranks
-behind ``homology_mod`` and the prime cocycle and coboundary dimensions are
-read off the cached Smith diagonal of d_n when there is one: the Z core
-pivots only on +-1 and the residual Smith form uses unimodular transforms,
-all invertible mod every p, so rank_p d_n = rank d_n minus the number of
-invariant factors that p divides.  Otherwise the rank is the number of rows
+Z_d, for every d) go through the sparse Z elimination in ``snf``.  Only
+answers are memoized (``_budget.memo``, per budget): bases, invariants and
+ranks.  So each boundary map is eliminated over Z at most once per budget,
+but a map is rebuilt when read again; a CochainSpaces keeps its own d_n.
+The GF(p) ranks behind ``homology_mod`` and the prime cocycle and
+coboundary dimensions are read off the cached Smith diagonal of d_n when
+there is one: the Z core pivots only on +-1 and the residual Smith form
+uses unimodular transforms, all invertible mod every p, so rank_p d_n =
+rank d_n minus the number of invariant factors that p divides.  Otherwise the rank is the number of rows
 of the sparse GF(p) RREF of the columns of d_n, which runs faster than a Z
 elimination made only for that rank.  Cocycle and coboundary generators
 with coefficients in Z_d are built only when read: off the same RREF when d
@@ -28,59 +30,17 @@ and the coboundary generators are the distinct nonzero rows of d_n mod d.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass, field
-from functools import cached_property, wraps
+from functools import cached_property
 from math import gcd, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from . import snf
+from . import _budget, snf
 from ._util import content_lines
 from .algebra import RackTable
-from .errors import BudgetError, DomainError, ParseError
+from .errors import DomainError, ParseError
 
 THEORIES = ("R", "D", "Q")
-
-DEFAULT_BASIS_BUDGET = 20_000
-_BUDGET_ENV = "QUANDLEKIT_BUDGET"
-
-
-def basis_budget() -> int:
-    raw = os.environ.get(_BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_BASIS_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"bad {_BUDGET_ENV} value {raw!r}") from None
-
-
-def _budget_cache(fn):
-    """Cache ``fn`` per value of the budget variable as well as per argument.
-
-    A result stored under one budget is never handed out under another, so
-    every call raises BudgetError exactly when a call on an empty cache
-    would.  The key is the raw string, so the lookup cannot raise; ``fn``
-    parses it after its theory check.  ``peek`` returns the stored result
-    for these arguments under the current budget, or None, and never runs
-    ``fn``.
-    """
-    cache: dict = {}
-
-    def key(args, kwargs):
-        return os.environ.get(_BUDGET_ENV), args, tuple(sorted(kwargs.items()))
-
-    @wraps(fn)
-    def wrapper(*args, **kwargs):
-        k = key(args, kwargs)
-        if k not in cache:
-            cache[k] = fn(*args, **kwargs)
-        return cache[k]
-
-    wrapper.peek = lambda *args, **kwargs: cache.get(key(args, kwargs))
-    wrapper.cache_clear = cache.clear
-    return wrapper
-
 
 def _is_degenerate(t: tuple[int, ...]) -> bool:
     return any(t[i] == t[i + 1] for i in range(len(t) - 1))
@@ -108,13 +68,13 @@ def _check_theory(X: RackTable, theory: str) -> None:
         raise DomainError(f"theory {theory} needs a quandle; {X.label} is only a rack")
 
 
-@_budget_cache
+@_budget.memo
 def chain_basis(X: RackTable, n: int, theory: str) -> ChainBasis:
     """Canonical (lexicographic) basis of C_n for the given theory."""
     _check_theory(X, theory)
     if n <= 0:
         return ChainBasis(n, theory, ())
-    _check_budget(X.size, n)
+    _budget.check_chain(X.size, n)
     if theory == "Q":
         return ChainBasis(n, theory, _nondegenerate_tuples(X.size, n))
     all_tuples = itertools.product(range(X.size), repeat=n)
@@ -182,7 +142,6 @@ class BoundaryMatrix:
         return len(self.domain)
 
 
-@_budget_cache
 def boundary_matrix(X: RackTable, n: int, theory: str = "R") -> BoundaryMatrix:
     """The boundary C_n -> C_{n-1}; zero for n <= 1 by convention."""
     _check_theory(X, theory)
@@ -203,19 +162,6 @@ def boundary_matrix(X: RackTable, n: int, theory: str = "R") -> BoundaryMatrix:
             col[idx] = coeff
         columns.append(col)
     return BoundaryMatrix(X, n, theory, tuple(columns), domain, codomain)
-
-
-def _check_budget(m: int, n: int) -> None:
-    """Refuse C_n over m elements (m^n tuples, none for n <= 0) above the budget.
-
-    m^n > budget once m >= 2 and n exceeds the budget's bit length: no huge power is formed.
-    """
-    budget = basis_budget()
-    if n > 0 and (m > 1 and n > budget.bit_length() or m**n > budget):
-        raise BudgetError(
-            f"chain basis of size {m}^{n} exceeds the budget of {budget} "
-            f"(override with {_BUDGET_ENV})"
-        )
 
 
 # --- abelian group values ------------------------------------------------------
@@ -245,13 +191,6 @@ class AbelianGroup:
         factors = snf.invariant_factors([d for d in orders if d])
         return cls(rank + orders.count(0), tuple(d for d in factors if d > 1))
 
-    def elementary_divisors(self) -> tuple[int, ...]:
-        out: list[int] = []
-        for d in self.invariant_factors:
-            for p, e in _factorint(d).items():
-                out.append(p**e)
-        return tuple(sorted(out))
-
     def direct_sum(self, *others: "AbelianGroup") -> "AbelianGroup":
         rank = self.rank + sum(o.rank for o in others)
         divisors = list(self.invariant_factors)
@@ -276,23 +215,10 @@ class AbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def _factorint(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 # --- homology -------------------------------------------------------------------
 
 
-@_budget_cache
+@_budget.memo
 def _boundary_invariants(X: RackTable, n: int, theory: str) -> tuple[int, tuple[int, ...]]:
     """Rank and torsion (invariant factors > 1) of d_n, eliminated once.
 
@@ -303,7 +229,7 @@ def _boundary_invariants(X: RackTable, n: int, theory: str) -> tuple[int, tuple[
     return d.nrows - free, tuple(torsion)
 
 
-@_budget_cache
+@_budget.memo
 def _boundary_mod_rank(X: RackTable, n: int, theory: str, p: int) -> int:
     """Rank of d_n over GF(p), p prime.
 
@@ -519,9 +445,14 @@ class CochainSpaces:
         return tuple(map(tuple, solve(up.columns, len(self.basis), self.modulus)))
 
     @cached_property
+    def _down(self) -> BoundaryMatrix:
+        """d_n, built once for the coboundary generators and every membership test."""
+        return boundary_matrix(self.X, self.degree, self.theory)
+
+    @cached_property
     def coboundary_vectors(self) -> tuple[tuple[int, ...], ...]:
         # The row space of d_n mod d is the coboundary space; for prime d, its RREF.
-        down = boundary_matrix(self.X, self.degree, self.theory)
+        down = self._down
         rows: list[dict[int, int]] = [{} for _ in range(down.nrows)]
         for j, col in enumerate(down.columns):
             for i, v in col.items():
@@ -561,7 +492,7 @@ class CochainSpaces:
         outside = next((t for t in phi.values if t not in index), None)
         if outside is not None:
             raise DomainError(f"cochain is nonzero on {outside}, outside the chain basis")
-        down = boundary_matrix(self.X, self.degree, self.theory)
+        down = self._down
         dim, d, m = len(self.basis), self.modulus, down.nrows
         appended = list(down.columns)
         for t, v in phi.values.items():
@@ -607,7 +538,7 @@ def cohomology(X: RackTable, n: int, theory: str, d: int) -> CochainSpaces:
         raise DomainError("coefficient modulus must be at least 2")
     _check_theory(X, theory)
     basis = chain_basis(X, n, theory)
-    _check_budget(X.size, n + 1)
+    _budget.check_chain(X.size, n + 1)
     return CochainSpaces(X, n, d, theory, basis, _is_prime(d))
 
 

@@ -38,6 +38,24 @@ def span_mod(vectors, n, d):
     return seen
 
 
+def prime_powers(n):
+    """The prime powers p^e exactly dividing n >= 1, by trial division."""
+    out, p = [], 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        if e:
+            out.append(p**e)
+        p += 1
+    return out + [n] * (n > 1)
+
+
+def elementary_divisors(group):
+    """The elementary divisors of an AbelianGroup's torsion, sorted."""
+    return tuple(sorted(q for d in group.invariant_factors for q in prime_powers(d)))
+
+
 def run_cli_guarded(*argv, cpu_s=5, memory_bytes=1 << 30):
     """``python -m quandlekit argv`` in a child process under resource limits.
 

@@ -68,7 +68,7 @@ def test_criterion_1_trefoil_colorings(trefoil, r3):
     done = _stopwatch(1.0)
     cols = enumerate_colorings(trefoil, r3)
     assert len(cols) == 9
-    assert sum(1 for c in cols if c.is_constant()) == 3
+    assert sum(1 for c in cols if len(set(c.colors)) == 1) == 3
     elapsed = done("trefoil coloring count")
     print(f"\nacceptance 1: PASS trefoil has 9 colorings, 3 constant ({elapsed:.2f}s)")
 

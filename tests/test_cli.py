@@ -442,10 +442,22 @@ def test_huge_degree_verify_is_refused(tmp_path):
     assert proc.returncode == 3
 
 
-def test_one_element_quandle_has_size_one_at_any_degree():
+def test_one_element_quandle_answers_at_degree_100():
+    # C_100 of trivial:1 counts 100^2 budget units, the work of its boundary.
     proc = run_cli_guarded("homology", "trivial:1", "--degree", "100", cpu_s=3)
     assert proc.returncode == 0
     assert "#data homology 0" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology", "trivial:1", "--degree", "8000", "--theory", "R"],
+    ["homology", "trivial:1", "--degree", "8000", "--theory", "D"],
+    ["cocycles", "trivial:1", "--degree", "8000", "--mod", "2"],
+], ids=" ".join)
+def test_one_element_quandle_is_counted_by_boundary_work(argv):
+    # One 8000-tuple, but its boundary builds 2 x 7999 tuples of length 7999.
+    proc = run_cli_guarded(*argv, cpu_s=1)
+    assert proc.returncode in (0, 3)
 
 
 @pytest.mark.parametrize("command", ["homology", "cocycles"])

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import os
+import sys
 from math import gcd, prod
 
 import pytest
@@ -39,7 +40,6 @@ from quandlekit.homology import (
     THEORIES,
     _boundary_invariants,
     _boundary_mod_rank,
-    _factorint,
     _is_prime,
     _is_degenerate,
     _nondegenerate_tuples,
@@ -47,7 +47,7 @@ from quandlekit.homology import (
 )
 from quandlekit.specs import read_data_file, resolve_rack
 
-from conftest import THETA_VALUES, span_mod
+from conftest import THETA_VALUES, elementary_divisors, prime_powers, span_mod
 
 
 def hom_quandles():
@@ -219,7 +219,8 @@ def test_dihedral4_quandle_free_rank(r4):
 def test_degree_sweep_eliminates_each_boundary_once(monkeypatch):
     # H_n and H_{n+1} share d_{n+1}: the sweep n = 2..7 eliminates d_2..d_8
     # over Z once each, and the GF(3) ranks are read off their invariant
-    # factors, so nothing is reduced over GF(3).
+    # factors, so nothing is reduced over GF(3).  Each d_n of R3 in theory Q
+    # is told apart by its shape, 3 * 2^(n-2) rows by 3 * 2^(n-1) columns.
     from quandlekit import snf
 
     X = make_dihedral(3)
@@ -229,7 +230,7 @@ def test_degree_sweep_eliminates_each_boundary_once(monkeypatch):
     real_z, real_gf = snf._eliminate, snf.mod_rref
 
     def counted_z(columns, nrows):
-        over_z.append(id(columns))
+        over_z.append((nrows, len(columns)))
         return real_z(columns, nrows)
 
     def counted_gf(vectors, p):
@@ -241,8 +242,8 @@ def test_degree_sweep_eliminates_each_boundary_once(monkeypatch):
     for n in range(2, 8):
         assert homology(X, n, "Q") == AbelianGroup(0, (3,) * DELTA_FIB[n - 1]), n
         assert homology_mod(X, n, "Q", 3) == DELTA_FIB[n - 1] + DELTA_FIB[n - 2], n
-    boundaries = [id(boundary_matrix(X, n, "Q").columns) for n in range(2, 9)]
-    assert sorted(over_z) == sorted(boundaries)
+    boundaries = [boundary_matrix(X, n, "Q") for n in range(2, 9)]
+    assert sorted(over_z) == sorted((d.nrows, d.ncols) for d in boundaries)
     assert over_gf == []
     # The spy sees a direct GF(3) rank, so its silence above is not vacuous.
     _boundary_mod_rank.cache_clear()
@@ -295,7 +296,7 @@ def test_budget_guard():
 
 
 def test_budget_guard_ignores_warm_cache(monkeypatch, r3):
-    cached = (chain_basis, boundary_matrix, _boundary_invariants, _boundary_mod_rank)
+    cached = (chain_basis, _boundary_invariants, _boundary_mod_rank)
     calls = [
         (chain_basis, (r3, 6, "Q")),
         (boundary_matrix, (r3, 5, "Q")),
@@ -333,8 +334,8 @@ def test_budget_guard_ignores_warm_cache(monkeypatch, r3):
 def test_abelian_group_canonicalization():
     assert AbelianGroup.from_divisors(0, [2, 3]) == AbelianGroup(0, (6,))
     assert AbelianGroup.from_divisors(1, [4, 2, 3]) == AbelianGroup(1, (2, 12))
-    assert AbelianGroup(0, (2, 4)).elementary_divisors() == (2, 4)
-    assert AbelianGroup(0, (6,)).elementary_divisors() == (2, 3)
+    assert elementary_divisors(AbelianGroup(0, (2, 4))) == (2, 4)
+    assert elementary_divisors(AbelianGroup(0, (6,))) == (2, 3)
     with pytest.raises(ValueError):
         AbelianGroup(0, (4, 2))
     with pytest.raises(ValueError):
@@ -345,8 +346,8 @@ def test_abelian_group_canonicalization():
 @given(st.integers(0, 3), st.lists(st.integers(-400, 400), max_size=8))
 def test_from_divisors_keeps_prime_powers(rank, divisors):
     group = AbelianGroup.from_divisors(rank, divisors)
-    powers = sorted(p**e for d in divisors if d for p, e in _factorint(abs(d)).items())
-    assert group.elementary_divisors() == tuple(powers)
+    powers = sorted(q for d in divisors if d for q in prime_powers(abs(d)))
+    assert elementary_divisors(group) == tuple(powers)
     assert group.rank == rank + divisors.count(0)
 
 
@@ -519,7 +520,7 @@ def test_mod_ranks_agree_with_and_without_integral_invariants(spec):
     # homology_mod reads its ranks off cached integral invariants, and runs
     # the direct GF(p) elimination when none are cached: each checks the other.
     X = resolve_rack(spec)
-    cached = (chain_basis, boundary_matrix, _boundary_invariants, _boundary_mod_rank)
+    cached = (chain_basis, _boundary_invariants, _boundary_mod_rank)
 
     def clear():
         for fn in cached:
@@ -647,6 +648,29 @@ def test_contains_coboundary_matches_brute_force(spec, n, d):
     sums = [a + b for a, b in itertools.combinations_with_replacement(listed, 2)]
     for phi in listed + sums:
         assert spaces.contains_coboundary(phi) == (tuple(phi.vector(basis)) in coboundaries)
+
+
+def test_cochain_spaces_build_their_boundary_once(monkeypatch, r3, theta):
+    # Only answers are memoized, not boundary maps: a CochainSpaces keeps its
+    # own d_n for the coboundary generators and every membership test.  The
+    # invariants of d_n are a memoized answer, warmed first, so every build
+    # the spy sees is the CochainSpaces' own.
+    hom = sys.modules["quandlekit.homology"]  # quandlekit.homology is also a function
+    _boundary_invariants(r3, 3, "Q")
+    built = []
+    real = hom.boundary_matrix
+
+    def counted(X, n, theory="R"):
+        built.append(n)
+        return real(X, n, theory)
+
+    monkeypatch.setattr(hom, "boundary_matrix", counted)
+    spaces = cohomology(r3, 3, "Q", 3)
+    boundary = spaces.coboundaries()[0]
+    for _ in range(3):
+        assert not spaces.contains_coboundary(theta)
+        assert spaces.contains_coboundary(boundary)
+    assert built == [3]
 
 
 def test_contains_coboundary_rejects_foreign_cochains(r3, theta):
