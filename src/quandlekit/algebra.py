@@ -97,10 +97,6 @@ class RackTable:
     def is_quandle(self) -> bool:
         return self.check.rack_class in (QUANDLE, KEI)
 
-    @property
-    def is_kei(self) -> bool:
-        return self.check.rack_class == KEI
-
     def require_rack(self) -> None:
         if not self.is_rack:
             raise NotARackError(self.check.describe())

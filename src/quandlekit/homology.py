@@ -10,21 +10,28 @@ off the Smith diagonals of the two boundary maps at each degree: ker d_n is a
 direct summand of C_n, so H_n has the torsion of coker d_{n+1} and free rank
 dim C_n - rank d_n - rank d_{n+1}.  Those diagonals and coboundary
 membership mod d (which compares the orders of two cokernels tensored with
-Z_d, for every d) go through the sparse Z elimination in ``snf``.  Only
-answers are memoized (``_budget.memo``, per budget): bases, invariants and
-ranks.  So each boundary map is eliminated over Z at most once per budget,
-but a map is rebuilt when read again; a CochainSpaces keeps its own d_n.
-The GF(p) ranks behind ``homology_mod`` and the prime cocycle and
-coboundary dimensions are read off the cached Smith diagonal of d_n when
-there is one: the Z core pivots only on +-1 and the residual Smith form
-uses unimodular transforms, all invertible mod every p, so rank_p d_n =
-rank d_n minus the number of invariant factors that p divides.  Otherwise the rank is the number of rows
-of the sparse GF(p) RREF of the columns of d_n, which runs faster than a Z
-elimination made only for that rank.  Cocycle and coboundary generators
-with coefficients in Z_d are built only when read: off the same RREF when d
-is prime.  Otherwise the cocycle generators are the fewest that span
-Z^n(X; Z_d), read off the sparse Z elimination of d_{n+1} (``snf.mod_kernel``),
-and the coboundary generators are the distinct nonzero rows of d_n mod d.
+Z_d, for every d) go through the sparse Z elimination in ``snf``.  Each
+unit pivot of that elimination is an elementary reduction of the chain
+complex (Kaczynski, Mrozek and Slusarek, Comput. Math. Appl. 35, 1998), so
+once d_{n-1} is eliminated, d_n is eliminated without the rows d_{n-1}
+pivoted on: its rank and torsion are unchanged, and an ascending sweep
+reduces each map by the one below it.  Only answers are memoized
+(``_budget.memo``, per budget): bases, invariants with their pivot columns,
+and ranks.  So each boundary map is eliminated over Z at most once per
+budget, but a map is rebuilt when read again; a CochainSpaces keeps its own
+d_n, and reads the invariants of d_n off it when none are memoized.  The
+GF(p) ranks behind ``homology_mod`` and the prime cocycle and coboundary
+dimensions are read off the cached Smith diagonal of d_n when there is
+one: the reductions and the Z core pivot only on +-1 and the residual
+Smith form uses unimodular transforms, all invertible mod every p, so
+rank_p d_n = rank d_n minus the number of invariant factors that p
+divides.  Otherwise the rank is the number of rows of the sparse GF(p)
+RREF of the columns of d_n, which runs faster than a Z elimination made
+only for that rank.  Cocycle and coboundary generators with coefficients
+in Z_d are built only when read: off the same RREF when d is prime.
+Otherwise the cocycle generators are the fewest that span Z^n(X; Z_d),
+read off the sparse Z elimination of d_{n+1} (``snf.mod_kernel``), and the
+coboundary generators are the distinct nonzero rows of d_n mod d.
 """
 
 from __future__ import annotations
@@ -218,15 +225,44 @@ class AbelianGroup:
 # --- homology -------------------------------------------------------------------
 
 
-@_budget.memo
-def _boundary_invariants(X: RackTable, n: int, theory: str) -> tuple[int, tuple[int, ...]]:
-    """Rank and torsion (invariant factors > 1) of d_n, eliminated once.
+# Rank of d_n, torsion of coker d_n (invariant factors > 1), columns pivoted on.
+_Invariants = tuple[int, tuple[int, ...], frozenset[int]]
 
-    A degree sweep shares it: d_{n+1} serves H_n and H_{n+1}.
+
+def _eliminate_boundary(d: BoundaryMatrix) -> _Invariants:
+    """The invariants of d_n, eliminated on the rows d_{n-1} leaves.
+
+    Each unit pivot of ``snf._eliminate`` on d_{n-1}, in row r and column c,
+    is an elementary reduction of the chain complex (Kaczynski, Mrozek and
+    Slusarek, Comput. Math. Appl. 35, 1998): c leaves C_{n-1} and r leaves
+    C_{n-2}, every homology group is kept, and all that changes in d_n is
+    that row c goes.  So when the answer for d_{n-1} is memoized, d_n is
+    eliminated without the rows it pivoted on.  H_{n-1} keeps its free rank
+    and torsion, and C_{n-1} and rank d_{n-1} both fall by the number of
+    pivots, so rank d_n and the torsion of coker d_n come out unchanged.
+    The columns pivoted on here are reductions of the same kind, for d_{n+1}.
     """
-    d = boundary_matrix(X, n, theory)
-    free, torsion = snf.cokernel_invariants(d.columns, d.nrows)
-    return d.nrows - free, tuple(torsion)
+    columns, nrows = d.columns, d.nrows
+    lower = _boundary_invariants.peek(d.X, d.degree - 1, d.theory)
+    if lower is not None and lower[2]:
+        kept = [i for i in range(nrows) if i not in lower[2]]
+        position = dict(zip(kept, range(len(kept))))
+        columns = [{k: v for i, v in col.items() if (k := position.get(i)) is not None}
+                   for col in columns]
+        nrows = len(kept)
+    pivoted: set[int] = set()
+    free, torsion = snf.cokernel_invariants(columns, nrows, pivoted)
+    return nrows - free, tuple(torsion), frozenset(pivoted)
+
+
+@_budget.memo
+def _boundary_invariants(X: RackTable, n: int, theory: str) -> _Invariants:
+    """``_eliminate_boundary`` of d_n, once per budget.
+
+    A degree sweep shares it: d_{n+1} serves H_n and H_{n+1}, and an
+    ascending sweep eliminates each map on the rows the map below it leaves.
+    """
+    return _eliminate_boundary(boundary_matrix(X, n, theory))
 
 
 @_budget.memo
@@ -240,7 +276,7 @@ def _boundary_mod_rank(X: RackTable, n: int, theory: str, p: int) -> int:
     invariants = _boundary_invariants.peek(X, n, theory)
     if invariants is None:
         return snf.mod_rank(boundary_matrix(X, n, theory).columns, p)
-    rank, torsion = invariants
+    rank, torsion, _ = invariants
     return rank - sum(1 for e in torsion if e % p == 0)
 
 
@@ -255,8 +291,8 @@ def homology(X: RackTable, n: int, theory: str = "R") -> AbelianGroup:
     dim = len(chain_basis(X, n, theory))
     if dim == 0:
         return AbelianGroup(0)
-    rank_lower, _ = _boundary_invariants(X, n, theory)
-    rank_upper, torsion = _boundary_invariants(X, n + 1, theory)
+    rank_lower, _, _ = _boundary_invariants(X, n, theory)
+    rank_upper, torsion, _ = _boundary_invariants(X, n + 1, theory)
     return AbelianGroup(dim - rank_lower - rank_upper, torsion)
 
 
@@ -450,6 +486,12 @@ class CochainSpaces:
         return boundary_matrix(self.X, self.degree, self.theory)
 
     @cached_property
+    def _down_invariants(self) -> _Invariants:
+        """The memoized invariants of d_n, else those of ``_down``, eliminated here."""
+        memoized = _boundary_invariants.peek(self.X, self.degree, self.theory)
+        return memoized if memoized is not None else _eliminate_boundary(self._down)
+
+    @cached_property
     def coboundary_vectors(self) -> tuple[tuple[int, ...], ...]:
         # The row space of d_n mod d is the coboundary space; for prime d, its RREF.
         down = self._down
@@ -481,8 +523,9 @@ class CochainSpaces:
         factors e_i of d_n, (Z^dim / rowspan(d_n)) (x) Z_d has order
         d^(dim - r) * prod gcd(e_i, d); phi lies in rowspan(d_n) + d Z^dim
         exactly when appending phi as a row leaves that order unchanged.
-        The invariants of d_n itself are the cached ones ``homology`` reads;
-        only the appended matrix is eliminated here.  A phi of another
+        The invariants of d_n itself are the memoized ones ``homology``
+        reads, or else read once off ``_down``; only the appended matrix is
+        eliminated on every call.  A phi of another
         degree or modulus, or nonzero off the basis (outside the quandle, or
         degenerate in theory Q), raises DomainError.
         """
@@ -498,8 +541,7 @@ class CochainSpaces:
         for t, v in phi.values.items():
             appended[index[t]] = {**appended[index[t]], m: v}
         free, torsion = snf.cokernel_invariants(appended, m + 1)
-        invariants = (_boundary_invariants(self.X, self.degree, self.theory),
-                      (m + 1 - free, torsion))
+        invariants = (self._down_invariants[:2], (m + 1 - free, torsion))
         orders = [d ** (dim - rank) * prod(gcd(e, d) for e in torsion)
                   for rank, torsion in invariants]
         return orders[0] == orders[1]

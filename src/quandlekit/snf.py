@@ -5,9 +5,13 @@ most 2(n-1) entries each.  ``_eliminate`` pivots them down over Z only on
 +-1 entries, so every step is unimodular and Smith(A) = I_k (+)
 Smith(residual).  The pivot is an entry of the shortest live column, in the
 shortest row among its unit entries (Dumas, Saunders and Villard, J. Symb.
-Comput. 32, 2001).  The dense ``smith_normal_form``, exact on Python ints,
-runs only on the small residual.  ``invariant_factors`` sorts its diagonal
-into the divisibility chain, the rule that makes
+Comput. 32, 2001).  It reports the columns it pivoted on: ``homology``
+reads them as elementary reductions of the chain complex.  The dense
+``smith_normal_form``, exact on Python ints, runs only on the small
+residual.  It steps by division with remainder: the pivot's row and column
+are reduced by quotients, and the least remainder becomes the next pivot,
+so entries stay near the size of the residual's own.  ``invariant_factors``
+sorts its diagonal into the divisibility chain, the rule that makes
 ``AbelianGroup.from_divisors`` canonical, and carries each gcd/lcm move on
 the column transform when one is kept, so S A T is the chain itself.  The Z
 pivots and the residual's transforms are invertible mod every prime, so the
@@ -85,6 +89,11 @@ class SmithForm:
     col_ops: list[list[int]] | None  # T with S @ A @ T = diag for some unimodular S
 
 
+def _nearest(a: int, b: int) -> int:
+    """The integer nearest a / b, b != 0: a - q b is then at most |b| / 2 in size."""
+    return (2 * a + b) // (2 * b)
+
+
 def smith_normal_form(
     rows: Sequence[Sequence[int]],
     ncols: int,
@@ -92,6 +101,15 @@ def smith_normal_form(
     want_col_ops: bool = False,
 ) -> SmithForm:
     """Diagonalize a dense integer matrix by unimodular row/column operations.
+
+    Each pivot is the least nonzero entry of the trailing block.  Its column
+    and then its row are reduced by nearest-integer quotients, which leaves
+    remainders of at most half the pivot; the least nonzero remainder is
+    moved onto the pivot, and the reduction repeats until the pivot's row
+    and column are clear.  The pivot shrinks at every repeat, so this ends,
+    and no step forms the Bezout combinations of two rows or columns whose
+    coefficients grow with the entries.  The diagonal then goes through
+    ``invariant_factors``.
 
     Returns the invariant factors (zeros last), plus the accumulated column
     transform T when requested: S @ A @ T = diag for some unimodular S,
@@ -104,65 +122,41 @@ def smith_normal_form(
     # Column operations act on the rows of d and of t alike.
     t = [[int(i == j) for j in range(ncols)] for i in range(ncols)] if want_col_ops else []
 
-    def row_combine(k: int, i: int, j: int) -> None:
-        # Zero d[i][j] against pivot row k using a unimodular 2x2 transform.
-        a, b = d[k][j], d[i][j]
-        if b == 0:
-            return
-        rk, ri = d[k], d[i]
-        if a != 0 and b % a == 0:
-            q = b // a
-            d[i] = [x - q * y for x, y in zip(ri, rk)]
-            return
-        g, x, y = xgcd(a, b)
-        ag, bg = a // g, b // g
-        d[k] = [x * u + y * v for u, v in zip(rk, ri)]
-        d[i] = [-bg * u + ag * v for u, v in zip(rk, ri)]
-
-    def col_combine(k: int, j: int, i: int) -> None:
-        # Zero d[i][j] against pivot column k.
-        a, b = d[i][k], d[i][j]
-        if b == 0:
-            return
-        if a != 0 and b % a == 0:
-            q = b // a
-            for row in itertools.chain(d, t):
-                row[j] -= q * row[k]
-            return
-        g, x, y = xgcd(a, b)
-        ag, bg = a // g, b // g
-        for row in itertools.chain(d, t):
-            u, v = row[k], row[j]
-            row[k] = x * u + y * v
-            row[j] = -bg * u + ag * v
-
-    k = 0
-    while k < min(nrows, ncols):
-        # The first min-abs pivot, in row order, of the trailing submatrix.
-        best = None
-        for i in range(k, nrows):
-            for j in range(k, ncols):
-                v = d[i][j]
-                if v and (best is None or abs(v) < best[0]):
-                    best = (abs(v), i, j)
-            if best is not None and best[0] == 1:
-                break
-        if best is None:
-            break
-        _, i, j = best
-        d[k], d[i] = d[i], d[k]
+    def swap_columns(k: int, j: int) -> None:
         if j != k:
             for row in itertools.chain(d, t):
                 row[k], row[j] = row[j], row[k]
+
+    k = 0
+    while k < min(nrows, ncols):
+        # The first least nonzero entry, in row order, of the trailing block:
+        # rows k.. are zero left of column k.
+        least = min(map(abs, filter(None, itertools.chain.from_iterable(d[k:]))), default=0)
+        if not least:
+            break
+        i = next(i for i in range(k, nrows) if least in map(abs, d[i]))
+        d[k], d[i] = d[i], d[k]
+        swap_columns(k, next(j for j in range(k, ncols) if abs(d[k][j]) == least))
         while True:
+            pivot_row, p = d[k], d[k][k]
             for i in range(k + 1, nrows):
-                row_combine(k, i, k)
-            if all(d[k][j] == 0 for j in range(k + 1, ncols)):
+                if d[i][k] and (q := _nearest(d[i][k], p)):
+                    d[i] = [x - q * y for x, y in zip(d[i], pivot_row)]
+            # Column j -= q_j column k, done row by row on the rows that meet column k.
+            quotients = [_nearest(v, p) if v else 0 for v in pivot_row]
+            quotients[k] = 0
+            if any(quotients):
+                for row in itertools.chain(d, t):
+                    c = row[k]
+                    if c:
+                        row[:] = [x - c * q for x, q in zip(row, quotients)]
+            remainders = [(abs(d[i][k]), i, k) for i in range(k + 1, nrows) if d[i][k]]
+            remainders += [(abs(v), k, j) for j, v in enumerate(d[k]) if v and j > k]
+            if not remainders:
                 break
-            for j in range(k + 1, ncols):
-                col_combine(k, j, k)
-            if all(d[i][k] == 0 for i in range(k + 1, nrows)):
-                break
+            _, i, j = min(remainders)
+            d[k], d[i] = d[i], d[k]
+            swap_columns(k, j)
         k += 1
     rank = k
 
@@ -184,10 +178,10 @@ def _eliminate(
     columns: Sequence[Mapping[int, int]],
     nrows: int,
     pivots: list[tuple[int, int, dict[int, int]]] | None = None,
-) -> tuple[int, list[int], list[list[int]]]:
+) -> tuple[set[int], list[int], list[list[int]]]:
     """Pivot away the +-1 entries of a sparse integer matrix.
 
-    Returns the number of pivots, the rows the residual keeps, and the
+    Returns the columns pivoted on, the rows the residual keeps, and the
     residual as dense rows on them, with its zero rows and columns dropped.
     Given a ``pivots`` list, appends each pivot (r, u, col) to it: the unit u
     in row r of a column as it stood when pivoted, col being its other
@@ -235,22 +229,26 @@ def _eliminate(
     support = sorted({i for col in left for i in col})
     position = {i: k for k, i in enumerate(support)}
     left = [{position[i]: v for i, v in col.items()} for col in left]
-    return len(columns) - len(cols), support, dense_rows(left, len(support))
+    pivoted = set(range(len(columns))).difference(cols)
+    return pivoted, support, dense_rows(left, len(support))
 
 
 def cokernel_invariants(
-    columns: Sequence[Mapping[int, int]], nrows: int
+    columns: Sequence[Mapping[int, int]], nrows: int, pivoted: set[int] | None = None
 ) -> tuple[int, list[int]]:
     """Free rank and invariant factors (> 1) of Z^nrows / colspan(A).
 
     A is given by its sparse columns.  The rank of A is nrows minus the free
     rank.  A and its transpose share the Smith diagonal, so the same factors
-    describe Z^ncols / rowspan(A).
+    describe Z^ncols / rowspan(A).  Given a ``pivoted`` set, adds to it the
+    columns that ``_eliminate`` pivoted on.
     """
-    units, _, residual = _eliminate(columns, nrows)
+    unit_columns, _, residual = _eliminate(columns, nrows)
+    if pivoted is not None:
+        pivoted |= unit_columns
     sf = smith_normal_form(residual, len(residual[0]) if residual else 0)
     torsion = [v for v in sf.diag[: sf.rank] if v > 1]
-    return nrows - units - sf.rank, torsion
+    return nrows - len(unit_columns) - sf.rank, torsion
 
 
 def mod_kernel(vectors: Sequence[Mapping[int, int]], ncols: int, d: int) -> list[list[int]]:

@@ -199,7 +199,7 @@ def test_homology_with_coefficients(r3):
 
 
 # f_n = f_(n-1) + f_(n-3): the delta-Fibonacci exponents of H_n^Q(R3), n = 1, 2, ...
-DELTA_FIB = (0, 0, 1, 1, 1, 2, 3, 4, 6)
+DELTA_FIB = (0, 0, 1, 1, 1, 2, 3, 4, 6, 9, 13)
 
 
 def test_dihedral3_quandle_homology_published(r3):
@@ -220,7 +220,8 @@ def test_degree_sweep_eliminates_each_boundary_once(monkeypatch):
     # H_n and H_{n+1} share d_{n+1}: the sweep n = 2..7 eliminates d_2..d_8
     # over Z once each, and the GF(3) ranks are read off their invariant
     # factors, so nothing is reduced over GF(3).  Each d_n of R3 in theory Q
-    # is told apart by its shape, 3 * 2^(n-2) rows by 3 * 2^(n-1) columns.
+    # is told apart by its 3 * 2^(n-1) columns, and is eliminated on the rows
+    # that the pivots of d_{n-1} leave (d_1, never eliminated here, leaves all).
     from quandlekit import snf
 
     X = make_dihedral(3)
@@ -242,8 +243,14 @@ def test_degree_sweep_eliminates_each_boundary_once(monkeypatch):
     for n in range(2, 8):
         assert homology(X, n, "Q") == AbelianGroup(0, (3,) * DELTA_FIB[n - 1]), n
         assert homology_mod(X, n, "Q", 3) == DELTA_FIB[n - 1] + DELTA_FIB[n - 2], n
-    boundaries = [boundary_matrix(X, n, "Q") for n in range(2, 9)]
-    assert sorted(over_z) == sorted((d.nrows, d.ncols) for d in boundaries)
+    expected, dropped = [], []
+    for n in range(2, 9):
+        d = boundary_matrix(X, n, "Q")
+        lower = _boundary_invariants.peek(X, n - 1, "Q")
+        dropped.append(len(lower[2]) if lower else 0)
+        expected.append((d.nrows - dropped[-1], d.ncols))
+    assert sorted(over_z) == sorted(expected)
+    assert dropped[0] == 0 and all(dropped[1:])
     assert over_gf == []
     # The spy sees a direct GF(3) rank, so its silence above is not vacuous.
     _boundary_mod_rank.cache_clear()
@@ -254,8 +261,11 @@ def test_degree_sweep_eliminates_each_boundary_once(monkeypatch):
 
 @pytest.mark.slow
 def test_dihedral3_quandle_homology_degree_9(monkeypatch, r3):
-    monkeypatch.setenv("QUANDLEKIT_BUDGET", "100000")  # 3^10 tuples before the Q filter
-    assert homology(r3, 9, "Q") == AbelianGroup(0, (3,) * DELTA_FIB[8])
+    # The sweep up to H_11^Q(R3) = Z_3^13, whose d_12 counts 3^12 tuples
+    # before the Q filter.
+    monkeypatch.setenv("QUANDLEKIT_BUDGET", "531441")
+    for n in range(1, 12):
+        assert homology(r3, n, "Q") == AbelianGroup(int(n == 1), (3,) * DELTA_FIB[n - 1]), n
 
 
 @pytest.mark.slow
@@ -539,6 +549,40 @@ def test_mod_ranks_agree_with_and_without_integral_invariants(spec):
                 assert homology_mod(X, n, theory, p) == direct, (theory, n, p)
 
 
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_reduced_boundary_invariants_match_the_full_map(spec):
+    # Oracle: each d_n, eliminated on the rows the pivots of d_{n-1} leave,
+    # against the elimination of the whole map.
+    X = resolve_rack(spec)
+    reduced = 0
+    for theory in THEORIES:
+        _boundary_invariants.cache_clear()
+        for n in range(1, 7):
+            if X.size ** n > 1024:  # the domain cap of the mod-rank oracle above
+                break
+            rank, torsion, pivoted = _boundary_invariants(X, n, theory)
+            d = boundary_matrix(X, n, theory)
+            free, full_torsion = snf.cokernel_invariants(d.columns, d.nrows)
+            assert (rank, torsion) == (d.nrows - free, tuple(full_torsion)), (theory, n)
+            assert pivoted <= set(range(d.ncols))
+            lower = _boundary_invariants.peek(X, n - 1, theory)
+            reduced += bool(lower and lower[2])
+    assert reduced or spec == "trivial:3"  # every boundary of a trivial quandle is zero
+
+
+@pytest.mark.parametrize("spec", ["dihedral:3", "dihedral:4", "alexander:2:1,1,1:0,1"])
+def test_descending_sweep_matches_ascending(spec):
+    # Descending, no map finds the one below it memoized until the sweep reaches it.
+    X = resolve_rack(spec)
+    top = 6 if X.size == 3 else 4
+    for theory in THEORIES:
+        _boundary_invariants.cache_clear()
+        ascending = [homology(X, n, theory) for n in range(1, top + 1)]
+        _boundary_invariants.cache_clear()
+        descending = [homology(X, n, theory) for n in range(top, 0, -1)]
+        assert descending[::-1] == ascending, theory
+
+
 @pytest.mark.parametrize("spec, n", [(spec, n) for spec in ORACLE_SPECS for n in (1, 2, 3)])
 def test_prime_dimensions_match_dense_generators(spec, n):
     # Oracle: the generator counts, off the sparse GF(p) RREF, against the
@@ -597,7 +641,7 @@ def test_composite_cocycle_generators_span_the_kernel(spec, n):
     # d^(dim - rank G) * prod gcd(f_i, d) for the invariant factors f_i of G.
     X = resolve_rack(spec)
     dim = len(chain_basis(X, n, "Q"))
-    rank, torsion = _boundary_invariants(X, n + 1, "Q")
+    rank, torsion, _ = _boundary_invariants(X, n + 1, "Q")
     for d in (4, 6, 8, 9, 12):
         spaces = cohomology(X, n, "Q", d)
         vectors = spaces.cocycle_vectors
@@ -652,11 +696,10 @@ def test_contains_coboundary_matches_brute_force(spec, n, d):
 
 def test_cochain_spaces_build_their_boundary_once(monkeypatch, r3, theta):
     # Only answers are memoized, not boundary maps: a CochainSpaces keeps its
-    # own d_n for the coboundary generators and every membership test.  The
-    # invariants of d_n are a memoized answer, warmed first, so every build
-    # the spy sees is the CochainSpaces' own.
+    # own d_n for the coboundary generators and every membership test.  With
+    # the invariants of d_n memoized, every build the spy sees is the
+    # CochainSpaces' own; on a cold memo it reads those invariants off its d_n.
     hom = sys.modules["quandlekit.homology"]  # quandlekit.homology is also a function
-    _boundary_invariants(r3, 3, "Q")
     built = []
     real = hom.boundary_matrix
 
@@ -665,12 +708,17 @@ def test_cochain_spaces_build_their_boundary_once(monkeypatch, r3, theta):
         return real(X, n, theory)
 
     monkeypatch.setattr(hom, "boundary_matrix", counted)
-    spaces = cohomology(r3, 3, "Q", 3)
-    boundary = spaces.coboundaries()[0]
-    for _ in range(3):
-        assert not spaces.contains_coboundary(theta)
-        assert spaces.contains_coboundary(boundary)
-    assert built == [3]
+    for warm in (True, False):
+        _boundary_invariants.cache_clear()
+        if warm:
+            _boundary_invariants(r3, 3, "Q")
+        built.clear()
+        spaces = cohomology(r3, 3, "Q", 3)
+        boundary = spaces.coboundaries()[0]
+        for _ in range(3):
+            assert not spaces.contains_coboundary(theta)
+            assert spaces.contains_coboundary(boundary)
+        assert built == [3], warm
 
 
 def test_contains_coboundary_rejects_foreign_cochains(r3, theta):

@@ -24,12 +24,20 @@ def matmul(a, b):
 
 
 def det(m):
-    """Leibniz determinant; the test matrices are at most 4x4."""
-    total = 0
-    for perm in itertools.permutations(range(len(m))):
-        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
-        total += (-1) ** inversions * prod(m[i][p] for i, p in enumerate(perm))
-    return total
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    a = [list(row) for row in m]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot], sign = a[pivot], a[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * prev
 
 
 def determinantal_divisors(a, m, n):
@@ -44,17 +52,21 @@ def determinantal_divisors(a, m, n):
     return out
 
 
-def check_smith_form(a, m, n):
+def check_smith_form(a, m, n, diag=None):
     """diag against the determinantal divisors; T unimodular, column i of A T has gcd diag[i].
 
     S A T = diag(sf.diag) for a unimodular S exactly when column i of A T is
-    diag[i] times a primitive vector, past min(m, n) zero.
+    diag[i] times a primitive vector, past min(m, n) zero.  A known ``diag``
+    stands in for the divisors, which take too long past 4 x 4.
     """
     sf = smith_normal_form(a, n, want_col_ops=True)
     assert len(sf.diag) == min(m, n)
     assert all(v >= 0 for v in sf.diag)
-    for k, divisor in enumerate(determinantal_divisors(a, m, n)):
-        assert prod(sf.diag[: k + 1]) == divisor
+    if diag is None:
+        for k, divisor in enumerate(determinantal_divisors(a, m, n)):
+            assert prod(sf.diag[: k + 1]) == divisor
+    else:
+        assert sf.diag == diag
     assert sf.rank == sum(1 for v in sf.diag if v)
     chain = sf.diag[: sf.rank]
     assert all(b % a2 == 0 for a2, b in zip(chain, chain[1:]))
@@ -99,6 +111,47 @@ def test_smith_form_random(m, n, data):
         for _ in range(m)
     ]
     check_smith_form(a, m, n)
+
+
+def unimodular(draw, size):
+    """A product of random elementary operations on the identity of this size."""
+    u = [[int(i == j) for j in range(size)] for i in range(size)]
+    for _ in range(2 * size):
+        i, j = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+        if i != j:
+            f = draw(st.integers(-40, 40))
+            u[i] = [x + f * y for x, y in zip(u[i], u[j])]
+    return u
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_remainder_steps_on_large_entries(data):
+    # A = U diag(e) V with U, V unimodular has invariant factors e, whatever
+    # the size of its entries; the remainder steps must find them, with a
+    # column transform that still diagonalizes A, and mod_kernel, which
+    # reads that transform, must still give the fewest generators.
+    m = data.draw(st.integers(1, 6), label="rows")
+    n = data.draw(st.integers(1, 7), label="cols")
+    rank = data.draw(st.integers(0, min(m, n)), label="rank")
+    e, chain = [], 1
+    for _ in range(rank):
+        chain *= data.draw(st.sampled_from([1, 1, 2, 3, 6, 12, 49]))
+        e.append(chain)
+    diag = e + [0] * (min(m, n) - rank)
+    middle = [[diag[i] if i == j and i < len(diag) else 0 for j in range(n)] for i in range(m)]
+    a = matmul(matmul(unimodular(data.draw, m), middle), unimodular(data.draw, n))
+    check_smith_form(a, m, n, diag)
+    columns = columns_of(a, m, n)
+    assert cokernel_invariants(columns, m) == (m - rank, [v for v in e if v > 1])
+    for d in (4, 6, 12):
+        gens = mod_kernel(columns, m, d)
+        for x in gens:
+            assert all(sum(v * x[i] for i, v in col.items()) % d == 0 for col in columns)
+        gcds = [gcd(v, d) for v in e]
+        assert len(gens) == m - rank + sum(1 for g in gcds if g > 1)
+        free, factors = cokernel_invariants([dict(enumerate(x)) for x in gens], m)
+        assert d ** (m - free) // prod(gcd(f, d) for f in factors) == d ** (m - rank) * prod(gcds)
 
 
 def test_smith_recombines_diagonal_entries():
