@@ -8,11 +8,10 @@ kei) and caches orbit structure and the inverse operation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Iterable, Mapping, Sequence
 
-from ._util import content_lines, union_classes
+from ._util import Record, content_lines, field, union_classes
 from .errors import DomainError, NotARackError, ParseError
 
 NOT_A_RACK = "not-a-rack"
@@ -21,8 +20,7 @@ QUANDLE = "quandle"
 KEI = "kei"
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
+class AxiomCheck(Record):
     """Classification of a candidate table plus the first violated axiom.
 
     For a genuine rack, ``failed_axiom`` names the axiom that blocks the next
@@ -41,8 +39,7 @@ class AxiomCheck:
         return f"{self.rack_class}: axiom {self.failed_axiom} fails at ({w})"
 
 
-@dataclass(frozen=True)
-class RackTable:
+class RackTable(Record):
     """An n-element binary operation table; table[a][b] encodes a*b."""
 
     size: int
@@ -318,8 +315,7 @@ def make_conjugation(group_table: Sequence[Sequence[int]], exponent: int = 1) ->
 # --- word calculus ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RackWord:
+class RackWord(Record):
     """A base symbol acted on by a word of right translations.
 
     ``letters`` is a sequence of (symbol, exponent) pairs with exponents +-1;
@@ -398,8 +394,7 @@ def evaluate_rack_word(X: RackTable, word: RackWord, assignment: Mapping[Any, in
 # --- associated group ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
+class GroupPresentation(Record):
     generators: tuple[str, ...]
     relators: tuple[tuple[tuple[str, int], ...], ...]
 
@@ -545,24 +540,3 @@ def parse_rack_table(text: str, name: str | None = None) -> RackTable:
             raise ParseError(f"row {line!r} has {len(row)} entries, expected {n}")
         rows.append(row)
     return RackTable(n, tuple(rows), name)
-
-
-def format_rack_table(X: RackTable) -> str:
-    lines = [f"rack {X.size}"]
-    for row in X.table:
-        lines.append(" ".join(map(str, row)))
-    return "\n".join(lines) + "\n"
-
-
-def symmetric_group_table(m: int) -> list[list[int]]:
-    """Multiplication table of S_m with elements in lexicographic order.
-
-    Composition acts left-to-right: (p . q)(i) = q(p(i)); handy for building
-    conjugation quandles in tests.
-    """
-    perms = sorted(itertools.permutations(range(m)))
-    index = {p: i for i, p in enumerate(perms)}
-    return [
-        [index[tuple(q[p[i]] for i in range(m))] for q in perms]
-        for p in perms
-    ]

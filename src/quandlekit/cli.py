@@ -10,7 +10,6 @@ exceeded.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import sys
 import time
@@ -41,6 +40,8 @@ def _echo(args: Sequence[str]) -> None:
 
 
 def _digest_inputs(paths: Sequence[str]) -> None:
+    import hashlib  # here, not at the top: it loads OpenSSL, which most commands never use
+
     for path in paths:
         if os.path.isfile(path):
             with open(path, "rb") as fh:

@@ -73,25 +73,23 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import abc
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence, overload
 
 from . import _budget
+from ._util import Record
 from .algebra import RackTable
 from .diagram import BraidWord, Diagram, SurfaceDiagramData, braid_closure
 from .errors import DomainError, NonCocycleError
 from .homology import Cochain, CocycleCheck, is_cocycle
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(Record):
     """An assignment of rack elements to arcs, arc id -> colors[arc]."""
 
     colors: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ShadowColoring:
+class ShadowColoring(Record):
     colors: tuple[int, ...]
     region_colors: tuple[int, ...]
 
@@ -129,8 +127,7 @@ class ShadowColorings(abc.Sequence[ShadowColoring]):
         return isinstance(other, abc.Sequence) and list(self) == list(other)
 
 
-@dataclass(frozen=True)
-class SurfaceColoring:
+class SurfaceColoring(Record):
     colors: tuple[int, ...]  # sheet id -> element
 
 

@@ -29,14 +29,12 @@ building it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
-from ._util import content_lines, union_classes
+from ._util import Record, content_lines, field, union_classes
 from .errors import DomainError, NonplanarError, ParseError
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(Record):
     """One crossing: edge ids counterclockwise from the incoming under-edge."""
 
     quad: tuple[int, int, int, int]
@@ -69,8 +67,7 @@ class Crossing:
         return 1 if self.over_in == self.quad[1] else 3
 
 
-@dataclass(frozen=True)
-class CrossingRelation:
+class CrossingRelation(Record):
     """The crossing relation to_under = from_under * over, on arc ids."""
 
     over: int
@@ -79,8 +76,7 @@ class CrossingRelation:
     sign: int
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(Record):
     """An oriented link diagram; edges are 0..n_edges-1.
 
     A diagram with no crossings is the round unknot (one edge, one circle).
@@ -265,8 +261,7 @@ class Diagram:
 # --- presentations ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiagramPresentation:
+class DiagramPresentation(Record):
     """Generators (arcs) and crossing relations, tagged with the flavor."""
 
     flavor: str
@@ -290,8 +285,7 @@ def presentation(D: Diagram, flavor: str = "quandle") -> DiagramPresentation:
     return DiagramPresentation(flavor, gens, D.relations)
 
 
-@dataclass(frozen=True)
-class RegionIncidence:
+class RegionIncidence(Record):
     region: int
     arc: int
     inward: bool  # co-orientation points into the region
@@ -438,8 +432,7 @@ def format_pd(D: Diagram, name: str | None = None) -> str:
 # --- braids ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(Record):
     """A braid word to a power: (generator index, +-1) letters on a fixed
     strand count, repeated power times (the braid is letters^power)."""
 
@@ -571,8 +564,7 @@ def torus_diagram(p: int, q: int) -> Diagram:
 # --- knotted-surface data --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SurfaceDiagramData:
+class SurfaceDiagramData(Record):
     """Declarative knotted-surface diagram data: sheets, double-curve
     relations (from_under, to_under, over), and signed triple points
     (lower, middle, upper, sign).  Inputs are trusted; no move verification."""

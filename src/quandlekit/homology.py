@@ -22,12 +22,12 @@ budget, but a map is rebuilt when read again; a CochainSpaces keeps its own
 d_n, and reads the invariants of d_n off it when none are memoized.  The
 GF(p) ranks behind ``homology_mod`` and the prime cocycle and coboundary
 dimensions are read off the cached Smith diagonal of d_n when there is
-one: the reductions and the Z core pivot only on +-1 and the residual
-Smith form uses unimodular transforms, all invertible mod every p, so
-rank_p d_n = rank d_n minus the number of invariant factors that p
-divides.  Otherwise the rank is the number of rows of the sparse GF(p)
-RREF of the columns of d_n, which runs faster than a Z elimination made
-only for that rank.  Cocycle and coboundary generators with coefficients
+one, or off the invariants a CochainSpaces holds: the reductions and the Z
+core pivot only on +-1 and the residual Smith form uses unimodular
+transforms, all invertible mod every p, so rank_p d_n = rank d_n minus the
+number of invariant factors that p divides.  Otherwise the rank is the
+number of rows of the sparse GF(p) RREF of the columns of d_n, which runs
+faster than a Z elimination made only for that rank.  Cocycle and coboundary generators with coefficients
 in Z_d are built only when read: off the same RREF when d is prime.
 Otherwise the cocycle generators are the fewest that span Z^n(X; Z_d),
 read off the sparse Z elimination of d_{n+1} (``snf.mod_kernel``), and the
@@ -37,13 +37,12 @@ coboundary generators are the distinct nonzero rows of d_n mod d.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import _budget, snf
-from ._util import content_lines
+from ._util import Record, content_lines, field
 from .algebra import RackTable
 from .errors import DomainError, ParseError
 
@@ -53,8 +52,7 @@ def _is_degenerate(t: tuple[int, ...]) -> bool:
     return any(t[i] == t[i + 1] for i in range(len(t) - 1))
 
 
-@dataclass(frozen=True)
-class ChainBasis:
+class ChainBasis(Record):
     degree: int
     theory: str
     tuples: tuple[tuple[int, ...], ...]
@@ -120,8 +118,7 @@ def _boundary_terms(X: RackTable, t: tuple[int, ...]) -> dict[tuple[int, ...], i
     return {k: v for k, v in out.items() if v}
 
 
-@dataclass(frozen=True)
-class BoundaryMatrix:
+class BoundaryMatrix(Record):
     """Matrix of the degree-n boundary in canonical bases, kept by columns.
 
     Rows are indexed by the degree-(n-1) basis, columns by the degree-n basis;
@@ -174,8 +171,7 @@ def boundary_matrix(X: RackTable, n: int, theory: str = "R") -> BoundaryMatrix:
 # --- abelian group values ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Record):
     """A finitely generated abelian group: free rank plus invariant factors.
 
     Invariant factors are kept canonical: each > 1 and d1 | d2 | ... .
@@ -276,6 +272,11 @@ def _boundary_mod_rank(X: RackTable, n: int, theory: str, p: int) -> int:
     invariants = _boundary_invariants.peek(X, n, theory)
     if invariants is None:
         return snf.mod_rank(boundary_matrix(X, n, theory).columns, p)
+    return _rank_mod(invariants, p)
+
+
+def _rank_mod(invariants: _Invariants, p: int) -> int:
+    """rank_p d_n off the integral invariants of d_n: rank minus the factors p divides."""
     rank, torsion, _ = invariants
     return rank - sum(1 for e in torsion if e % p == 0)
 
@@ -333,8 +334,7 @@ def uct_mod_dimension(X: RackTable, n: int, theory: str, p: int) -> int:
 # --- cochains --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cochain:
+class Cochain(Record):
     """A Z_d-valued function on n-tuples, stored sparsely.
 
     Tuples absent from ``values`` evaluate to zero.  The additive value v
@@ -393,8 +393,7 @@ class Cochain:
         return Cochain(self.degree, self.modulus, {t: -v for t, v in self.values.items()})
 
 
-@dataclass(frozen=True)
-class CocycleCheck:
+class CocycleCheck(Record):
     ok: bool
     reason: str | None = None
     witness: tuple[int, ...] | None = None
@@ -438,8 +437,7 @@ def coboundary(X: RackTable, mu: Cochain, theory: str = "Q") -> Cochain:
     return Cochain(mu.degree + 1, mu.modulus, dict(_coboundary_values(X, mu, theory)))
 
 
-@dataclass(frozen=True)
-class CochainSpaces:
+class CochainSpaces(Record):
     """Cocycles and coboundaries of degree n over Z_d in one basis.
 
     For prime d the dimensions are GF(d) ranks of the sparse boundary maps,
@@ -469,9 +467,15 @@ class CochainSpaces:
 
     @cached_property
     def coboundary_dimension(self) -> int:
+        """rank d_n mod d, off the d_n or its invariants this object already holds."""
         if not self.prime:
             raise DomainError("dimensions need a prime modulus")
-        return _boundary_mod_rank(self.X, self.degree, self.theory, self.modulus)
+        held, p = vars(self), self.modulus
+        if "_down_invariants" in held:
+            return _rank_mod(held["_down_invariants"], p)
+        if "_down" in held:
+            return snf.mod_rank(held["_down"].columns, p)
+        return _boundary_mod_rank(self.X, self.degree, self.theory, p)
 
     @cached_property
     def cocycle_vectors(self) -> tuple[tuple[int, ...], ...]:
@@ -587,8 +591,7 @@ def cohomology(X: RackTable, n: int, theory: str, d: int) -> CochainSpaces:
 # --- structure report -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(Record):
     X: RackTable
     n_max: int
     groups: Mapping[tuple[str, int], AbelianGroup]

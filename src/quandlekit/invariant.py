@@ -13,8 +13,7 @@ is not an invariant (an explicit escape hatch exists for experiments).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._util import Record
 from .algebra import RackTable
 from .coloring import Coloring, ShadowColoring, SurfaceColoring, _histogram
 from .diagram import BraidWord, Diagram, SurfaceDiagramData
@@ -22,8 +21,7 @@ from .errors import DomainError, NonCocycleError
 from .homology import Cochain, is_cocycle
 
 
-@dataclass(frozen=True)
-class GroupRingElement:
+class GroupRingElement(Record):
     """An element of Z[Z_d]: coefficient of t^k at index k."""
 
     modulus: int

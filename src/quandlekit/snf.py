@@ -29,9 +29,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
 from math import gcd
 from typing import Mapping, Sequence
+
+from ._util import Record
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -82,8 +83,7 @@ def invariant_factors(values: Sequence[int], transform: Sequence[list[int]] = ()
     return out
 
 
-@dataclass
-class SmithForm:
+class SmithForm(Record, frozen=False):
     diag: list[int]  # nonnegative; diag[i] divides diag[i+1]
     rank: int
     col_ops: list[list[int]] | None  # T with S @ A @ T = diag for some unimodular S

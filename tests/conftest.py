@@ -1,3 +1,4 @@
+import itertools
 import os
 import resource
 import subprocess
@@ -26,6 +27,28 @@ THETA_VALUES = {
     (2, 0, 2): 1,
     (1, 0, 2): 1,
 }
+
+
+def format_rack_table(X):
+    """A RackTable in the ``rack n`` file format that ``parse_rack_table`` reads."""
+    lines = [f"rack {X.size}"]
+    for row in X.table:
+        lines.append(" ".join(map(str, row)))
+    return "\n".join(lines) + "\n"
+
+
+def symmetric_group_table(m):
+    """Multiplication table of S_m with elements in lexicographic order.
+
+    Composition acts left-to-right: (p . q)(i) = q(p(i)); conjugation
+    quandles of S_3 are built from it.
+    """
+    perms = sorted(itertools.permutations(range(m)))
+    index = {p: i for i, p in enumerate(perms)}
+    return [
+        [index[tuple(q[p[i]] for i in range(m))] for q in perms]
+        for p in perms
+    ]
 
 
 def span_mod(vectors, n, d):

@@ -28,12 +28,9 @@ from quandlekit import (
     parse_rack_table,
 )
 from quandlekit.specs import resolve_rack
-from quandlekit.algebra import (
-    RackTable,
-    evaluate_rack_word,
-    format_rack_table,
-    symmetric_group_table,
-)
+from quandlekit.algebra import RackTable, evaluate_rack_word
+
+from conftest import format_rack_table, symmetric_group_table
 
 
 # --- constructors -----------------------------------------------------------

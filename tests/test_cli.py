@@ -761,6 +761,23 @@ def test_cli_import_loads_no_thread_pool():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_loads_no_dataclasses_inspect_or_hashlib():
+    # The records generate no code (dataclasses would load inspect too) and
+    # the "# input" digest imports hashlib where it is written.  A module
+    # the interpreter's own start-up loaded does not count.
+    import subprocess
+    import sys
+
+    code = (
+        "import sys; heavy = ('dataclasses', 'inspect', 'hashlib'); "
+        "before = {m for m in heavy if m in sys.modules}; import quandlekit.cli; "
+        "print(sorted(m for m in heavy if m in sys.modules and m not in before))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # --- golden stdout of the count and sum paths --------------------------------------
 
 _GOLDEN_FILES = {

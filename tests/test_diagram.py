@@ -10,6 +10,7 @@ from quandlekit import (
     ParseError,
     braid_closure,
     count_colorings,
+    make_conjugation,
     make_dihedral,
     make_trivial,
     mirror,
@@ -23,6 +24,8 @@ from quandlekit import (
 )
 from quandlekit.coloring import enumerate_surface_colorings
 from quandlekit.diagram import Crossing, format_pd, format_surface, parse_braid_word
+
+from conftest import symmetric_group_table
 
 TREFOIL_PD = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 FIG8_PD = "X(4,2,5,1) X(8,6,1,5) X(6,3,7,4) X(2,7,3,8)"
@@ -194,8 +197,6 @@ def test_mirror_and_reverse_signs(small_diagrams):
 
 
 def test_reverse_mirror_preserves_colorings(small_diagrams, small_quandles):
-    from quandlekit.algebra import make_conjugation, symmetric_group_table
-
     quandles = dict(small_quandles)
     quandles["conj-S3"] = make_conjugation(symmetric_group_table(3), 1)
     for D in small_diagrams.values():

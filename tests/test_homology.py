@@ -721,6 +721,44 @@ def test_cochain_spaces_build_their_boundary_once(monkeypatch, r3, theta):
         assert built == [3], warm
 
 
+def test_coboundary_dimension_reads_the_boundary_the_spaces_hold(monkeypatch):
+    # contains_coboundary leaves d_3 and its invariants in the CochainSpaces;
+    # the coboundary dimension is then rank d_3 minus the factors 5 divides,
+    # with no second build of d_3 and no GF(5) reduction of it.  Held alone,
+    # d_3 is reduced mod 5 without a rebuild.
+    hom = sys.modules["quandlekit.homology"]
+    built, reduced = [], []
+    real_build, real_rref = hom.boundary_matrix, snf.mod_rref
+
+    def counted_build(X, n, theory="R"):
+        built.append(n)
+        return real_build(X, n, theory)
+
+    def counted_rref(vectors, p):
+        reduced.append(p)
+        return real_rref(vectors, p)
+
+    monkeypatch.setattr(hom, "boundary_matrix", counted_build)
+    monkeypatch.setattr(snf, "mod_rref", counted_rref)
+    X = make_dihedral(5)
+    expected = {n: _boundary_mod_rank(X, n, "Q", 5) for n in (3, 4)}
+    for held in ("invariants", "map"):
+        _boundary_invariants.cache_clear()
+        _boundary_mod_rank.cache_clear()
+        built.clear()
+        reduced.clear()
+        spaces = cohomology(X, 3, "Q", 5)
+        if held == "invariants":
+            assert not spaces.contains_coboundary(_mochizuki(5))
+            assert spaces.cocycle_dimension == len(spaces.basis) - expected[4]
+            assert (built, reduced) == ([3, 4], [5])
+        else:
+            assert spaces._down.degree == 3  # d_3 alone, no invariants
+        assert spaces.coboundary_dimension == expected[3]
+        assert built == ([3, 4] if held == "invariants" else [3]), held
+        assert reduced == [5], held
+
+
 def test_contains_coboundary_rejects_foreign_cochains(r3, theta):
     spaces = cohomology(r3, 3, "Q", 3)
     foreign = [
