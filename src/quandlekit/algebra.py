@@ -1,8 +1,14 @@
 """Finite racks, quandles and keis as explicit operation tables.
 
 Elements are always the integers 0..n-1; named elements live in I/O layers
-only.  A table classifies itself on first use (not-a-rack / rack / quandle /
-kei) and caches orbit structure and the inverse operation.
+only.  A table is classified (not-a-rack / rack / quandle / kei) on first
+use and caches its class, orbit structure and inverse operation.  A table
+from a file, a conjugation quandle or an abelian extension pays the
+O(|X|^3) axiom check and a union-find over its |X|^2 entries.  The trivial,
+dihedral and Alexander quandles are affine, a*b = Ta + (1-T)b on a finite
+abelian group with T an automorphism, so they are quandles by construction:
+their constructors mark them, and their class and orbits are read off the
+table in linear time.
 """
 
 from __future__ import annotations
@@ -40,11 +46,19 @@ class AxiomCheck(Record):
 
 
 class RackTable(Record):
-    """An n-element binary operation table; table[a][b] encodes a*b."""
+    """An n-element binary operation table; table[a][b] encodes a*b.
+
+    ``affine`` is True only on a table that a builtin constructor built as
+    table[a][b] = Ta + (1-T)b on a finite abelian group whose zero is
+    element 0, with T an automorphism (see _affine).  It is not a field, so
+    it takes no part in construction, ``==``, ``hash`` or ``repr``.
+    """
 
     size: int
     table: tuple[tuple[int, ...], ...]
     name: str | None = field(default=None, compare=False)
+
+    affine = False
 
     def __post_init__(self) -> None:
         n = self.size
@@ -80,7 +94,19 @@ class RackTable(Record):
 
     @cached_property
     def check(self) -> AxiomCheck:
-        return check_axioms(self.table)
+        """The class and first failed axiom, as check_axioms reports them.
+
+        An affine table is a quandle, and (a*b)*b - a = (T^2 - 1)(a - b), so
+        K2 first fails in row 0, at the least b with (0*b)*b != 0: |X|
+        lookups instead of check_axioms' O(|X|^3) steps.
+        """
+        if not self.affine:
+            return check_axioms(self.table)
+        table = self.table
+        for b, v in enumerate(table[0]):
+            if table[v][b]:
+                return AxiomCheck(QUANDLE, "K2", (0, b))
+        return AxiomCheck(KEI, None, None)
 
     @property
     def rack_class(self) -> str:
@@ -105,11 +131,27 @@ class RackTable(Record):
 
     @cached_property
     def orbits(self) -> tuple[tuple[int, ...], ...]:
-        """Orbit partition under all right translations and their inverses."""
+        """Orbit partition under all right translations and their inverses.
+
+        Each orbit is sorted and the orbits are ordered by least element.
+        An affine table's orbit of x is the coset x + im(1-T), which is the
+        set of entries of row x, so one row per orbit is read; any other
+        table runs a union-find over all its entries.
+        """
         self.require_rack()
         n = self.size
-        moves = ((a, self.table[a][b]) for a in range(n) for b in range(n))
-        return union_classes(n, moves)
+        if not self.affine:
+            moves = ((a, self.table[a][b]) for a in range(n) for b in range(n))
+            return union_classes(n, moves)
+        orbits: list[tuple[int, ...]] = []
+        placed = [False] * n
+        for x, row in enumerate(self.table):
+            if not placed[x]:
+                orbit = tuple(sorted(set(row)))
+                for y in orbit:
+                    placed[y] = True
+                orbits.append(orbit)
+        return tuple(orbits)
 
     @property
     def label(self) -> str:
@@ -170,22 +212,29 @@ def check_axioms(table: Sequence[Sequence[int]]) -> AxiomCheck:
 # --- constructors -------------------------------------------------------------
 
 
+def _affine(X: RackTable) -> RackTable:
+    """Mark X as affine; only for tables built as a*b = Ta + (1-T)b."""
+    object.__setattr__(X, "affine", True)
+    return X
+
+
 def make_trivial(n: int) -> RackTable:
     """The trivial kei on n elements: x*y = x."""
     if n < 1:
         raise DomainError("trivial kei needs at least one element")
-    return RackTable(n, tuple(tuple(a for _ in range(n)) for a in range(n)), f"trivial:{n}")
+    return _affine(RackTable(n, tuple(tuple(a for _ in range(n)) for a in range(n)),
+                             f"trivial:{n}"))
 
 
 def make_dihedral(n: int) -> RackTable:
     """The dihedral kei R_n: i*j = 2j - i (mod n)."""
     if n < 1:
         raise DomainError("dihedral kei needs at least one element")
-    return RackTable(
+    return _affine(RackTable(
         n,
         tuple(tuple((2 * j - i) % n for j in range(n)) for i in range(n)),
         f"dihedral:{n}",
-    )
+    ))
 
 
 def make_alexander(
@@ -205,7 +254,7 @@ def make_alexander(
         raise DomainError("modulus must be positive")
     m = modulus
     if m == 1:
-        return RackTable(1, ((0,),), "alexander:1")
+        return _affine(RackTable(1, ((0,),), "alexander:1"))
     q = [c % m for c in quotient_poly]
     while q and q[-1] == 0:
         q.pop()
@@ -256,7 +305,7 @@ def make_alexander(
     while not t[-1]:  # T is a unit, so t mod q is nonzero
         t.pop()
     spec = ":".join(",".join(map(str, p)) for p in (q, t))
-    return RackTable(n, rows, f"alexander:{m}:{spec}")
+    return _affine(RackTable(n, rows, f"alexander:{m}:{spec}"))
 
 
 def _validate_group(table: Sequence[Sequence[int]]) -> tuple[int, list[int]]:

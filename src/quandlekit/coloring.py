@@ -274,7 +274,8 @@ def _orbit_maps(X: RackTable) -> list[tuple[int, Sequence[int]]]:
     identity, range(|X|).  The maps come from a BFS from each root over the
     translations.  Each translation permutes the finite set X, so the
     forward search reaches the whole orbit, for racks that are not quandles
-    too.  O(|X|^2) steps, like X.orbits.
+    too.  O(|X|^2) steps, one per table entry, even where X.orbits reads
+    one row per orbit (affine X).
     """
     n = X.size
     table = X.table

@@ -3,7 +3,7 @@ import random
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from quandlekit import (
     Cochain,
@@ -27,6 +27,7 @@ from quandlekit import (
     make_trivial,
     parse_rack_table,
 )
+from quandlekit._util import union_classes
 from quandlekit.specs import resolve_rack
 from quandlekit.algebra import RackTable, evaluate_rack_word
 
@@ -432,6 +433,63 @@ def test_orbits():
     assert sorted(len(o) for o in conj.orbits) == [1, 2, 3]
     # even dihedral keis split into two orbits
     assert len(make_dihedral(4).orbits) == 2
+
+
+def _generic_classification(X):
+    """What X.check and X.orbits give without the affine shortcut."""
+    n = X.size
+    moves = ((a, X.table[a][b]) for a in range(n) for b in range(n))
+    return check_axioms(X.table), union_classes(n, moves)
+
+
+# Every Alexander spec the tests and the benchmark name, S4 and A9 among them.
+_TESTED_ALEXANDER_SPECS = (
+    "alexander:2:1,0,1:0,1", "alexander:2:1,1,1:0,1",
+    "alexander:3:-2,1:2", "alexander:3:1,0,0,1:2", "alexander:3:1,0,1:1,1",
+    "alexander:3:1,0,1:2", "alexander:3:1,1:2", "alexander:5:3,1:0,1",
+    "alexander:7:4,1:0,1",
+)
+
+
+def test_builtin_classification_matches_axiom_check():
+    # Differential oracle: the builtins are affine and classify themselves by
+    # reading rows; check_axioms and the union-find read the whole table.
+    specs = [f"{kind}:{n}" for n in range(1, 65) for kind in ("dihedral", "trivial")]
+    tables = [resolve_rack(spec) for spec in specs + list(_TESTED_ALEXANDER_SPECS)]
+    classes = set()
+    for X in tables + [make_alexander(1, [0, 1], [1])]:
+        assert X.affine, X.name
+        assert (X.check, X.orbits) == _generic_classification(X), X.name
+        classes.add(X.check.failed_axiom)
+    assert classes == {None, "K2"}
+
+
+@st.composite
+def _alexander_specs(draw):
+    """(m, f, t) with m^deg <= 64: a monic quotient f and any t."""
+    m = draw(st.integers(2, 64))
+    deg = draw(st.sampled_from([k for k in range(1, 7) if m**k <= 64]))
+    f = draw(st.lists(st.integers(0, m - 1), min_size=deg, max_size=deg)) + [1]
+    t = draw(st.lists(st.integers(-m, 2 * m), min_size=1, max_size=deg + 1))
+    return m, f, t
+
+
+@given(_alexander_specs())
+@settings(max_examples=80, deadline=None)
+def test_alexander_classification_matches_axiom_check(spec):
+    try:
+        X = make_alexander(*spec)
+    except DomainError:
+        assume(False)
+    assert (X.check, X.orbits) == _generic_classification(X)
+
+
+def test_affine_marker_is_not_part_of_the_value():
+    X = make_dihedral(5)
+    Y = parse_rack_table(format_rack_table(X), name=X.name)
+    assert X.affine and not Y.affine
+    assert X == Y and hash(X) == hash(Y) and repr(X) == repr(Y)
+    assert "affine" not in repr(X)
 
 
 # --- table text format -------------------------------------------------------------

@@ -101,6 +101,45 @@ def test_check_alexander_builtin(capsys):
     assert "kei (order 4" in out
 
 
+def test_builtin_specs_skip_the_axiom_check(tmp_path, capsys, monkeypatch):
+    # The builtins are quandles by construction; only a table file is checked.
+    from quandlekit import algebra
+
+    checked = []
+
+    def refuse(table):
+        checked.append(len(table))
+        raise AssertionError("check_axioms called")
+
+    monkeypatch.setattr(algebra, "check_axioms", refuse)
+    phi_s4 = tmp_path / "phi_S4.cochain"
+    phi_s4.write_text(_GOLDEN_FILES["phi_S4"])
+    for argv, line in [
+        (["check", "dihedral:300"], "#data class kei 300 2"),
+        (["check", "trivial:5"], "#data class kei 5 5"),
+        (["check", "alexander:2:1,1,1:0,1"], "#data class quandle 4 1"),
+        (["color", "trefoil.pd", "dihedral:258", "--count"], "#data colorings 774"),
+        (["color", "torus:3:4", "alexander:3:1,0,0,1:2", "--count"], "#data colorings 729"),
+        (["invariant", "trefoil.pd", "dihedral:3", "theta_R3.cochain"], None),
+        (["invariant", "trefoil.pd", "alexander:2:1,1,1:0,1", str(phi_s4)], None),
+    ]:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert line is None or line in out.splitlines(), (argv, out)
+    assert checked == []
+    table = tmp_path / "r3.rack"
+    table.write_text("rack 3\n0 2 1\n2 1 0\n1 0 2\n")
+    with pytest.raises(AssertionError, match="check_axioms called"):
+        main(["check", str(table)])
+    assert checked == [3]
+
+
+def test_check_of_a_large_dihedral_kei_is_linear():
+    proc = run_cli_guarded("check", "dihedral:300", cpu_s=1)
+    assert proc.returncode == 0
+    assert "#data class kei 300 2" in proc.stdout.splitlines()
+
+
 def test_check_missing_file(capsys):
     code, _, err = run(capsys, "check", "does-not-exist.txt")
     assert code == 2
@@ -852,9 +891,8 @@ _GOLDEN_RACKS = {"S4": "alexander:2:1,1,1:0,1", "A9": "alexander:3:1,0,1:2",
     ("color trefoil.pd dihedral:4 --list", 0, "abfcd40ac405e884"),
     ("color trefoil.pd dihedral:129 --list", 0, "598e1ab337736f52"),
     ("color trefoil_shadow.surf dihedral:3 --list", 0, "ed3a83f0632c6f39"),
-    # More than 256 colors; the time goes to the axiom check.
-    pytest.param("color trefoil.pd dihedral:258 --list", 0, "54a70ec177ff854f",
-                 marks=pytest.mark.slow),
+    # More than 256 colors.
+    ("color trefoil.pd dihedral:258 --list", 0, "54a70ec177ff854f"),
 ])
 def test_count_and_sum_stdout_is_golden(tmp_path, capsys, command, code, digest):
     """Exit code and stdout of count and sum commands, whichever path they take.

@@ -9,6 +9,7 @@ from quandlekit import (
     DomainError,
     GroupRingElement,
     NonCocycleError,
+    abelian_extension,
     braid_closure,
     coboundary,
     cohomology,
@@ -243,6 +244,37 @@ def test_lift_criterion_with_obstruction(r4):
         seen[w == 0] += 1
     assert seen[True] > 0 and seen[False] > 0
     assert not state_sum_2(D, r4, phi).is_constant()
+
+
+def test_extension_colorings_count_the_weight_zero_colorings(knot_table, monkeypatch):
+    # A coloring of a knot lifts to E = Z_d x_phi X exactly when its weight is
+    # 0, and then in d ways, so |Col_E(K)| = d [t^0] Phi_phi(K) (Carter,
+    # Elhamdadi, Nikiforou and Saito, JKTR 12, 2003).  One-component closures
+    # only: a link needs one count per component.
+    from quandlekit import algebra
+
+    checked = []
+    check_axioms = algebra.check_axioms
+    monkeypatch.setattr(algebra, "check_axioms",
+                        lambda table: checked.append(len(table)) or check_axioms(table))
+    knots = [knot_table[name] for name in ("trefoil", "fig8", "7_4")]
+    knots += [torus_diagram(p, q) for p, q in ((2, 5), (3, 4), (3, 5))]
+    obstructed = 0
+    for spec, d in (("alexander:2:1,1,1:0,1", 2), ("dihedral:4", 2),
+                    ("alexander:3:1,0,1:2", 3)):
+        X = resolve_rack(spec)
+        spaces = cohomology(X, 2, "Q", d)
+        phi = next(c for c in spaces.cocycles() if not spaces.contains_coboundary(c))
+        E = abelian_extension(X, d, phi)
+        assert E.is_quandle, spec
+        for K in knots:
+            hist = state_sum_2(K, X, phi).coeffs
+            assert count_colorings(K, E) == d * hist[0], (spec, K.name)
+            obstructed += any(hist[1:])
+    # S4's class obstructs lifts of the trefoil's and figure-eight's colorings.
+    assert obstructed == 2
+    # Only the extensions pay the full axiom check; the builtins are affine.
+    assert checked == [8, 8, 27]
 
 
 # --- property: random coboundary shifts never change the trefoil value ----------------------
