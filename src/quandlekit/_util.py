@@ -28,14 +28,6 @@ def field(*, default: Any = _MISSING, compare: bool = True, repr: bool = True) -
     return _Field(default, compare, repr)
 
 
-def _frozen_setattr(self: Record, name: str, value: Any) -> None:
-    raise AttributeError(f"cannot assign to field {name!r}")
-
-
-def _frozen_delattr(self: Record, name: str) -> None:
-    raise AttributeError(f"cannot delete field {name!r}")
-
-
 class Record:
     """A value class whose fields are its own annotations, in order.
 
@@ -43,11 +35,10 @@ class Record:
     leaves it out of ``==`` and ``hash`` (``compare=False``) or ``repr``
     (``repr=False``).  ``__init__`` takes the fields positionally or by
     keyword, sets them in field order with ``object.__setattr__`` and then
-    calls ``__post_init__`` if the class defines one.  A record is frozen
-    unless declared ``class C(Record, frozen=False)``, which also makes it
-    unhashable.  Equality needs the same class and equal compared fields,
-    and the hash is that of the tuple of compared fields, as for a
-    data class.  Instances keep a ``__dict__``, so ``cached_property`` works.
+    calls ``__post_init__`` if the class defines one.  A record is frozen.
+    Equality needs the same class and equal compared fields, and the hash
+    is that of the tuple of compared fields, as for a data class.
+    Instances keep a ``__dict__``, so ``cached_property`` works.
     """
 
     _fields: tuple[str, ...] = ()
@@ -55,7 +46,7 @@ class Record:
     _shown: tuple[str, ...] = ()
     _post_init = _one = False
 
-    def __init_subclass__(cls, frozen: bool = True, **kwargs: Any) -> None:
+    def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
         fields, defaults, compared, shown = [], {}, [], []
         for name in cls.__dict__.get("__annotations__", {}):
@@ -75,10 +66,6 @@ class Record:
         cls._post_init = hasattr(cls, "__post_init__")
         cls._key = staticmethod(attrgetter(*compared))  # a bare value for one name
         cls._one = len(compared) == 1
-        if frozen:
-            cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
-        else:
-            cls.__hash__ = None  # type: ignore[assignment]
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         names = self._fields
@@ -123,6 +110,12 @@ class Record:
     def __hash__(self) -> int:
         key = self._key(self)
         return hash((key,) if self._one else key)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)

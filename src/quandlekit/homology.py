@@ -22,12 +22,12 @@ budget, but a map is rebuilt when read again; a CochainSpaces keeps its own
 d_n, and reads the invariants of d_n off it when none are memoized.  The
 GF(p) ranks behind ``homology_mod`` and the prime cocycle and coboundary
 dimensions are read off the cached Smith diagonal of d_n when there is
-one, or off the invariants a CochainSpaces holds: the reductions and the Z
-core pivot only on +-1 and the residual Smith form uses unimodular
-transforms, all invertible mod every p, so rank_p d_n = rank d_n minus the
-number of invariant factors that p divides.  Otherwise the rank is the
-number of rows of the sparse GF(p) RREF of the columns of d_n, which runs
-faster than a Z elimination made only for that rank.  Cocycle and coboundary generators with coefficients
+one, or off the invariants a CochainSpaces holds: the reductions and every
+step of the Z elimination are unimodular, so invertible mod every p, and
+rank_p d_n = rank d_n minus the number of invariant factors that p
+divides.  Otherwise the rank is the number of rows of the sparse GF(p)
+RREF of the columns of d_n, which runs faster than a Z elimination made
+only for that rank.  Cocycle and coboundary generators with coefficients
 in Z_d are built only when read: off the same RREF when d is prime.
 Otherwise the cocycle generators are the fewest that span Z^n(X; Z_d),
 read off the sparse Z elimination of d_{n+1} (``snf.mod_kernel``), and the
@@ -135,7 +135,11 @@ class BoundaryMatrix(Record):
     @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """The dense rows, derived from the columns on first use."""
-        return tuple(map(tuple, snf.dense_rows(self.columns, self.nrows)))
+        rows = [[0] * self.ncols for _ in range(self.nrows)]
+        for j, col in enumerate(self.columns):
+            for i, v in col.items():
+                rows[i][j] = v
+        return tuple(map(tuple, rows))
 
     @property
     def nrows(self) -> int:

@@ -1,26 +1,26 @@
-"""Exact matrix routines: a sparse integer core, a dense SNF, a sparse GF(p) RREF.
+"""Exact matrix routines: one sparse integer elimination, a sparse GF(p) RREF.
 
 Boundary maps are stored as sparse columns ({row: coefficient} dicts) with at
-most 2(n-1) entries each.  ``_eliminate`` pivots them down over Z only on
-+-1 entries, so every step is unimodular and Smith(A) = I_k (+)
-Smith(residual).  The pivot is an entry of the shortest live column, in the
-shortest row among its unit entries (Dumas, Saunders and Villard, J. Symb.
-Comput. 32, 2001).  It reports the columns it pivoted on: ``homology``
-reads them as elementary reductions of the chain complex.  The dense
-``smith_normal_form``, exact on Python ints, runs only on the small
-residual.  It steps by division with remainder: the pivot's row and column
-are reduced by quotients, and the least remainder becomes the next pivot,
-so entries stay near the size of the residual's own.  ``invariant_factors``
-sorts its diagonal into the divisibility chain, the rule that makes
-``AbelianGroup.from_divisors`` canonical, and carries each gcd/lcm move on
-the column transform when one is kept, so S A T is the chain itself.  The Z
-pivots and the residual's transforms are invertible mod every prime, so the
-invariant factors e_i of A give every GF(p) rank:
-rank_p(A) = rank(A) - #{e_i : p | e_i}.  ``homology`` reads GF(p) ranks that
-way once a map is eliminated over Z.  ``mod_kernel`` reads the fewest
-generators of the x in Z_d^n orthogonal to the columns, for any modulus d,
-off the same elimination: the pivots back-substitute, the residual's Smith
-column transform solves the rest.  Everything else over GF(p), the other
+most 2(n-1) entries each.  ``_eliminate`` diagonalizes them over Z by
+unimodular steps in two phases of one routine.  While a +-1 entry is left it
+pivots on one, in the shortest live column and the shortest row among its
+units (Dumas, Saunders and Villard, J. Symb. Comput. 32, 2001), and reports
+those columns: ``homology`` reads them as elementary reductions of the chain
+complex.  Past the units it keeps going on the residual's sparse rows,
+pivoting on an entry of least absolute value and stepping by division with
+remainder: the pivot's column and then its row are reduced by
+nearest-integer quotients, and the least remainder becomes the next pivot,
+so entries stay near the size of the residual's own.  Memory stays linear
+in the nonzero entries.  ``invariant_factors`` sorts the diagonal into the
+divisibility chain, the rule that makes ``AbelianGroup.from_divisors``
+canonical, and carries each gcd/lcm move on a transform when one is given.
+Every step is invertible mod every prime, so the invariant factors e_i of A
+give every GF(p) rank: rank_p(A) = rank(A) - #{e_i : p | e_i}.
+``homology`` reads GF(p) ranks that way once a map is eliminated over Z.
+``mod_kernel`` reads the fewest generators of the x in Z_d^n orthogonal to
+the columns, for any modulus d, off the same elimination: the chain of the
+diagonal mod d solves it in the final coordinates, and the logged pivots and
+row operations map the solution back.  Everything else over GF(p), the other
 ranks and the prime cocycle and coboundary bases, is read off ``mod_rref``,
 the reduced row echelon form of a list of sparse vectors.
 """
@@ -28,11 +28,8 @@ the reduced row echelon form of a list of sparse vectors.
 from __future__ import annotations
 
 import heapq
-import itertools
 from math import gcd
 from typing import Mapping, Sequence
-
-from ._util import Record
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -83,118 +80,54 @@ def invariant_factors(values: Sequence[int], transform: Sequence[list[int]] = ()
     return out
 
 
-class SmithForm(Record, frozen=False):
-    diag: list[int]  # nonnegative; diag[i] divides diag[i+1]
-    rank: int
-    col_ops: list[list[int]] | None  # T with S @ A @ T = diag for some unimodular S
-
-
 def _nearest(a: int, b: int) -> int:
     """The integer nearest a / b, b != 0: a - q b is then at most |b| / 2 in size."""
     return (2 * a + b) // (2 * b)
-
-
-def smith_normal_form(
-    rows: Sequence[Sequence[int]],
-    ncols: int,
-    *,
-    want_col_ops: bool = False,
-) -> SmithForm:
-    """Diagonalize a dense integer matrix by unimodular row/column operations.
-
-    Each pivot is the least nonzero entry of the trailing block.  Its column
-    and then its row are reduced by nearest-integer quotients, which leaves
-    remainders of at most half the pivot; the least nonzero remainder is
-    moved onto the pivot, and the reduction repeats until the pivot's row
-    and column are clear.  The pivot shrinks at every repeat, so this ends,
-    and no step forms the Bezout combinations of two rows or columns whose
-    coefficients grow with the entries.  The diagonal then goes through
-    ``invariant_factors``.
-
-    Returns the invariant factors (zeros last), plus the accumulated column
-    transform T when requested: S @ A @ T = diag for some unimodular S,
-    which is not kept.  Columns rank.. of T span the kernel of A.
-    """
-    d = [list(row) for row in rows]
-    if any(len(row) != ncols for row in d):
-        raise ValueError("ragged matrix")
-    nrows = len(d)
-    # Column operations act on the rows of d and of t alike.
-    t = [[int(i == j) for j in range(ncols)] for i in range(ncols)] if want_col_ops else []
-
-    def swap_columns(k: int, j: int) -> None:
-        if j != k:
-            for row in itertools.chain(d, t):
-                row[k], row[j] = row[j], row[k]
-
-    k = 0
-    while k < min(nrows, ncols):
-        # The first least nonzero entry, in row order, of the trailing block:
-        # rows k.. are zero left of column k.
-        least = min(map(abs, filter(None, itertools.chain.from_iterable(d[k:]))), default=0)
-        if not least:
-            break
-        i = next(i for i in range(k, nrows) if least in map(abs, d[i]))
-        d[k], d[i] = d[i], d[k]
-        swap_columns(k, next(j for j in range(k, ncols) if abs(d[k][j]) == least))
-        while True:
-            pivot_row, p = d[k], d[k][k]
-            for i in range(k + 1, nrows):
-                if d[i][k] and (q := _nearest(d[i][k], p)):
-                    d[i] = [x - q * y for x, y in zip(d[i], pivot_row)]
-            # Column j -= q_j column k, done row by row on the rows that meet column k.
-            quotients = [_nearest(v, p) if v else 0 for v in pivot_row]
-            quotients[k] = 0
-            if any(quotients):
-                for row in itertools.chain(d, t):
-                    c = row[k]
-                    if c:
-                        row[:] = [x - c * q for x, q in zip(row, quotients)]
-            remainders = [(abs(d[i][k]), i, k) for i in range(k + 1, nrows) if d[i][k]]
-            remainders += [(abs(v), k, j) for j, v in enumerate(d[k]) if v and j > k]
-            if not remainders:
-                break
-            _, i, j = min(remainders)
-            d[k], d[i] = d[i], d[k]
-            swap_columns(k, j)
-        k += 1
-    rank = k
-
-    diag = invariant_factors([abs(d[i][i]) for i in range(rank)], t)
-    diag += [0] * (min(nrows, ncols) - rank)
-    return SmithForm(diag=diag, rank=rank, col_ops=t if want_col_ops else None)
-
-
-def dense_rows(columns: Sequence[Mapping[int, int]], nrows: int) -> list[list[int]]:
-    """The rows of the nrows x len(columns) matrix with these sparse columns."""
-    rows = [[0] * len(columns) for _ in range(nrows)]
-    for j, col in enumerate(columns):
-        for i, v in col.items():
-            rows[i][j] = v
-    return rows
 
 
 def _eliminate(
     columns: Sequence[Mapping[int, int]],
     nrows: int,
     pivots: list[tuple[int, int, dict[int, int]]] | None = None,
-) -> tuple[set[int], list[int], list[list[int]]]:
-    """Pivot away the +-1 entries of a sparse integer matrix.
+) -> tuple[set[int], dict[int, int]]:
+    """Diagonalize a sparse integer matrix by unimodular row and column operations.
 
-    Returns the columns pivoted on, the rows the residual keeps, and the
-    residual as dense rows on them, with its zero rows and columns dropped.
-    Given a ``pivots`` list, appends each pivot (r, u, col) to it: the unit u
-    in row r of a column as it stood when pivoted, col being its other
-    entries.  Every column left then loses row r, so col has no row pivoted
-    before it.  Without one, each pivoted column is freed at once, so a rank
-    peaks no higher than its elimination needs.  The input columns are not
-    modified.
+    Returns the columns pivoted on while +-1 entries last, and the diagonal
+    as {row: |pivot|}: its length is the rank, and ``invariant_factors`` of
+    its values gives the invariant factors.
+
+    While a +-1 entry is left, the pivot is one in the shortest live column,
+    in the shortest row among its units; its column's other entries are
+    dropped and its row is cleared from the other columns.  The residual is
+    then kept by rows, {column: coeff} dicts: a boundary map's residual is
+    far wider than tall, so a reduction updates the few rows that meet the
+    pivot's column, each in one pass, found by scanning the rows.  Its pivot
+    is an entry of least absolute value, in the shortest row with one and
+    then the column shortest when the units ran out (a Markowitz choice on
+    lengths not kept up to date).  Row operations with nearest-integer
+    quotients reduce the pivot's column to remainders of at most half the
+    pivot, and the least remainder becomes the pivot, until the column is
+    clear; column operations then reduce its row alone the same way, and a
+    remainder there becomes the pivot.  The pivot shrinks at every move, so
+    this ends, and no step forms Bezout combinations, whose coefficients
+    grow with the entries.
+
+    Given a ``pivots`` list, appends to it in order the steps that recover
+    an x with x.c = 0 for every input column c from its coordinates off the
+    diagonal's rows, replayed in reverse: (r, u, col) sets x_r = -u (x.col).
+    A unit pivot is the unit u in row r of a column as it stood, col its
+    other entries (every column left then loses row r, so col has no row
+    pivoted before it); the row operations row_i -= o_i row_r of one
+    reduction are (r, 1, {r: -1, i: o_i, ...}).  Column operations keep the
+    x.  Without the list, each pivoted column is freed at once, so a rank
+    peaks no higher than its elimination needs.  The input is not modified.
     """
     cols = {j: {i: v for i, v in col.items() if v} for j, col in enumerate(columns)}
     rows: list[set[int]] = [set() for _ in range(nrows)]
     for j, col in cols.items():
         for i in col:
             rows[i].add(j)
+    diagonal: dict[int, int] = {}
     heap = [(len(col), j) for j, col in cols.items()]
     heapq.heapify(heap)
     while heap:
@@ -208,6 +141,7 @@ def _eliminate(
         for i in col:
             rows[i].discard(c)
         u = col.pop(r)
+        diagonal[r] = 1
         if pivots is not None:
             pivots.append((r, u, col))
         for j in rows[r]:
@@ -225,12 +159,79 @@ def _eliminate(
                     del target[i]
                     rows[i].discard(j)
             heapq.heappush(heap, (len(target), j))
-    left = [col for col in cols.values() if col]
-    support = sorted({i for col in left for i in col})
-    position = {i: k for k, i in enumerate(support)}
-    left = [{position[i]: v for i, v in col.items()} for col in left]
+        rows[r].clear()
     pivoted = set(range(len(columns))).difference(cols)
-    return pivoted, support, dense_rows(left, len(support))
+
+    lines = {i: {j: cols[j][i] for j in line} for i, line in enumerate(rows) if line}
+    size = {j: len(col) for j, col in cols.items()}
+    del cols, rows
+    key: dict[int, tuple[int, int, int]] = {}  # each live row's place in the heap
+
+    def rekey(i: int) -> None:
+        line = lines[i]
+        if line:
+            key[i] = k = (min(map(abs, line.values())), len(line), i)
+            heapq.heappush(heap, k)
+        else:
+            del lines[i], key[i]
+
+    for i in lines:
+        rekey(i)
+    while heap:
+        k = heapq.heappop(heap)
+        r = k[2]
+        if key.get(r) != k:
+            continue  # stale
+        c = min((j for j, v in lines[r].items() if abs(v) == k[0]),
+                key=lambda j: (size[j], j))
+        touched: set[int] = set()
+        while True:
+            prow, p = lines[r], lines[r][c]
+            items = list(prow.items())
+            ops, least, at = {}, 0, None
+            for i, line in lines.items():
+                if i == r or c not in line:
+                    continue
+                o = _nearest(line[c], p)
+                if o:
+                    # Row i -= o row r; a row r entry missing from row i
+                    # leaves a nonzero there.
+                    ops[i] = o
+                    get = line.get
+                    new = {j: w for j, v in items if (w := get(j, 0) - o * v)}
+                    if len(new) < len(items):
+                        for j in prow.keys() - new.keys():
+                            del line[j]
+                    line.update(new)
+                    touched.add(i)
+                y = line.get(c)
+                if y and (not least or abs(y) < least):
+                    least, at = abs(y), (i, c)
+            if ops and pivots is not None:
+                pivots.append((r, 1, {r: -1, **ops}))
+            if at is None:
+                # Column c is p in row r alone, so column j -= q column c
+                # leaves a remainder in row r and changes nothing else.
+                for j, v in items:
+                    if j != c:
+                        w = v - _nearest(v, p) * p
+                        if w:
+                            prow[j] = w
+                            if not least or abs(w) < least:
+                                least, at = abs(w), (r, j)
+                        else:
+                            del prow[j]
+                touched.add(r)
+                if at is None:
+                    break
+            r, c = at
+        diagonal[r] = abs(p)
+        del lines[r], key[r]
+        touched.discard(r)
+        for i in touched:
+            if i in lines:
+                rekey(i)
+    return pivoted, diagonal
 
 
 def cokernel_invariants(
@@ -241,44 +242,42 @@ def cokernel_invariants(
     A is given by its sparse columns.  The rank of A is nrows minus the free
     rank.  A and its transpose share the Smith diagonal, so the same factors
     describe Z^ncols / rowspan(A).  Given a ``pivoted`` set, adds to it the
-    columns that ``_eliminate`` pivoted on.
+    columns that ``_eliminate`` pivoted on while +-1 entries last.
     """
-    unit_columns, _, residual = _eliminate(columns, nrows)
+    unit_columns, diagonal = _eliminate(columns, nrows)
     if pivoted is not None:
         pivoted |= unit_columns
-    sf = smith_normal_form(residual, len(residual[0]) if residual else 0)
-    torsion = [v for v in sf.diag[: sf.rank] if v > 1]
-    return nrows - len(unit_columns) - sf.rank, torsion
+    torsion = invariant_factors([e for e in diagonal.values() if e > 1])
+    return nrows - len(diagonal), [e for e in torsion if e > 1]
 
 
 def mod_kernel(vectors: Sequence[Mapping[int, int]], ncols: int, d: int) -> list[list[int]]:
     """Fewest generators of the x in Z_d^ncols orthogonal to the vectors, d >= 2.
 
-    The vectors are the columns pivoted by ``_eliminate``; its column
-    operations are unimodular, so they keep the x with x.c = 0 mod d for
-    every column c.  A pivot (r, u, col) fixes x_r = -u (x.col), by
-    coordinates not pivoted before it.  On the residual's rows y the
-    condition is M^T y = 0 mod d, and with S M^T T = diag(e_i) from
-    ``smith_normal_form``, y = T z with e_i z_i = 0 mod d: z_i is a multiple
-    of d/gcd(e_i, d) up to the rank and free past it.  So the generators
-    are a unit vector per coordinate neither pivoted nor in the residual,
-    T_i d/gcd(e_i, d) for each gcd(e_i, d) > 1 and T_i past the rank, each
-    back-substituted through the pivots in reverse order.  The gcd(e_i, d)
-    divide one another, so no smaller list generates the kernel: there are
-    ncols - rank + #{e_i : gcd(e_i, d) > 1}, none zero.
+    The vectors are the columns eliminated by ``_eliminate``.  Its column
+    operations keep the x with x.c = 0 mod d for every column c, and its
+    row operations change coordinates, which its ``pivots`` log maps back.
+    In the final coordinates y the condition is e_r y_r = 0 mod d on each
+    row r of the diagonal, pivot e_r, and nothing off it.  The
+    g_r = gcd(e_r, d) > 1 go through ``invariant_factors`` with a transform
+    T, so y = T z on those rows with f_k z_k = 0 mod d for the chain f_k:
+    z_k is a multiple of d/f_k.  So the generators are a unit vector per
+    coordinate off the diagonal and T_k d/f_k for each f_k > 1, each mapped
+    back through the log in reverse.  The f_k divide one another, so no
+    smaller list generates the kernel: there are
+    ncols - rank + #{f_k > 1}, none zero.
     """
     pivots: list[tuple[int, int, dict[int, int]]] = []
-    _, support, residual = _eliminate(vectors, ncols, pivots)
-    transposed = list(zip(*residual))
-    sf = smith_normal_form(transposed, len(support), want_col_ops=True)
-    touched = set(support).union(r for r, _, _ in pivots)
-    out = [[int(i == j) for i in range(ncols)] for j in range(ncols) if j not in touched]
-    for k in range(len(support)):
-        scale = d // gcd(sf.diag[k] if k < sf.rank else 0, d)
-        if scale < d:
+    _, diagonal = _eliminate(vectors, ncols, pivots)
+    out = [[int(i == j) for i in range(ncols)] for j in range(ncols) if j not in diagonal]
+    rows = [r for r, e in diagonal.items() if gcd(e, d) > 1]
+    transform = [[int(a == b) for b in range(len(rows))] for a in range(len(rows))]
+    chain = invariant_factors([gcd(diagonal[r], d) for r in rows], transform)
+    for k, f in enumerate(chain):
+        if f > 1:
             x = [0] * ncols
-            for i, row in zip(support, sf.col_ops):
-                x[i] = row[k] * scale % d
+            for r, row in zip(rows, transform):
+                x[r] = row[k] * (d // f) % d
             out.append(x)
     for x in out:
         for r, u, col in reversed(pivots):

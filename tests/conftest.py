@@ -61,6 +61,16 @@ def span_mod(vectors, n, d):
     return seen
 
 
+def composite_image(lo, hi):
+    """The nonzero entries of lo @ hi, two boundary matrices multiplied by their columns."""
+    out = {}
+    for j, col in enumerate(hi.columns):
+        for k, v in col.items():
+            for i, w in lo.columns[k].items():
+                out[i, j] = out.get((i, j), 0) + v * w
+    return {ij: v for ij, v in out.items() if v}
+
+
 def prime_powers(n):
     """The prime powers p^e exactly dividing n >= 1, by trial division."""
     out, p = [], 2

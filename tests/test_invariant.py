@@ -261,7 +261,7 @@ def test_extension_colorings_count_the_weight_zero_colorings(knot_table, monkeyp
     knots += [torus_diagram(p, q) for p, q in ((2, 5), (3, 4), (3, 5))]
     obstructed = 0
     for spec, d in (("alexander:2:1,1,1:0,1", 2), ("dihedral:4", 2),
-                    ("alexander:3:1,0,1:2", 3)):
+                    ("alexander:3:1,0,1:2", 3), ("dihedral:6", 3)):
         X = resolve_rack(spec)
         spaces = cohomology(X, 2, "Q", d)
         phi = next(c for c in spaces.cocycles() if not spaces.contains_coboundary(c))
@@ -272,9 +272,12 @@ def test_extension_colorings_count_the_weight_zero_colorings(knot_table, monkeyp
             assert count_colorings(K, E) == d * hist[0], (spec, K.name)
             obstructed += any(hist[1:])
     # S4's class obstructs lifts of the trefoil's and figure-eight's colorings.
+    # R6's mod-3 class obstructs none, but a fold reading phi(over, under)
+    # would give T(3,4) [t^0] = 12, not 54 / 3, so the order of phi's
+    # arguments is pinned too.
     assert obstructed == 2
     # Only the extensions pay the full axiom check; the builtins are affine.
-    assert checked == [8, 8, 27]
+    assert checked == [8, 8, 27, 18]
 
 
 # --- property: random coboundary shifts never change the trefoil value ----------------------

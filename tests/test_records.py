@@ -18,6 +18,7 @@ from quandlekit import (
     make_dihedral,
     parse_pd,
 )
+from quandlekit._util import Record
 from quandlekit.algebra import AxiomCheck, GroupPresentation, RackWord
 from quandlekit.coloring import Coloring, ShadowColoring, SurfaceColoring
 from quandlekit.diagram import (
@@ -35,7 +36,6 @@ from quandlekit.homology import (
     StructureReport,
 )
 from quandlekit.invariant import GroupRingElement
-from quandlekit.snf import SmithForm
 
 R3 = make_dihedral(3)
 TREFOIL = parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)")
@@ -72,11 +72,9 @@ SAMPLES = [
     (StructureReport, dict(X=R3, n_max=1, groups={("Q", 1): AbelianGroup(1)},
                            checks=(("ok", True),)), {}),
     (GroupRingElement, dict(modulus=2, coeffs=(1, 0)), {}),
-    (SmithForm, dict(diag=[1, 3], rank=2, col_ops=None), {}),
 ]
 IDS = [cls.__name__ for cls, _, _ in SAMPLES]
-FROZEN = [s for s in SAMPLES if s[0] is not SmithForm]
-UNHASHABLE = (Cochain, StructureReport, SmithForm)  # a dict or list field, or mutable
+UNHASHABLE = (Cochain, StructureReport)  # a dict field
 
 
 @pytest.mark.parametrize("cls, fields, defaults", SAMPLES, ids=IDS)
@@ -156,7 +154,7 @@ def test_uncompared_fields_are_ignored():
     assert Coloring((0,)) != SurfaceColoring((0,))  # same fields, another class
 
 
-@pytest.mark.parametrize("cls, fields, defaults", FROZEN, ids=[s[0].__name__ for s in FROZEN])
+@pytest.mark.parametrize("cls, fields, defaults", SAMPLES, ids=IDS)
 def test_frozen_records_refuse_assignment_and_deletion(cls, fields, defaults):
     obj = cls(**fields)
     name = next(iter(fields))
@@ -169,15 +167,11 @@ def test_frozen_records_refuse_assignment_and_deletion(cls, fields, defaults):
     assert vars(obj) == fields
 
 
-def test_smith_form_is_mutable_and_unhashable():
-    sf = SmithForm([1, 3], 2, None)
-    sf.rank = 1
-    sf.diag.append(0)
-    assert sf == SmithForm([1, 3, 0], 1, None)
-    del sf.col_ops
-    assert not hasattr(sf, "col_ops")
+def test_records_take_no_class_options():
+    # Every record is frozen: there is no option to declare a mutable one.
     with pytest.raises(TypeError):
-        hash(SmithForm([1], 1, None))
+        class Loose(Record, frozen=False):
+            x: int
 
 
 def test_cached_properties_work_on_frozen_records():
@@ -206,4 +200,3 @@ def test_pinned_reprs():
     assert repr(Cochain(2, 3, {(0, 1): 1})) == "Cochain(degree=2, modulus=3, values={(0, 1): 1})"
     assert repr(CocycleCheck(True)) == "CocycleCheck(ok=True, reason=None, witness=None)"
     assert repr(ShadowColoring((0,), (1, 2))) == "ShadowColoring(colors=(0,), region_colors=(1, 2))"
-    assert repr(SmithForm([1], 1, None)) == "SmithForm(diag=[1], rank=1, col_ops=None)"
