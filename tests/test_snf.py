@@ -283,9 +283,11 @@ def test_remainder_phase_on_wide_unit_free_matrices(data):
         assert len(gens) == m - sf.rank + sum(1 for e in sf.diag[: sf.rank] if gcd(e, d) > 1)
 
 
-def test_unit_free_diagonal_takes_no_rescan():
-    # A permuted diagonal of 2s: each pivot costs a few dict operations, not
-    # a pass over what is left, as in a dense Smith form (0.3 s or more).
+def test_unit_free_diagonal_needs_no_dense_rescan():
+    # A permuted diagonal of 2s.  Each pivot still scans the live rows for
+    # its column, one membership test per row, so the whole is quadratic in
+    # the rows; what is gone is the dense Smith form's rescan of the
+    # trailing block entry by entry at every pivot (0.3 s or more).
     columns = [{7 * j % 400: 2} for j in range(400)]
     start = time.process_time()
     assert cokernel_invariants(columns, 400) == (0, [2] * 400)
