@@ -13,11 +13,11 @@ import argparse
 import os
 import sys
 import time
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .coloring import _coloring_words, _histogram, enumerate_shadow_colorings
-from .diagram import BraidWord, Diagram, SurfaceDiagramData, braid_closure
-from .errors import BudgetError, ParseError, QuandleKitError
+from .coloring import _histogram, _listing
+from .diagram import BraidWord, Diagram, SurfaceDiagramData
+from .errors import BudgetError, NonCocycleError, ParseError, QuandleKitError
 from .homology import (
     _is_prime,
     cohomology,
@@ -134,36 +134,13 @@ def _cmd_color(args: argparse.Namespace) -> int:
         label = "colorings"
         if X.is_rack and not X.is_quandle:
             print("note: rack colorings are framed-diagram data only")
-    if not args.list:
-        count = _histogram(target, X, shadow=args.shadow, surjective=args.surjective)[0]
-        print(f"{label}: {count}")
-        print(f"#data {label} {count}")
-        return 0
-    # A listing reads the full stream of colorings once, in its lexicographic
-    # order, and its length is the count.  Arc and sheet rows are formatted
-    # straight from the stream's words, without Coloring objects, each word
-    # with one translate through a table of names.
-    if isinstance(target, BraidWord):
-        target = braid_closure(target)
-    if args.shadow:
-        name = [str(x) for x in range(X.size)].__getitem__
-        # The shadow colorings come as the region core's table of interned
-        # permutations and one index per face: each permutation is named
-        # once, and an arc coloring's |X| rows zip the named columns.
-        shadows = enumerate_shadow_colorings(target, X)
-        named = [list(map(name, p)) for p in shadows.perms]
-        rows = []
-        for colors, at in shadows.rows:
-            if args.surjective and len(set(colors)) != X.size:
-                continue
-            head = " ".join(map(name, colors)) + " | "
-            rows.extend([head + " ".join(col) for col in zip(*[named[j] for j in at])])
+    rows: Iterator[str] = iter(())
+    if args.list:
+        count, rows = _listing(target, X, shadow=args.shadow, surjective=args.surjective)
     else:
-        spaced = [" " + str(x) for x in range(X.size)]  # [1:] drops the first space
-        rows = [w.translate(spaced)[1:] for w in _coloring_words(target, X)
-                if not args.surjective or len(set(w)) == X.size]
-    print(f"{label}: {len(rows)}")
-    print(f"#data {label} {len(rows)}")
+        count = _histogram(target, X, shadow=args.shadow, surjective=args.surjective)[0]
+    print(f"{label}: {count}")
+    print(f"#data {label} {count}")
     sys.stdout.writelines(f"{i}: {row}\n" for i, row in enumerate(rows))
     return 0
 
@@ -194,7 +171,10 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
         raise ParseError(f"--mode {mode} needs {need}")
     check = not args.unsafe_no_cocycle_check
     state_sum = {"2": state_sum_2, "shadow": state_sum_shadow, "surface": state_sum_surface}
-    value = state_sum[mode](target, X, phi, check=check)
+    try:
+        value = state_sum[mode](target, X, phi, check=check)
+    except NonCocycleError as exc:  # the library's check=False is a flag here
+        raise NonCocycleError(str(exc).replace("check=False", "--unsafe-no-cocycle-check"))
     if not check:
         print("warning: cocycle check skipped; this value is not a knot invariant")
     print(value.render())

@@ -35,11 +35,10 @@ automorphisms (_orbit_maps).  This ordered stream carries each coloring
 as a word, a str whose code point i is the color of variable i: a fiber
 is mapped with one str.translate per word and sorted as strs, so the
 per-color work runs in C, and the stream keeps its lexicographic order
-(all its words are equally long).  A listing formats the words as they
-come (_coloring_words); the enumerators and the region core read them
-back as tuples.  Callers that only add up weights ask for the stream
-unordered: each solution of a root's search is followed at once by its
-images, and no fiber is kept or sorted.
+(all its words are equally long).  The enumerators and the region core
+read the words back as tuples.  Callers that only add up weights ask for
+the stream unordered: each solution of a root's search is followed at
+once by its images, and no fiber is kept or sorted.
 
 Braid closures have a second engine.  The colorings of the closure of a
 braid are the fixed points of the braid's permutation of X^s, and a shadow
@@ -65,7 +64,11 @@ taken by _histogram, which alone decides the path:
   sums read one fiber per orbit, each weighted by its orbit size.
   Unchecked sums and every surface sum (surface data is not checked to
   close up) weigh the unordered full stream.
-- Listings always read the ordered full stream.
+
+Every listing is taken by _listing, so no other module knows how a
+coloring is encoded: arc and sheet rows from the ordered stream's words,
+shadow rows from the region core's table.  It counts what it keeps before
+it formats a row, and formats each row only as it is read.
 """
 
 from __future__ import annotations
@@ -147,10 +150,10 @@ def _solve_relations(
     (_search) covers just their fibers.  Without roots the stream holds every
     coloring, but the search still runs only at the least color of each
     Inn(X) orbit; the other fibers are that fiber mapped by inner
-    automorphisms (_transported), and the words of _coloring_words are read
-    back as tuples.  With ordered=False that full stream comes in no set
-    order, each solution followed by its images, in O(1) memory (for callers
-    that only add up weights).
+    automorphisms (_transported), whose words are read back as tuples.  With
+    ordered=False that full stream comes in no set order, each solution
+    followed by its images, in O(1) memory (for callers that only add up
+    weights).
     """
     search = _searcher(target, X)
     if roots is not None:
@@ -158,17 +161,6 @@ def _solve_relations(
     if not ordered:
         return _streamed(X, search)
     return (tuple(map(ord, w)) for w in _transported(X, search))
-
-
-def _coloring_words(
-    target: Diagram | SurfaceDiagramData, X: RackTable
-) -> Iterator[str]:
-    """The full ordered stream of _solve_relations, each coloring as a word.
-
-    Code point i of a word is the color of variable i (see _transported).
-    The input is checked before it returns.
-    """
-    return _transported(X, _searcher(target, X))
 
 
 def _searcher(
@@ -681,6 +673,32 @@ def enumerate_surface_colorings(
 ) -> list[SurfaceColoring]:
     """All sheet colorings satisfying every double-curve relation."""
     return [SurfaceColoring(t) for t in _solve_relations(SD, X)]
+
+
+def _listing(target: Diagram | BraidWord | SurfaceDiagramData, X: RackTable, *,
+             shadow: bool, surjective: bool) -> tuple[int, Iterator[str]]:
+    """The count and the lazily formatted rows of a listing (module docstring).
+
+    Arc and sheet rows are words of _transported, mapped in C through one
+    str.translate to the colors' names; shadow rows are read off the table
+    that enumerate_shadow_colorings keeps, each permutation named once.
+    surjective keeps the colorings whose arcs (or sheets) use every element.
+    """
+    if isinstance(target, BraidWord):
+        target = braid_closure(target)
+    n = X.size
+    if not shadow:
+        words = [w for w in _transported(X, _searcher(target, X))
+                 if not surjective or len(set(w)) == n]
+        spaced = [str(x) + " " for x in range(n)]  # rstrip drops the last space
+        return len(words), map(str.rstrip, map(str.translate, words, itertools.repeat(spaced)))
+    shadows = enumerate_shadow_colorings(target, X)
+    kept = [(c, at) for c, at in shadows.rows if not surjective or len(set(c)) == n]
+    name = [str(x) for x in range(n)]
+    named = [[name[x] for x in p] for p in shadows.perms]
+    heads = ((" ".join([name[c] for c in colors]) + " | ", at) for colors, at in kept)
+    return n * len(kept), (head + " ".join(col)
+                           for head, at in heads for col in zip(*[named[j] for j in at]))
 
 
 @_budget.memo

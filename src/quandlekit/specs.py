@@ -148,26 +148,28 @@ def parse_diagram_text(
         if len(toks) < 2:
             raise ParseError("braid file needs 'braid <strands> <letters...>'")
         strands = _parse_int(toks[1], "strand count")
-        word = parse_braid_word(strands, " ".join(toks[2:]))
-        word.require_nonsplit()
-        return word
+        return _nonsplit(parse_braid_word(strands, " ".join(toks[2:])))
     if head == "surface":
         return parse_surface(text, name=name)
     raise ParseError(f"unknown diagram header {head!r}; expected pd, braid or surface")
 
 
 def parse_inline_braid(spec: str) -> BraidWord:
-    """An inline braid like '2: 1 1 1' (strands, colon, letters).
-
-    Returns the word, checked to close up to a connected diagram.
-    """
+    """An inline braid like '2: 1 1 1' (strands, colon, letters), its closure connected."""
     if ":" not in spec:
         raise ParseError("inline braid must look like '<strands>: <letters>'")
     head, word = spec.split(":", 1)
     strands = _parse_int(head.strip(), "strand count")
-    braid = parse_braid_word(strands, word)
-    braid.require_nonsplit()
-    return braid
+    return _nonsplit(parse_braid_word(strands, word))
+
+
+def _nonsplit(word: BraidWord) -> BraidWord:
+    """word if its closure is connected; a split one is a ParseError, as for a PD file."""
+    try:
+        word.require_nonsplit()
+    except DomainError as exc:
+        raise ParseError(str(exc)) from None
+    return word
 
 
 def resolve_cochain(spec: str) -> Cochain:

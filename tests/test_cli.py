@@ -222,11 +222,11 @@ def test_color_count_does_not_enumerate(monkeypatch, capsys):
         assert code == 0, argv
         assert payload(out) == [f"{label}: {count}"], argv
         assert f"#data {label} {count}" in out, argv
-        # Arc and sheet listings format their rows straight from the search,
-        # shadow listings from the region core's table that
+        # coloring._listing formats arc and sheet rows straight from the
+        # search, shadow rows from the region core's table that
         # enumerate_shadow_colorings keeps: no coloring objects.
         with monkeypatch.context() as m:
-            m.setattr(cli, "enumerate_shadow_colorings", listing)
+            m.setattr(coloring, "enumerate_shadow_colorings", listing)
             code, out, _ = run(capsys, "color", *argv, "--list")
         assert code == 0, argv
         assert len(payload(out)) == 1 + count, argv
@@ -276,6 +276,31 @@ def test_color_list_rows_match_brute_force(tmp_path, capsys):
             body = [line for line in payload(out) if not line.startswith("note:")]
             want = [f"{label}: {len(rows)}"] + [f"{i}: {row}" for i, row in enumerate(rows)]
             assert body == want, (argv, surjective)
+
+
+def test_color_list_streams_its_rows(capsys):
+    """A listing formats each row as it is written; it builds no list of rows.
+
+    In process, under tracemalloc, with stdout in a StringIO, the 20 736
+    shadow rows of T(3,6) by R12 (1.3 MB of stdout) peak at about 3.3 MB; a
+    list of every row string took the peak to about 5.5 MB.
+    """
+    import contextlib
+    import io
+    import tracemalloc
+
+    run(capsys, "color", "trefoil.pd", "dihedral:3", "--shadow", "--list")  # warm caches
+    with contextlib.redirect_stdout(io.StringIO()) as sink:
+        tracemalloc.start()
+        try:
+            code = main(["color", "torus:3:6", "dihedral:12", "--shadow", "--list"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    out = sink.getvalue()
+    assert code == 0
+    assert "#data shadow-colorings 20736" in out and "\n20735: " in out
+    assert peak < 4.5e6, peak
 
 
 def test_color_torus_builtin(capsys):
@@ -357,6 +382,10 @@ def test_invariant_non_cocycle(tmp_path, capsys):
         capsys, "invariant", "trefoil.pd", "dihedral:3", str(chi), "--mode", "shadow"
     )
     assert code == 1
+    # The way out is named as the command line spells it, not as the library does.
+    assert err.startswith("error: cochain fails the quandle cocycle condition (")
+    assert "; pass --unsafe-no-cocycle-check to compute a non-invariant\n" in err
+    assert "check=False" not in err
     code, out, _ = run(
         capsys, "invariant", "trefoil.pd", "dihedral:3", str(chi),
         "--mode", "shadow", "--unsafe-no-cocycle-check",
@@ -658,15 +687,22 @@ def readme_commands():
 @pytest.mark.parametrize("argv, code, message", [
     (("torus:4:3",), 2, "bad torus spec 'torus:4:3': only T(2, q) and T(3, q) are generated here"),
     (("torus:3:0",), 2, "bad torus spec 'torus:3:0': q must be nonzero"),
-    (("braid:2:",), 1, "closure of an empty braid on several strands is split"),
-    (("braid:3: 1 -1",), 1, "some strands never cross the others"),
-    (("--braid", "3: 2 2"), 1, "some strands never cross the others"),
+    (("braid:2:",), 2, "closure of an empty braid on several strands is split"),
+    (("braid:3: 1 -1",), 2, "some strands never cross the others"),
+    (("--braid", "3: 2 2"), 2, "some strands never cross the others"),
     (("braid:2: 3",), 2, "generator index 3 out of range 1..1"),
     (("braid:0:",), 2, "a braid needs at least one strand"),
     (("--braid", "2: 3"), 2, "generator index 3 out of range 1..1"),
+    (("{split_braid}",), 2, "some strands never cross the others"),
 ])
-def test_closure_spec_errors_come_before_any_output(capsys, argv, code, message):
-    """A torus or braid spec that has no connected closure fails as it resolves."""
+def test_closure_spec_errors_come_before_any_output(tmp_path, capsys, argv, code, message):
+    """A torus or braid spec that has no connected closure fails as it resolves.
+
+    A split closure is malformed input (exit 2), from a spec, --braid or a
+    braid file alike, as a split PD file is.
+    """
+    (tmp_path / "split.braid").write_text("braid 3 1 1 1\n")
+    argv = tuple(a.format(split_braid=tmp_path / "split.braid") for a in argv)
     runs = [("invariant", *argv, "dihedral:3", "theta_R3.cochain")]
     if argv[0] != "--braid":
         runs.append(("color", *argv, "trefoil.pd", "--count"))  # the rack is never read
@@ -674,7 +710,8 @@ def test_closure_spec_errors_come_before_any_output(capsys, argv, code, message)
         got, out, err = run(capsys, *args)
         assert got == code, args
         assert f"error: {message}" in err, args
-        assert out.splitlines() == ["# quandlekit " + " ".join(args)], args
+        headers = [line for line in out.splitlines() if not line.startswith("# input ")]
+        assert headers == ["# quandlekit " + " ".join(args)], args
 
 
 def test_torus_million_shadow_sum_within_one_cpu_second(capsys):
@@ -701,7 +738,7 @@ def test_braid_specs_take_the_engine_by_the_path_rule(monkeypatch, capsys):
         return wrapper
 
     spied = (("braid_closure", diagram), ("_solve_relations", coloring),
-             ("_coloring_words", coloring))
+             ("_transported", coloring))
     for name, owner in spied:
         wrapped = spy(name, getattr(owner, name))
         for module in (cli, coloring, diagram, invariant, specs):
@@ -729,7 +766,7 @@ def test_braid_specs_take_the_engine_by_the_path_rule(monkeypatch, capsys):
     assert calls[0] == "braid_closure" and "_solve_relations" in calls
     # Listings and surjective counts never take the engine: a listing reads
     # the search's ordered stream as words.
-    for flag, search in (("--list", "_coloring_words"), ("--surjective", "_solve_relations")):
+    for flag, search in (("--list", "_transported"), ("--surjective", "_solve_relations")):
         calls.clear()
         code, _, _ = run(capsys, "color", "torus:3:6", "dihedral:3", flag)
         assert code == 0

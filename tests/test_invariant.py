@@ -1,9 +1,10 @@
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quandlekit import (
+    BraidWord,
     Cochain,
     Coloring,
     DomainError,
@@ -278,6 +279,53 @@ def test_extension_colorings_count_the_weight_zero_colorings(knot_table, monkeyp
     assert obstructed == 2
     # Only the extensions pay the full axiom check; the builtins are affine.
     assert checked == [8, 8, 27, 18]
+
+
+# --- Markov moves: conjugate and stabilized braids close to one link -------------------------
+
+
+_LETTER = st.tuples(st.integers(1, 3), st.sampled_from((1, -1)))
+
+
+@st.composite
+def _nonsplit_braids(draw):
+    """A braid word on 2-4 strands, at most 10 letters, every generator in it."""
+    s = draw(st.integers(2, 4))
+    letters = [(i, draw(st.sampled_from((1, -1)))) for i in range(1, s)]
+    letters += [(min(i, s - 1), e) for i, e in draw(st.lists(_LETTER, max_size=11 - s))]
+    return BraidWord(s, tuple(draw(st.permutations(letters))))
+
+
+def _link_invariants(word):
+    """R3 and S4 counts, the S4 2-cocycle sum mod 2 and the R3 theta shadow sum."""
+    (r3, theta), _, (s4, phi) = _cocycle_pairs()
+    return (count_colorings(word, r3), count_colorings(word, s4),
+            state_sum_2(word, s4, phi), state_sum_shadow(word, r3, theta))
+
+
+@settings(max_examples=100, deadline=None)
+@given(word=_nonsplit_braids(), g=_LETTER, turn=st.integers(0, 9), e=st.sampled_from((1, -1)))
+# Stabilized, T(2,9) leaves the engine for the shadow sum and S4, and a
+# nine-letter word on three strands leaves it for R3.
+@example(word=BraidWord(2, ((1, 1),) * 9), g=(1, 1), turn=0, e=1)
+@example(word=BraidWord(3, ((1, 1), (2, -1)) * 4 + ((1, 1),)), g=(2, -1), turn=3, e=-1)
+def test_markov_moves_keep_counts_and_sums(word, g, turn, e):
+    """Counts and cocycle sums are link invariants, so Markov's moves keep them.
+
+    Conjugation by a letter, cyclic rotation and stabilization (w on s
+    strands -> w s_s^(+-1) on s + 1) close up to the same link.
+    Stabilization raises the engine's state count |X|^s by a factor |X| and
+    the closure's crossings by one, so it moves words across the path rule
+    of coloring._histogram.
+    """
+    s, letters = word.strands, word.letters
+    g = (min(g[0], s - 1), g[1])
+    turn %= len(letters)
+    want = _link_invariants(word)
+    for moved in (BraidWord(s, (g,) + letters + ((g[0], -g[1]),)),
+                  BraidWord(s, letters[turn:] + letters[:turn]),
+                  BraidWord(s + 1, letters + ((s, e),))):
+        assert _link_invariants(moved) == want, (word, moved)
 
 
 # --- property: random coboundary shifts never change the trefoil value ----------------------
