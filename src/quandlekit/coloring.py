@@ -29,16 +29,18 @@ of a rack is an automorphism, so it maps the colorings with arc 0 (or sheet
 0) colored x one-to-one onto those colored x * y; fibers over one Inn(X)
 orbit are equally large (_orbit_fibers), and the translations preserve
 surjectivity and a cocycle's weight.  Everything that needs every coloring
-reads the full stream of _solve_relations: it searches the same root
-fibers and maps each onto the other fibers of its orbit by inner
+in order reads one store of the root fibers (_root_fibers) through
+_transported, which maps each onto the other fibers of its orbit by inner
 automorphisms (_orbit_maps).  This ordered stream carries each coloring
 as a word, a str whose code point i is the color of variable i: a fiber
 is mapped with one str.translate per word and sorted as strs, so the
 per-color work runs in C, and the stream keeps its lexicographic order
-(all its words are equally long).  The enumerators and the region core
-read the words back as tuples.  Callers that only add up weights ask for
-the stream unordered: each solution of a root's search is followed at
-once by its images, and no fiber is kept or sorted.
+(all its words are equally long).  A root fiber is kept as a list only if
+its orbit has other colors; a one-color orbit's fiber is its lazy search.
+The enumerators and the region core read the words back as tuples.
+Callers that only add up weights ask for the stream unordered: each
+solution of a root's search is followed at once by its images, and no
+fiber is kept or sorted.
 
 Braid closures have a second engine.  The colorings of the closure of a
 braid are the fixed points of the braid's permutation of X^s, and a shadow
@@ -67,8 +69,10 @@ taken by _histogram, which alone decides the path:
 
 Every listing is taken by _listing, so no other module knows how a
 coloring is encoded: arc and sheet rows from the ordered stream's words,
-shadow rows from the region core's table.  It counts what it keeps before
-it formats a row, and formats each row only as it is read.
+shadow rows from the region core's table.  An arc or sheet listing keeps
+the root fibers and no other row: it counts from them (each fiber times
+its orbit size) and streams the transported words.  Every listing counts
+before it formats a row, and formats each row only as it is read.
 """
 
 from __future__ import annotations
@@ -76,7 +80,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import abc
-from typing import Callable, Iterator, Sequence, overload
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, overload
 
 from . import _budget
 from ._util import Record
@@ -149,8 +153,8 @@ def _solve_relations(
     roots (increasing), variable 0 tries only those colors: the search
     (_search) covers just their fibers.  Without roots the stream holds every
     coloring, but the search still runs only at the least color of each
-    Inn(X) orbit; the other fibers are that fiber mapped by inner
-    automorphisms (_transported), whose words are read back as tuples.  With
+    Inn(X) orbit (_root_fibers); the other fibers are that fiber mapped by
+    inner automorphisms (_transported), whose words are read back as tuples.  With
     ordered=False that full stream comes in no set order, each solution
     followed by its images, in O(1) memory (for callers that only add up
     weights).
@@ -160,7 +164,7 @@ def _solve_relations(
         return search(roots)
     if not ordered:
         return _streamed(X, search)
-    return (tuple(map(ord, w)) for w in _transported(X, search))
+    return (tuple(map(ord, w)) for w in _transported(X, _root_fibers(X, search)))
 
 
 def _searcher(
@@ -286,36 +290,44 @@ def _orbit_maps(X: RackTable) -> list[tuple[int, Sequence[int]]]:
     return maps  # type: ignore[return-value]
 
 
-def _transported(
+def _root_fibers(
     X: RackTable, search: Callable[[Sequence[int]], Iterator[tuple[int, ...]]]
-) -> Iterator[str]:
-    """Every coloring as a word, in order, from one search per Inn(X) orbit.
+) -> dict[int, list[str] | Iterator[str]]:
+    """Per Inn(X) orbit root r (see _orbit_fibers), its fiber as words, in order.
 
     A word is a str whose code point i is the color of variable i.  The
     words of one stream are equally long, so code-point order is the
     lexicographic order of the colorings.  search(colors) yields the
-    solutions with variable 0 in colors, as tuples.  Colors are visited in
-    increasing order.  A root's fiber comes from the search, each solution
-    encoded once; it is kept (while its orbit has colors left) only if the
-    orbit has other colors.  The fiber of any other color c is the root's
+    solutions with variable 0 in colors, as tuples; each root is searched
+    once, and each solution encoded once.  The fiber of a root whose orbit
+    has other colors is a list, searched here, since _transported reads it
+    again for each of them; that of a one-color orbit is the lazy search,
+    read once, so a quandle with one orbit per element keeps no fiber.
+    """
+    def words(r: int) -> Iterator[str]:  # searches on first read
+        for t in search([r]):
+            yield "".join(map(chr, t))
+
+    roots, mult = _orbit_fibers(X)
+    return {r: words(r) if mult[r] == 1 else list(words(r)) for r in roots}
+
+
+def _transported(X: RackTable, fibers: Mapping[int, Iterable[str]]) -> Iterator[str]:
+    """Every coloring in fibers' orbits as a word, in order, from the root fibers.
+
+    fibers maps each Inn(X) orbit root to its fiber, as _root_fibers gives
+    it (a listing may have filtered it).  Colors are visited in increasing
+    order: a root yields its own words; any other color c yields the root's
     fiber mapped by c's automorphism g (see _orbit_maps), which sends
     colorings to colorings one-to-one: one str.translate per word, through
-    the table x -> chr(g[x]), and then sorted.  A quandle with one orbit per
-    element runs the plain search, one root after the other.
+    the table x -> chr(g[x]), and then sorted.
     """
-    maps = _orbit_maps(X)
-    last = {r: c for c, (r, _) in enumerate(maps)}
-    fibers: dict[int, list[str]] = {}
-    for c, (r, g) in enumerate(maps):
-        if r != c:
-            fiber = fibers[r] if c < last[r] else fibers.pop(r)
-            tab = [chr(x) for x in g]
-            yield from sorted([w.translate(tab) for w in fiber])
-        elif last[c] == c:
-            yield from ("".join(map(chr, t)) for t in search([c]))
+    for c, (r, g) in enumerate(_orbit_maps(X)):
+        if r == c:
+            yield from fibers[r]
         else:
-            fibers[c] = ["".join(map(chr, t)) for t in search([c])]
-            yield from fibers[c]
+            tab = [chr(x) for x in g]
+            yield from sorted([w.translate(tab) for w in fibers[r]])
 
 
 def _streamed(
@@ -323,9 +335,9 @@ def _streamed(
 ) -> Iterator[tuple[int, ...]]:
     """Every coloring, in no set order, from one search per Inn(X) orbit.
 
-    As _transported, but each solution t of a root's search is yielded with
-    its images g(t) under the other maps of its orbit straight away, so
-    nothing is kept and nothing is sorted.
+    As _root_fibers and _transported, but each solution t of a root's
+    search is yielded with its images g(t) under the other maps of its
+    orbit straight away, so nothing is kept and nothing is sorted.
     """
     others: dict[int, list[Sequence[int]]] = {r: [] for r in _orbit_fibers(X)[0]}
     for c, (r, g) in enumerate(_orbit_maps(X)):
@@ -415,8 +427,8 @@ def _histogram(
         found = _region_core(target, X, roots, ordered=False)
     else:
         found = _solve_relations(target, X, roots, ordered=False)
-    if surjective:
-        found = (f for f in found if len(set(f[0] if shadow else f)) == n)
+    if surjective:  # shadow counts returned above, and sums are never surjective
+        found = (f for f in found if len(set(f)) == n)
     d = 1 if cochain is None else cochain.modulus
     hist = [0] * d
     if cochain is None:
@@ -679,19 +691,27 @@ def _listing(target: Diagram | BraidWord | SurfaceDiagramData, X: RackTable, *,
              shadow: bool, surjective: bool) -> tuple[int, Iterator[str]]:
     """The count and the lazily formatted rows of a listing (module docstring).
 
-    Arc and sheet rows are words of _transported, mapped in C through one
-    str.translate to the colors' names; shadow rows are read off the table
-    that enumerate_shadow_colorings keeps, each permutation named once.
-    surjective keeps the colorings whose arcs (or sheets) use every element.
+    An arc or sheet listing keeps the root fibers (_root_fibers), each as a
+    list, and no other row: the count is the sum of each root's fiber times
+    its orbit size, and the rows are the words of _transported, mapped in C
+    through one str.translate to the colors' names, each row formatted as
+    it is read.  Shadow rows are read off the table that
+    enumerate_shadow_colorings keeps, each permutation named once.
+    surjective keeps the colorings whose arcs (or sheets) use every
+    element; automorphisms preserve that, so arc and sheet listings filter
+    the root fibers only.
     """
     if isinstance(target, BraidWord):
         target = braid_closure(target)
     n = X.size
     if not shadow:
-        words = [w for w in _transported(X, _searcher(target, X))
-                 if not surjective or len(set(w)) == n]
+        mult = _orbit_fibers(X)[1]
+        fibers = {r: [w for w in fiber if not surjective or len(set(w)) == n]
+                  for r, fiber in _root_fibers(X, _searcher(target, X)).items()}
+        count = sum(mult[r] * len(fiber) for r, fiber in fibers.items())
         spaced = [str(x) + " " for x in range(n)]  # rstrip drops the last space
-        return len(words), map(str.rstrip, map(str.translate, words, itertools.repeat(spaced)))
+        words = _transported(X, fibers)
+        return count, map(str.rstrip, map(str.translate, words, itertools.repeat(spaced)))
     shadows = enumerate_shadow_colorings(target, X)
     kept = [(c, at) for c, at in shadows.rows if not surjective or len(set(c)) == n]
     name = [str(x) for x in range(n)]

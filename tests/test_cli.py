@@ -303,6 +303,41 @@ def test_color_list_streams_its_rows(capsys):
     assert peak < 4.5e6, peak
 
 
+def test_color_list_keeps_only_the_root_fibers(capsys):
+    """An arc listing keeps one fiber per orbit root, never its rows.
+
+    In process, under tracemalloc, with stdout sent to a sink that discards
+    what it gets, the 91 125 rows of T(3,6) by R45 (one orbit, so one kept
+    fiber of 2 025 words) peak at about 0.4 MB; keeping every word for the
+    count line took the peak to about 6.5 MB.
+    """
+    import contextlib
+    import io
+    import tracemalloc
+
+    class Sink(io.TextIOBase):
+        def __init__(self):
+            self.rows, self.data = 0, []
+
+        def write(self, text):
+            self.rows += text[:1].isdigit()
+            if text.startswith("#data"):
+                self.data.append(text)
+            return len(text)
+
+    run(capsys, "color", "trefoil.pd", "dihedral:3", "--list")  # warm caches
+    with contextlib.redirect_stdout(Sink()) as sink:
+        tracemalloc.start()
+        try:
+            code = main(["color", "torus:3:6", "dihedral:45", "--list"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert sink.data == ["#data colorings 91125"] and sink.rows == 91125
+    assert peak < 1.5e6, peak
+
+
 def test_color_torus_builtin(capsys):
     code, out, _ = run(capsys, "color", "torus:2:6", "dihedral:3", "--count")
     assert code == 0
@@ -930,6 +965,15 @@ _GOLDEN_RACKS = {"S4": "alexander:2:1,1,1:0,1", "A9": "alexander:3:1,0,1:2",
     ("color trefoil_shadow.surf dihedral:3 --list", 0, "ed3a83f0632c6f39"),
     # More than 256 colors.
     ("color trefoil.pd dihedral:258 --list", 0, "54a70ec177ff854f"),
+    # Listings from several root fibers, and --surjective on the root fibers.
+    ("color torus:3:6 trivial:4 --list", 0, "087738c37dc6f2b4"),
+    ("color torus:3:6 trivial:3 --list --surjective", 0, "db1da5fa7eb92dad"),
+    ("color torus:3:6 dihedral:4 --list --surjective", 0, "23be7fd3ecc043d2"),
+    ("color torus:3:6 dihedral:24 --list --surjective", 0, "45b9a0b47d5d7fa7"),
+    ("color torus:2:3 {cycle} --list", 0, "f084b79856cd36b4"),
+    ("color trefoil_shadow.surf trivial:3 --list", 0, "93915aef623f0f4c"),
+    ("color trefoil_shadow.surf dihedral:4 --list --surjective", 0, "41bd9ae14aa3677a"),
+    ("color trefoil_shadow.surf dihedral:6 --list --surjective", 0, "1b4e19d8a2e2fb12"),
 ])
 def test_count_and_sum_stdout_is_golden(tmp_path, capsys, command, code, digest):
     """Exit code and stdout of count and sum commands, whichever path they take.

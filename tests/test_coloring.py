@@ -144,8 +144,9 @@ def test_orbit_reduced_counts_match_full_search_and_brute_force(small_diagrams):
 
     Covers count_colorings and the counts of coloring._histogram that the
     command line prints: classical, --surjective, --shadow (with and without
-    --surjective) and surface data.  A listing's rows (_listing) name the
-    colors of each coloring, in the full search's order.
+    --surjective) and surface data.  A listing's rows (_listing), with and
+    without --surjective, name the colors of each coloring, in the full
+    search's order.
     """
     for dn, D in small_diagrams.items():
         if len(D.crossings) > 4:
@@ -153,10 +154,11 @@ def test_orbit_reduced_counts_match_full_search_and_brute_force(small_diagrams):
         for qn, (X, _) in _orbit_cases().items():
             full = list(_solve_relations(D, X))
             assert full == sorted(brute_force_colorings(D, X)), (dn, qn)
-            count, rows = coloring._listing(D, X, shadow=False, surjective=False)
-            assert count == len(full), (dn, qn)
-            assert [tuple(map(int, r.split())) for r in rows] == full, (dn, qn)
             surjective = [c for c in full if len(set(c)) == X.size]
+            for onto, want in ((False, full), (True, surjective)):
+                count, rows = coloring._listing(D, X, shadow=False, surjective=onto)
+                assert count == len(want), (dn, qn, onto)
+                assert [tuple(map(int, r.split())) for r in rows] == want, (dn, qn, onto)
             assert count_colorings(D, X) == len(full), (dn, qn)
             assert _histogram(D, X, surjective=True)[0] == len(surjective), (dn, qn)
             if not X.is_quandle:
@@ -169,9 +171,10 @@ def test_orbit_reduced_counts_match_full_search_and_brute_force(small_diagrams):
             assert _histogram(D, X, shadow=True, surjective=True)[0] == len(arcs_onto), (dn, qn)
             SD = shadow_surface_data(D)
             assert sorted(_solve_relations(SD, X)) == sorted(sheets), (dn, qn)
-            count, rows = coloring._listing(SD, X, shadow=False, surjective=False)
-            assert count == len(sheets), (dn, qn)
-            assert [tuple(map(int, r.split())) for r in rows] == sorted(sheets), (dn, qn)
+            for onto, want in ((False, sheets), (True, sheets_onto)):
+                count, rows = coloring._listing(SD, X, shadow=False, surjective=onto)
+                assert count == len(want), (dn, qn, onto)
+                assert [tuple(map(int, r.split())) for r in rows] == sorted(want), (dn, qn, onto)
             assert _histogram(SD, X)[0] == len(sheets), (dn, qn)
             assert _histogram(SD, X, surjective=True)[0] == len(sheets_onto), (dn, qn)
 
