@@ -12,8 +12,11 @@ the CPU time (user + system) and the peak RSS of that one process,
 interpreter start and import included; it runs in the tree's directory, so
 relative paths name the tree's files.  Runs alternate which tree goes
 first.  The output is JSON: per command and tree, the medians of CPU seconds
-and peak RSS in MB, and the exit code and stdout sha256 (equal on every
-run, or "varies").  Stdlib only.
+and peak RSS in MB, each run's CPU seconds in run order and their least,
+and the exit code and stdout sha256 (equal on every run, or "varies").
+Fresh CPU on a shared machine can fall in two clusters, where a median
+moves with the cluster it lands in; the runs and the least of them show
+it.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -58,10 +61,13 @@ def sweep(trees: dict[str, str], commands: list[str], runs: int) -> dict:
                 seen[name].append(measure(trees[name], command))
         row: dict = {"command": f"quandlekit {command}"}
         for name, got in seen.items():
+            cpus = [cpu for cpu, _, _, _ in got]
             codes = {code for _, _, code, _ in got}
             digests = {digest for _, _, _, digest in got}
             row[name] = {
-                "cpu_s": round(statistics.median(cpu for cpu, _, _, _ in got), 3),
+                "cpu_s": round(statistics.median(cpus), 3),
+                "cpu_s_min": round(min(cpus), 3),
+                "cpu_s_runs": [round(cpu, 3) for cpu in cpus],
                 "peak_rss_mb": round(statistics.median(rss for _, rss, _, _ in got), 1),
                 "exit": codes.pop() if len(codes) == 1 else "varies",
                 "stdout_sha256": digests.pop() if len(digests) == 1 else "varies",
@@ -72,7 +78,8 @@ def sweep(trees: dict[str, str], commands: list[str], runs: int) -> dict:
             "one fresh `python3 -m quandlekit` process per run with "
             "PYTHONPATH=<tree>/src and PYTHONHASHSEED=0, the only child of a "
             "measuring process that reads getrusage(RUSAGE_CHILDREN); "
-            f"{runs} runs per tree, alternating which tree goes first; medians"
+            f"{runs} runs per tree, alternating which tree goes first; medians, "
+            "each run's CPU seconds and their least"
         ),
         "trees": names,
         "rows": rows,

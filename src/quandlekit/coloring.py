@@ -37,10 +37,11 @@ is mapped with one str.translate per word and sorted as strs, so the
 per-color work runs in C, and the stream keeps its lexicographic order
 (all its words are equally long).  A root fiber is kept as a list only if
 its orbit has other colors; a one-color orbit's fiber is its lazy search.
-The enumerators and the region core read the words back as tuples.
-Callers that only add up weights ask for the stream unordered: each
-solution of a root's search is followed at once by its images, and no
-fiber is kept or sorted.
+The enumerators read the words back as tuples (_ordered, the one place
+words are decoded).  Sums that weigh every coloring read the full stream
+unordered (_streamed): each solution of a root's search is followed at
+once by its images, and no fiber is kept or sorted.  The region core runs
+no search: it extends the arc colorings of the stream it is handed.
 
 Braid closures have a second engine.  The colorings of the closure of a
 braid are the fixed points of the braid's permutation of X^s, and a shadow
@@ -65,14 +66,16 @@ taken by _histogram, which alone decides the path:
   surjective and surface counts too, and the checked 2-cocycle and shadow
   sums read one fiber per orbit, each weighted by its orbit size.
   Unchecked sums and every surface sum (surface data is not checked to
-  close up) weigh the unordered full stream.
+  close up) weigh the unordered full stream.  A shadow sum hands its
+  stream to the region core.
 
 Every listing is taken by _listing, so no other module knows how a
 coloring is encoded: arc and sheet rows from the ordered stream's words,
-shadow rows from the region core's table.  An arc or sheet listing keeps
-the root fibers and no other row: it counts from them (each fiber times
-its orbit size) and streams the transported words.  Every listing counts
-before it formats a row, and formats each row only as it is read.
+shadow rows from the region core's table over that stream.  An arc or
+sheet listing keeps the root fibers and no other row: it counts from them
+(each fiber times its orbit size) and streams the transported words.
+Every listing counts before it formats a row, and formats each row only
+as it is read.
 """
 
 from __future__ import annotations
@@ -136,35 +139,6 @@ class ShadowColorings(abc.Sequence[ShadowColoring]):
 
 class SurfaceColoring(Record):
     colors: tuple[int, ...]  # sheet id -> element
-
-
-def _solve_relations(
-    target: Diagram | SurfaceDiagramData,
-    X: RackTable,
-    roots: Sequence[int] | None = None,
-    *,
-    ordered: bool = True,
-) -> Iterator[tuple[int, ...]]:
-    """Colorings of a diagram's arcs, or of surface data's sheets (by a quandle).
-
-    They are the assignments with colors[j] = colors[i] * colors[k] for every
-    relation (i, j, k).  Returns an iterator over the color tuples in
-    lexicographic order; the input is checked before it returns.  Given
-    roots (increasing), variable 0 tries only those colors: the search
-    (_search) covers just their fibers.  Without roots the stream holds every
-    coloring, but the search still runs only at the least color of each
-    Inn(X) orbit (_root_fibers); the other fibers are that fiber mapped by
-    inner automorphisms (_transported), whose words are read back as tuples.  With
-    ordered=False that full stream comes in no set order, each solution
-    followed by its images, in O(1) memory (for callers that only add up
-    weights).
-    """
-    search = _searcher(target, X)
-    if roots is not None:
-        return search(roots)
-    if not ordered:
-        return _streamed(X, search)
-    return (tuple(map(ord, w)) for w in _transported(X, _root_fibers(X, search)))
 
 
 def _searcher(
@@ -350,6 +324,19 @@ def _streamed(
                 yield tuple(map(g.__getitem__, t))
 
 
+def _ordered(
+    target: Diagram | SurfaceDiagramData, X: RackTable
+) -> Iterator[tuple[int, ...]]:
+    """Every coloring of target's arcs (or sheets), as tuples, in order.
+
+    The words of _transported over _root_fibers, read back as tuples: the
+    one place words are decoded.  X passes the axiom check, and the fibers
+    of roots whose orbit has other colors are searched, before it returns.
+    """
+    words = _transported(X, _root_fibers(X, _searcher(target, X)))
+    return (tuple(map(ord, w)) for w in words)
+
+
 def enumerate_colorings(D: Diagram | BraidWord, X: RackTable) -> list[Coloring]:
     """All colorings of the diagram's arcs by X, in lexicographic order.
 
@@ -358,7 +345,7 @@ def enumerate_colorings(D: Diagram | BraidWord, X: RackTable) -> list[Coloring]:
     """
     if isinstance(D, BraidWord):
         D = braid_closure(D)
-    return [Coloring(t) for t in _solve_relations(D, X)]
+    return [Coloring(t) for t in _ordered(D, X)]
 
 
 def _orbit_fibers(X: RackTable) -> tuple[list[int], list[int]]:
@@ -419,14 +406,15 @@ def _histogram(
             return _closure_histogram(target, X, cochain)
         target = braid_closure(target)
     surface = isinstance(target, SurfaceDiagramData)
+    search = _searcher(target, X)
     if cochain is None or (check and not surface):
         roots, mult = _orbit_fibers(X)
+        found = search(roots)
     else:
-        roots, mult = None, [1] * n
+        mult = [1] * n
+        found = _streamed(X, search)
     if shadow:
-        found = _region_core(target, X, roots, ordered=False)
-    else:
-        found = _solve_relations(target, X, roots, ordered=False)
+        found = _region_core(target, X, found, listing=False)
     if surjective:  # shadow counts returned above, and sums are never surjective
         found = (f for f in found if len(set(f)) == n)
     d = 1 if cochain is None else cochain.modulus
@@ -596,31 +584,31 @@ def _region_plan(D: Diagram) -> list[tuple[int, int, int, bool]]:
 
 
 def _region_core(
-    D: Diagram, X: RackTable, roots: Sequence[int] | None = None, *, ordered: bool = True
+    D: Diagram, X: RackTable, colorings: Iterable[tuple[int, ...]], *, listing: bool
 ) -> Iterator[tuple[tuple[int, ...], list[int], list[tuple[int, ...]]]]:
-    """The region core: every arc coloring with its regions for all seeds.
+    """The region core: each arc coloring handed in, with its regions for all seeds.
 
-    Yields (colors, at, perms) per arc coloring, in lexicographic order;
-    roots, if given, restricts the color of arc 0, and ordered=False drops
-    the order, as in _solve_relations.  perms is a table of permutations and
-    face f has color perms[at[f]][s] when face 0 has color s (the seed):
-    perms[0] is the identity, at[0] = 0, and each tree face applies one right
-    translation x -> x * c, or its inverse, to its parent's permutation, so
-    every permutation lies in Inn(X).  By the extension fact (module
+    Yields (colors, at, perms) per coloring of D's arcs in colorings, in
+    their order; it runs no search.  X is checked to be a quandle when the
+    first is read, before the stream is.  perms is a table of permutations
+    and face f has color perms[at[f]][s] when face 0 has color s (the
+    seed): perms[0] is the identity, at[0] = 0, and each tree face applies
+    one right translation x -> x * c, or its inverse, to its parent's
+    permutation, so every permutation lies in Inn(X).  By the extension fact (module
     docstring) every seed gives a shadow coloring.
 
     The permutations are interned: the table keeps each distinct one the
     core meets, up to the limit below, and a successor table, filled on
     first use, maps (index, translation) to an index, the translation being
     c for x -> x * c and |X| + c for its inverse.  So an arc coloring costs
-    one lookup per tree face, and a tuple is built only on a miss.  An
-    ordered stream feeds a listing, which holds every shadow coloring
-    anyway: its table keeps every permutation, at most min(|Inn(X)|, faces
-    x arc colorings), and only grows, so a yielded index stays valid.  An
-    unordered stream feeds a sum: its table interns the first faces x |X|
-    permutations only.  A permutation missing from a full table is appended
-    for the one arc coloring and dropped after the yield, so the caller
-    reads it before the next.  Callers must not mutate the table.
+    one lookup per tree face, and a tuple is built only on a miss.  A
+    listing (listing=True) holds every shadow coloring anyway: its table
+    keeps every permutation, at most min(|Inn(X)|, faces x arc colorings),
+    and only grows, so a yielded index stays valid.  For a sum
+    (listing=False) the table interns the first faces x |X| permutations
+    only.  A permutation missing from a full table is appended for the one
+    arc coloring and dropped after the yield, so the caller reads it before
+    the next.  Callers must not mutate the table.
     """
     X.require_quandle()
     n = X.size
@@ -629,12 +617,12 @@ def _region_core(
     steps = [(f, parent, arc, 0 if forward else n)
              for f, parent, arc, forward in _region_plan(D)]
     n_faces = D.n_faces
-    limit = n_faces * n if not ordered else float("inf")  # interned permutations
+    limit = float("inf") if listing else n_faces * n  # interned permutations
     perms = [tuple(range(n))]  # permutation index -> tuple
     index = {perms[0]: 0}  # interned tuple -> index
     succ = [[-1] * (2 * n)]  # succ[i][t]: index of perms[i] followed by translation t
     unknown = [-1] * (2 * n)  # the successors of an appended permutation, never written
-    for colors in _solve_relations(D, X, roots, ordered=ordered):
+    for colors in colorings:
         at = [0] * n_faces
         for f, parent, arc, shift in steps:
             i = at[parent]
@@ -673,9 +661,10 @@ def enumerate_shadow_colorings(
     """
     if isinstance(D, BraidWord):
         D = braid_closure(D)
+    X.require_quandle()  # before the ordered stream searches
     rows: list[tuple[tuple[int, ...], list[int]]] = []
     perms: list[tuple[int, ...]] = []
-    for colors, at, perms in _region_core(D, X):  # an ordered stream keeps one table
+    for colors, at, perms in _region_core(D, X, _ordered(D, X), listing=True):
         rows.append((colors, at))
     return ShadowColorings(X.size, perms, rows)
 
@@ -684,7 +673,7 @@ def enumerate_surface_colorings(
     SD: SurfaceDiagramData, X: RackTable
 ) -> list[SurfaceColoring]:
     """All sheet colorings satisfying every double-curve relation."""
-    return [SurfaceColoring(t) for t in _solve_relations(SD, X)]
+    return [SurfaceColoring(t) for t in _ordered(SD, X)]
 
 
 def _listing(target: Diagram | BraidWord | SurfaceDiagramData, X: RackTable, *,

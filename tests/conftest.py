@@ -84,6 +84,20 @@ def prime_powers(n):
     return out + [n] * (n > 1)
 
 
+def inner_automorphisms(X):
+    """Inn(X) as a set of tuples g (x -> g[x]): the closure of the right translations."""
+    inn = {tuple(range(X.size))}
+    frontier = list(inn)
+    while frontier:
+        g = frontier.pop()
+        for c in range(X.size):
+            h = tuple(X.op(x, c) for x in g)
+            if h not in inn:
+                inn.add(h)
+                frontier.append(h)
+    return inn
+
+
 def elementary_divisors(group):
     """The elementary divisors of an AbelianGroup's torsion, sorted."""
     return tuple(sorted(q for d in group.invariant_factors for q in prime_powers(d)))

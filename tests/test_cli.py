@@ -772,7 +772,7 @@ def test_braid_specs_take_the_engine_by_the_path_rule(monkeypatch, capsys):
             return fn(*args, **kwargs)
         return wrapper
 
-    spied = (("braid_closure", diagram), ("_solve_relations", coloring),
+    spied = (("braid_closure", diagram), ("_searcher", coloring),
              ("_transported", coloring))
     for name, owner in spied:
         wrapped = spy(name, getattr(owner, name))
@@ -798,10 +798,10 @@ def test_braid_specs_take_the_engine_by_the_path_rule(monkeypatch, capsys):
     # 27^3 states against 27 x 8 crossings: the closure and the search.
     code, out, _ = run(capsys, "color", "torus:3:4", "alexander:3:1,0,0,1:2", "--count")
     assert code == 0 and payload(out) == ["colorings: 729"]
-    assert calls[0] == "braid_closure" and "_solve_relations" in calls
+    assert calls[0] == "braid_closure" and "_searcher" in calls
     # Listings and surjective counts never take the engine: a listing reads
     # the search's ordered stream as words.
-    for flag, search in (("--list", "_transported"), ("--surjective", "_solve_relations")):
+    for flag, search in (("--list", "_transported"), ("--surjective", "_searcher")):
         calls.clear()
         code, _, _ = run(capsys, "color", "torus:3:6", "dihedral:3", flag)
         assert code == 0

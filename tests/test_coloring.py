@@ -29,11 +29,18 @@ from quandlekit import (
 )
 from quandlekit.algebra import RackTable
 from quandlekit import coloring
-from quandlekit.coloring import _histogram, _orbit_fibers, _orbit_maps, _solve_relations
+from quandlekit.coloring import _histogram, _orbit_fibers, _orbit_maps, _ordered, _searcher
 from quandlekit.diagram import BraidWord, parse_braid_word
 from quandlekit.specs import read_data_file, resolve_diagram, resolve_rack
 
-from conftest import brute_force_colorings, brute_force_sheets, brute_force_shadows
+from conftest import (
+    brute_force_colorings, brute_force_sheets, brute_force_shadows, inner_automorphisms,
+)
+
+
+def _unordered(target, X):
+    """The full stream a sum weighs every coloring from, in no set order."""
+    return coloring._streamed(X, _searcher(target, X))
 
 
 def test_trefoil_colorings(trefoil, r3):
@@ -87,7 +94,7 @@ def test_enumeration_matches_brute_force(small_diagrams, small_quandles):
             expected = brute_force_colorings(D, X)
             got = [c.colors for c in enumerate_colorings(D, X)]
             assert got == sorted(expected), (dn, qn)
-            assert sorted(_solve_relations(D, X, ordered=False)) == got, (dn, qn)
+            assert sorted(_unordered(D, X)) == got, (dn, qn)
 
 
 def test_rack_colorings_are_framed_data():
@@ -152,7 +159,7 @@ def test_orbit_reduced_counts_match_full_search_and_brute_force(small_diagrams):
         if len(D.crossings) > 4:
             continue
         for qn, (X, _) in _orbit_cases().items():
-            full = list(_solve_relations(D, X))
+            full = list(_ordered(D, X))
             assert full == sorted(brute_force_colorings(D, X)), (dn, qn)
             surjective = [c for c in full if len(set(c)) == X.size]
             for onto, want in ((False, full), (True, surjective)):
@@ -170,7 +177,7 @@ def test_orbit_reduced_counts_match_full_search_and_brute_force(small_diagrams):
             assert _histogram(D, X, shadow=True)[0] == len(sheets), (dn, qn)
             assert _histogram(D, X, shadow=True, surjective=True)[0] == len(arcs_onto), (dn, qn)
             SD = shadow_surface_data(D)
-            assert sorted(_solve_relations(SD, X)) == sorted(sheets), (dn, qn)
+            assert sorted(_ordered(SD, X)) == sorted(sheets), (dn, qn)
             for onto, want in ((False, sheets), (True, sheets_onto)):
                 count, rows = coloring._listing(SD, X, shadow=False, surjective=onto)
                 assert count == len(want), (dn, qn, onto)
@@ -181,9 +188,10 @@ def test_orbit_reduced_counts_match_full_search_and_brute_force(small_diagrams):
 
 def test_root_colors_restrict_arc_zero(trefoil, r4):
     # The fibers of the given roots, in the full search's order.
-    full = list(_solve_relations(trefoil, r4))
-    assert list(_solve_relations(trefoil, r4, [1, 2])) == [c for c in full if c[0] in (1, 2)]
-    assert list(_solve_relations(trefoil, r4, [])) == []
+    full = list(_ordered(trefoil, r4))
+    search = _searcher(trefoil, r4)
+    assert list(search([1, 2])) == [c for c in full if c[0] in (1, 2)]
+    assert list(search([])) == []
 
 
 # --- transported full enumerations ------------------------------------------------
@@ -216,7 +224,7 @@ def test_unordered_stream_keeps_no_fiber(monkeypatch):
 
     monkeypatch.setattr(coloring, "_search", spy)
     a9 = resolve_rack("alexander:3:1,0,1:2")
-    stream = _solve_relations(torus_diagram(3, 6), a9, ordered=False)
+    stream = _unordered(torus_diagram(3, 6), a9)
     first = [next(stream) for _ in range(9)]
     assert len(yielded) == 1
     assert sorted(t[0] for t in first) == list(range(9))
@@ -231,7 +239,7 @@ def test_enumerate_surface_colorings_matches_brute_force_in_order():
                 continue
             got = [c.colors for c in enumerate_surface_colorings(SD, X)]
             assert got == sorted(brute_force_sheets(SD, X)), (sn, qn)
-            assert sorted(_solve_relations(SD, X, ordered=False)) == got, (sn, qn)
+            assert sorted(_unordered(SD, X)) == got, (sn, qn)
 
 
 @settings(max_examples=25, deadline=None)
@@ -244,7 +252,7 @@ def test_full_enumerations_match_brute_force_on_random_braids(word):
         X = _orbit_cases()[qn][0]
         got = [c.colors for c in enumerate_colorings(D, X)]
         assert got == sorted(brute_force_colorings(D, X)), qn
-        assert sorted(_solve_relations(D, X, ordered=False)) == got, qn
+        assert sorted(_unordered(D, X)) == got, qn
         if X.is_quandle:
             got = [(s.colors, s.region_colors) for s in enumerate_shadow_colorings(D, X)]
             assert got == sorted(brute_force_shadows(D, X)), qn
@@ -338,7 +346,7 @@ def test_shadow_matches_brute_force(small_diagrams):
             got = [(s.colors, s.region_colors) for s in enumerate_shadow_colorings(D, X)]
             assert got == sorted(expected), (name, X.label)
             unordered = [(c, regions) for c, at, perms
-                         in coloring._region_core(D, X, ordered=False)
+                         in coloring._region_core(D, X, _unordered(D, X), listing=False)
                          for regions in zip(*[perms[j] for j in at])]
             assert sorted(unordered) == got, (name, X.label)
 
@@ -389,10 +397,23 @@ _REGION_CORE_QUANDLES = tuple(resolve_rack(spec) for spec in (
     "alexander:2:1,1,1:0,1", "dihedral:4"))
 
 
-def _per_face_regions(D, X, roots, ordered):
+def _region_streams(D, X):
+    """Each stream a caller hands the region core, by name, made afresh per call.
+
+    A checked shadow sum hands it the root fibers, an unchecked one the
+    unordered full stream, and a listing the ordered stream.
+    """
+    return {
+        "root fibers": lambda: _searcher(D, X)(_orbit_fibers(X)[0]),
+        "unordered": lambda: _unordered(D, X),
+        "ordered": lambda: _ordered(D, X),
+    }
+
+
+def _per_face_regions(D, X, colorings):
     """The region core rebuilt plainly: one new list per tree face per arc coloring."""
     plan = coloring._region_plan(D)
-    for colors in _solve_relations(D, X, roots, ordered=ordered):
+    for colors in colorings:
         perms = [list(range(X.size))] * D.n_faces
         for f, parent, arc, forward in plan:
             c = colors[arc]
@@ -402,17 +423,17 @@ def _per_face_regions(D, X, roots, ordered):
 
 
 def _check_region_core(D):
-    """The region core equals the per-face rebuild in every stream mode, interned."""
+    """The region core equals the per-face rebuild on every stream, under both bounds."""
     for X in _REGION_CORE_QUANDLES:
-        for roots in (None, _orbit_fibers(X)[0]):
-            for ordered in (True, False):
-                # Read each yield before the next, as the stream's callers do.
+        for name, stream in _region_streams(D, X).items():
+            want = list(_per_face_regions(D, X, stream()))
+            for listing in (True, False):
+                # Read each yield before the next, as the core's callers do.
                 got, tables = [], set()
-                for c, at, perms in coloring._region_core(D, X, roots, ordered=ordered):
+                for c, at, perms in coloring._region_core(D, X, stream(), listing=listing):
                     got.append((c, [perms[j] for j in at]))
                     tables.add(id(perms))
-                want = list(_per_face_regions(D, X, roots, ordered))
-                assert got == want, (D.label, X.label, roots, ordered)
+                assert got == want, (D.label, X.label, name, listing)
                 # One table, holding each permutation it interned once.
                 assert len(tables) == 1 and len(set(perms)) == len(perms), (D.label, X.label)
 
@@ -436,16 +457,9 @@ def test_region_core_interns_within_inn_x():
     # core meets at most |Inn(X)| distinct ones: 54 for A27 = Z_3^3 with T = 2.
     X = _REGION_CORE_QUANDLES[3]
     D = braid_closure(parse_braid_word(3, "1 2 1 2 1 2 1 2"))
-    met = {perms[j] for _, at, perms in coloring._region_core(D, X) for j in at}
-    inn = {tuple(range(X.size))}
-    frontier = list(inn)
-    while frontier:
-        g = frontier.pop()
-        for c in range(X.size):
-            h = tuple(X.op(x, c) for x in g)
-            if h not in inn:
-                inn.add(h)
-                frontier.append(h)
+    core = coloring._region_core(D, X, _ordered(D, X), listing=True)
+    met = {perms[j] for _, at, perms in core for j in at}
+    inn = inner_automorphisms(X)
     assert len(inn) == 54
     assert met <= inn
 
@@ -464,24 +478,27 @@ def _transpositions(m):
 
 
 def test_sum_stream_interns_at_most_faces_times_x():
-    # Inn(X) = S_6 has 720 elements; T(3, 4) meets 191 of them, more than
-    # faces x |X| = 150.  The unordered stream of a sum interns 150 and
-    # builds the others per arc coloring; the ordered stream of a listing
+    # Inn(X) = S_6 has 720 elements.  On the closure of s1^2 s2^2 s1 every
+    # stream a caller hands the core, the 63 colorings of the root fibers
+    # too, meets more than faces x |X| = 105 of them.  For a sum the core
+    # interns 105 and builds the others per arc coloring; for a listing it
     # interns all.
     X = _transpositions(6)
-    D = torus_diagram(3, 4)
+    D = braid_closure(parse_braid_word(3, "1 1 2 2 1"))
     limit = D.n_faces * X.size
-    for ordered in (True, False):
-        got, sizes = [], []
-        for c, at, perms in coloring._region_core(D, X, ordered=ordered):
-            got.append((c, [perms[j] for j in at]))
-            sizes.append(len(perms))
-        assert got == list(_per_face_regions(D, X, None, ordered)), ordered
-        if ordered:
-            assert len(perms) == len(set(perms)) > limit
-        else:
-            assert len(perms) == len(set(perms)) == limit
-            assert limit < max(sizes) < limit + D.n_faces
+    for name, stream in _region_streams(D, X).items():
+        want = list(_per_face_regions(D, X, stream()))
+        for listing in (True, False):
+            got, sizes = [], []
+            for c, at, perms in coloring._region_core(D, X, stream(), listing=listing):
+                got.append((c, [perms[j] for j in at]))
+                sizes.append(len(perms))
+            assert got == want, (name, listing)
+            if listing:
+                assert len(perms) == len(set(perms)) > limit, name
+            else:
+                assert len(perms) == len(set(perms)) == limit, name
+                assert limit < max(sizes) < limit + D.n_faces, name
 
 
 def test_shadow_colorings_are_a_sequence(trefoil):
@@ -658,6 +675,33 @@ def test_lift_matches_extension_colorings(trefoil, r3):
         for lift in lift_coloring(trefoil, r3, rho, 3, phi):
             via_lifts.add(lift.colors)
     assert direct == via_lifts
+
+
+def test_lifts_are_the_extension_colorings_over_each_coloring(knot_table):
+    # With a 2-cocycle phi that is not a coboundary, some colorings lift and
+    # some are obstructed: the lifts of rho are exactly the colorings by
+    # E = Z_d x_phi X whose X part is rho, in the same order.
+    from quandlekit import abelian_extension, cohomology
+
+    knots = [knot_table[name] for name in ("trefoil", "fig8", "7_4")]
+    knots += [torus_diagram(2, 5), torus_diagram(3, 4)]
+    seen = obstructed = 0
+    for spec, d in (("alexander:2:1,1,1:0,1", 2), ("alexander:3:1,0,1:2", 3), ("dihedral:4", 2)):
+        X = resolve_rack(spec)
+        spaces = cohomology(X, 2, "Q", d)
+        phi = next(c for c in spaces.cocycles() if not spaces.contains_coboundary(c))
+        E = abelian_extension(X, d, phi)
+        for K in knots:
+            over = {}
+            for c in enumerate_colorings(K, E):
+                over.setdefault(tuple(x % X.size for x in c.colors), []).append(c)
+            for rho in enumerate_colorings(K, X):
+                lifts = lift_coloring(K, X, rho, d, phi)
+                assert lifts == over.pop(rho.colors, []), (spec, K.label, rho)
+                seen += 1
+                obstructed += not lifts
+            assert not over, (spec, K.label)
+    assert (seen, obstructed) == (337, 24)
 
 
 def test_torus_t3_colorability(r3):

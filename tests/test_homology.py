@@ -47,7 +47,10 @@ from quandlekit.homology import (
 )
 from quandlekit.specs import read_data_file, resolve_rack
 
-from conftest import THETA_VALUES, composite_image, elementary_divisors, prime_powers, span_mod
+from conftest import (
+    THETA_VALUES, composite_image, elementary_divisors, inner_automorphisms, prime_powers,
+    span_mod,
+)
 
 
 def hom_quandles():
@@ -282,6 +285,27 @@ def test_dihedral_homology_with_large_residuals(monkeypatch, n, degree, group):
     # of over 13000 columns.
     monkeypatch.setenv("QUANDLEKIT_BUDGET", "50000")
     assert homology(make_dihedral(n), degree, "Q") == group
+
+
+@pytest.mark.parametrize("spec, top", [
+    ("dihedral:3", 4), ("dihedral:4", 4), ("dihedral:5", 4), ("alexander:2:1,1,1:0,1", 4),
+    ("dihedral:6", 3),
+])
+def test_homology_away_from_inn_x_is_the_orbit_count(spec, top):
+    # Etingof and Grana (JPAA 177, 2003): for a prime p not dividing
+    # |Inn(X)|, dim H_n^R(X; F_p) = o^n with o the number of orbits, so every
+    # torsion prime of H_n^R divides |Inn(X)|; so does every one of H_n^Q, a
+    # summand of it (Litherland and Nelson, JPAA 178, 2003).
+    X = resolve_rack(spec)
+    inn = len(inner_automorphisms(X))
+    away = [p for p in (2, 3, 5, 7, 11, 13) if inn % p]
+    assert away, spec
+    for n in range(1, top + 1):
+        for p in away:
+            assert homology_mod(X, n, "R", p) == len(X.orbits) ** n, (spec, n, p)
+        for theory in ("R", "Q"):
+            torsion = homology(X, n, theory).invariant_factors
+            assert all(inn % q == 0 for d in torsion for q in prime_powers(d)), (spec, n)
 
 
 def test_is_prime_agrees_with_trial_division():

@@ -50,7 +50,7 @@ def test_homology_survey_runs(monkeypatch, capsys):
 def test_sweep_runs_each_tree(monkeypatch, capsys):
     root = os.path.dirname(SCRIPTS)
     lines = run_script(monkeypatch, capsys, "sweep.py", "--tree", f"a={root}",
-                       "--tree", f"b={root}", "--runs", "1", "--", "check dihedral:3")
+                       "--tree", f"b={root}", "--runs", "2", "--", "check dihedral:3")
     result = json.loads("\n".join(lines))
     assert result["trees"] == ["a", "b"]
     [row] = result["rows"]
@@ -58,4 +58,8 @@ def test_sweep_runs_each_tree(monkeypatch, capsys):
     assert row["a"]["exit"] == row["b"]["exit"] == 0
     assert row["a"]["stdout_sha256"] == row["b"]["stdout_sha256"]
     for name in "ab":
-        assert row[name]["cpu_s"] > 0 and row[name]["peak_rss_mb"] > 0
+        got = row[name]
+        assert got["cpu_s"] > 0 and got["peak_rss_mb"] > 0
+        # Each run's CPU seconds, their least and their median.
+        assert len(got["cpu_s_runs"]) == 2 and got["cpu_s_min"] == min(got["cpu_s_runs"])
+        assert got["cpu_s_min"] <= got["cpu_s"] <= max(got["cpu_s_runs"])
