@@ -32,6 +32,14 @@ in Z_d are built only when read: off the same RREF when d is prime.
 Otherwise the cocycle generators are the fewest that span Z^n(X; Z_d),
 read off the sparse Z elimination of d_{n+1} (``snf.mod_kernel``), and the
 coboundary generators are the distinct nonzero rows of d_n mod d.
+
+The cocycle check and ``coboundary`` build no chain basis and no boundary
+map.  A cochain mu of degree n is laid out once as length-|X| rows keyed by
+its tail, row[(x2 ... xn)][x1] = mu(x1, x2, ..., xn).  For each tail s of
+C_{n+1}, in lexicographic order, delta mu(x1, s) comes out as one vector
+over every x1: each face of the boundary adds or subtracts one row, the
+acted faces read through the right-translation column x -> x * s_i.  The
+budget still counts the |X|^(n+1) tuples of C_{n+1}.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 from math import gcd, prod
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import _budget, snf
@@ -408,19 +417,64 @@ class CocycleCheck(Record):
 
 def _coboundary_values(
     X: RackTable, mu: Cochain, theory: str
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """The nonzero values (delta mu)(w) = mu(boundary w), w in basis order."""
-    for t in chain_basis(X, mu.degree + 1, theory).tuples:
-        total = sum(c * mu.value(term) for term, c in _boundary_terms(X, t).items())
-        if total % mu.modulus:
-            yield t, total
+) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """Per tail s, the row x1 -> (delta mu)(x1, s) mod d on the degree-(n+1) basis.
+
+    mu is laid out once as rows keyed by its tail, row[(x2 ... xn)][x1] =
+    mu(x1, x2, ...), and tuples with an entry outside X are dropped.  Face i
+    of (x1, s) either drops s_i, which reads the row of s without s_i at x1,
+    or acts by s_i on all before it, which reads the row of (s_1 * s_i, ...,
+    s_{i-1} * s_i, s_{i+1}, ...) at x1 * s_i, through the right-translation
+    column of s_i.  So each face is one row operation for every x1 at once,
+    with the signs of ``_boundary_terms``, and absent rows are skipped.
+    Entries off the basis are zero: x1 = s_1 in theory Q, x1 != s_1 on a
+    non-degenerate tail in theory D.  Rows are yielded in lexicographic
+    order of the tails, only those with a nonzero entry.  The budget counts
+    the |X|^(n+1) tuples of C_{n+1}, but no basis is built.
+    """
+    m, n, d, table = X.size, mu.degree, mu.modulus, X.table
+    _budget.check_chain(m, n + 1)
+    rows: dict[tuple[int, ...], list[int]] = {}
+    for t, v in mu.values.items():
+        if all(0 <= x < m for x in t):
+            rows.setdefault(t[1:], [0] * m)[t[0]] = v
+    # Each term adds a row: +mu through `rows`, -mu through `negated`.
+    negated = {tail: [-v for v in row] for tail, row in rows.items()}
+    # right[y](row) is the row read at x * y for every x; on one element, the row.
+    right = ([itemgetter(*[table[x][y] for x in range(m)]) for y in range(m)]
+             if m > 1 else [lambda row: row])
+    tails = itertools.product(range(m), repeat=n)
+    if theory == "Q":
+        tails = (s for s in tails if not _is_degenerate(s))
+    for s in tails:
+        terms = []
+        for j, y in enumerate(s):
+            dropped = s[:j] + s[j + 1:]
+            acted = tuple([table[z][y] for z in s[:j]]) + s[j + 1:]
+            # Face j + 2 of (x1, s) has sign (-1)^j.
+            plus, minus = (rows, negated) if j % 2 == 0 else (negated, rows)
+            if (row := plus.get(dropped)) is not None:
+                terms.append(row)
+            if (row := minus.get(acted)) is not None:
+                terms.append(right[y](row))
+        if not terms:
+            continue
+        delta = [total % d for total in map(sum, zip(*terms))]
+        if theory == "Q":
+            delta[s[0]] = 0
+        elif theory == "D" and not _is_degenerate(s):
+            delta = [v if x == s[0] else 0 for x, v in enumerate(delta)]
+        if any(delta):
+            yield s, delta
 
 
 def is_cocycle(X: RackTable, phi: Cochain, theory: str = "Q") -> CocycleCheck:
     """Does phi vanish on boundaries (and, for theory Q, on degenerate tuples)?
 
     A cochain with a nonzero value on a tuple that names an element outside
-    X is not a cochain of X, so it is rejected before any other check.
+    X is not a cochain of X, so it is rejected before any other check.  The
+    witness is the first failing tuple in basis order: the least x1 failing
+    on each tail, kept while a smaller one is found, and final at x1 = 0.
     """
     _check_theory(X, theory)
     for t in phi.values:
@@ -430,15 +484,27 @@ def is_cocycle(X: RackTable, phi: Cochain, theory: str = "Q") -> CocycleCheck:
         bad = phi.vanishes_on_degenerate()
         if bad is not None:
             return CocycleCheck(False, "nonzero on degenerate tuple", bad)
-    for t, _ in _coboundary_values(X, phi, theory):
-        return CocycleCheck(False, "coboundary is nonzero", t)
+    witness: tuple[int, ...] | None = None
+    for s, delta in _coboundary_values(X, phi, theory):
+        x = next(x for x, v in enumerate(delta) if v)
+        if witness is None or x < witness[0]:
+            witness = (x,) + s
+            if x == 0:
+                break
+    if witness is not None:
+        return CocycleCheck(False, "coboundary is nonzero", witness)
     return CocycleCheck(True)
 
 
 def coboundary(X: RackTable, mu: Cochain, theory: str = "Q") -> Cochain:
-    """The degree-(n+1) cochain (delta mu)(w) = mu(boundary w)."""
+    """The degree-(n+1) cochain (delta mu)(w) = mu(boundary w), in basis order."""
     _check_theory(X, theory)
-    return Cochain(mu.degree + 1, mu.modulus, dict(_coboundary_values(X, mu, theory)))
+    by_first: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(X.size)]
+    for s, delta in _coboundary_values(X, mu, theory):
+        for x, v in enumerate(delta):
+            if v:
+                by_first[x].append(((x,) + s, v))
+    return Cochain(mu.degree + 1, mu.modulus, dict(itertools.chain(*by_first)))
 
 
 class CochainSpaces(Record):
@@ -643,7 +709,10 @@ def structure_report(X: RackTable, n_max: int) -> StructureReport:
 
 
 def parse_cochain(text: str) -> Cochain:
-    """Parse the cochain format: 'cochain <degree> <modulus>' then value lines."""
+    """Parse the cochain format: 'cochain <degree> <modulus>' then value lines.
+
+    Each tuple may appear on at most one line; a repeat is a ParseError.
+    """
     lines = content_lines(text)
     if not lines:
         raise ParseError("empty cochain file")
@@ -669,7 +738,11 @@ def parse_cochain(text: str) -> Cochain:
             nums = [int(t) for t in toks]
         except ValueError:
             raise ParseError(f"non-integer entry in cochain line {line!r}") from None
-        values[tuple(nums[:-1])] = nums[-1]
+        t = tuple(nums[:-1])
+        if t in values:
+            raise ParseError(f"cochain line {line!r} repeats the tuple {t}; "
+                             "each tuple may appear at most once")
+        values[t] = nums[-1]
     return Cochain(degree, modulus, values)
 
 

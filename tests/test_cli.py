@@ -619,6 +619,19 @@ def test_cocycles_verify_rejects_entry_outside_quandle(tmp_path, capsys):
     assert "#data verify 0 -" in out
 
 
+def test_cochain_with_a_repeated_tuple_is_a_parse_error(tmp_path, capsys):
+    # A repeated tuple was once read as its last value, so this file verified
+    # as the cochain with (0, 1, 2) -> 2; each tuple may appear at most once.
+    dup = tmp_path / "dup.cochain"
+    dup.write_text("cochain 3 3\n0 1 2 1\n0 1 2 2\n")
+    for argv in (("cocycles", "dihedral:3", "--degree", "3", "--mod", "3", "--verify"),
+                 ("invariant", "trefoil.pd", "dihedral:3")):
+        code, out, err = run(capsys, *argv, str(dup))
+        assert code == 2, argv
+        assert "error: cochain line '0 1 2 2' repeats the tuple (0, 1, 2)" in err, argv
+        assert "#data" not in out, argv
+
+
 def test_cocycles_dimensions(capsys):
     code, out, _ = run(capsys, "cocycles", "dihedral:3", "--degree", "2", "--mod", "3")
     assert code == 0

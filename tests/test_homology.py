@@ -34,12 +34,14 @@ from quandlekit import (
     uct_mod_dimension,
 )
 from quandlekit import snf
+from quandlekit.algebra import RackTable
 from quandlekit.coloring import _closure_histogram
 from quandlekit.diagram import braid_closure, torus_braid
 from quandlekit.homology import (
     THEORIES,
     _boundary_invariants,
     _boundary_mod_rank,
+    _boundary_terms,
     _is_prime,
     _is_degenerate,
     _nondegenerate_tuples,
@@ -526,6 +528,115 @@ def test_is_cocycle_witness_is_first_coboundary_value(data):
     if not check.ok:
         assert check.reason == "coboundary is nonzero"
         assert check.witness == next(iter(delta.values))
+
+
+def _per_tuple_coboundary(X, mu, theory):
+    """delta mu mod d on the degree-(n+1) basis, tuple by tuple off ``_boundary_terms``."""
+    values = {}
+    for t in chain_basis(X, mu.degree + 1, theory).tuples:
+        total = sum(c * mu.value(term) for term, c in _boundary_terms(X, t).items())
+        if total % mu.modulus:
+            values[t] = total % mu.modulus
+    return values
+
+
+def _per_tuple_check(X, phi, theory):
+    """(ok, reason, witness) of the cocycle check, tuple by tuple."""
+    outside = [t for t in phi.values if not all(0 <= x < X.size for x in t)]
+    if outside:
+        return False, "entry outside the quandle", outside[0]
+    degenerate = [t for t in phi.values if _is_degenerate(t)]
+    if theory == "Q" and degenerate:
+        return False, "nonzero on degenerate tuple", degenerate[0]
+    delta = _per_tuple_coboundary(X, phi, theory)
+    return (False, "coboundary is nonzero", next(iter(delta))) if delta else (True, None, None)
+
+
+_CYCLE_RACK = RackTable(3, tuple(((a + 1) % 3,) * 3 for a in range(3)))  # not a quandle
+_DIFFERENTIAL_RACKS = (
+    make_dihedral(3), make_dihedral(4), make_dihedral(5), make_trivial(1), make_trivial(2),
+    make_alexander(2, [1, 1, 1], [0, 1]), resolve_rack("alexander:3:1,0,1:2"), _CYCLE_RACK,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cocycle_check_matches_the_per_tuple_boundary(data):
+    """The per-tail vectors give the per-tuple verdict, witness and coboundary.
+
+    Cochains may name elements outside X and be nonzero on degenerate
+    tuples; they are drawn at random, as coboundaries delta mu, or as a
+    coboundary with one basis entry perturbed.  Moduli include composites.
+    """
+    X = data.draw(st.sampled_from(_DIFFERENTIAL_RACKS))
+    theory = "R" if X is _CYCLE_RACK else data.draw(st.sampled_from(THEORIES))
+    degree = data.draw(st.integers(1, 3 if X.size <= 5 else 2))
+    d = data.draw(st.sampled_from([2, 3, 4, 6, 9]))
+    kind = data.draw(st.sampled_from(["random", "coboundary", "perturbed"]))
+    if degree == 1:
+        kind = "random"
+
+    def cochain(n):
+        entries = st.integers(-1, X.size) if kind == "random" else st.integers(0, X.size - 1)
+        tuples = st.tuples(*[entries] * n)
+        return Cochain(n, d, data.draw(st.dictionaries(tuples, st.integers(1, d - 1),
+                                                       max_size=8)))
+
+    if kind == "random":
+        phi = cochain(degree)
+    else:
+        phi = Cochain(degree, d, _per_tuple_coboundary(X, cochain(degree - 1), theory))
+        basis = chain_basis(X, degree, theory).tuples
+        if kind == "perturbed" and basis:
+            t = data.draw(st.sampled_from(basis))
+            phi = phi + Cochain(degree, d, {t: 1})
+    check = is_cocycle(X, phi, theory)
+    assert (check.ok, check.reason, check.witness) == _per_tuple_check(X, phi, theory)
+    want = Cochain(degree + 1, d, _per_tuple_coboundary(X, phi, theory))
+    assert list(coboundary(X, phi, theory).values.items()) == list(want.values.items())
+
+
+def test_cocycle_check_builds_no_basis_and_refuses_as_before(monkeypatch):
+    X, theta = make_dihedral(5), _mochizuki(5)
+    mu = Cochain(2, 5, {(0, 1): 1, (3, 2): 4, (4, 4): 2})
+    monkeypatch.delenv("QUANDLEKIT_BUDGET", raising=False)
+    chain_basis.cache_clear()
+    assert is_cocycle(X, theta, "Q").ok
+    assert coboundary(X, theta, "Q").values == {}
+    assert coboundary(X, mu, "Q").values == _per_tuple_coboundary(X, mu, "Q")
+    chain_basis.cache_clear()  # the reference above built C_3
+    assert not is_cocycle(X, Cochain(3, 5, {(0, 1, 2): 1}), "Q").ok
+    assert coboundary(X, mu, "Q").values
+    assert chain_basis.peek(X, 3, "Q") is None and chain_basis.peek(X, 4, "Q") is None
+    # The budget still counts the 5^4 tuples of C_4, with the basis's message.
+    monkeypatch.setenv("QUANDLEKIT_BUDGET", "624")
+    want = ("chain basis of size 5^4 exceeds the budget of 624 "
+            "(override with QUANDLEKIT_BUDGET)")
+    for call in (is_cocycle, coboundary):
+        with pytest.raises(BudgetError) as info:
+            call(X, theta, "Q")
+        assert str(info.value) == want
+    monkeypatch.setenv("QUANDLEKIT_BUDGET", "625")
+    assert is_cocycle(X, theta, "Q").ok
+
+
+def test_pullback_of_theta_to_a27_is_a_cocycle(monkeypatch, theta, trefoil):
+    """Oracle: a cocycle pulled back along a quandle homomorphism is a cocycle.
+
+    f(i) = i mod 3 maps the 27-element Alexander quandle onto R3; theta . f
+    is a 3-cocycle of A27 whose trefoil shadow sum is 6561 + 13122t.  Its
+    check covers 27^4 = 531441 tuples, past the default budget.
+    """
+    monkeypatch.setenv("QUANDLEKIT_BUDGET", "531441")
+    a27, r3 = resolve_rack("alexander:3:1,0,0,1:2"), make_dihedral(3)
+    assert all(a27.table[x][y] % 3 == r3.table[x % 3][y % 3]
+               for x in range(27) for y in range(27))
+    pullback = Cochain(3, 3, {
+        (x, u, o): theta.value((x % 3, u % 3, o % 3))
+        for x, u, o in itertools.product(range(27), repeat=3)
+    })
+    assert is_cocycle(a27, pullback, "Q").ok
+    assert state_sum_shadow(trefoil, a27, pullback).coeffs == (6561, 13122, 0)
 
 
 # --- cohomology spaces ------------------------------------------------------------------
