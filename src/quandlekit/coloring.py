@@ -53,8 +53,8 @@ power of the period at no extra cost, so torus:3:q takes the same time for
 every q.
 
 Every count and state sum is one histogram of weights (a count has d = 1),
-read off one table of the cochain's values on either path (_weights) and
-taken by _histogram, which alone decides the path:
+read off one table of the cochain's values on either path (_weights, off
+homology's tail rows) and taken by _histogram, which alone decides the path:
 
 - A shadow count is |X| times the arc count, on both paths below.
 - A braid word takes the engine when its states number at most |X| times
@@ -90,7 +90,7 @@ from ._util import Record
 from .algebra import RackTable
 from .diagram import BraidWord, Diagram, SurfaceDiagramData, braid_closure
 from .errors import DomainError, NonCocycleError
-from .homology import Cochain, CocycleCheck, is_cocycle
+from .homology import Cochain, _tail_rows, is_cocycle
 
 
 class Coloring(Record):
@@ -458,23 +458,14 @@ def _histogram(
 def _weights(cochain: Cochain, n: int) -> tuple[list, object]:
     """(w, zero): w[u][o] = phi(u, o) and zero = 0, or rows w[u][o][x] = theta(x, u, o).
 
-    Every vanishing row is the one list zero, which a fold skips by identity.
-    Tuples with an entry outside X = range(n) are dropped.  O(nnz + n^2).
+    Read off ``_tail_rows``, which drops tuples with an entry outside X =
+    range(n).  Every vanishing row is the one list zero, which a fold skips
+    by identity.  O(nnz + n^2).
     """
+    rows, zero = _tail_rows(cochain, n), [0] * n
     if cochain.degree == 2:
-        w = [[0] * n for _ in range(n)]
-        for (u, o), v in cochain.values.items():
-            if 0 <= min(u, o) and max(u, o) < n:
-                w[u][o] = v
-        return w, 0
-    zero = [0] * n
-    w = [[zero] * n for _ in range(n)]
-    for (x, u, o), v in cochain.values.items():
-        if 0 <= min(x, u, o) and max(x, u, o) < n:
-            if w[u][o] is zero:
-                w[u][o] = [0] * n
-            w[u][o][x] = v
-    return w, zero
+        return [list(w_u) for w_u in zip(*[rows.get((o,), zero) for o in range(n)])], 0
+    return [[rows.get((u, o), zero) for o in range(n)] for u in range(n)], zero
 
 
 # --- braid closures as fixed points -------------------------------------------
@@ -710,18 +701,6 @@ def _listing(target: Diagram | BraidWord | SurfaceDiagramData, X: RackTable, *,
                            for head, at in heads for col in zip(*[named[j] for j in at]))
 
 
-@_budget.memo
-def _lift_verdict(
-    X: RackTable, degree: int, modulus: int, items: tuple[tuple[tuple[int, ...], int], ...]
-) -> CocycleCheck:
-    """``is_cocycle`` in theory Q of the cochain with these values, once per cochain.
-
-    ``items`` is ``tuple(phi.values.items())``: hashable, and in phi's own
-    order, so the witness is the one ``is_cocycle(X, phi)`` reports.
-    """
-    return is_cocycle(X, Cochain(degree, modulus, dict(items)), "Q")
-
-
 def lift_coloring(
     D: Diagram | BraidWord, X: RackTable, rho: Coloring, d: int, phi: Cochain
 ) -> list[Coloring]:
@@ -746,7 +725,7 @@ def lift_coloring(
         under, over = rho.colors[rel.from_under], rho.colors[rel.over]
         if X.table[under][over] != rho.colors[rel.to_under]:
             raise DomainError(f"coloring breaks the crossing relation at arc {rel.to_under}")
-    check = _lift_verdict(X, phi.degree, phi.modulus, tuple(phi.values.items()))
+    check = is_cocycle(X, phi, "Q")
     if not check:
         raise NonCocycleError(f"lift needs a 2-cocycle: {check.reason} at {check.witness}")
     n = X.size

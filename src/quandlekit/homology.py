@@ -17,29 +17,32 @@ once d_{n-1} is eliminated, d_n is eliminated without the rows d_{n-1}
 pivoted on: its rank and torsion are unchanged, and an ascending sweep
 reduces each map by the one below it.  Only answers are memoized
 (``_budget.memo``, per budget): bases, invariants with their pivot columns,
-and ranks.  So each boundary map is eliminated over Z at most once per
-budget, but a map is rebuilt when read again; a CochainSpaces keeps its own
-d_n, and reads the invariants of d_n off it when none are memoized.  The
-GF(p) ranks behind ``homology_mod`` and the prime cocycle and coboundary
-dimensions are read off the cached Smith diagonal of d_n when there is
-one, or off the invariants a CochainSpaces holds: the reductions and every
-step of the Z elimination are unimodular, so invertible mod every p, and
-rank_p d_n = rank d_n minus the number of invariant factors that p
-divides.  Otherwise the rank is the number of rows of the sparse GF(p)
-RREF of the columns of d_n, which runs faster than a Z elimination made
-only for that rank.  Cocycle and coboundary generators with coefficients
-in Z_d are built only when read: off the same RREF when d is prime.
-Otherwise the cocycle generators are the fewest that span Z^n(X; Z_d),
-read off the sparse Z elimination of d_{n+1} (``snf.mod_kernel``), and the
-coboundary generators are the distinct nonzero rows of d_n mod d.
+ranks and cocycle verdicts.  So each boundary map is eliminated over Z at
+most once per budget, but a map is rebuilt when read again; a CochainSpaces
+keeps its own d_n, and reads the invariants of d_n off it when none are
+memoized.  The GF(p) ranks behind ``homology_mod`` and the prime cocycle and
+coboundary dimensions are read off the cached Smith diagonal of d_n when
+there is one, or off the invariants a CochainSpaces holds: the reductions
+and every step of the Z elimination are unimodular, so invertible mod every
+p, and rank_p d_n = rank d_n minus the number of invariant factors that p
+divides.  Otherwise the rank is the number of rows of the sparse GF(p) RREF
+of the columns of d_n, which runs faster than a Z elimination made only for
+that rank.  Cocycle and coboundary generators with coefficients in Z_d are
+built only when read: off the same RREF when d is prime.  Otherwise the
+cocycle generators are the fewest that span Z^n(X; Z_d), read off the sparse
+Z elimination of d_{n+1} (``snf.mod_kernel``), and the coboundary generators
+are the distinct nonzero rows of d_n mod d.
 
 The cocycle check and ``coboundary`` build no chain basis and no boundary
 map.  A cochain mu of degree n is laid out once as length-|X| rows keyed by
-its tail, row[(x2 ... xn)][x1] = mu(x1, x2, ..., xn).  For each tail s of
-C_{n+1}, in lexicographic order, delta mu(x1, s) comes out as one vector
-over every x1: each face of the boundary adds or subtracts one row, the
-acted faces read through the right-translation column x -> x * s_i.  The
-budget still counts the |X|^(n+1) tuples of C_{n+1}.
+its tail, row[(x2 ... xn)][x1] = mu(x1, x2, ..., xn) (``_tail_rows``, the
+layout the state-sum folds read too).  For each tail s of C_{n+1}, in
+lexicographic order, delta mu(x1, s) comes out as one vector over every x1:
+each face of the boundary adds or subtracts one row, the acted faces read
+through the right-translation column x -> x * s_i.  The budget still counts
+the |X|^(n+1) tuples of C_{n+1}.  ``is_cocycle`` keeps one verdict per
+budget and cochain, which the checked state sums, lifts and
+``cocycles --verify`` all read.
 """
 
 from __future__ import annotations
@@ -415,29 +418,37 @@ class CocycleCheck(Record):
         return self.ok
 
 
+def _tail_rows(mu: Cochain, m: int) -> dict[tuple[int, ...], list[int]]:
+    """mu as length-m rows by tail, row[(x2 ... xn)][x1] = mu(x1, x2, ...), none zero.
+
+    Tuples with an entry outside range(m) are dropped.
+    """
+    rows: dict[tuple[int, ...], list[int]] = {}
+    for t, v in mu.values.items():
+        if all(0 <= x < m for x in t):
+            rows.setdefault(t[1:], [0] * m)[t[0]] = v
+    return rows
+
+
 def _coboundary_values(
     X: RackTable, mu: Cochain, theory: str
 ) -> Iterator[tuple[tuple[int, ...], list[int]]]:
     """Per tail s, the row x1 -> (delta mu)(x1, s) mod d on the degree-(n+1) basis.
 
-    mu is laid out once as rows keyed by its tail, row[(x2 ... xn)][x1] =
-    mu(x1, x2, ...), and tuples with an entry outside X are dropped.  Face i
-    of (x1, s) either drops s_i, which reads the row of s without s_i at x1,
-    or acts by s_i on all before it, which reads the row of (s_1 * s_i, ...,
-    s_{i-1} * s_i, s_{i+1}, ...) at x1 * s_i, through the right-translation
-    column of s_i.  So each face is one row operation for every x1 at once,
-    with the signs of ``_boundary_terms``, and absent rows are skipped.
-    Entries off the basis are zero: x1 = s_1 in theory Q, x1 != s_1 on a
-    non-degenerate tail in theory D.  Rows are yielded in lexicographic
-    order of the tails, only those with a nonzero entry.  The budget counts
-    the |X|^(n+1) tuples of C_{n+1}, but no basis is built.
+    mu is read through its tail rows (``_tail_rows``).  Face i of (x1, s)
+    either drops s_i, which reads the row of s without s_i at x1, or acts by
+    s_i on all before it, which reads the row of (s_1 * s_i, ..., s_{i-1} *
+    s_i, s_{i+1}, ...) at x1 * s_i, through the right-translation column of
+    s_i.  So each face is one row operation for every x1 at once, with the
+    signs of ``_boundary_terms``, and absent rows are skipped.  Entries off
+    the basis are zero: x1 = s_1 in theory Q, x1 != s_1 on a non-degenerate
+    tail in theory D.  Rows are yielded in lexicographic order of the tails,
+    only those with a nonzero entry.  The budget counts the |X|^(n+1) tuples
+    of C_{n+1}, but no basis is built.
     """
     m, n, d, table = X.size, mu.degree, mu.modulus, X.table
     _budget.check_chain(m, n + 1)
-    rows: dict[tuple[int, ...], list[int]] = {}
-    for t, v in mu.values.items():
-        if all(0 <= x < m for x in t):
-            rows.setdefault(t[1:], [0] * m)[t[0]] = v
+    rows = _tail_rows(mu, m)
     # Each term adds a row: +mu through `rows`, -mu through `negated`.
     negated = {tail: [-v for v in row] for tail, row in rows.items()}
     # right[y](row) is the row read at x * y for every x; on one element, the row.
@@ -475,8 +486,16 @@ def is_cocycle(X: RackTable, phi: Cochain, theory: str = "Q") -> CocycleCheck:
     X is not a cochain of X, so it is rejected before any other check.  The
     witness is the first failing tuple in basis order: the least x1 failing
     on each tail, kept while a smaller one is found, and final at x1 = 0.
+    The verdict is kept per budget and per (X, theory, degree, modulus,
+    values in their insertion order), the order the witnesses follow.
     """
     _check_theory(X, theory)
+    return _cocycle_verdict(X, theory, phi.degree, phi.modulus, tuple(phi.values.items()))
+
+
+@_budget.memo
+def _cocycle_verdict(X: RackTable, theory: str, degree: int, modulus: int, items: tuple):
+    phi = Cochain(degree, modulus, dict(items))
     for t in phi.values:
         if not all(0 <= x < X.size for x in t):
             return CocycleCheck(False, "entry outside the quandle", t)

@@ -8,7 +8,8 @@ objects; the coloring module's docstring says which path a sum takes.
 The per-coloring weights below, the survey's definition, read the cochain
 itself: they are the reference the folds are tested against.
 Cocycle validity is enforced before any sum is taken: without it the result
-is not an invariant (an explicit escape hatch exists for experiments).
+is not an invariant (an explicit escape hatch exists for experiments).  The
+verdict is homology's, kept once per budget and cochain.
 """
 
 from __future__ import annotations

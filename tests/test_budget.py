@@ -21,6 +21,15 @@ def test_only_the_budget_module_knows_the_budget():
     assert not hasattr(boundary_matrix, "cache_clear")  # the memo keeps answers only
 
 
+def test_coloring_applies_no_budget_memo():
+    # Cocycle verdicts are memoized in homology; coloring keeps no memo of its own.
+    tree = ast.parse((SRC / "coloring.py").read_text())
+    memos = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "memo"
+             or isinstance(node, ast.ImportFrom) and node.module == "_budget"]
+    assert not memos
+
+
 def test_within_agrees_with_the_power():
     for bound in (-3, 0, 1, 7, 8, 9, 20_000):
         for m in range(6):

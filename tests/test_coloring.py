@@ -1,3 +1,4 @@
+import importlib
 import itertools
 
 import pytest
@@ -25,13 +26,15 @@ from quandlekit import (
     parse_surface,
     reverse,
     shadow_surface_data,
+    state_sum_shadow,
     torus_diagram,
 )
 from quandlekit.algebra import RackTable
-from quandlekit import coloring
+from quandlekit import cli, coloring
 from quandlekit.coloring import _histogram, _orbit_fibers, _orbit_maps, _ordered, _searcher
 from quandlekit.diagram import BraidWord, parse_braid_word
-from quandlekit.specs import read_data_file, resolve_diagram, resolve_rack
+from quandlekit.homology import CocycleCheck
+from quandlekit.specs import read_data_file, resolve_cochain, resolve_diagram, resolve_rack
 
 from conftest import (
     brute_force_colorings, brute_force_sheets, brute_force_shadows, inner_automorphisms,
@@ -578,30 +581,47 @@ def test_lift_rejects_non_cocycle(trefoil, r3):
         lift_coloring(trefoil, r3, enumerate_colorings(trefoil, r3)[0], 3, bad)
 
 
-def test_lift_checks_each_cochain_once_per_budget(monkeypatch, trefoil, r3):
-    # The verdict is cached per cochain and budget; a non-cocycle raises the
-    # same NonCocycleError on every call, naming is_cocycle's own witness.
-    checked = []
+def test_each_cochain_is_judged_once_per_budget(monkeypatch, capsys, trefoil, r3):
+    # Checked state sums, lifts and `cocycles --verify` read one verdict memo
+    # in homology.  The spy counts the verdicts computed (each builds one
+    # CocycleCheck), not the calls made.  A non-cocycle raises the same
+    # NonCocycleError on every call, naming is_cocycle's own witness.
+    built = []
 
-    def counting(X, phi, theory):
-        checked.append(phi)
-        return is_cocycle(X, phi, theory)
+    def counting(*args):
+        built.append(args)
+        return CocycleCheck(*args)
 
-    monkeypatch.setattr(coloring, "is_cocycle", counting)
+    homology = importlib.import_module("quandlekit.homology")
+    monkeypatch.setattr(homology, "CocycleCheck", counting)
     monkeypatch.delenv("QUANDLEKIT_BUDGET", raising=False)
-    coloring._lift_verdict.cache_clear()
-    rhos = enumerate_colorings(trefoil, r3)
+    homology._cocycle_verdict.cache_clear()
+    theta = resolve_cochain("theta_R3.cochain")
     bad = Cochain(2, 3, {(0, 1): 1, (1, 1): 2, (2, 2): 1})
-    chk = is_cocycle(r3, bad, "Q")
-    want = f"lift needs a 2-cocycle: {chk.reason} at {chk.witness}"
-    for rho in rhos:
-        with pytest.raises(NonCocycleError) as info:
-            lift_coloring(trefoil, r3, rho, 3, bad)
-        assert str(info.value) == want
     phi = Cochain(2, 3, {})
-    for rho in rhos:
-        lift_coloring(trefoil, r3, rho, 3, phi)
-    assert len(checked) == 2
+    rhos = enumerate_colorings(trefoil, r3)
+
+    def round_of_checks():
+        for _ in range(2):
+            assert state_sum_shadow(trefoil, r3, theta).coeffs == (9, 18, 0)
+        chk = is_cocycle(r3, bad, "Q")
+        want = f"lift needs a 2-cocycle: {chk.reason} at {chk.witness}"
+        for rho in rhos:
+            with pytest.raises(NonCocycleError) as info:
+                lift_coloring(trefoil, r3, rho, 3, bad)
+            assert str(info.value) == want
+            lift_coloring(trefoil, r3, rho, 3, phi)
+        assert cli.main(["cocycles", "dihedral:3", "--degree", "3", "--mod", "3",
+                         "--verify", "theta_R3.cochain"]) == 0
+        assert "#data verify 1 0" in capsys.readouterr().out
+
+    round_of_checks()
+    assert len(built) == 3  # theta, bad and phi
+    round_of_checks()
+    assert len(built) == 3
+    monkeypatch.setenv("QUANDLEKIT_BUDGET", "20000")  # another budget, judged afresh
+    round_of_checks()
+    assert len(built) == 6
     monkeypatch.setenv("QUANDLEKIT_BUDGET", "10")  # under 3^3 tuples of C_3
     with pytest.raises(BudgetError):
         lift_coloring(trefoil, r3, rhos[0], 3, phi)

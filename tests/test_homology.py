@@ -42,6 +42,7 @@ from quandlekit.homology import (
     _boundary_invariants,
     _boundary_mod_rank,
     _boundary_terms,
+    _cocycle_verdict,
     _is_prime,
     _is_degenerate,
     _nondegenerate_tuples,
@@ -310,6 +311,19 @@ def test_homology_away_from_inn_x_is_the_orbit_count(spec, top):
             assert all(inn % q == 0 for d in torsion for q in prime_powers(d)), (spec, n)
 
 
+@pytest.mark.parametrize("spec, n", [
+    *[(spec, n) for spec in ("dihedral:3", "dihedral:4", "alexander:2:1,1,1:0,1")
+      for n in (4, 5)],
+    ("dihedral:5", 4), pytest.param("dihedral:5", 5, marks=pytest.mark.slow),
+])
+def test_rack_homology_splits_into_degenerate_and_quandle(spec, n):
+    # Litherland and Nelson (JPAA 178, 2003): H_n^R = H_n^D + H_n^Q in every
+    # degree; structure_report checks it for n <= 3 only.
+    X = resolve_rack(spec)
+    rack, degenerate, quandle = (homology(X, n, theory) for theory in ("R", "D", "Q"))
+    assert rack == degenerate.direct_sum(quandle), (spec, n)
+
+
 def test_is_prime_agrees_with_trial_division():
     def trial_division(d, primes):
         for p in primes:
@@ -343,12 +357,13 @@ def test_budget_guard():
 
 
 def test_budget_guard_ignores_warm_cache(monkeypatch, r3):
-    cached = (chain_basis, _boundary_invariants, _boundary_mod_rank)
+    cached = (chain_basis, _boundary_invariants, _boundary_mod_rank, _cocycle_verdict)
     calls = [
         (chain_basis, (r3, 6, "Q")),
         (boundary_matrix, (r3, 5, "Q")),
         (homology, (r3, 4, "Q")),
         (homology_mod, (r3, 4, "Q", 3)),
+        (is_cocycle, (r3, Cochain(3, 3, THETA_VALUES), "Q")),
         (homology, (r3, 0, "Q")),
     ]
 
@@ -372,7 +387,7 @@ def test_budget_guard_ignores_warm_cache(monkeypatch, r3):
         assert on_warm_cache == outcomes(), budget
     assert on_warm_cache == warm
     monkeypatch.setenv("QUANDLEKIT_BUDGET", "10")
-    assert outcomes()[:4] == [BudgetError] * 4
+    assert outcomes()[:5] == [BudgetError] * 5
 
 
 # --- abelian group values ---------------------------------------------------------------
@@ -590,8 +605,15 @@ def test_cocycle_check_matches_the_per_tuple_boundary(data):
         if kind == "perturbed" and basis:
             t = data.draw(st.sampled_from(basis))
             phi = phi + Cochain(degree, d, {t: 1})
-    check = is_cocycle(X, phi, theory)
-    assert (check.ok, check.reason, check.witness) == _per_tuple_check(X, phi, theory)
+    # The verdict memo is keyed by theory and by the order of the values:
+    # the witnesses for entries outside X and for degenerate tuples follow
+    # that order.  The second call on phi hits the memo.
+    reversed_phi = Cochain(degree, d, dict(reversed(phi.values.items())))
+    others = [t for t in ("R",) + (() if X is _CYCLE_RACK else ("D", "Q")) if t != theory]
+    for t in [theory] + others:
+        for psi in (phi, phi, reversed_phi):
+            check = is_cocycle(X, psi, t)
+            assert (check.ok, check.reason, check.witness) == _per_tuple_check(X, psi, t)
     want = Cochain(degree + 1, d, _per_tuple_coboundary(X, phi, theory))
     assert list(coboundary(X, phi, theory).values.items()) == list(want.values.items())
 
@@ -601,6 +623,7 @@ def test_cocycle_check_builds_no_basis_and_refuses_as_before(monkeypatch):
     mu = Cochain(2, 5, {(0, 1): 1, (3, 2): 4, (4, 4): 2})
     monkeypatch.delenv("QUANDLEKIT_BUDGET", raising=False)
     chain_basis.cache_clear()
+    _cocycle_verdict.cache_clear()  # so that no check below is a memo hit
     assert is_cocycle(X, theta, "Q").ok
     assert coboundary(X, theta, "Q").values == {}
     assert coboundary(X, mu, "Q").values == _per_tuple_coboundary(X, mu, "Q")
@@ -628,6 +651,7 @@ def test_pullback_of_theta_to_a27_is_a_cocycle(monkeypatch, theta, trefoil):
     check covers 27^4 = 531441 tuples, past the default budget.
     """
     monkeypatch.setenv("QUANDLEKIT_BUDGET", "531441")
+    _cocycle_verdict.cache_clear()
     a27, r3 = resolve_rack("alexander:3:1,0,0,1:2"), make_dihedral(3)
     assert all(a27.table[x][y] % 3 == r3.table[x % 3][y % 3]
                for x in range(27) for y in range(27))
