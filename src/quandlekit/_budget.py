@@ -5,8 +5,8 @@ The budget is the ``QUANDLEKIT_BUDGET`` environment variable, an integer,
 tuple.  C_n over m >= 2 elements counts m^n units in every theory (the D
 and Q filters come after the count) and is refused with BudgetError when
 that exceeds the budget.  A one-element quandle has a single n-tuple at
-every degree, but the boundary of that tuple builds 2(n - 1) tuples of
-length n - 1, so there C_n counts n^2 units, the work of its boundary.
+every degree, but the face walk of its one tail builds 2(n - 1) tails of
+length n - 2, so there C_n counts n^2 units, the work of its boundary.
 Degrees n <= 0 count nothing.
 
 ``within`` is the one comparison "m^n <= bound"; for m >= 2 it answers

@@ -5,7 +5,11 @@ degenerate ones (some adjacent repeat), and Q the quotient R/D, realized here
 on the complement basis of non-degenerate tuples with degenerate terms
 projected away.  The Q basis is built directly, never forming a degenerate
 tuple; the budget still counts all |X|^n tuples.  Boundary maps are built as
-sparse columns straight from the boundary formula.  Integral homology is read
+sparse columns tail by tail: the faces of each tail (x2 ... xn) are walked
+once (``_faces``, the one face walk the cocycle check reads too), and each
+face gives the codomain rows of its term for every first coordinate x1 at
+once.  Each column equals the per-tuple ``_boundary_terms`` on the basis,
+key order included, so it is eliminated alike.  Integral homology is read
 off the Smith diagonals of the two boundary maps at each degree: ker d_n is a
 direct summand of C_n, so H_n has the torsion of coker d_{n+1} and free rank
 dim C_n - rank d_n - rank d_{n+1}.  Those diagonals and coboundary
@@ -116,7 +120,12 @@ def _nondegenerate_tuples(m: int, n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _boundary_terms(X: RackTable, t: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """The chain boundary of one tuple as a sparse coefficient map."""
+    """The chain boundary of one tuple as a sparse coefficient map.
+
+    The per-tuple definition; ``boundary_matrix`` and the cocycle check
+    walk the same faces per tail (``_faces``), and the tests compare them
+    with it.
+    """
     n = len(t)
     out: dict[tuple[int, ...], int] = {}
     # The i=1 term drops out: both bracketed tuples coincide.
@@ -128,6 +137,36 @@ def _boundary_terms(X: RackTable, t: tuple[int, ...]) -> dict[tuple[int, ...], i
         out[dropped] = out.get(dropped, 0) + sign
         out[acted] = out.get(acted, 0) - sign
     return {k: v for k, v in out.items() if v}
+
+
+_Face = tuple[int, int, tuple[int, ...], tuple[int, ...]]
+
+
+def _faces(table: Sequence[Sequence[int]], s: tuple[int, ...]) -> list[_Face]:
+    """The faces i = 2 ... n of (x1, s) for every x1 at once, s = (x2 ... xn).
+
+    Face i is (sign, s_i, dropped, acted): the sign (-1)^i of
+    ``_boundary_terms``, which the dropped term carries and the acted term
+    negates; the tail of s without s_i, under x1; and the tail (s_1 * s_i,
+    ..., s_{i-1} * s_i, s_{i+1}, ...), under x1 * s_i.  The i = 1 face drops
+    out.  This is the boundary formula in tail form, read by
+    ``boundary_matrix`` and the cocycle check alike.
+    """
+    faces = []
+    for j, y in enumerate(s):
+        rest = s[j + 1:]
+        # Face 2 acts on x1 alone, so its two tails are one.
+        acted = tuple([table[z][y] for z in s[:j]]) + rest if j else rest
+        faces.append((-1 if j % 2 else 1, y, s[:j] + rest, acted))
+    return faces
+
+
+def _right_translations(X: RackTable) -> list:
+    """right[y](row) is the row read at x * y for every x; on one element, the row."""
+    m, table = X.size, X.table
+    if m == 1:
+        return [lambda row: row]
+    return [itemgetter(*[table[x][y] for x in range(m)]) for y in range(m)]
 
 
 class BoundaryMatrix(Record):
@@ -163,24 +202,47 @@ class BoundaryMatrix(Record):
 
 
 def boundary_matrix(X: RackTable, n: int, theory: str = "R") -> BoundaryMatrix:
-    """The boundary C_n -> C_{n-1}; zero for n <= 1 by convention."""
+    """The boundary C_n -> C_{n-1}; zero for n <= 1 by convention.
+
+    Built tail by tail.  The codomain basis is laid out once as at[r][y],
+    the row of (y,) + r, None off the basis (degenerate terms in theory Q).
+    For each tail s of the domain, each face of ``_faces`` gives one vector
+    of rows over every x1: the dropped face reads at[dropped] at x1, the
+    acted face reads at[acted] at x1 * s_i through the right-translation
+    column of s_i.  A column (x1, s) then sums its 2(n - 1) rows in the
+    order of ``_boundary_terms`` and drops the zeros, so it equals the
+    per-tuple boundary on the basis, key order included.
+    """
     _check_theory(X, theory)
     domain = chain_basis(X, n, theory)
     codomain = chain_basis(X, n - 1, theory)
-    row_index = codomain.index
-    columns: list[dict[int, int]] = []
-    for t in domain.tuples:
-        col: dict[int, int] = {}
-        for term, coeff in _boundary_terms(X, t).items():
-            idx = row_index.get(term)
-            if idx is None:
-                # Theory Q projects degenerate terms away; theory D must
-                # never produce non-degenerate residue for a quandle.
-                if theory == "D" and not _is_degenerate(term):
-                    raise DomainError("degenerate subcomplex is not closed; not a quandle?")
-                continue
-            col[idx] = coeff
-        columns.append(col)
+    m, table = X.size, X.table
+    at: dict[tuple[int, ...], list[int | None]] = {}
+    for i, t in enumerate(codomain.tuples):
+        at.setdefault(t[1:], [None] * m)[t[0]] = i
+    right = _right_translations(X)
+    # The domain by tail: each tail's columns, x1 ascending.
+    tuples = domain.tuples
+    slots: dict[tuple[int, ...], list[int]] = {}
+    for j, t in enumerate(tuples):
+        slots.setdefault(t[1:], []).append(j)
+    columns: list = [None] * len(tuples)
+    for s, js in slots.items():
+        reads, signs = [], []
+        for sign, y, dropped, acted in _faces(table, s):
+            if (row := at.get(dropped)) is not None:
+                reads.append(row)
+                signs.append(sign)
+            if (row := at.get(acted)) is not None:
+                reads.append(right[y](row))
+                signs.append(-sign)
+        by_first = list(zip(*reads)) if reads else [()] * m
+        for j in js:
+            col: dict[int, int] = {}
+            for r, c in zip(by_first[tuples[j][0]], signs):
+                if r is not None:
+                    col[r] = col.get(r, 0) + c
+            columns[j] = {r: c for r, c in col.items() if c} if 0 in col.values() else col
     return BoundaryMatrix(X, n, theory, tuple(columns), domain, codomain)
 
 
@@ -435,35 +497,33 @@ def _coboundary_values(
 ) -> Iterator[tuple[tuple[int, ...], list[int]]]:
     """Per tail s, the row x1 -> (delta mu)(x1, s) mod d on the degree-(n+1) basis.
 
-    mu is read through its tail rows (``_tail_rows``).  Face i of (x1, s)
-    either drops s_i, which reads the row of s without s_i at x1, or acts by
-    s_i on all before it, which reads the row of (s_1 * s_i, ..., s_{i-1} *
-    s_i, s_{i+1}, ...) at x1 * s_i, through the right-translation column of
-    s_i.  So each face is one row operation for every x1 at once, with the
-    signs of ``_boundary_terms``, and absent rows are skipped.  Entries off
-    the basis are zero: x1 = s_1 in theory Q, x1 != s_1 on a non-degenerate
-    tail in theory D.  Rows are yielded in lexicographic order of the tails,
-    only those with a nonzero entry.  The budget counts the |X|^(n+1) tuples
-    of C_{n+1}, but no basis is built.
+    mu is read through its tail rows (``_tail_rows``), and the faces of
+    (x1, s) come from the one face walk per tail that ``boundary_matrix``
+    reads too (``_faces``).  The dropped face reads the row of its tail at
+    x1; the acted face reads the row of its tail at x1 * s_i, through the
+    right-translation column of s_i.  So each face is one row operation for
+    every x1 at once, with the signs of ``_boundary_terms``, and absent
+    rows are skipped.  Entries off the basis are zero: x1 = s_1 in theory
+    Q, x1 != s_1 on a non-degenerate tail in theory D.  Rows are yielded in
+    lexicographic order of the tails (in theory Q the non-degenerate ones,
+    built directly by ``_nondegenerate_tuples``), only those with a nonzero
+    entry.  The budget counts the |X|^(n+1) tuples of C_{n+1}, but no basis
+    is built.
     """
     m, n, d, table = X.size, mu.degree, mu.modulus, X.table
     _budget.check_chain(m, n + 1)
     rows = _tail_rows(mu, m)
     # Each term adds a row: +mu through `rows`, -mu through `negated`.
     negated = {tail: [-v for v in row] for tail, row in rows.items()}
-    # right[y](row) is the row read at x * y for every x; on one element, the row.
-    right = ([itemgetter(*[table[x][y] for x in range(m)]) for y in range(m)]
-             if m > 1 else [lambda row: row])
-    tails = itertools.product(range(m), repeat=n)
+    right = _right_translations(X)
     if theory == "Q":
-        tails = (s for s in tails if not _is_degenerate(s))
+        tails: Iterable[tuple[int, ...]] = _nondegenerate_tuples(m, n)
+    else:
+        tails = itertools.product(range(m), repeat=n)
     for s in tails:
         terms = []
-        for j, y in enumerate(s):
-            dropped = s[:j] + s[j + 1:]
-            acted = tuple([table[z][y] for z in s[:j]]) + s[j + 1:]
-            # Face j + 2 of (x1, s) has sign (-1)^j.
-            plus, minus = (rows, negated) if j % 2 == 0 else (negated, rows)
+        for sign, y, dropped, acted in _faces(table, s):
+            plus, minus = (rows, negated) if sign > 0 else (negated, rows)
             if (row := plus.get(dropped)) is not None:
                 terms.append(row)
             if (row := minus.get(acted)) is not None:
