@@ -14,6 +14,9 @@ relative paths name the tree's files.  Runs alternate which tree goes
 first.  The output is JSON: per command and tree, the medians of CPU seconds
 and peak RSS in MB, each run's CPU seconds in run order and their least,
 and the exit code and stdout sha256 (equal on every run, or "varies").
+Children inherit the environment, so QUANDLEKIT_BUDGET applies to every
+run; the output names its value ("budget", null when unset) and its
+"method" says so.
 Fresh CPU on a shared machine can fall in two clusters, where a median
 moves with the cluster it lands in; the runs and the least of them show
 it.  Stdlib only.
@@ -53,6 +56,7 @@ def measure(tree: str, command: str) -> tuple[float, float, int, str]:
 
 def sweep(trees: dict[str, str], commands: list[str], runs: int) -> dict:
     names = list(trees)
+    budget = os.environ.get("QUANDLEKIT_BUDGET")
     rows = []
     for command in commands:
         seen: dict[str, list[tuple[float, float, int, str]]] = {name: [] for name in names}
@@ -80,7 +84,9 @@ def sweep(trees: dict[str, str], commands: list[str], runs: int) -> dict:
             "measuring process that reads getrusage(RUSAGE_CHILDREN); "
             f"{runs} runs per tree, alternating which tree goes first; medians, "
             "each run's CPU seconds and their least"
+            + (f"; QUANDLEKIT_BUDGET={budget} in every run" if budget is not None else "")
         ),
+        "budget": budget,
         "trees": names,
         "rows": rows,
     }

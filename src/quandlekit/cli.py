@@ -3,8 +3,9 @@
 One binary, subcommand style.  Every numeric result is also emitted as a
 machine-readable line prefixed ``#data``; stdout is deterministic for fixed
 inputs (wall time goes to stderr).  Exit codes: 0 success, 1 domain failure
-(axiom violation, non-cocycle), 2 input parse error, 3 resource budget
-exceeded.
+(axiom violation, non-cocycle) or stdout closed by its reader, 2 input parse
+error, 3 resource budget exceeded.  A closed stdout (``quandlekit ... |
+head``) ends the command at the next write, with no traceback.
 """
 
 from __future__ import annotations
@@ -259,23 +260,32 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser(argv[0] if argv and argv[0] in _HANDLERS else None)
     args = parser.parse_args(argv)
     started = time.perf_counter()
-    _echo(argv)
-    file_args = [
-        getattr(args, name, None)
-        for name in ("rack", "diagram", "cochain", "verify")
-    ]
-    _digest_inputs([a for a in file_args if a])
     try:
-        code = _HANDLERS[args.command](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = 2
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = 3
-    except QuandleKitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = 1
+        _echo(argv)
+        file_args = [
+            getattr(args, name, None)
+            for name in ("rack", "diagram", "cochain", "verify")
+        ]
+        _digest_inputs([a for a in file_args if a])
+        try:
+            code = _HANDLERS[args.command](args)
+        except ParseError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+        except BudgetError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 3
+        except QuandleKitError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 1
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``).  Whatever is still buffered
+        # goes to the null device, so the flush at exit raises nothing.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     elapsed = (time.perf_counter() - started) * 1000
     print(f"time: {elapsed:.0f} ms", file=sys.stderr)
     return code

@@ -18,23 +18,27 @@ Z_d, for every d) go through the sparse Z elimination in ``snf``.  Each
 unit pivot of that elimination is an elementary reduction of the chain
 complex (Kaczynski, Mrozek and Slusarek, Comput. Math. Appl. 35, 1998), so
 once d_{n-1} is eliminated, d_n is eliminated without the rows d_{n-1}
-pivoted on: its rank and torsion are unchanged, and an ascending sweep
-reduces each map by the one below it.  Only answers are memoized
-(``_budget.memo``, per budget): bases, invariants with their pivot columns,
-ranks and cocycle verdicts.  So each boundary map is eliminated over Z at
-most once per budget, but a map is rebuilt when read again; a CochainSpaces
-keeps its own d_n, and reads the invariants of d_n off it when none are
-memoized.  The GF(p) ranks behind ``homology_mod`` and the prime cocycle and
-coboundary dimensions are read off the cached Smith diagonal of d_n when
-there is one, or off the invariants a CochainSpaces holds: the reductions
-and every step of the Z elimination are unimodular, so invertible mod every
-p, and rank_p d_n = rank d_n minus the number of invariant factors that p
-divides.  Otherwise the rank is the number of rows of the sparse GF(p) RREF
-of the columns of d_n, which runs faster than a Z elimination made only for
-that rank.  Cocycle and coboundary generators with coefficients in Z_d are
-built only when read: off the same RREF when d is prime.  Otherwise the
-cocycle generators are the fewest that span Z^n(X; Z_d), read off the sparse
-Z elimination of d_{n+1} (``snf.mod_kernel``), and the coboundary generators
+pivoted on (``snf``'s ``drop``): its rank and torsion are unchanged, and an
+ascending sweep reduces each map by the one below it.  Only answers are
+memoized (``_budget.memo``, per budget): bases, invariants with their pivot
+columns, ranks and cocycle verdicts.  ``_boundary_invariants`` is the one
+place a boundary map is eliminated over Z for its invariants, so each map
+is eliminated at most once per budget, but a map is rebuilt when read
+again; a CochainSpaces keeps d_n's columns only, for its generators and
+membership tests, and reads d_n's invariants and ranks from the memo.  The
+GF(p) ranks behind ``homology_mod`` and the prime cocycle and coboundary
+dimensions are read off the cached Smith diagonal of d_n when there is
+one: the reductions and every step of the Z elimination are unimodular, so
+invertible mod every p, and rank_p d_n = rank d_n minus the number of
+invariant factors that p divides.  Otherwise the rank is the number of rows
+of the sparse GF(p) RREF of the columns of d_n.  Neither route is faster on
+every input: the RREF spares a Z elimination of a map that the one below
+has not reduced (a cocycle dimension reads d_{n+1} before d_n), while a Z
+sweep whose maps reduce one another wins on some ``homology_mod`` inputs.
+Cocycle and coboundary generators with coefficients in Z_d are built only
+when read: off the same RREF when d is prime.  Otherwise the cocycle
+generators are the fewest that span Z^n(X; Z_d), read off the sparse Z
+elimination of d_{n+1} (``snf.mod_kernel``), and the coboundary generators
 are the distinct nonzero rows of d_n mod d.
 
 The cocycle check and ``coboundary`` build no chain basis and no boundary
@@ -303,40 +307,27 @@ class AbelianGroup(Record):
 _Invariants = tuple[int, tuple[int, ...], frozenset[int]]
 
 
-def _eliminate_boundary(d: BoundaryMatrix) -> _Invariants:
-    """The invariants of d_n, eliminated on the rows d_{n-1} leaves.
+@_budget.memo
+def _boundary_invariants(X: RackTable, n: int, theory: str) -> _Invariants:
+    """The invariants of d_n, once per budget, eliminated on the rows d_{n-1} leaves.
 
     Each unit pivot of ``snf._eliminate`` on d_{n-1}, in row r and column c,
     is an elementary reduction of the chain complex (Kaczynski, Mrozek and
     Slusarek, Comput. Math. Appl. 35, 1998): c leaves C_{n-1} and r leaves
     C_{n-2}, every homology group is kept, and all that changes in d_n is
-    that row c goes.  So when the answer for d_{n-1} is memoized, d_n is
-    eliminated without the rows it pivoted on.  H_{n-1} keeps its free rank
-    and torsion, and C_{n-1} and rank d_{n-1} both fall by the number of
-    pivots, so rank d_n and the torsion of coker d_n come out unchanged.
-    The columns pivoted on here are reductions of the same kind, for d_{n+1}.
+    that row c goes.  So when the answer for d_{n-1} is memoized, its pivot
+    columns are the rows the elimination of d_n drops.  H_{n-1} keeps its
+    free rank and torsion, and C_{n-1} and rank d_{n-1} both fall by the
+    number of pivots, so rank d_n and the torsion of coker d_n come out
+    unchanged.  The columns pivoted on here do the same for d_{n+1}, whose
+    answer serves H_n and H_{n+1} alike.
     """
-    columns, nrows = d.columns, d.nrows
-    lower = _boundary_invariants.peek(d.X, d.degree - 1, d.theory)
-    if lower is not None and lower[2]:
-        kept = [i for i in range(nrows) if i not in lower[2]]
-        position = dict(zip(kept, range(len(kept))))
-        columns = [{k: v for i, v in col.items() if (k := position.get(i)) is not None}
-                   for col in columns]
-        nrows = len(kept)
+    d = boundary_matrix(X, n, theory)
+    lower = _boundary_invariants.peek(X, n - 1, theory)
+    drop = lower[2] if lower is not None else frozenset()
     pivoted: set[int] = set()
-    free, torsion = snf.cokernel_invariants(columns, nrows, pivoted)
-    return nrows - free, tuple(torsion), frozenset(pivoted)
-
-
-@_budget.memo
-def _boundary_invariants(X: RackTable, n: int, theory: str) -> _Invariants:
-    """``_eliminate_boundary`` of d_n, once per budget.
-
-    A degree sweep shares it: d_{n+1} serves H_n and H_{n+1}, and an
-    ascending sweep eliminates each map on the rows the map below it leaves.
-    """
-    return _eliminate_boundary(boundary_matrix(X, n, theory))
+    free, torsion = snf.cokernel_invariants(d.columns, d.nrows, pivoted, drop)
+    return d.nrows - len(drop) - free, tuple(torsion), frozenset(pivoted)
 
 
 @_budget.memo
@@ -350,11 +341,6 @@ def _boundary_mod_rank(X: RackTable, n: int, theory: str, p: int) -> int:
     invariants = _boundary_invariants.peek(X, n, theory)
     if invariants is None:
         return snf.mod_rank(boundary_matrix(X, n, theory).columns, p)
-    return _rank_mod(invariants, p)
-
-
-def _rank_mod(invariants: _Invariants, p: int) -> int:
-    """rank_p d_n off the integral invariants of d_n: rank minus the factors p divides."""
     rank, torsion, _ = invariants
     return rank - sum(1 for e in torsion if e % p == 0)
 
@@ -370,6 +356,7 @@ def homology(X: RackTable, n: int, theory: str = "R") -> AbelianGroup:
     dim = len(chain_basis(X, n, theory))
     if dim == 0:
         return AbelianGroup(0)
+    _budget.check_chain(X.size, n + 1)  # C_{n+1}, before any map is built
     rank_lower, _, _ = _boundary_invariants(X, n, theory)
     rank_upper, torsion, _ = _boundary_invariants(X, n + 1, theory)
     return AbelianGroup(dim - rank_lower - rank_upper, torsion)
@@ -383,6 +370,7 @@ def homology_mod(X: RackTable, n: int, theory: str, p: int) -> int:
     dim = len(chain_basis(X, n, theory))
     if dim == 0:
         return 0
+    _budget.check_chain(X.size, n + 1)  # C_{n+1}, before any map is built
     return dim - _boundary_mod_rank(X, n, theory, p) - _boundary_mod_rank(X, n + 1, theory, p)
 
 
@@ -616,15 +604,10 @@ class CochainSpaces(Record):
 
     @cached_property
     def coboundary_dimension(self) -> int:
-        """rank d_n mod d, off the d_n or its invariants this object already holds."""
+        """rank d_n mod d, the cached rank ``homology_mod`` reads."""
         if not self.prime:
             raise DomainError("dimensions need a prime modulus")
-        held, p = vars(self), self.modulus
-        if "_down_invariants" in held:
-            return _rank_mod(held["_down_invariants"], p)
-        if "_down" in held:
-            return snf.mod_rank(held["_down"].columns, p)
-        return _boundary_mod_rank(self.X, self.degree, self.theory, p)
+        return _boundary_mod_rank(self.X, self.degree, self.theory, self.modulus)
 
     @cached_property
     def cocycle_vectors(self) -> tuple[tuple[int, ...], ...]:
@@ -635,14 +618,8 @@ class CochainSpaces(Record):
 
     @cached_property
     def _down(self) -> BoundaryMatrix:
-        """d_n, built once for the coboundary generators and every membership test."""
+        """d_n, built once for the coboundary generators and every appended matrix."""
         return boundary_matrix(self.X, self.degree, self.theory)
-
-    @cached_property
-    def _down_invariants(self) -> _Invariants:
-        """The memoized invariants of d_n, else those of ``_down``, eliminated here."""
-        memoized = _boundary_invariants.peek(self.X, self.degree, self.theory)
-        return memoized if memoized is not None else _eliminate_boundary(self._down)
 
     @cached_property
     def coboundary_vectors(self) -> tuple[tuple[int, ...], ...]:
@@ -676,11 +653,10 @@ class CochainSpaces(Record):
         factors e_i of d_n, (Z^dim / rowspan(d_n)) (x) Z_d has order
         d^(dim - r) * prod gcd(e_i, d); phi lies in rowspan(d_n) + d Z^dim
         exactly when appending phi as a row leaves that order unchanged.
-        The invariants of d_n itself are the memoized ones ``homology``
-        reads, or else read once off ``_down``; only the appended matrix is
-        eliminated on every call.  A phi of another
-        degree or modulus, or nonzero off the basis (outside the quandle, or
-        degenerate in theory Q), raises DomainError.
+        The rank and torsion of d_n come from the memo that ``homology``
+        reads; only the appended matrix is eliminated on every call.  A phi
+        of another degree or modulus, or nonzero off the basis (outside the
+        quandle, or degenerate in theory Q), raises DomainError.
         """
         if (phi.degree, phi.modulus) != (self.degree, self.modulus):
             raise DomainError(f"expected a cochain of degree {self.degree} mod {self.modulus}")
@@ -688,13 +664,14 @@ class CochainSpaces(Record):
         outside = next((t for t in phi.values if t not in index), None)
         if outside is not None:
             raise DomainError(f"cochain is nonzero on {outside}, outside the chain basis")
+        of_down = _boundary_invariants(self.X, self.degree, self.theory)[:2]
         down = self._down
         dim, d, m = len(self.basis), self.modulus, down.nrows
         appended = list(down.columns)
         for t, v in phi.values.items():
             appended[index[t]] = {**appended[index[t]], m: v}
         free, torsion = snf.cokernel_invariants(appended, m + 1)
-        invariants = (self._down_invariants[:2], (m + 1 - free, torsion))
+        invariants = (of_down, (m + 1 - free, torsion))
         orders = [d ** (dim - rank) * prod(gcd(e, d) for e in torsion)
                   for rank, torsion in invariants]
         return orders[0] == orders[1]

@@ -6,17 +6,18 @@ unimodular steps in two phases of one routine.  While a +-1 entry is left it
 pivots on one, in the shortest live column and the shortest row among its
 units (Dumas, Saunders and Villard, J. Symb. Comput. 32, 2001), and reports
 those columns: ``homology`` reads them as elementary reductions of the chain
-complex.  Past the units it keeps going on the residual's sparse rows,
-pivoting on an entry of least absolute value and stepping by division with
-remainder: the pivot's column and then its row are reduced by
-nearest-integer quotients, and the least remainder becomes the next pivot,
-so entries stay near the size of the residual's own.  Memory stays linear
-in the nonzero entries.  ``invariant_factors`` sorts the diagonal into the
-divisibility chain, the rule that makes ``AbelianGroup.from_divisors``
-canonical, and carries each gcd/lcm move on a transform when one is given.
-Every step is invertible mod every prime, so the invariant factors e_i of A
-give every GF(p) rank: rank_p(A) = rank(A) - #{e_i : p | e_i}.
-``homology`` reads GF(p) ranks that way once a map is eliminated over Z.
+complex, whose rows the next map's elimination leaves out (``drop``).  Past
+the units it keeps going on the residual's sparse rows, pivoting on an
+entry of least absolute value and stepping by division with remainder: the
+pivot's column and then its row are reduced by nearest-integer quotients,
+and the least remainder becomes the next pivot, so entries stay near the
+size of the residual's own.  Memory stays linear in the nonzero entries.
+``invariant_factors`` sorts the diagonal into the divisibility chain, the
+rule that makes ``AbelianGroup.from_divisors`` canonical, and carries each
+gcd/lcm move on a transform when one is given.  Every step is invertible mod
+every prime, so the invariant factors e_i of A give every GF(p) rank:
+rank_p(A) = rank(A) - #{e_i : p | e_i}.  ``homology`` reads GF(p) ranks that
+way once a map is eliminated over Z.
 ``mod_kernel`` reads the fewest generators of the x in Z_d^n orthogonal to
 the columns, for any modulus d, off the same elimination: the chain of the
 diagonal mod d solves it in the final coordinates, and the logged pivots and
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import heapq
 from math import gcd
-from typing import Mapping, Sequence
+from typing import AbstractSet, Mapping, Sequence
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -89,12 +90,15 @@ def _eliminate(
     columns: Sequence[Mapping[int, int]],
     nrows: int,
     pivots: list[tuple[int, int, dict[int, int]]] | None = None,
+    drop: AbstractSet[int] = frozenset(),
 ) -> tuple[set[int], dict[int, int]]:
     """Diagonalize a sparse integer matrix by unimodular row and column operations.
 
     Returns the columns pivoted on while +-1 entries last, and the diagonal
     as {row: |pivot|}: its length is the rank, and ``invariant_factors`` of
-    its values gives the invariant factors.
+    its values gives the invariant factors.  The rows in ``drop`` are left
+    out as the columns are copied.  Every choice below compares rows only by
+    index order, so this eliminates the input without them, renumbered.
 
     While a +-1 entry is left, the pivot is one in the shortest live column,
     in the shortest row among its units; its column's other entries are
@@ -122,7 +126,8 @@ def _eliminate(
     x.  Without the list, each pivoted column is freed at once, so a rank
     peaks no higher than its elimination needs.  The input is not modified.
     """
-    cols = {j: {i: v for i, v in col.items() if v} for j, col in enumerate(columns)}
+    cols = {j: {i: v for i, v in col.items() if v and i not in drop}
+            for j, col in enumerate(columns)}
     rows: list[set[int]] = [set() for _ in range(nrows)]
     for j, col in cols.items():
         for i in col:
@@ -235,20 +240,22 @@ def _eliminate(
 
 
 def cokernel_invariants(
-    columns: Sequence[Mapping[int, int]], nrows: int, pivoted: set[int] | None = None
+    columns: Sequence[Mapping[int, int]], nrows: int, pivoted: set[int] | None = None,
+    drop: AbstractSet[int] = frozenset(),
 ) -> tuple[int, list[int]]:
     """Free rank and invariant factors (> 1) of Z^nrows / colspan(A).
 
     A is given by its sparse columns.  The rank of A is nrows minus the free
     rank.  A and its transpose share the Smith diagonal, so the same factors
     describe Z^ncols / rowspan(A).  Given a ``pivoted`` set, adds to it the
-    columns that ``_eliminate`` pivoted on while +-1 entries last.
+    columns that ``_eliminate`` pivoted on while +-1 entries last.  Given
+    ``drop``, a set of row indices below nrows, A is the matrix without them.
     """
-    unit_columns, diagonal = _eliminate(columns, nrows)
+    unit_columns, diagonal = _eliminate(columns, nrows, drop=drop)
     if pivoted is not None:
         pivoted |= unit_columns
     torsion = invariant_factors([e for e in diagonal.values() if e > 1])
-    return nrows - len(diagonal), [e for e in torsion if e > 1]
+    return nrows - len(drop) - len(diagonal), [e for e in torsion if e > 1]
 
 
 def mod_kernel(vectors: Sequence[Mapping[int, int]], ncols: int, d: int) -> list[list[int]]:

@@ -875,6 +875,24 @@ def test_module_entry_point():
     assert "kei (order 3, orbits 1)" in proc.stdout
 
 
+def test_closed_stdout_ends_the_command_without_a_traceback():
+    # A reader that stops after the header (``| head -3``) closes the pipe
+    # while 91 125 rows are still to be written.  The command exits 1, and
+    # neither the write nor the flush at exit prints a traceback.
+    import subprocess
+    import sys
+
+    argv = [sys.executable, "-m", "quandlekit", "color", "torus:3:6", "dihedral:45", "--list"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    header = [proc.stdout.readline() for _ in range(3)]
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert header[1:] == [b"colorings: 91125\n", b"#data colorings 91125\n"]
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
 def test_cli_import_loads_no_thread_pool():
     import subprocess
     import sys

@@ -257,7 +257,8 @@ def test_degree_sweep_eliminates_each_boundary_once(monkeypatch):
     # over Z once each, and the GF(3) ranks are read off their invariant
     # factors, so nothing is reduced over GF(3).  Each d_n of R3 in theory Q
     # is told apart by its 3 * 2^(n-1) columns, and is eliminated on the rows
-    # that the pivots of d_{n-1} leave (d_1, never eliminated here, leaves all).
+    # that the pivots of d_{n-1} leave (d_1, never eliminated here, leaves all):
+    # the spy records the rows left once ``drop`` is taken out.
     from quandlekit import snf
 
     X = make_dihedral(3)
@@ -266,9 +267,9 @@ def test_degree_sweep_eliminates_each_boundary_once(monkeypatch):
     over_z, over_gf = [], []
     real_z, real_gf = snf._eliminate, snf.mod_rref
 
-    def counted_z(columns, nrows):
-        over_z.append((nrows, len(columns)))
-        return real_z(columns, nrows)
+    def counted_z(columns, nrows, pivots=None, drop=frozenset()):
+        over_z.append((nrows - len(drop), len(columns)))
+        return real_z(columns, nrows, pivots, drop)
 
     def counted_gf(vectors, p):
         over_gf.append((id(vectors), p))
@@ -898,9 +899,11 @@ def test_contains_coboundary_matches_brute_force(spec, n, d):
 
 def test_cochain_spaces_build_their_boundary_once(monkeypatch, r3, theta):
     # Only answers are memoized, not boundary maps: a CochainSpaces keeps its
-    # own d_n for the coboundary generators and every membership test.  With
-    # the invariants of d_n memoized, every build the spy sees is the
-    # CochainSpaces' own; on a cold memo it reads those invariants off its d_n.
+    # own d_n for the coboundary generators and every membership test, and
+    # reads the invariants of d_n from the memo.  With them memoized, the one
+    # build the spy sees is the CochainSpaces' own; on a cold memo the first
+    # membership test also builds d_n for the memo, so the spy sees two.  The
+    # six membership tests build nothing more either way.
     hom = sys.modules["quandlekit.homology"]  # quandlekit.homology is also a function
     built = []
     real = hom.boundary_matrix
@@ -920,15 +923,20 @@ def test_cochain_spaces_build_their_boundary_once(monkeypatch, r3, theta):
         for _ in range(3):
             assert not spaces.contains_coboundary(theta)
             assert spaces.contains_coboundary(boundary)
-        assert built == [3], warm
+        assert built == ([3] if warm else [3, 3]), warm
 
 
-def test_coboundary_dimension_reads_the_boundary_the_spaces_hold(monkeypatch):
-    # contains_coboundary leaves d_3 and its invariants in the CochainSpaces;
-    # the coboundary dimension is then rank d_3 minus the factors 5 divides,
-    # with no second build of d_3 and no GF(5) reduction of it.  Held alone,
-    # d_3 is reduced mod 5 without a rebuild.
+def test_coboundary_dimension_reads_the_memo_after_a_membership_test(monkeypatch):
+    # contains_coboundary memoizes the invariants of d_3; the coboundary
+    # dimension is then rank d_3 minus the factors 5 divides, read off them
+    # with no further build of d_3 and no GF(5) reduction.  The oracle is the
+    # GF(5) rank of d_3 taken directly, on a cold memo.
     hom = sys.modules["quandlekit.homology"]
+    X = make_dihedral(5)
+    _boundary_invariants.cache_clear()
+    _boundary_mod_rank.cache_clear()
+    direct = _boundary_mod_rank(X, 3, "Q", 5)
+    _boundary_mod_rank.cache_clear()
     built, reduced = [], []
     real_build, real_rref = hom.boundary_matrix, snf.mod_rref
 
@@ -942,23 +950,58 @@ def test_coboundary_dimension_reads_the_boundary_the_spaces_hold(monkeypatch):
 
     monkeypatch.setattr(hom, "boundary_matrix", counted_build)
     monkeypatch.setattr(snf, "mod_rref", counted_rref)
-    X = make_dihedral(5)
-    expected = {n: _boundary_mod_rank(X, n, "Q", 5) for n in (3, 4)}
-    for held in ("invariants", "map"):
-        _boundary_invariants.cache_clear()
-        _boundary_mod_rank.cache_clear()
-        built.clear()
-        reduced.clear()
-        spaces = cohomology(X, 3, "Q", 5)
-        if held == "invariants":
-            assert not spaces.contains_coboundary(_mochizuki(5))
-            assert spaces.cocycle_dimension == len(spaces.basis) - expected[4]
-            assert (built, reduced) == ([3, 4], [5])
-        else:
-            assert spaces._down.degree == 3  # d_3 alone, no invariants
-        assert spaces.coboundary_dimension == expected[3]
-        assert built == ([3, 4] if held == "invariants" else [3]), held
-        assert reduced == [5], held
+    spaces = cohomology(X, 3, "Q", 5)
+    assert not spaces.contains_coboundary(_mochizuki(5))
+    assert built == [3, 3] and reduced == []  # the memo's d_3 and the spaces' own
+    built.clear()
+    assert spaces.coboundary_dimension == _boundary_mod_rank(X, 3, "Q", 5) == direct
+    assert (built, reduced) == ([], [])
+
+
+def test_membership_then_homology_eliminates_the_boundary_once(monkeypatch, r3, theta):
+    # d_3 of R3 in theory Q has 3 * 2 * 2 = 12 columns, as does the matrix a
+    # membership test appends theta to; d_4 has 24.  After a cold membership
+    # test, homology(R3, 3) reads d_3's invariants from the memo and
+    # eliminates only d_4.
+    calls = []
+    real = snf.cokernel_invariants
+
+    def counted(columns, nrows, *args, **kwargs):
+        calls.append(len(columns))
+        return real(columns, nrows, *args, **kwargs)
+
+    monkeypatch.setattr(snf, "cokernel_invariants", counted)
+    _boundary_invariants.cache_clear()
+    assert not cohomology(r3, 3, "Q", 3).contains_coboundary(theta)
+    assert calls == [12, 12]  # d_3 for the memo, then the appended matrix
+    calls.clear()
+    assert homology(r3, 3, "Q") == AbelianGroup(0, (3,) * DELTA_FIB[2])
+    assert calls == [24]
+
+
+@pytest.mark.parametrize("call", [homology, lambda X, n, t: homology_mod(X, n, t, 2)],
+                         ids=["homology", "homology_mod"])
+def test_refusal_comes_before_any_map_is_built(monkeypatch, call):
+    # Under the default budget C_5 of R6 (6^5 tuples) passes and C_6 (6^6)
+    # is refused: H_5 needs d_6, so it is refused before d_5 is built.
+    monkeypatch.delenv("QUANDLEKIT_BUDGET", raising=False)
+    hom = sys.modules["quandlekit.homology"]
+    work = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            work.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(hom, "boundary_matrix", spy("build", hom.boundary_matrix))
+    for name in ("cokernel_invariants", "mod_rref"):
+        monkeypatch.setattr(snf, name, spy(name, getattr(snf, name)))
+    for fn in (_boundary_invariants, _boundary_mod_rank):
+        fn.cache_clear()
+    with pytest.raises(BudgetError, match=r"chain basis of size 6\^6 exceeds"):
+        call(make_dihedral(6), 5, "Q")
+    assert work == []
 
 
 def test_contains_coboundary_rejects_foreign_cochains(r3, theta):

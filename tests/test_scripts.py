@@ -49,10 +49,14 @@ def test_homology_survey_runs(monkeypatch, capsys):
 
 def test_sweep_runs_each_tree(monkeypatch, capsys):
     root = os.path.dirname(SCRIPTS)
+    monkeypatch.setenv("QUANDLEKIT_BUDGET", "531441")
     lines = run_script(monkeypatch, capsys, "sweep.py", "--tree", f"a={root}",
                        "--tree", f"b={root}", "--runs", "2", "--", "check dihedral:3")
     result = json.loads("\n".join(lines))
     assert result["trees"] == ["a", "b"]
+    # The budget every run inherited is named in the output and its method.
+    assert result["budget"] == "531441"
+    assert "QUANDLEKIT_BUDGET=531441" in result["method"]
     [row] = result["rows"]
     assert row["command"] == "quandlekit check dihedral:3"
     assert row["a"]["exit"] == row["b"]["exit"] == 0

@@ -424,6 +424,26 @@ def test_integral_invariants_give_every_prime_rank(data):
         assert m - free - sum(1 for e in torsion if e % p == 0) == mod_rank(columns, p)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_dropped_rows_match_the_matrix_without_them(data):
+    # Oracle: the same matrix with the rows of S deleted and the rest
+    # renumbered in order, as a column remap.  Same free rank, torsion and
+    # unit-pivot columns.
+    m = data.draw(st.integers(0, 9), label="rows")
+    n = data.draw(st.integers(0, 9), label="cols")
+    entry = st.sampled_from([0, 0, 0, 0, 1, -1, 1, 2, -2, 3, 6])
+    columns = columns_of([[data.draw(entry) for _ in range(n)] for _ in range(m)], m, n)
+    drop = frozenset(i for i in data.draw(st.sets(st.integers(0, 8)), label="S") if i < m)
+    kept = [i for i in range(m) if i not in drop]
+    position = dict(zip(kept, range(len(kept))))
+    renumbered = [{position[i]: v for i, v in col.items() if i in position} for col in columns]
+    pivoted, expected_pivoted = set(), set()
+    got = cokernel_invariants(columns, m, pivoted, drop)
+    assert got == cokernel_invariants(renumbered, len(kept), expected_pivoted)
+    assert pivoted == expected_pivoted
+
+
 def test_sparse_core_shapes():
     check_sparse_core([], 0, 3, [{}, {}, {}])
     check_sparse_core([[], [], []], 3, 0, [])
