@@ -7,8 +7,8 @@ from a file, a conjugation quandle or an abelian extension pays the
 O(|X|^3) axiom check and a union-find over its |X|^2 entries.  The trivial,
 dihedral and Alexander quandles are affine, a*b = Ta + (1-T)b on a finite
 abelian group with T an automorphism, so they are quandles by construction:
-their constructors mark them, and their class and orbits are read off the
-table in linear time.
+their constructors mark them with their module data, and their class and
+orbits are read off the table in linear time.
 """
 
 from __future__ import annotations
@@ -48,17 +48,18 @@ class AxiomCheck(Record):
 class RackTable(Record):
     """An n-element binary operation table; table[a][b] encodes a*b.
 
-    ``affine`` is True only on a table that a builtin constructor built as
-    table[a][b] = Ta + (1-T)b on a finite abelian group whose zero is
-    element 0, with T an automorphism (see _affine).  It is not a field, so
-    it takes no part in construction, ``==``, ``hash`` or ``repr``.
+    ``affine`` is None except on a table that a builtin constructor built
+    as table[a][b] = Ta + (1-T)b on M = Z_m^deg, with T an automorphism
+    (see _affine): there it is the module data (m, T), T as deg rows of deg
+    integers, and element 0 is the zero of M.  It is not a field, so it
+    takes no part in construction, ``==``, ``hash`` or ``repr``.
     """
 
     size: int
     table: tuple[tuple[int, ...], ...]
     name: str | None = field(default=None, compare=False)
 
-    affine = False
+    affine = None  # not annotated, so not a field
 
     def __post_init__(self) -> None:
         n = self.size
@@ -212,9 +213,9 @@ def check_axioms(table: Sequence[Sequence[int]]) -> AxiomCheck:
 # --- constructors -------------------------------------------------------------
 
 
-def _affine(X: RackTable) -> RackTable:
-    """Mark X as affine; only for tables built as a*b = Ta + (1-T)b."""
-    object.__setattr__(X, "affine", True)
+def _affine(X: RackTable, m: int, T: Sequence[Sequence[int]]) -> RackTable:
+    """Mark X as affine with module data (m, T); only for tables built as a*b = Ta + (1-T)b."""
+    object.__setattr__(X, "affine", (m, tuple(map(tuple, T))))
     return X
 
 
@@ -223,7 +224,7 @@ def make_trivial(n: int) -> RackTable:
     if n < 1:
         raise DomainError("trivial kei needs at least one element")
     return _affine(RackTable(n, tuple(tuple(a for _ in range(n)) for a in range(n)),
-                             f"trivial:{n}"))
+                             f"trivial:{n}"), n, [[1]])
 
 
 def make_dihedral(n: int) -> RackTable:
@@ -234,7 +235,7 @@ def make_dihedral(n: int) -> RackTable:
         n,
         tuple(tuple((2 * j - i) % n for j in range(n)) for i in range(n)),
         f"dihedral:{n}",
-    ))
+    ), n, [[-1]])
 
 
 def make_alexander(
@@ -254,7 +255,7 @@ def make_alexander(
         raise DomainError("modulus must be positive")
     m = modulus
     if m == 1:
-        return _affine(RackTable(1, ((0,),), "alexander:1"))
+        return _affine(RackTable(1, ((0,),), "alexander:1"), 1, [[1]])
     q = [c % m for c in quotient_poly]
     while q and q[-1] == 0:
         q.pop()
@@ -305,7 +306,7 @@ def make_alexander(
     while not t[-1]:  # T is a unit, so t mod q is nonzero
         t.pop()
     spec = ":".join(",".join(map(str, p)) for p in (q, t))
-    return _affine(RackTable(n, rows, f"alexander:{m}:{spec}"))
+    return _affine(RackTable(n, rows, f"alexander:{m}:{spec}"), m, list(zip(*cols)))
 
 
 def _validate_group(table: Sequence[Sequence[int]]) -> tuple[int, list[int]]:

@@ -52,11 +52,24 @@ the closure's colorings, with their 2- or 3-cochain weights, follow for any
 power of the period at no extra cost, so torus:3:q takes the same time for
 every q.
 
+Counts by an affine rack have a third path, with no search and no state.
+A builtin rack is affine, a*b = Ta + (1-T)b on M = Z_m^deg (Joyce, JPAA 23,
+1982), and carries its module data (m, T) (RackTable.affine).  So its
+colorings are the kernel of a linear map over Z_m: for a braid word, of
+B^power - I, B the Burau matrix of the period at T, built letter by letter
+and powered by squaring; for a diagram or surface data, of the relations
+T x_i + (1 - T) x_k - x_j = 0.  The kernel's size comes off the Smith
+diagonal of the one elimination core (_affine_count), so a count costs a
+few products of N x N matrices, N = strands x deg, at any power.
+
 Every count and state sum is one histogram of weights (a count has d = 1),
 read off one table of the cochain's values on either path (_weights, off
 homology's tail rows) and taken by _histogram, which alone decides the path:
 
-- A shadow count is |X| times the arc count, on both paths below.
+- A shadow count is |X| times the arc count, on every path below.
+- A count by an affine rack, not --surjective, takes the linear route, on
+  any target.  Sums, --surjective counts and listings keep the paths
+  below, and so does every count by a rack file or a conjugation quandle.
 - A braid word takes the engine when its states number at most |X| times
   the crossings of its closure, the closure the search would build
   instead; the rule reads input sizes only, through the comparison the
@@ -83,6 +96,8 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import abc
+from math import gcd
+from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, overload
 
 from . import _budget
@@ -91,6 +106,7 @@ from .algebra import RackTable
 from .diagram import BraidWord, Diagram, SurfaceDiagramData, braid_closure
 from .errors import DomainError, NonCocycleError
 from .homology import Cochain, _tail_rows, is_cocycle
+from .snf import cokernel_invariants
 
 
 class Coloring(Record):
@@ -150,17 +166,24 @@ def _searcher(
     """
     if isinstance(target, SurfaceDiagramData):
         X.require_quandle()
-        n_vars, relations = target.n_sheets, target.relations
     else:
         X.require_rack()
-        n_vars = target.n_arcs
-        relations = tuple((r.from_under, r.to_under, r.over) for r in target.relations)
+    n_vars, relations = _relations(target)
     rels_of: list[list[int]] = [[] for _ in range(n_vars)]
     for idx, (i, j, k) in enumerate(relations):
         for v in {i, j, k}:
             rels_of[v].append(idx)
 
     return functools.partial(_search, X, relations, rels_of)
+
+
+def _relations(
+    target: Diagram | SurfaceDiagramData,
+) -> tuple[int, Sequence[tuple[int, int, int]]]:
+    """The variables (arcs or sheets) and the relations (i, j, k): x_j = x_i * x_k."""
+    if isinstance(target, SurfaceDiagramData):
+        return target.n_sheets, target.relations
+    return target.n_arcs, tuple((r.from_under, r.to_under, r.over) for r in target.relations)
 
 
 def _search(
@@ -366,11 +389,13 @@ def _orbit_fibers(X: RackTable) -> tuple[list[int], list[int]]:
 
 
 def count_colorings(D: Diagram | BraidWord, X: RackTable) -> int:
-    """The number of colorings of D by X, from one fiber per Inn(X) orbit.
+    """The number of colorings of D by X, by the path rule of the module docstring.
 
-    D may be a braid word: its closure's colorings are then counted as the
-    fixed points of the braid's permutation when the path rule admits it
-    (see the module docstring), else on the closure.
+    By an affine (builtin) rack the count is the size of a kernel over Z_m,
+    for a braid word that of B^power - I.  Otherwise it comes from one
+    fiber per Inn(X) orbit, and a braid word's closure is counted as the
+    fixed points of the braid's permutation when the rule admits it, else
+    on the closure.
     """
     return _histogram(D, X)[0]
 
@@ -387,7 +412,10 @@ def _histogram(
     """Per k in Z_d, the (shadow or surface) colorings of target of weight k.
 
     The one entry behind every count and state sum; it takes the path the
-    module docstring describes.  Without a cochain d = 1 and every coloring
+    module docstring describes: a shadow count is |X| times the count, a
+    count by an affine X (not surjective) goes to _affine_count, a braid
+    word goes to the engine when its states are few enough, and everything
+    else to the search.  Without a cochain d = 1 and every coloring
     counts.  A 2-cochain phi weighs each crossing phi(under, over); with
     shadow, a 3-cochain theta weighs it theta(region, under, over); on
     surface data theta weighs each triple point theta(lower, middle, upper).
@@ -399,6 +427,8 @@ def _histogram(
     if shadow and cochain is None:
         X.require_quandle()
         return [n * _histogram(target, X, surjective=surjective)[0]]
+    if cochain is None and not surjective and X.affine:
+        return [_affine_count(target, X)]
     if isinstance(target, BraidWord):
         k = target.strands + shadow
         limit = n * len(target.letters) * target.power
@@ -547,6 +577,129 @@ def _closure_histogram(
         if word.power % length == 0:
             hist[word.power // length * total % d] += length
     return hist
+
+
+# --- affine racks: counts by linear algebra -------------------------------------
+
+
+def _affine_count(target: Diagram | BraidWord | SurfaceDiagramData, X: RackTable) -> int:
+    """The colorings of target by an affine X, counted as the kernel of a linear map.
+
+    With X.affine = (m, T), a coloring is a vector over Z_m, deg = len(T)
+    coordinates per variable.  A braid word's colorings are the fixed
+    points of B^power on the strands, B the matrix of its period (_burau),
+    so the kernel of B^power - I; B^power takes O(log power) products.
+    Those of a diagram or surface data solve T x_i + (1 - T) x_k - x_j = 0
+    at each relation (i, j, k) of _relations.  An N-column matrix A over
+    Z_m has m^(N - r) times the product of gcd(e, m) over its invariant
+    factors e in its kernel, r the rank of an integer lift of A; the one
+    elimination core gives both (snf.cokernel_invariants).
+    """
+    m, T = X.affine
+    deg = len(T)
+    if isinstance(target, BraidWord):
+        B = _matrix_power(_burau(target, m, T), target.power, m)
+        n_vars = len(B)
+        equations = [{j: w for j, v in enumerate(row) if (w := v - (i == j))}
+                     for i, row in enumerate(B)]
+    else:
+        arcs, relations = _relations(target)
+        n_vars = arcs * deg
+        equations = []
+        for i, j, k in relations:
+            for r, row in enumerate(T):
+                eq: dict[int, int] = {}
+                for c, t in enumerate(row):
+                    eq[i * deg + c] = eq.get(i * deg + c, 0) + t
+                    eq[k * deg + c] = eq.get(k * deg + c, 0) + (r == c) - t
+                eq[j * deg + r] = eq.get(j * deg + r, 0) - 1
+                equations.append({x: w for x, v in eq.items() if (w := v % m)})
+    free, torsion = cokernel_invariants(equations, n_vars)
+    count = m**free
+    for e in torsion:
+        count *= gcd(e, m)
+    return count
+
+
+def _burau(word: BraidWord, m: int, T: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The matrix of word's period on the strands' colors, mod m: its Burau matrix at T.
+
+    Strand p holds rows p deg ... (p + 1) deg - 1.  As _closure_histogram,
+    s_i sends the colors (a, b) of strands i, i+1 to (b, Ta + (1 - T)b),
+    and s_i^-1 sends them to (c, a) with c = (1 - T^-1)a + T^-1 b.  The
+    product is built letter by letter from the identity: a letter replaces
+    the 2 deg rows of its two strands by combinations of them, one pass
+    over their columns, so no letter costs an N x N product.
+    """
+    deg = len(T)
+
+    def one_minus(A: Sequence[Sequence[int]]) -> list[list[int]]:
+        return [[int(r == c) - v for c, v in enumerate(row)] for r, row in enumerate(A)]
+
+    # The coefficient rows of a letter's new block, read against the rows (a, b).
+    up = [tuple(x) + tuple(y) for x, y in zip(T, one_minus(T))]
+    if any(e < 0 for _, e in word.letters):
+        inv = _inverse_mod(T, m)
+        down = [tuple(x) + tuple(y) for x, y in zip(one_minus(inv), inv)]
+    n = word.strands * deg
+    P = [[int(r == c) for c in range(n)] for r in range(n)]
+    if deg == 1:  # one row per strand: scalars, a third of the generic pass's time
+        for i, sign in word.letters:
+            a, b = P[i - 1], P[i]
+            (x, y), = up if sign == 1 else down
+            new = [(x * u + y * v) % m for u, v in zip(a, b)]
+            P[i - 1], P[i] = (b, new) if sign == 1 else (new, a)
+        return P
+    for i, sign in word.letters:
+        lo, mid, hi = (i - 1) * deg, i * deg, (i + 1) * deg
+        a, b = P[lo:mid], P[mid:hi]
+        cols = list(zip(*a, *b))
+        new = [[sum(map(mul, coef, col)) % m for col in cols]
+               for coef in (up if sign == 1 else down)]
+        P[lo:hi] = b + new if sign == 1 else new + a
+    return P
+
+
+def _product(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]], m: int) -> list[list[int]]:
+    """AB mod m."""
+    cols = list(zip(*B))
+    return [[sum(map(mul, row, col)) % m for col in cols] for row in A]
+
+
+def _matrix_power(B: list[list[int]], q: int, m: int) -> list[list[int]]:
+    """B^q mod m for q >= 1, by repeated squaring."""
+    out = None
+    while True:
+        if q & 1:
+            out = B if out is None else _product(out, B, m)
+        q >>= 1
+        if not q:
+            return out
+        B = _product(B, B, m)
+
+
+def _inverse_mod(T: Sequence[Sequence[int]], m: int) -> list[list[int]]:
+    """The inverse mod m of a matrix that is invertible mod m, by Gauss-Jordan.
+
+    A column is cleared below its diagonal by Euclid's algorithm on pairs
+    of rows, which leaves the gcd of its entries on the diagonal: no prime
+    of m divides it, since the rows left are invertible mod m, so it is a
+    unit.
+    """
+    deg = len(T)
+    rows = [[v % m for v in row] + [int(r == c) for c in range(deg)] for r, row in enumerate(T)]
+    for c in range(deg):
+        for r in range(c + 1, deg):
+            while rows[r][c]:
+                f = rows[c][c] // rows[r][c]
+                rows[c] = [(x - f * y) % m for x, y in zip(rows[c], rows[r])]
+                rows[c], rows[r] = rows[r], rows[c]
+        u = pow(rows[c][c], -1, m)
+        rows[c] = [x * u % m for x in rows[c]]
+        for r in range(deg):
+            if r != c and (f := rows[r][c]):
+                rows[r] = [(x - f * y) % m for x, y in zip(rows[r], rows[c])]
+    return [row[deg:] for row in rows]
 
 
 def _region_plan(D: Diagram) -> list[tuple[int, int, int, bool]]:

@@ -8,8 +8,9 @@ tuple; the budget still counts all |X|^n tuples.  Boundary maps are built as
 sparse columns tail by tail: the faces of each tail (x2 ... xn) are walked
 once (``_faces``, the one face walk the cocycle check reads too), and each
 face gives the codomain rows of its term for every first coordinate x1 at
-once.  Each column equals the per-tuple ``_boundary_terms`` on the basis,
-key order included, so it is eliminated alike.  Integral homology is read
+once.  Each column equals the boundary of its tuple taken term by term
+on the basis, key order included, so it is eliminated alike; the tests
+keep that per-tuple definition as the reference.  Integral homology is read
 off the Smith diagonals of the two boundary maps at each degree: ker d_n is a
 direct summand of C_n, so H_n has the torsion of coker d_{n+1} and free rank
 dim C_n - rank d_n - rank d_{n+1}.  Those diagonals and coboundary
@@ -123,36 +124,18 @@ def _nondegenerate_tuples(m: int, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuples)
 
 
-def _boundary_terms(X: RackTable, t: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """The chain boundary of one tuple as a sparse coefficient map.
-
-    The per-tuple definition; ``boundary_matrix`` and the cocycle check
-    walk the same faces per tail (``_faces``), and the tests compare them
-    with it.
-    """
-    n = len(t)
-    out: dict[tuple[int, ...], int] = {}
-    # The i=1 term drops out: both bracketed tuples coincide.
-    for i in range(2, n + 1):
-        sign = -1 if i % 2 else 1
-        xi = t[i - 1]
-        dropped = t[: i - 1] + t[i:]
-        acted = tuple(X.table[x][xi] for x in t[: i - 1]) + t[i:]
-        out[dropped] = out.get(dropped, 0) + sign
-        out[acted] = out.get(acted, 0) - sign
-    return {k: v for k, v in out.items() if v}
-
-
 _Face = tuple[int, int, tuple[int, ...], tuple[int, ...]]
 
 
 def _faces(table: Sequence[Sequence[int]], s: tuple[int, ...]) -> list[_Face]:
     """The faces i = 2 ... n of (x1, s) for every x1 at once, s = (x2 ... xn).
 
-    Face i is (sign, s_i, dropped, acted): the sign (-1)^i of
-    ``_boundary_terms``, which the dropped term carries and the acted term
-    negates; the tail of s without s_i, under x1; and the tail (s_1 * s_i,
-    ..., s_{i-1} * s_i, s_{i+1}, ...), under x1 * s_i.  The i = 1 face drops
+    The boundary of a tuple is the sum over i = 2 ... n of (-1)^i times
+    (x1 ... xn without xi) minus (x1 * xi, ..., x(i-1) * xi, x(i+1) ...
+    xn).  Face i is (sign, s_i, dropped, acted): the sign (-1)^i, which
+    the dropped term carries and the acted term negates; the tail of s
+    without s_i, under x1; and the tail (s_1 * s_i, ..., s_{i-1} * s_i,
+    s_{i+1}, ...), under x1 * s_i.  The i = 1 face drops
     out.  This is the boundary formula in tail form, read by
     ``boundary_matrix`` and the cocycle check alike.
     """
@@ -213,9 +196,9 @@ def boundary_matrix(X: RackTable, n: int, theory: str = "R") -> BoundaryMatrix:
     For each tail s of the domain, each face of ``_faces`` gives one vector
     of rows over every x1: the dropped face reads at[dropped] at x1, the
     acted face reads at[acted] at x1 * s_i through the right-translation
-    column of s_i.  A column (x1, s) then sums its 2(n - 1) rows in the
-    order of ``_boundary_terms`` and drops the zeros, so it equals the
-    per-tuple boundary on the basis, key order included.
+    column of s_i.  A column (x1, s) then sums its 2(n - 1) rows in face
+    order, each dropped term before its acted term, and drops the zeros,
+    so it equals the per-tuple boundary on the basis, key order included.
     """
     _check_theory(X, theory)
     domain = chain_basis(X, n, theory)
@@ -490,7 +473,7 @@ def _coboundary_values(
     reads too (``_faces``).  The dropped face reads the row of its tail at
     x1; the acted face reads the row of its tail at x1 * s_i, through the
     right-translation column of s_i.  So each face is one row operation for
-    every x1 at once, with the signs of ``_boundary_terms``, and absent
+    every x1 at once, with the signs of the boundary formula, and absent
     rows are skipped.  Entries off the basis are zero: x1 = s_1 in theory
     Q, x1 != s_1 on a non-degenerate tail in theory D.  Rows are yielded in
     lexicographic order of the tails (in theory Q the non-degenerate ones,

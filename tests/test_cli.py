@@ -10,7 +10,8 @@ from quandlekit.diagram import BraidWord, braid_closure
 from quandlekit.specs import bundled_path, read_data_file, resolve_diagram, resolve_rack
 
 from conftest import (
-    brute_force_colorings, brute_force_sheets, brute_force_shadows, run_cli_guarded,
+    brute_force_colorings, brute_force_sheets, brute_force_shadows, format_rack_table,
+    run_cli_guarded,
 )
 
 
@@ -773,8 +774,13 @@ def test_torus_million_shadow_sum_within_one_cpu_second(capsys):
     assert payload(out) == ["9 + 18t^2"]
 
 
-def test_braid_specs_take_the_engine_by_the_path_rule(monkeypatch, capsys):
-    """Small state spaces skip the closure and the search; large ones keep both."""
+def test_braid_specs_take_the_engine_by_the_path_rule(monkeypatch, capsys, tmp_path):
+    """Small state spaces skip the closure and the search; large ones keep both.
+
+    The rule is pinned on rack files, which are never affine-marked: a
+    count by a builtin rack takes the linear route, and none of the engine,
+    the closure and the search.
+    """
     from quandlekit import coloring, diagram, invariant, specs
 
     calls = []
@@ -786,32 +792,50 @@ def test_braid_specs_take_the_engine_by_the_path_rule(monkeypatch, capsys):
         return wrapper
 
     spied = (("braid_closure", diagram), ("_searcher", coloring),
-             ("_transported", coloring))
+             ("_transported", coloring), ("_closure_histogram", coloring))
     for name, owner in spied:
         wrapped = spy(name, getattr(owner, name))
         for module in (cli, coloring, diagram, invariant, specs):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapped)
+
+    def table_file(spec):
+        path = tmp_path / (spec.replace(":", "_") + ".rack")
+        path.write_text(format_rack_table(resolve_rack(spec)))
+        return str(path)
+
+    a27 = "alexander:3:1,0,0,1:2"
+    r3, r30, a27_file = table_file("dihedral:3"), table_file("dihedral:30"), table_file(a27)
     code, out, _ = run(capsys, "invariant", "torus:3:1000", "dihedral:3", "theta_R3.cochain")
     assert code == 0 and payload(out) == ["9 + 18t^2"]
     # The rule reads input sizes only, not the chain-basis budget.
     monkeypatch.setenv("QUANDLEKIT_BUDGET", "not-a-number")
-    code, out, _ = run(capsys, "color", "torus:3:30", "dihedral:3", "--shadow", "--count")
+    code, out, _ = run(capsys, "color", "torus:3:30", r3, "--shadow", "--count")
     assert code == 0 and payload(out) == ["shadow-colorings: 81"]
     monkeypatch.delenv("QUANDLEKIT_BUDGET")
     # 30^3 = 27000 states, over the default budget, against 30 x 904 crossings.
-    code, out, _ = run(capsys, "color", "torus:3:452", "dihedral:30", "--count")
+    code, out, _ = run(capsys, "color", "torus:3:452", r30, "--count")
     assert code == 0 and payload(out) == ["colorings: 90"]
     # A shadow count by a quandle is |X| times the arc count, so it is ruled
     # on the arc states: 27^3 against 27 x 2000 crossings.
-    code, out, _ = run(capsys, "color", "torus:3:1000", "alexander:3:1,0,0,1:2",
-                       "--shadow", "--count")
+    code, out, _ = run(capsys, "color", "torus:3:1000", a27_file, "--shadow", "--count")
     assert code == 0 and payload(out) == ["shadow-colorings: 19683"]
-    assert calls == []
+    assert calls == ["_closure_histogram"] * 4
     # 27^3 states against 27 x 8 crossings: the closure and the search.
-    code, out, _ = run(capsys, "color", "torus:3:4", "alexander:3:1,0,0,1:2", "--count")
+    calls.clear()
+    code, out, _ = run(capsys, "color", "torus:3:4", a27_file, "--count")
     assert code == 0 and payload(out) == ["colorings: 729"]
     assert calls[0] == "braid_closure" and "_searcher" in calls
+    assert "_closure_histogram" not in calls
+    # The same counts by the builtin racks take the linear route.
+    calls.clear()
+    for argv, want in ((("torus:3:30", "dihedral:3", "--shadow"), "shadow-colorings: 81"),
+                       (("torus:3:452", "dihedral:30"), "colorings: 90"),
+                       (("torus:3:1000", a27, "--shadow"), "shadow-colorings: 19683"),
+                       (("torus:3:4", a27), "colorings: 729")):
+        code, out, _ = run(capsys, "color", *argv, "--count")
+        assert code == 0 and payload(out) == [want], argv
+    assert calls == []
     # Listings and surjective counts never take the engine: a listing reads
     # the search's ordered stream as words.
     for flag, search in (("--list", "_transported"), ("--surjective", "_searcher")):

@@ -41,7 +41,6 @@ from quandlekit.homology import (
     THEORIES,
     _boundary_invariants,
     _boundary_mod_rank,
-    _boundary_terms,
     _cocycle_verdict,
     _is_prime,
     _is_degenerate,
@@ -115,6 +114,25 @@ def test_degree2_boundary_formula(r3):
         expected[idx1[(x,)]] += 1
         expected[idx1[(r3.op(x, y),)]] -= 1
         assert col == expected
+
+
+def _boundary_terms(X, t):
+    """The chain boundary of one tuple as a sparse coefficient map.
+
+    The per-tuple definition, the reference for ``boundary_matrix`` and the
+    cocycle check, which walk the same faces per tail (``homology._faces``).
+    """
+    n = len(t)
+    out = {}
+    # The i=1 term drops out: both bracketed tuples coincide.
+    for i in range(2, n + 1):
+        sign = -1 if i % 2 else 1
+        xi = t[i - 1]
+        dropped = t[: i - 1] + t[i:]
+        acted = tuple(X.table[x][xi] for x in t[: i - 1]) + t[i:]
+        out[dropped] = out.get(dropped, 0) + sign
+        out[acted] = out.get(acted, 0) - sign
+    return {k: v for k, v in out.items() if v}
 
 
 _CYCLE_RACK = RackTable(3, tuple(((a + 1) % 3,) * 3 for a in range(3)))  # not a quandle

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import os
 import runpy
+import signal
 import sys
 
 from quandlekit.specs import bundled_path
@@ -67,3 +68,23 @@ def test_sweep_runs_each_tree(monkeypatch, capsys):
         # Each run's CPU seconds, their least and their median.
         assert len(got["cpu_s_runs"]) == 2 and got["cpu_s_min"] == min(got["cpu_s_runs"])
         assert got["cpu_s_min"] <= got["cpu_s"] <= max(got["cpu_s_runs"])
+
+
+def test_sweep_caps_each_run_and_records_the_trip(monkeypatch, capsys):
+    """A run past a cap ends at once, with its exit code or signal recorded."""
+    root = os.path.dirname(SCRIPTS)
+    monkeypatch.delenv("QUANDLEKIT_BUDGET", raising=False)
+    lines = run_script(monkeypatch, capsys, "sweep.py", "--tree", f"a={root}", "--runs", "1",
+                       "--max-mb", "200", "--max-cpu-s", "1", "--",
+                       "check dihedral:30000",
+                       "color 'braid:7: 1 -1 2 -2 3 -3 4 -4 5 -5 6 -6' trivial:10 --list")
+    result = json.loads("\n".join(lines))
+    assert (result["max_mb"], result["max_cpu_s"]) == (200, 1)
+    assert "address space capped at 200 MB" in result["method"]
+    assert "CPU capped at 1 s" in result["method"]
+    table, listing = (row["a"] for row in result["rows"])
+    # The 9 * 10^8-entry table meets the address-space cap: MemoryError, exit 1.
+    assert table["exit"] == 1 and "signal" not in table
+    # The 10^7-row listing meets the CPU cap.
+    assert listing["exit"] == -signal.SIGXCPU and listing["signal"] == "SIGXCPU"
+    assert listing["cpu_s"] < 3
