@@ -50,8 +50,9 @@ class RackTable(Record):
 
     ``affine`` is None except on a table that a builtin constructor built
     as table[a][b] = Ta + (1-T)b on M = Z_m^deg, with T an automorphism
-    (see _affine): there it is the module data (m, T), T as deg rows of deg
-    integers, and element 0 is the zero of M.  It is not a field, so it
+    (see _affine): there it is the module data (m, T, T_inv), T and its
+    inverse mod m as deg rows of deg integers, and element 0 is the zero of
+    M.  It is not a field, so it
     takes no part in construction, ``==``, ``hash`` or ``repr``.
     """
 
@@ -213,9 +214,10 @@ def check_axioms(table: Sequence[Sequence[int]]) -> AxiomCheck:
 # --- constructors -------------------------------------------------------------
 
 
-def _affine(X: RackTable, m: int, T: Sequence[Sequence[int]]) -> RackTable:
-    """Mark X as affine with module data (m, T); only for tables built as a*b = Ta + (1-T)b."""
-    object.__setattr__(X, "affine", (m, tuple(map(tuple, T))))
+def _affine(X: RackTable, m: int, T: Sequence[Sequence[int]],
+            T_inv: Sequence[Sequence[int]]) -> RackTable:
+    """Mark X as affine with module data (m, T, T^-1); only for tables built as a*b = Ta + (1-T)b."""
+    object.__setattr__(X, "affine", (m, tuple(map(tuple, T)), tuple(map(tuple, T_inv))))
     return X
 
 
@@ -224,7 +226,7 @@ def make_trivial(n: int) -> RackTable:
     if n < 1:
         raise DomainError("trivial kei needs at least one element")
     return _affine(RackTable(n, tuple(tuple(a for _ in range(n)) for a in range(n)),
-                             f"trivial:{n}"), n, [[1]])
+                             f"trivial:{n}"), n, [[1]], [[1]])
 
 
 def make_dihedral(n: int) -> RackTable:
@@ -235,7 +237,7 @@ def make_dihedral(n: int) -> RackTable:
         n,
         tuple(tuple((2 * j - i) % n for j in range(n)) for i in range(n)),
         f"dihedral:{n}",
-    ), n, [[-1]])
+    ), n, [[-1]], [[-1]])
 
 
 def make_alexander(
@@ -255,7 +257,7 @@ def make_alexander(
         raise DomainError("modulus must be positive")
     m = modulus
     if m == 1:
-        return _affine(RackTable(1, ((0,),), "alexander:1"), 1, [[1]])
+        return _affine(RackTable(1, ((0,),), "alexander:1"), 1, [[1]], [[1]])
     q = [c % m for c in quotient_poly]
     while q and q[-1] == 0:
         q.pop()
@@ -296,8 +298,11 @@ def make_alexander(
     t_of = [[sum(c * col[r] for c, col in zip(e, cols)) % m for r in range(deg)]
             for e in elements]
     # T must act bijectively, otherwise R1 fails.
-    if len({idx(v) for v in t_of}) != n:
+    preimage = {idx(v): e for e, v in zip(elements, t_of)}
+    if len(preimage) != n:
         raise DomainError("T must be a unit in the quotient ring")
+    # Column k of T^-1 is the element that T sends to the unit vector x^k.
+    inv_cols = [preimage[m ** (deg - 1 - k)] for k in range(deg)]
     # a*b = Ta + (b - Tb)
     s_of = [[(x - y) % m for x, y in zip(b, tb)] for b, tb in zip(elements, t_of)]
     rows = tuple(tuple(idx([(x + y) % m for x, y in zip(ta, sb)]) for sb in s_of)
@@ -306,7 +311,8 @@ def make_alexander(
     while not t[-1]:  # T is a unit, so t mod q is nonzero
         t.pop()
     spec = ":".join(",".join(map(str, p)) for p in (q, t))
-    return _affine(RackTable(n, rows, f"alexander:{m}:{spec}"), m, list(zip(*cols)))
+    return _affine(RackTable(n, rows, f"alexander:{m}:{spec}"), m, list(zip(*cols)),
+                   list(zip(*inv_cols)))
 
 
 def _validate_group(table: Sequence[Sequence[int]]) -> tuple[int, list[int]]:

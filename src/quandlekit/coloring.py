@@ -54,7 +54,7 @@ every q.
 
 Counts by an affine rack have a third path, with no search and no state.
 A builtin rack is affine, a*b = Ta + (1-T)b on M = Z_m^deg (Joyce, JPAA 23,
-1982), and carries its module data (m, T) (RackTable.affine).  So its
+1982), and carries its module data (m, T, T^-1) (RackTable.affine).  So its
 colorings are the kernel of a linear map over Z_m: for a braid word, of
 B^power - I, B the Burau matrix of the period at T, built letter by letter
 and powered by squaring; for a diagram or surface data, of the relations
@@ -585,7 +585,7 @@ def _closure_histogram(
 def _affine_count(target: Diagram | BraidWord | SurfaceDiagramData, X: RackTable) -> int:
     """The colorings of target by an affine X, counted as the kernel of a linear map.
 
-    With X.affine = (m, T), a coloring is a vector over Z_m, deg = len(T)
+    With X.affine = (m, T, T^-1), a coloring is a vector over Z_m, deg = len(T)
     coordinates per variable.  A braid word's colorings are the fixed
     points of B^power on the strands, B the matrix of its period (_burau),
     so the kernel of B^power - I; B^power takes O(log power) products.
@@ -595,10 +595,10 @@ def _affine_count(target: Diagram | BraidWord | SurfaceDiagramData, X: RackTable
     factors e in its kernel, r the rank of an integer lift of A; the one
     elimination core gives both (snf.cokernel_invariants).
     """
-    m, T = X.affine
+    m, T, T_inv = X.affine
     deg = len(T)
     if isinstance(target, BraidWord):
-        B = _matrix_power(_burau(target, m, T), target.power, m)
+        B = _matrix_power(_burau(target, m, T, T_inv), target.power, m)
         n_vars = len(B)
         equations = [{j: w for j, v in enumerate(row) if (w := v - (i == j))}
                      for i, row in enumerate(B)]
@@ -621,7 +621,8 @@ def _affine_count(target: Diagram | BraidWord | SurfaceDiagramData, X: RackTable
     return count
 
 
-def _burau(word: BraidWord, m: int, T: Sequence[Sequence[int]]) -> list[list[int]]:
+def _burau(word: BraidWord, m: int, T: Sequence[Sequence[int]],
+           T_inv: Sequence[Sequence[int]]) -> list[list[int]]:
     """The matrix of word's period on the strands' colors, mod m: its Burau matrix at T.
 
     Strand p holds rows p deg ... (p + 1) deg - 1.  As _closure_histogram,
@@ -638,18 +639,9 @@ def _burau(word: BraidWord, m: int, T: Sequence[Sequence[int]]) -> list[list[int
 
     # The coefficient rows of a letter's new block, read against the rows (a, b).
     up = [tuple(x) + tuple(y) for x, y in zip(T, one_minus(T))]
-    if any(e < 0 for _, e in word.letters):
-        inv = _inverse_mod(T, m)
-        down = [tuple(x) + tuple(y) for x, y in zip(one_minus(inv), inv)]
+    down = [tuple(x) + tuple(y) for x, y in zip(one_minus(T_inv), T_inv)]
     n = word.strands * deg
     P = [[int(r == c) for c in range(n)] for r in range(n)]
-    if deg == 1:  # one row per strand: scalars, a third of the generic pass's time
-        for i, sign in word.letters:
-            a, b = P[i - 1], P[i]
-            (x, y), = up if sign == 1 else down
-            new = [(x * u + y * v) % m for u, v in zip(a, b)]
-            P[i - 1], P[i] = (b, new) if sign == 1 else (new, a)
-        return P
     for i, sign in word.letters:
         lo, mid, hi = (i - 1) * deg, i * deg, (i + 1) * deg
         a, b = P[lo:mid], P[mid:hi]
@@ -676,30 +668,6 @@ def _matrix_power(B: list[list[int]], q: int, m: int) -> list[list[int]]:
         if not q:
             return out
         B = _product(B, B, m)
-
-
-def _inverse_mod(T: Sequence[Sequence[int]], m: int) -> list[list[int]]:
-    """The inverse mod m of a matrix that is invertible mod m, by Gauss-Jordan.
-
-    A column is cleared below its diagonal by Euclid's algorithm on pairs
-    of rows, which leaves the gcd of its entries on the diagonal: no prime
-    of m divides it, since the rows left are invertible mod m, so it is a
-    unit.
-    """
-    deg = len(T)
-    rows = [[v % m for v in row] + [int(r == c) for c in range(deg)] for r, row in enumerate(T)]
-    for c in range(deg):
-        for r in range(c + 1, deg):
-            while rows[r][c]:
-                f = rows[c][c] // rows[r][c]
-                rows[c] = [(x - f * y) % m for x, y in zip(rows[c], rows[r])]
-                rows[c], rows[r] = rows[r], rows[c]
-        u = pow(rows[c][c], -1, m)
-        rows[c] = [x * u % m for x in rows[c]]
-        for r in range(deg):
-            if r != c and (f := rows[r][c]):
-                rows[r] = [(x - f * y) % m for x, y in zip(rows[r], rows[c])]
-    return [row[deg:] for row in rows]
 
 
 def _region_plan(D: Diagram) -> list[tuple[int, int, int, bool]]:

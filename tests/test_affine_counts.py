@@ -1,13 +1,13 @@
 """Counts by affine racks through the linear route, against every other path.
 
 A builtin rack is affine, a*b = Ta + (1-T)b on Z_m^deg, and carries its
-module data (m, T) as ``RackTable.affine``.  ``coloring._histogram`` sends
+module data (m, T, T^-1) as ``RackTable.affine``.  ``coloring._histogram`` sends
 its plain counts to ``coloring._affine_count``: the kernel of B^power - I
 for a braid word (B the period's Burau matrix at T, ``_burau``), of the
 relation matrix for a diagram or surface data.  The oracles here:
 
-- the module data rebuilds the table, and a braid's matrix moves a
-  coloring vector as the table moves the coloring;
+- the module data rebuilds the table, its T^-1 inverts T, and a braid's
+  matrix moves a coloring vector as the table moves the coloring;
 - the engine (``_closure_histogram``, called directly), the search on a
   copy of the table read back from its file format (never affine-marked)
   and, on tiny diagrams, brute force over X^arcs;
@@ -56,7 +56,7 @@ ENGINE_STATES = 20_000  # the most states the direct engine calls enumerate here
 
 def _vector(X, x):
     """The coefficient vector of element x, constant coefficient first."""
-    m, T = X.affine
+    m, T, _ = X.affine
     return [x // m ** (len(T) - 1 - r) % m for r in range(len(T))]
 
 
@@ -65,8 +65,10 @@ def test_module_data_rebuilds_the_table():
     specs += ["alexander:2:1,0,1:0,1", "alexander:3:-2,1:2", "alexander:5:3,1:0,1",
               "alexander:3:1,0,1:1,1", "alexander:6:1,1,1:0,1"]
     for X in [resolve_rack(spec) for spec in specs] + list(RACKS.values()):
-        m, T = X.affine
+        m, T, T_inv = X.affine
         assert m ** len(T) == X.size and all(len(row) == len(T) for row in T), X.name
+        assert [[sum(map(int.__mul__, row, col)) % m for col in zip(*T_inv)] for row in T] == [
+            [int(r == c) % m for c in range(len(T))] for r in range(len(T))], X.name
         vectors = [_vector(X, x) for x in range(X.size)]
         index = {tuple(v): x for x, v in enumerate(vectors)}
         for a, va in enumerate(vectors):
@@ -81,12 +83,12 @@ def test_module_data_rebuilds_the_table():
 @given(spec=st.sampled_from(SPECS), strands=st.integers(1, 4), data=st.data())
 def test_braid_matrix_moves_colorings_as_the_table_does(spec, strands, data):
     X = RACKS[spec]
-    m, T = X.affine
     letters = data.draw(st.lists(
         st.tuples(st.integers(1, max(strands - 1, 1)), st.sampled_from((1, -1))),
         max_size=8 if strands > 1 else 0))
     x = data.draw(st.lists(st.integers(0, X.size - 1), min_size=strands, max_size=strands))
-    P = _burau(BraidWord(strands, tuple(letters)), m, T)
+    m = X.affine[0]
+    P = _burau(BraidWord(strands, tuple(letters)), *X.affine)
     y = list(x)
     for i, e in letters:
         a, b = y[i - 1], y[i]
