@@ -87,15 +87,32 @@ def test_braid_matrix_moves_colorings_as_the_table_does(spec, strands, data):
         st.tuples(st.integers(1, max(strands - 1, 1)), st.sampled_from((1, -1))),
         max_size=8 if strands > 1 else 0))
     x = data.draw(st.lists(st.integers(0, X.size - 1), min_size=strands, max_size=strands))
+    _check_braid_matrix(X, BraidWord(strands, tuple(letters)), [x])
+
+
+def test_one_letter_matrices_move_every_coloring():
+    # Exhaustive on single letters, which the hypothesis test above samples:
+    # every coloring of the two strands a letter touches, at either end of
+    # the word's strands, by every rack (only Z_4[x]/(x^2 + 1) has T != T^t).
+    for X in RACKS.values():
+        pairs = [(a, b) for a in range(X.size) for b in range(X.size)]
+        for e in (1, -1):
+            _check_braid_matrix(X, BraidWord(2, ((1, e),)), pairs)
+            _check_braid_matrix(X, BraidWord(3, ((2, e),)), [(0, a, b) for a, b in pairs])
+
+
+def _check_braid_matrix(X, word, colorings):
+    """_burau(word) moves each coloring's vector as the table moves the coloring."""
     m = X.affine[0]
-    P = _burau(BraidWord(strands, tuple(letters)), *X.affine)
-    y = list(x)
-    for i, e in letters:
-        a, b = y[i - 1], y[i]
-        y[i - 1], y[i] = (b, X.op(a, b)) if e == 1 else (X.op_inv(b, a), a)
-    vec = [c for z in x for c in _vector(X, z)]
-    assert [sum(map(int.__mul__, row, vec)) % m for row in P] == [
-        c for z in y for c in _vector(X, z)]
+    P = _burau(word, *X.affine)
+    for x in colorings:
+        y = list(x)
+        for i, e in word.letters:
+            a, b = y[i - 1], y[i]
+            y[i - 1], y[i] = (b, X.op(a, b)) if e == 1 else (X.op_inv(b, a), a)
+        vec = [c for z in x for c in _vector(X, z)]
+        assert [sum(map(int.__mul__, row, vec)) % m for row in P] == [
+            c for z in y for c in _vector(X, z)], (X.name, word, x)
 
 
 def _connected(strands, raw, power):
@@ -146,6 +163,18 @@ def test_route_matches_search_and_brute_force_on_bundled_files():
             if X.size <= 9:  # the brute force prunes as it assigns
                 brute = brute_force_sheets if surface else brute_force_colorings
                 assert got == len(brute(target, X)), (name, spec)
+
+
+def test_a_word_times_its_inverse_closes_to_the_unlink():
+    # w w^-1 is the identity braid, so its closure is the unlink and every
+    # rack colors it |X|^strands ways: the letters s_i and s_i^-1 of the
+    # route must use T and its inverse.
+    for letters in (((1, 1),), ((1, -1), (2, 1)), ((1, 1), (2, 1), (1, -1), (2, 1))):
+        strands = 1 + max(i for i, _ in letters)
+        inverse = tuple((i, -e) for i, e in reversed(letters))
+        for X in RACKS.values():
+            word = BraidWord(strands, letters + inverse)
+            assert count_colorings(word, X) == X.size ** strands, (X.name, letters)
 
 
 def test_trivial_racks_count_every_component_freely():
