@@ -41,14 +41,18 @@ def within(m: int, n: int, bound: int) -> bool:
     return not (m > 1 and n > bound.bit_length()) and m**n <= bound
 
 
-def check_chain(m: int, n: int) -> None:
-    """Refuse C_n over m elements when its size exceeds the budget."""
+def check_chain(m: int, n: int, work: str = "") -> None:
+    """Refuse C_n over m elements when its size exceeds the budget.
+
+    The refusal names a chain basis, or the ``work`` done over its tuples
+    when one is named: a "cocycle check" walks C_n and builds no basis.
+    """
     limit = budget()
     if n > 0 and not (within(n, 2, limit) if m == 1 else within(m, n, limit)):
-        size = f"1^{n} (boundary work {n}^2)" if m == 1 else f"{m}^{n}"
+        extra = f" (boundary work {n}^2)" if m == 1 else ""
+        what = f"{work} over {m}^{n} tuples" if work else f"chain basis of size {m}^{n}"
         raise BudgetError(
-            f"chain basis of size {size} exceeds the budget of {limit} "
-            f"(override with {ENV})"
+            f"{what}{extra} exceeds the budget of {limit} (override with {ENV})"
         )
 
 

@@ -464,7 +464,7 @@ def _tail_rows(mu: Cochain, m: int) -> dict[tuple[int, ...], list[int]]:
 
 
 def _coboundary_values(
-    X: RackTable, mu: Cochain, theory: str
+    X: RackTable, mu: Cochain, theory: str, work: str
 ) -> Iterator[tuple[tuple[int, ...], list[int]]]:
     """Per tail s, the row x1 -> (delta mu)(x1, s) mod d on the degree-(n+1) basis.
 
@@ -479,10 +479,10 @@ def _coboundary_values(
     lexicographic order of the tails (in theory Q the non-degenerate ones,
     built directly by ``_nondegenerate_tuples``), only those with a nonzero
     entry.  The budget counts the |X|^(n+1) tuples of C_{n+1}, but no basis
-    is built.
+    is built, so a refusal names the ``work`` instead.
     """
     m, n, d, table = X.size, mu.degree, mu.modulus, X.table
-    _budget.check_chain(m, n + 1)
+    _budget.check_chain(m, n + 1, work)
     rows = _tail_rows(mu, m)
     # Each term adds a row: +mu through `rows`, -mu through `negated`.
     negated = {tail: [-v for v in row] for tail, row in rows.items()}
@@ -535,7 +535,7 @@ def _cocycle_verdict(X: RackTable, theory: str, degree: int, modulus: int, items
         if bad is not None:
             return CocycleCheck(False, "nonzero on degenerate tuple", bad)
     witness: tuple[int, ...] | None = None
-    for s, delta in _coboundary_values(X, phi, theory):
+    for s, delta in _coboundary_values(X, phi, theory, "cocycle check"):
         x = next(x for x, v in enumerate(delta) if v)
         if witness is None or x < witness[0]:
             witness = (x,) + s
@@ -550,7 +550,7 @@ def coboundary(X: RackTable, mu: Cochain, theory: str = "Q") -> Cochain:
     """The degree-(n+1) cochain (delta mu)(w) = mu(boundary w), in basis order."""
     _check_theory(X, theory)
     by_first: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(X.size)]
-    for s, delta in _coboundary_values(X, mu, theory):
+    for s, delta in _coboundary_values(X, mu, theory, "coboundary"):
         for x, v in enumerate(delta):
             if v:
                 by_first[x].append(((x,) + s, v))

@@ -4,9 +4,12 @@ Boundary maps are stored as sparse columns ({row: coefficient} dicts) with at
 most 2(n-1) entries each.  ``_eliminate`` diagonalizes them over Z by
 unimodular steps in two phases of one routine.  While a +-1 entry is left it
 pivots on one, in the shortest live column and the shortest row among its
-units (Dumas, Saunders and Villard, J. Symb. Comput. 32, 2001), and reports
-those columns: ``homology`` reads them as elementary reductions of the chain
-complex, whose rows the next map's elimination leaves out (``drop``).  Past
+units, ties to the least index (Dumas, Saunders and Villard, J. Symb.
+Comput. 32, 2001), and reports those columns: ``homology`` reads them as
+elementary reductions of the chain complex, whose rows the next map's
+elimination leaves out (``drop``).  The columns wait in a heap, each under
+one key that bounds its length from below, so an update pushes a column
+only when it falls below its key, not at every update.  Past
 the units it keeps going on the residual's sparse rows, pivoting on an
 entry of least absolute value and stepping by division with remainder: the
 pivot's column and then its row are reduced by nearest-integer quotients,
@@ -100,9 +103,18 @@ def _eliminate(
     out as the columns are copied.  Every choice below compares rows only by
     index order, so this eliminates the input without them, renumbered.
 
-    While a +-1 entry is left, the pivot is one in the shortest live column,
-    in the shortest row among its units; its column's other entries are
-    dropped and its row is cleared from the other columns.  The residual is
+    While a +-1 entry is left, the pivot is one in the shortest live column
+    with one, in the shortest row among its units, each tie to the least
+    index; its column's other entries are dropped and its row is cleared
+    from the other columns.  ``queued`` holds each column's key: at most
+    its length while it is in the heap, and above every length once it is
+    out.  An update pushes (length, j) only when j has fallen below its key,
+    so also when j is out; a pop whose key is no longer j's is skipped, and
+    a column popped longer than its key is queued again under its length.
+    Otherwise it leaves the queue, and a column with no unit waits for an
+    update to queue it again.  Every key bounds its column's length from
+    below, so the first pop at a column's own length is the least (length,
+    index) of all columns with a unit.  The residual is
     then kept by rows, {column: coeff} dicts: a boundary map's residual is
     far wider than tall, so a reduction updates the few rows that meet the
     pivot's column, each in one pass, found by scanning the rows.  Its pivot
@@ -133,14 +145,23 @@ def _eliminate(
         for i in col:
             rows[i].add(j)
     diagonal: dict[int, int] = {}
-    heap = [(len(col), j) for j, col in cols.items()]
+    out = nrows + 1  # the key of a column out of the queue, above every length
+    queued = [len(col) for col in cols.values()]  # each column's key
+    heap = list(zip(queued, cols))
     heapq.heapify(heap)
     while heap:
         length, c = heapq.heappop(heap)
-        col = cols.get(c, {})
-        units = [i for i, v in col.items() if v in (1, -1)] if len(col) == length else []
+        if queued[c] != length:
+            continue  # stale: c was pivoted, left the queue or is keyed anew
+        col = cols[c]
+        if len(col) > length:  # grew since it was queued
+            queued[c] = len(col)
+            heapq.heappush(heap, (len(col), c))
+            continue
+        queued[c] = out
+        units = [i for i, v in col.items() if v in (1, -1)]
         if not units:
-            continue  # stale, or no unit yet: every update pushes the column again
+            continue  # its next update queues it again
         r = min(units, key=lambda i: (len(rows[i]), i))
         del cols[c]
         for i in col:
@@ -163,7 +184,10 @@ def _eliminate(
                 else:
                     del target[i]
                     rows[i].discard(j)
-            heapq.heappush(heap, (len(target), j))
+            k = len(target)
+            if k < queued[j]:
+                queued[j] = k
+                heapq.heappush(heap, (k, j))
         rows[r].clear()
     pivoted = set(range(len(columns))).difference(cols)
 

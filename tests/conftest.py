@@ -37,18 +37,30 @@ def format_rack_table(X):
     return "\n".join(lines) + "\n"
 
 
-def symmetric_group_table(m):
-    """Multiplication table of S_m with elements in lexicographic order.
+def permutation_group_table(generators):
+    """Multiplication table of the group the permutations generate.
 
-    Composition acts left-to-right: (p . q)(i) = q(p(i)); conjugation
-    quandles of S_3 are built from it.
+    Elements are in lexicographic order, and composition acts
+    left-to-right: (p . q)(i) = q(p(i)).
     """
-    perms = sorted(itertools.permutations(range(m)))
+    identity = tuple(range(len(generators[0])))
+    elements, frontier = {identity}, [identity]
+    while frontier:
+        p = frontier.pop()
+        for g in generators:
+            q = tuple(g[i] for i in p)
+            if q not in elements:
+                elements.add(q)
+                frontier.append(q)
+    perms = sorted(elements)
     index = {p: i for i, p in enumerate(perms)}
-    return [
-        [index[tuple(q[p[i]] for i in range(m))] for q in perms]
-        for p in perms
-    ]
+    return [[index[tuple(q[i] for i in p)] for q in perms] for p in perms]
+
+
+def symmetric_group_table(m):
+    """Multiplication table of S_m; conjugation quandles of S_3 are built from it."""
+    swap = (1, 0) + tuple(range(2, m)) if m > 1 else (0,)
+    return permutation_group_table([swap, tuple(range(1, m)) + (0,)])
 
 
 def span_mod(vectors, n, d):

@@ -58,3 +58,15 @@ def test_one_element_refusal_names_the_work(monkeypatch):
     _budget.check_chain(1, 141)  # 141^2 = 19881
     with pytest.raises(BudgetError, match=r"size 1\^142 \(boundary work 142\^2\) exceeds"):
         _budget.check_chain(1, 142)
+
+
+def test_refusal_names_the_work(monkeypatch):
+    # Work that walks C_n without building it is named, not a chain basis.
+    monkeypatch.setenv("QUANDLEKIT_BUDGET", "624")
+    _budget.check_chain(5, 3, "cocycle check")
+    with pytest.raises(BudgetError) as info:
+        _budget.check_chain(5, 4, "cocycle check")
+    assert str(info.value) == ("cocycle check over 5^4 tuples exceeds the budget of 624 "
+                               "(override with QUANDLEKIT_BUDGET)")
+    with pytest.raises(BudgetError, match=r"^coboundary over 1\^25 tuples \(boundary work 25\^2\) "):
+        _budget.check_chain(1, 25, "coboundary")

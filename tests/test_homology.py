@@ -5,7 +5,7 @@ import sys
 from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from quandlekit import (
     AbelianGroup,
@@ -25,6 +25,7 @@ from quandlekit import (
     homology_with_coefficients,
     is_cocycle,
     make_alexander,
+    make_conjugation,
     make_dihedral,
     make_trivial,
     parse_cochain,
@@ -50,8 +51,8 @@ from quandlekit.homology import (
 from quandlekit.specs import read_data_file, resolve_rack
 
 from conftest import (
-    THETA_VALUES, composite_image, elementary_divisors, inner_automorphisms, prime_powers,
-    span_mod,
+    THETA_VALUES, composite_image, elementary_divisors, inner_automorphisms,
+    permutation_group_table, prime_powers, span_mod,
 )
 
 
@@ -268,6 +269,45 @@ def test_dihedral4_quandle_free_rank(r4):
     o = len(r4.orbits)
     for n in range(1, 6):
         assert homology(r4, n, "Q").rank == o * (o - 1) ** (n - 1), n
+
+
+SMALL_GROUPS = {
+    "Z_4": [(1, 2, 3, 0)],
+    "Z_2^2": [(1, 0, 3, 2), (2, 3, 0, 1)],
+    "S_3": [(1, 0, 2), (1, 2, 0)],
+    "D_4": [(1, 2, 3, 0), (3, 2, 1, 0)],
+}
+
+
+@st.composite
+def drawn_quandles(draw):
+    """An Alexander quandle Z_m[t]/(q) with a unit t, or a conjugation quandle."""
+    if draw(st.booleans(), label="affine"):
+        m = draw(st.integers(2, 5), label="modulus")
+        degree = draw(st.integers(1, 2 if m <= 3 else 1), label="degree")
+        quotient = draw(st.lists(st.integers(0, m - 1), min_size=degree, max_size=degree)) + [1]
+        t = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=2), label="t")
+        try:
+            return make_alexander(m, quotient, t)
+        except DomainError:  # t is not a unit mod q
+            assume(False)
+    group = draw(st.sampled_from(sorted(SMALL_GROUPS)), label="group")
+    exponent = draw(st.integers(1, 3), label="exponent")
+    return make_conjugation(permutation_group_table(SMALL_GROUPS[group]), exponent)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_quandles())
+def test_betti_numbers_of_drawn_quandles(X):
+    # Etingof and Grana (JPAA 177, 2003): rank H_n^R = o^n for o orbits;
+    # Litherland and Nelson (JPAA 178, 2003): rank H_n^Q = o(o-1)^(n-1).
+    o = len(X.orbits)
+    n = 1
+    while X.size ** (n + 1) <= 1300:
+        assert homology(X, n, "R").rank == o**n, (X.label, n)
+        assert homology(X, n, "Q").rank == o * (o - 1) ** (n - 1), (X.label, n)
+        n += 1
+    assert n > 2, X.label  # H_1 and H_2 at least
 
 
 def test_degree_sweep_eliminates_each_boundary_once(monkeypatch):
@@ -682,14 +722,13 @@ def test_cocycle_check_builds_no_basis_and_refuses_as_before(monkeypatch):
     assert not is_cocycle(X, Cochain(3, 5, {(0, 1, 2): 1}), "Q").ok
     assert coboundary(X, mu, "Q").values
     assert chain_basis.peek(X, 3, "Q") is None and chain_basis.peek(X, 4, "Q") is None
-    # The budget still counts the 5^4 tuples of C_4, with the basis's message.
+    # The budget still counts the 5^4 tuples of C_4; the message names the work.
     monkeypatch.setenv("QUANDLEKIT_BUDGET", "624")
-    want = ("chain basis of size 5^4 exceeds the budget of 624 "
-            "(override with QUANDLEKIT_BUDGET)")
-    for call in (is_cocycle, coboundary):
+    for call, work in ((is_cocycle, "cocycle check"), (coboundary, "coboundary")):
         with pytest.raises(BudgetError) as info:
             call(X, theta, "Q")
-        assert str(info.value) == want
+        assert str(info.value) == (f"{work} over 5^4 tuples exceeds the budget of 624 "
+                                   "(override with QUANDLEKIT_BUDGET)")
     monkeypatch.setenv("QUANDLEKIT_BUDGET", "625")
     assert is_cocycle(X, theta, "Q").ok
 

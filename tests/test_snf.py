@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import time
 from collections import namedtuple
@@ -6,7 +7,10 @@ from math import gcd, prod
 from hypothesis import given, settings, strategies as st
 
 from conftest import span_mod
+from quandlekit import make_dihedral
+from quandlekit.homology import _boundary_invariants
 from quandlekit.snf import (
+    _eliminate,
     cokernel_invariants,
     invariant_factors,
     mod_kernel,
@@ -448,3 +452,103 @@ def test_sparse_core_shapes():
     check_sparse_core([], 0, 3, [{}, {}, {}])
     check_sparse_core([[], [], []], 3, 0, [])
     check_sparse_core([[2, 4], [4, 2]], 2, 2, [{0: 2, 1: 4}, {0: 4, 1: 2}])  # no unit entry
+
+
+def reference_unit_pivots(columns, drop=frozenset(), events=None):
+    """The unit phase of ``_eliminate`` by rescanning every live column at each step.
+
+    The pivot is a +-1 entry of the shortest live column with one, ties to
+    the least index, in the row of fewest live entries among its units,
+    ties to the least index; it is logged as (r, u, col) and cleared from
+    the other columns as ``_eliminate`` does.  Returns the log and the
+    columns pivoted on.  Given ``events``, adds "grew" when an update
+    lengthens a column and "first unit" when it gives a +-1 to a column
+    that had none at the start.
+    """
+    cols = {j: {i: v for i, v in col.items() if v and i not in drop}
+            for j, col in enumerate(columns)}
+
+    def has_unit(col):
+        return any(v in (1, -1) for v in col.values())
+
+    unitless = {j for j, col in cols.items() if not has_unit(col)}
+    log = []
+    while live := [(len(col), j) for j, col in cols.items() if has_unit(col)]:
+        c = min(live)[1]
+        col = cols[c]
+        units = [i for i, v in col.items() if v in (1, -1)]
+        r = min(units, key=lambda i: (sum(i in other for other in cols.values()), i))
+        del cols[c]
+        u = col.pop(r)
+        log.append((r, u, col))
+        for j, target in cols.items():
+            if r not in target:
+                continue
+            before = len(target)
+            f = target.pop(r) * u
+            for i, v in col.items():
+                if w := target.get(i, 0) - f * v:
+                    target[i] = w
+                else:
+                    del target[i]
+            if events is not None:
+                if len(target) > before:
+                    events.add("grew")
+                if j in unitless and has_unit(target):
+                    events.add("first unit")
+                    unitless.discard(j)
+    return log, set(range(len(columns))).difference(cols)
+
+
+def check_unit_pivots(columns, nrows, drop=frozenset(), events=None):
+    """``_eliminate``'s pivot log and unit columns against the rescanning reference."""
+    log, expected = reference_unit_pivots(columns, drop, events)
+    pivots = []
+    pivoted, _ = _eliminate(columns, nrows, pivots, drop)
+    assert pivoted == expected
+    assert pivots[:len(log)] == log
+    # The rest of the log is the remainder phase's row operations, each {r: -1, ...}.
+    assert all(col.get(r) == -1 for r, _, col in pivots[len(log):])
+
+
+def test_unit_pivots_follow_fill_and_new_units():
+    # Column 0 pivots first, in row 1, and lengthens column 2 from 4 to 5:
+    # so column 3 pivots next, though column 2 was queued at 4 before it.
+    # Column 1 has no unit until the third pivot, in row 3, gives it one.
+    columns = [
+        {1: -1, 2: 1, 3: -1},
+        {0: 2, 3: 2, 5: 3},
+        {0: -1, 1: 1, 4: 2, 5: 1},
+        {0: 3, 2: 3, 4: 1, 5: 1},
+    ]
+    events = set()
+    check_unit_pivots(columns, 6, events=events)
+    assert events == {"grew", "first unit"}
+    assert [r for r, _, _ in reference_unit_pivots(columns)[0]] == [1, 4, 3, 5]
+    check_unit_pivots(columns, 6, frozenset({1}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_unit_pivot_sequence_matches_rescanning_reference(data):
+    # Sparse matrices rich in +-1 with rows dropped: fill lengthens queued
+    # columns and updates turn 2s and 3s into units.
+    m = data.draw(st.integers(0, 12), label="rows")
+    n = data.draw(st.integers(0, 12), label="cols")
+    entry = st.sampled_from([0, 0, 0, 0, 0, 1, -1, 1, -1, 2, -2, 3])
+    columns = columns_of([[data.draw(entry) for _ in range(n)] for _ in range(m)], m, n)
+    drop = frozenset(i for i in data.draw(st.sets(st.integers(0, 11)), label="S") if i < m)
+    check_unit_pivots(columns, m, drop)
+
+
+def test_r3_sweep_pivots_are_pinned():
+    # The columns pivoted on in R3's ascending Q sweep d_2 ... d_8, each map
+    # reduced by the pivots of the one below: they decide every later map's
+    # rows, so a change of pivot order shows here first.
+    X = make_dihedral(3)
+    _boundary_invariants.cache_clear()
+    sweep = [sorted(_boundary_invariants(X, n, "Q")[2]) for n in range(2, 9)]
+    _boundary_invariants.cache_clear()
+    digest = hashlib.sha256(repr(sweep).encode()).hexdigest()[:16]
+    assert [len(p) for p in sweep] == [2, 4, 7, 15, 31, 62, 125]
+    assert digest == "e5437390bd291ecd"
