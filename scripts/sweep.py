@@ -13,12 +13,12 @@ the CPU time (user + system) and the peak RSS of that one process,
 interpreter start and import included; it runs in the tree's directory, so
 relative paths name the tree's files.  Runs alternate which tree goes
 first.  The output is JSON: per command and tree, the medians of CPU seconds
-and peak RSS in MB, each run's CPU seconds in run order and their least,
-and the exit code and stdout sha256 (equal on every run, or "varies").
-Children inherit the environment, so QUANDLEKIT_BUDGET applies to every
-run; the output names its value ("budget", null when unset) and its
-"method" says so.  --max-mb caps the address space of each quandlekit
-process and --max-cpu-s its CPU seconds (setrlimit RLIMIT_AS and
+and peak RSS in MB, each run's CPU seconds and peak RSS in run order, the
+least CPU seconds, and the exit code and stdout sha256 (equal on every run,
+or "varies").  Children inherit the environment, so QUANDLEKIT_BUDGET
+applies to every run; the output names its value ("budget", null when
+unset) and its "method" says so.  --max-mb caps the address space of each
+quandlekit process and --max-cpu-s its CPU seconds (setrlimit RLIMIT_AS and
 RLIMIT_CPU, set in that process only); the output names both ("max_mb",
 "max_cpu_s", null when unset) and so does "method".  A run that trips a
 cap is measured like any other: its exit code is negative, -signal, when
@@ -93,6 +93,7 @@ def sweep(trees: dict[str, str], commands: list[str], runs: int,
                 "cpu_s_min": round(min(cpus), 3),
                 "cpu_s_runs": [round(cpu, 3) for cpu in cpus],
                 "peak_rss_mb": round(statistics.median(rss for _, rss, _, _ in got), 1),
+                "peak_rss_mb_runs": [round(rss, 1) for _, rss, _, _ in got],
                 "exit": code,
                 "stdout_sha256": digests.pop() if len(digests) == 1 else "varies",
             }
@@ -105,7 +106,7 @@ def sweep(trees: dict[str, str], commands: list[str], runs: int,
             "PYTHONPATH=<tree>/src and PYTHONHASHSEED=0, the only child of a "
             "measuring process that reads getrusage(RUSAGE_CHILDREN); "
             f"{runs} runs per tree, alternating which tree goes first; medians, "
-            "each run's CPU seconds and their least"
+            "each run's CPU seconds and peak RSS, and the least CPU seconds"
             + (f"; QUANDLEKIT_BUDGET={budget} in every run" if budget is not None else "")
             + (f"; address space capped at {max_mb} MB" if max_mb is not None else "")
             + (f"; CPU capped at {max_cpu_s} s" if max_cpu_s is not None else "")

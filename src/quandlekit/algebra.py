@@ -233,9 +233,11 @@ def make_dihedral(n: int) -> RackTable:
     """The dihedral kei R_n: i*j = 2j - i (mod n)."""
     if n < 1:
         raise DomainError("dihedral kei needs at least one element")
+    residues = list(range(n)) * 3  # residues[k] = k mod n for k < 3n
+    # Row i is residues[n - i + 2j] = (2j - i) mod n: a stride-2 slice.
     return _affine(RackTable(
         n,
-        tuple(tuple((2 * j - i) % n for j in range(n)) for i in range(n)),
+        tuple(tuple(residues[n - i:3 * n - i:2]) for i in range(n)),
         f"dihedral:{n}",
     ), n, [[-1]], [[-1]])
 

@@ -22,25 +22,22 @@ once d_{n-1} is eliminated, d_n is eliminated without the rows d_{n-1}
 pivoted on (``snf``'s ``drop``): its rank and torsion are unchanged, and an
 ascending sweep reduces each map by the one below it.  Only answers are
 memoized (``_budget.memo``, per budget): bases, invariants with their pivot
-columns, ranks and cocycle verdicts.  ``_boundary_invariants`` is the one
+columns, and cocycle verdicts.  ``_boundary_invariants`` is the one
 place a boundary map is eliminated over Z for its invariants, so each map
 is eliminated at most once per budget, but a map is rebuilt when read
 again; a CochainSpaces keeps d_n's columns only, for its generators and
-membership tests, and reads d_n's invariants and ranks from the memo.  The
-GF(p) ranks behind ``homology_mod`` and the prime cocycle and coboundary
-dimensions are read off the cached Smith diagonal of d_n when there is
-one: the reductions and every step of the Z elimination are unimodular, so
-invertible mod every p, and rank_p d_n = rank d_n minus the number of
-invariant factors that p divides.  Otherwise the rank is the number of rows
-of the sparse GF(p) RREF of the columns of d_n.  Neither route is faster on
-every input: the RREF spares a Z elimination of a map that the one below
-has not reduced (a cocycle dimension reads d_{n+1} before d_n), while a Z
-sweep whose maps reduce one another wins on some ``homology_mod`` inputs.
-Cocycle and coboundary generators with coefficients in Z_d are built only
-when read: off the same RREF when d is prime.  Otherwise the cocycle
-generators are the fewest that span Z^n(X; Z_d), read off the sparse Z
-elimination of d_{n+1} (``snf.mod_kernel``), and the coboundary generators
-are the distinct nonzero rows of d_n mod d.
+membership tests, and reads d_n's invariants from the memo.  Every GF(p)
+rank, behind ``homology_mod`` and the prime cocycle and coboundary
+dimensions, is read off the Smith diagonal of its map: the reductions and
+every step of the Z elimination are unimodular, so invertible mod every p,
+and rank_p d_n = rank d_n minus the number of invariant factors that p
+divides.  Both read d_n before d_{n+1}, so that d_{n+1} is eliminated on
+the rows d_n leaves.  Cocycle and coboundary generators with coefficients
+in Z_d are built only when read: for prime d off the sparse GF(d) RREF of
+the columns of d_{n+1} and the rows of d_n (``snf.mod_rref``).  Otherwise
+the cocycle generators are the fewest that span Z^n(X; Z_d), read off the
+sparse Z elimination of d_{n+1} (``snf.mod_kernel``), and the coboundary
+generators are the distinct nonzero rows of d_n mod d.
 
 The cocycle check and ``coboundary`` build no chain basis and no boundary
 map.  A cochain mu of degree n is laid out once as length-|X| rows keyed by
@@ -313,18 +310,12 @@ def _boundary_invariants(X: RackTable, n: int, theory: str) -> _Invariants:
     return d.nrows - len(drop) - free, tuple(torsion), frozenset(pivoted)
 
 
-@_budget.memo
 def _boundary_mod_rank(X: RackTable, n: int, theory: str, p: int) -> int:
-    """Rank of d_n over GF(p), p prime.
+    """Rank of d_n over GF(p), p prime: rank d_n minus the invariant factors p divides.
 
-    Read off the integral invariants of d_n when they are already cached
-    (rank d_n minus the invariant factors p divides; see the module
-    docstring), else the number of rows of the GF(p) RREF of its columns.
+    Read off the integral invariants of d_n (see the module docstring).
     """
-    invariants = _boundary_invariants.peek(X, n, theory)
-    if invariants is None:
-        return snf.mod_rank(boundary_matrix(X, n, theory).columns, p)
-    rank, torsion, _ = invariants
+    rank, torsion, _ = _boundary_invariants(X, n, theory)
     return rank - sum(1 for e in torsion if e % p == 0)
 
 
@@ -346,7 +337,11 @@ def homology(X: RackTable, n: int, theory: str = "R") -> AbelianGroup:
 
 
 def homology_mod(X: RackTable, n: int, theory: str, p: int) -> int:
-    """Direct dimension of H_n(X; Z_p) for prime p, via GF(p) ranks."""
+    """dim H_n(X; Z_p) for prime p: dim C_n minus the GF(p) ranks of d_n and d_{n+1}.
+
+    Both ranks are read off the integral invariants, d_n's first, so that
+    d_{n+1} is eliminated on the rows d_n leaves.
+    """
     if not _is_prime(p):
         raise DomainError(f"{p} is not prime; use homology_with_coefficients")
     _check_theory(X, theory)
@@ -561,12 +556,13 @@ class CochainSpaces(Record):
     """Cocycles and coboundaries of degree n over Z_d in one basis.
 
     For prime d the dimensions are GF(d) ranks of the sparse boundary maps,
-    the same cached ranks ``homology_mod`` reads (delta_n is d_{n+1}
-    transposed), and the generator lists are honest bases, off the sparse
-    GF(d) RREF of the columns of d_{n+1} and the rows of d_n.  For composite
-    d there are no dimensions.  The cocycle generators are then as few as
-    generate Z^n(X; Z_d): dim - rank d_{n+1} + #{e_i : gcd(e_i, d) > 1} for
-    the invariant factors e_i of d_{n+1}, from ``snf.mod_kernel``.  The
+    read off their integral invariants as ``homology_mod`` reads them
+    (delta_n is d_{n+1} transposed), d_n's first, and the generator lists
+    are honest bases, off the sparse GF(d) RREF of the columns of d_{n+1}
+    and the rows of d_n.  For composite d there are no dimensions.  The
+    cocycle generators are then as few as generate Z^n(X; Z_d):
+    dim - rank d_{n+1} + #{e_i : gcd(e_i, d) > 1} for the invariant factors
+    e_i of d_{n+1}, from ``snf.mod_kernel``.  The
     coboundary generators are the distinct nonzero rows of d_n mod d, which
     need not be fewest.  Generators are built on first read.
     """
@@ -580,14 +576,18 @@ class CochainSpaces(Record):
 
     @cached_property
     def cocycle_dimension(self) -> int:
-        if not self.prime:
-            raise DomainError("dimensions need a prime modulus")
+        """dim C_n minus rank d_{n+1} mod d.
+
+        The coboundary dimension is read first (it refuses a composite d),
+        so that d_{n+1} is eliminated on the rows d_n leaves.
+        """
+        _ = self.coboundary_dimension
         rank = _boundary_mod_rank(self.X, self.degree + 1, self.theory, self.modulus)
         return len(self.basis) - rank
 
     @cached_property
     def coboundary_dimension(self) -> int:
-        """rank d_n mod d, the cached rank ``homology_mod`` reads."""
+        """rank d_n mod d, the rank ``homology_mod`` reads."""
         if not self.prime:
             raise DomainError("dimensions need a prime modulus")
         return _boundary_mod_rank(self.X, self.degree, self.theory, self.modulus)

@@ -1,4 +1,4 @@
-"""Exact matrix routines: one sparse integer elimination, a sparse GF(p) RREF.
+"""Exact matrix routines: one sparse integer elimination, and a GF(p) RREF for bases.
 
 Boundary maps are stored as sparse columns ({row: coefficient} dicts) with at
 most 2(n-1) entries each.  ``_eliminate`` diagonalizes them over Z by
@@ -7,9 +7,9 @@ pivots on one, in the shortest live column and the shortest row among its
 units, ties to the least index (Dumas, Saunders and Villard, J. Symb.
 Comput. 32, 2001), and reports those columns: ``homology`` reads them as
 elementary reductions of the chain complex, whose rows the next map's
-elimination leaves out (``drop``).  The columns wait in a heap, each under
-one key that bounds its length from below, so an update pushes a column
-only when it falls below its key, not at every update.  Past
+elimination leaves out (``drop``).  The nonempty columns wait in a heap,
+each under one key that bounds its length from below, so an update pushes
+a column only when it falls below its key, not at every update.  Past
 the units it keeps going on the residual's sparse rows, pivoting on an
 entry of least absolute value and stepping by division with remainder: the
 pivot's column and then its row are reduced by nearest-integer quotients,
@@ -19,14 +19,14 @@ size of the residual's own.  Memory stays linear in the nonzero entries.
 rule that makes ``AbelianGroup.from_divisors`` canonical, and carries each
 gcd/lcm move on a transform when one is given.  Every step is invertible mod
 every prime, so the invariant factors e_i of A give every GF(p) rank:
-rank_p(A) = rank(A) - #{e_i : p | e_i}.  ``homology`` reads GF(p) ranks that
-way once a map is eliminated over Z.
+rank_p(A) = rank(A) - #{e_i : p | e_i}.  ``homology`` reads every GF(p)
+rank that way.
 ``mod_kernel`` reads the fewest generators of the x in Z_d^n orthogonal to
 the columns, for any modulus d, off the same elimination: the chain of the
 diagonal mod d solves it in the final coordinates, and the logged pivots and
-row operations map the solution back.  Everything else over GF(p), the other
-ranks and the prime cocycle and coboundary bases, is read off ``mod_rref``,
-the reduced row echelon form of a list of sparse vectors.
+row operations map the solution back.  Only the prime cocycle and
+coboundary bases are not read off the Z elimination: they come from
+``mod_rref``, the reduced row echelon form of a list of sparse vectors.
 """
 
 from __future__ import annotations
@@ -108,7 +108,8 @@ def _eliminate(
     index; its column's other entries are dropped and its row is cleared
     from the other columns.  ``queued`` holds each column's key: at most
     its length while it is in the heap, and above every length once it is
-    out.  An update pushes (length, j) only when j has fallen below its key,
+    out.  An empty column starts out: it has no unit, and no update meets
+    it.  An update pushes (length, j) only when j has fallen below its key,
     so also when j is out; a pop whose key is no longer j's is skipped, and
     a column popped longer than its key is queued again under its length.
     Otherwise it leaves the queue, and a column with no unit waits for an
@@ -146,8 +147,8 @@ def _eliminate(
             rows[i].add(j)
     diagonal: dict[int, int] = {}
     out = nrows + 1  # the key of a column out of the queue, above every length
-    queued = [len(col) for col in cols.values()]  # each column's key
-    heap = list(zip(queued, cols))
+    queued = [len(col) or out for col in cols.values()]  # each column's key
+    heap = [(k, j) for j, k in enumerate(queued) if k < out]
     heapq.heapify(heap)
     while heap:
         length, c = heapq.heappop(heap)
@@ -349,11 +350,6 @@ def mod_rref(vectors: Sequence[Mapping[int, int]], p: int) -> dict[int, dict[int
                     subtract(other, other[c], row)
             rows[c] = row
     return dict(sorted(rows.items()))
-
-
-def mod_rank(vectors: Sequence[Mapping[int, int]], p: int) -> int:
-    """Rank over GF(p), p prime, of sparse vectors: the rows of their RREF."""
-    return len(mod_rref(vectors, p))
 
 
 def mod_nullspace(vectors: Sequence[Mapping[int, int]], ncols: int, p: int) -> list[list[int]]:

@@ -53,6 +53,9 @@ def test_dihedral_kei():
     assert R3.op(2, 2) == 2
     assert make_dihedral(4).op(1, 3) == 1
     assert R3.rack_class == "kei"
+    for n in range(1, 40):  # the table against i*j = 2j - i (mod n), entry by entry
+        assert make_dihedral(n).table == tuple(
+            tuple((2 * j - i) % n for j in range(n)) for i in range(n)), n
     with pytest.raises(DomainError):
         make_dihedral(0)
 

@@ -3,6 +3,7 @@ import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from quandlekit import cli
 from quandlekit.cli import main
@@ -574,6 +575,34 @@ def test_large_prime_modulus_answers(capsys, command):
     assert code == 0
     data = [line.replace(" 5 ", f" {p} ") for line in out.splitlines() if line.startswith("#data")]
     assert [line for line in proc.stdout.splitlines() if line.startswith("#data")] == data
+
+
+_FUZZ_RACKS = ["trivial:1", "alexander:1:1:1", "trivial:2", "trivial:3", "dihedral:2",
+               "dihedral:3", "dihedral:4", "dihedral:5", "alexander:2:1,1,1:0,1",
+               "alexander:3:1,0,1:2"]
+# None leaves --mod out; 10^29 + 319 is the least prime above 10^29.
+_FUZZ_MODULI = [None, -1, 0, 1, 2, 3, 5, 7, 4, 6, 9, 12, 10**29 + 319]
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["homology", "cocycles"]), rack=st.sampled_from(_FUZZ_RACKS),
+       degree=st.integers(-3, 14), theory=st.sampled_from(["R", "D", "Q"]),
+       mod=st.sampled_from(_FUZZ_MODULI))
+def test_homology_and_cocycles_argv_fuzz(monkeypatch, command, rack, degree, theory, mod):
+    # Each run is a fresh process (about 0.1 s).  A budget of 1000 keeps
+    # every accepted run small and refuses the high degrees (exit 3); under
+    # the default budget one run can take seconds.  cocycles has no --theory,
+    # and without --mod it ends in a parse error (exit 2).
+    monkeypatch.setenv("QUANDLEKIT_BUDGET", "1000")
+    argv = [command, rack, "--degree", str(degree)]
+    if command == "homology":
+        argv += ["--theory", theory]
+    if mod is not None:
+        argv += ["--mod", str(mod)]
+    proc = run_cli_guarded(*argv, cpu_s=3)  # exit 0-3, no traceback
+    if proc.returncode == 0:
+        assert proc.stdout.splitlines()[-1].startswith("#data"), (argv, proc.stdout)
 
 
 # --- cocycles ---------------------------------------------------------------------

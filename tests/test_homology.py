@@ -301,11 +301,18 @@ def drawn_quandles(draw):
 def test_betti_numbers_of_drawn_quandles(X):
     # Etingof and Grana (JPAA 177, 2003): rank H_n^R = o^n for o orbits;
     # Litherland and Nelson (JPAA 178, 2003): rank H_n^Q = o(o-1)^(n-1).
-    o = len(X.orbits)
+    # Etingof and Grana again: every prime of the torsion divides |Inn(X)|,
+    # that is, each invariant factor f divides |Inn(X)|^k, and k = bits(f)
+    # exceeds every exponent in f.
+    o, inn = len(X.orbits), len(inner_automorphisms(X))
     n = 1
     while X.size ** (n + 1) <= 1300:
-        assert homology(X, n, "R").rank == o**n, (X.label, n)
-        assert homology(X, n, "Q").rank == o * (o - 1) ** (n - 1), (X.label, n)
+        groups = {theory: homology(X, n, theory) for theory in ("R", "Q")}
+        assert groups["R"].rank == o**n, (X.label, n)
+        assert groups["Q"].rank == o * (o - 1) ** (n - 1), (X.label, n)
+        for theory, group in groups.items():
+            for f in group.invariant_factors:
+                assert pow(inn, f.bit_length(), f) == 0, (X.label, theory, n, f, inn)
         n += 1
     assert n > 2, X.label  # H_1 and H_2 at least
 
@@ -320,8 +327,7 @@ def test_degree_sweep_eliminates_each_boundary_once(monkeypatch):
     from quandlekit import snf
 
     X = make_dihedral(3)
-    for fn in (_boundary_invariants, _boundary_mod_rank):
-        fn.cache_clear()
+    _boundary_invariants.cache_clear()
     over_z, over_gf = [], []
     real_z, real_gf = snf._eliminate, snf.mod_rref
 
@@ -347,11 +353,12 @@ def test_degree_sweep_eliminates_each_boundary_once(monkeypatch):
     assert sorted(over_z) == sorted(expected)
     assert dropped[0] == 0 and all(dropped[1:])
     assert over_gf == []
-    # The spy sees a direct GF(3) rank, so its silence above is not vacuous.
-    _boundary_mod_rank.cache_clear()
-    _boundary_invariants.cache_clear()
-    assert homology_mod(X, 2, "Q", 3) == DELTA_FIB[1] + DELTA_FIB[0]
-    assert {p for _, p in over_gf} == {3} and len(over_gf) == 2
+    # The reference ranks, by GF(3) RREF: the spy sees them, so its silence
+    # above is not vacuous.
+    for n in range(2, 9):
+        reference = len(snf.mod_rref(boundary_matrix(X, n, "Q").columns, 3))
+        assert _boundary_mod_rank(X, n, "Q", 3) == reference, n
+    assert [p for _, p in over_gf] == [3] * 7
 
 
 @pytest.mark.slow
@@ -449,7 +456,7 @@ def test_budget_guard():
 
 
 def test_budget_guard_ignores_warm_cache(monkeypatch, r3):
-    cached = (chain_basis, _boundary_invariants, _boundary_mod_rank, _cocycle_verdict)
+    cached = (chain_basis, _boundary_invariants, _cocycle_verdict)
     calls = [
         (chain_basis, (r3, 6, "Q")),
         (boundary_matrix, (r3, 5, "Q")),
@@ -787,13 +794,14 @@ ORACLE_SPECS = ["dihedral:3", "dihedral:4", "dihedral:5", "alexander:2:1,1,1:0,1
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS)
 def test_mod_ranks_agree_with_and_without_integral_invariants(spec):
-    # homology_mod reads its ranks off cached integral invariants, and runs
-    # the direct GF(p) elimination when none are cached: each checks the other.
+    # homology_mod reads its ranks off the integral invariants: on a cold
+    # memo d_{n+1} is eliminated on the rows d_n leaves, and with d_{n+1}
+    # memoized first it is eliminated whole.  Oracle: the GF(p) ranks of
+    # d_n and d_{n+1} by RREF.
     X = resolve_rack(spec)
-    cached = (chain_basis, _boundary_invariants, _boundary_mod_rank)
 
     def clear():
-        for fn in cached:
+        for fn in (chain_basis, _boundary_invariants):
             fn.cache_clear()
 
     for theory in THEORIES:
@@ -801,10 +809,13 @@ def test_mod_ranks_agree_with_and_without_integral_invariants(spec):
             if X.size ** (n + 1) > 1024:  # the domain of d_{n+1}: about 2 s in all
                 break
             for p in (2, 3, 5):
+                dim = len(chain_basis(X, n, theory))
+                direct = dim - sum(len(snf.mod_rref(boundary_matrix(X, k, theory).columns, p))
+                                   for k in (n, n + 1))
                 clear()
-                direct = homology_mod(X, n, theory, p)
+                assert homology_mod(X, n, theory, p) == direct, (theory, n, p)
                 clear()
-                for degree in (n, n + 1):
+                for degree in (n + 1, n):
                     _boundary_invariants(X, degree, theory)
                 assert homology_mod(X, n, theory, p) == direct, (theory, n, p)
 
@@ -848,7 +859,6 @@ def test_prime_dimensions_match_dense_generators(spec, n):
     # Oracle: the generator counts, off the sparse GF(p) RREF, against the
     # dimensions read off the integral invariants of d_n and d_{n+1}.
     X = resolve_rack(spec)
-    _boundary_mod_rank.cache_clear()
     for degree in (n, n + 1):
         _boundary_invariants(X, degree, "Q")
     for p in (2, 3, 5):
@@ -987,13 +997,11 @@ def test_coboundary_dimension_reads_the_memo_after_a_membership_test(monkeypatch
     # contains_coboundary memoizes the invariants of d_3; the coboundary
     # dimension is then rank d_3 minus the factors 5 divides, read off them
     # with no further build of d_3 and no GF(5) reduction.  The oracle is the
-    # GF(5) rank of d_3 taken directly, on a cold memo.
+    # GF(5) rank of d_3 by RREF.
     hom = sys.modules["quandlekit.homology"]
     X = make_dihedral(5)
     _boundary_invariants.cache_clear()
-    _boundary_mod_rank.cache_clear()
-    direct = _boundary_mod_rank(X, 3, "Q", 5)
-    _boundary_mod_rank.cache_clear()
+    direct = len(snf.mod_rref(boundary_matrix(X, 3, "Q").columns, 5))
     built, reduced = [], []
     real_build, real_rref = hom.boundary_matrix, snf.mod_rref
 
@@ -1013,6 +1021,34 @@ def test_coboundary_dimension_reads_the_memo_after_a_membership_test(monkeypatch
     built.clear()
     assert spaces.coboundary_dimension == _boundary_mod_rank(X, 3, "Q", 5) == direct
     assert (built, reduced) == ([], [])
+
+
+def test_prime_dimensions_eliminate_down_before_up(monkeypatch):
+    # A cold cocycle dimension of A9 (9 * 8 * 8 = 576 Q tuples in degree 3,
+    # 4608 in degree 4) eliminates d_3 over Z, then d_4 on the rows d_3's
+    # unit pivots leave, and reduces nothing over GF(3).  The generator
+    # lists are what reads the GF(3) RREF.
+    X = resolve_rack("alexander:3:1,0,1:2")
+    _boundary_invariants.cache_clear()
+    over_z, over_gf = [], []
+    real_z, real_gf = snf._eliminate, snf.mod_rref
+
+    def counted_z(columns, nrows, pivots=None, drop=frozenset()):
+        over_z.append((len(columns), drop))
+        return real_z(columns, nrows, pivots, drop)
+
+    def counted_gf(vectors, p):
+        over_gf.append(p)
+        return real_gf(vectors, p)
+
+    monkeypatch.setattr(snf, "_eliminate", counted_z)
+    monkeypatch.setattr(snf, "mod_rref", counted_gf)
+    spaces = cohomology(X, 3, "Q", 3)
+    assert (spaces.cocycle_dimension, spaces.coboundary_dimension) == (69, 63)
+    pivoted = _boundary_invariants.peek(X, 3, "Q")[2]
+    assert over_z == [(576, frozenset()), (4608, pivoted)] and pivoted
+    assert over_gf == []
+    assert len(spaces.coboundary_vectors) == 63 and over_gf == [3]
 
 
 def test_membership_then_homology_eliminates_the_boundary_once(monkeypatch, r3, theta):
@@ -1054,8 +1090,7 @@ def test_refusal_comes_before_any_map_is_built(monkeypatch, call):
     monkeypatch.setattr(hom, "boundary_matrix", spy("build", hom.boundary_matrix))
     for name in ("cokernel_invariants", "mod_rref"):
         monkeypatch.setattr(snf, name, spy(name, getattr(snf, name)))
-    for fn in (_boundary_invariants, _boundary_mod_rank):
-        fn.cache_clear()
+    _boundary_invariants.cache_clear()
     with pytest.raises(BudgetError, match=r"chain basis of size 6\^6 exceeds"):
         call(make_dihedral(6), 5, "Q")
     assert work == []

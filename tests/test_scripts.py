@@ -65,8 +65,9 @@ def test_sweep_runs_each_tree(monkeypatch, capsys):
     for name in "ab":
         got = row[name]
         assert got["cpu_s"] > 0 and got["peak_rss_mb"] > 0
-        # Each run's CPU seconds, their least and their median.
+        # Each run's CPU seconds and peak RSS, the least and the median CPU.
         assert len(got["cpu_s_runs"]) == 2 and got["cpu_s_min"] == min(got["cpu_s_runs"])
+        assert len(got["peak_rss_mb_runs"]) == 2 and all(got["peak_rss_mb_runs"])
         assert got["cpu_s_min"] <= got["cpu_s"] <= max(got["cpu_s_runs"])
 
 
